@@ -121,29 +121,6 @@ func BenchmarkAblation_FixedVsFloat(b *testing.B) {
 	b.ReportMetric(worst, "worst_error_vs_psd_peak")
 }
 
-// BenchmarkAblation_ParallelSCF compares the sequential and
-// block-parallel software DSCF (bit-identical results; see
-// scf.ComputeParallel).
-func BenchmarkAblation_ParallelSCF(b *testing.B) {
-	const blocks = 8
-	x := paperSignal(b, blocks)
-	p := scf.Params{K: 256, M: 64, Blocks: blocks}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := scf.Compute(x, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := scf.ComputeParallel(x, p, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblation_CoreSweep measures the per-block critical path as the
 // core count grows within one platform. Unlike the paper's linear
 // inter-platform scaling (E11), intra-platform scaling saturates at the

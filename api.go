@@ -38,16 +38,18 @@ type Config struct {
 	ClockMHz float64
 	// MinAbsA is the smallest |a| the blind detector searches (default 2).
 	MinAbsA int
-	// Threshold is the decision threshold on the CFD statistic — the
-	// legacy way to select fixed-threshold decisions. When Detector is
-	// empty, a positive Threshold behaves exactly as before (the "fixed"
-	// detector); see Detector for the registry-based selection.
+	// Threshold is the "fixed" detector's decision threshold on the CFD
+	// statistic. With an empty Detector, a positive Threshold selects
+	// "fixed".
 	Threshold float64
+	// CFARScale is the "cfar" detector's peak-over-floor ratio (default
+	// 2). Ignored by the other detectors.
+	CFARScale float64
 	// Detector selects the decision layer by registry name
 	// (DetectorNames lists the registry):
 	//
 	//   - "cfar": the self-calibrating peak-over-floor detector on the
-	//     estimated surface (scale from MonitorOptions.CFARScale);
+	//     estimated surface (ratio CFARScale);
 	//   - "fixed": the externally calibrated threshold on the CFD
 	//     statistic (Threshold must be positive);
 	//   - "dg": the Dandawate–Giannakis asymptotic cyclostationarity
@@ -59,8 +61,9 @@ type Config struct {
 	//
 	// The asymptotic detectors (dg, urriza) require non-empty
 	// AlphaCandidates — the cycle set under test. An empty Detector
-	// keeps the legacy scalar-knob behaviour: Threshold > 0 means
-	// "fixed", otherwise "cfar".
+	// means "fixed" when Threshold > 0, otherwise "cfar". Sense, Watch
+	// and NewMonitor resolve it identically, so a verdict depends on
+	// Config alone.
 	Detector string
 	// TargetPfa is the false-alarm probability the asymptotic detectors
 	// (dg, urriza) hit by construction (default 0.05). Ignored by cfar
@@ -104,15 +107,12 @@ type Config struct {
 	// with "ssca" is an error — the SSCA channelizer advances one sample
 	// per hop by definition. The platform path ignores it.
 	Hop int
-	// Workers bounds the goroutines a software estimator uses internally
-	// (concurrent integration blocks for "direct", surface rows for
-	// "fam", strips for "ssca" — all bit-identical to serial). 1 forces
-	// the serial path; 0 takes the estimator's default: one worker per
-	// CPU core for "fam"/"ssca", serial for "direct" (whose per-block
-	// decomposition allocates a partial surface per block and only pays
-	// off for large Blocks counts, so it stays opt-in with Workers > 1).
-	// Ignored by the platform path and by streaming accumulators
-	// (Monitor parallelises across channels instead).
+	// Workers bounds the goroutines a batch FAM or SSCA estimator (float
+	// or Q15) uses internally: surface rows for "fam", strips for
+	// "ssca", bit-identical to serial. 1 forces the serial path; 0 takes
+	// one worker per CPU core. Ignored by "direct" (always serial), the
+	// platform path and streaming accumulators (Monitor parallelises
+	// across channels instead).
 	Workers int
 }
 
@@ -127,7 +127,7 @@ var estimatorRegistry = []struct {
 }{
 	{"platform", func(Config) (scf.Estimator, error) { return nil, nil }},
 	{"direct", func(c Config) (scf.Estimator, error) {
-		return scf.Direct{Params: c.params(c.Hop), Workers: c.Workers}, nil
+		return scf.Direct{Params: c.params(c.Hop)}, nil
 	}},
 	{"fam", func(c Config) (scf.Estimator, error) {
 		return fam.FAM{Params: c.params(c.Hop), Workers: c.Workers}, nil
@@ -167,12 +167,11 @@ func EstimatorNames() []string {
 // drift from what NewMonitor actually accepts.
 func DetectorNames() []string { return detect.DeciderNames() }
 
-// decider resolves Config.Detector through the detect registry,
-// applying the legacy scalar-knob mapping when the name is empty
-// (Threshold > 0 selects "fixed", otherwise "cfar" — the pre-registry
-// behaviour, preserved exactly). The opts CFAR scale rides along so the
-// Monitor and batch paths build identical deciders.
-func (c Config) decider(cfarScale float64) (detect.Decider, error) {
+// decider resolves the decision layer. It is the one place the
+// empty-Detector rule lives: Threshold > 0 means "fixed", otherwise
+// "cfar". Sense, Watch, NewMonitor and the shard worker all build their
+// deciders here.
+func (c Config) decider() (detect.Decider, error) {
 	name := c.Detector
 	if name == "" {
 		if c.Threshold > 0 {
@@ -185,25 +184,13 @@ func (c Config) decider(cfarScale float64) (detect.Decider, error) {
 		Scf:       c.params(0).WithDefaults(),
 		MinAbsA:   c.minAbsAOrDefault(),
 		Threshold: c.Threshold,
-		CFARScale: cfarScale,
+		CFARScale: c.CFARScale,
 		TargetPfa: c.TargetPfa,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tiledcfd: %w", err)
 	}
 	return dec, nil
-}
-
-// batchDecider resolves the Decider for the one-shot paths (Sense,
-// Watch): nil when Detector is empty, keeping the legacy inline
-// fixed-threshold decision (and its path-specific detector labels)
-// untouched; a registry decider otherwise. Batch paths have no
-// MonitorOptions, so the CFAR scale takes the detector's default.
-func (c Config) batchDecider() (detect.Decider, error) {
-	if c.Detector == "" {
-		return nil, nil
-	}
-	return c.decider(0)
 }
 
 // minAbsAOrDefault mirrors the decision layers' historical default.
@@ -276,15 +263,50 @@ func (c Config) estimator() (scf.Estimator, error) {
 		c.Estimator, strings.Join(EstimatorNames(), ", "))
 }
 
+// pipeline validates the input samples and builds the batch pipeline
+// configuration shared by Sense and Watch.
+func (c Config) pipeline(x []complex128) (core.Config, error) {
+	if err := checkFinite(x); err != nil {
+		return core.Config{}, err
+	}
+	est, err := c.estimator()
+	if err != nil {
+		return core.Config{}, err
+	}
+	dec, err := c.decider()
+	if err != nil {
+		return core.Config{}, err
+	}
+	return core.Config{
+		SoC: soc.Config{
+			K: c.K, M: c.M, Q: c.Q,
+			Blocks: c.Blocks, ClockMHz: c.ClockMHz,
+		},
+		Decider:   dec,
+		Estimator: est,
+	}, nil
+}
+
+// checkFinite rejects NaN and infinite samples at the public edge, where
+// one of them would otherwise turn the statistic into NaN or ±Inf and
+// read as a silent "vacant".
+func checkFinite(x []complex128) error {
+	for i, v := range x {
+		if re, im := real(v), imag(v); math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
+			return fmt.Errorf("tiledcfd: sample %d is not finite (%v)", i, v)
+		}
+	}
+	return nil
+}
+
 // Sensing is the outcome of a spectrum-sensing run.
 type Sensing struct {
 	// Estimator names the surface path that produced the verdict (one of
 	// EstimatorNames).
 	Estimator string
-	// Detector names the decision layer that produced the verdict: a
-	// registry name (DetectorNames) when Config.Detector was set,
-	// otherwise the legacy label of the path ("cfd" on the platform,
-	// "cfd-<estimator>" on the software paths).
+	// Detector names the decision layer that produced the verdict: the
+	// registry name (one of DetectorNames) Config resolves to — with an
+	// empty Config.Detector, "fixed" when Threshold > 0, else "cfar".
 	Detector string
 	// Detected reports whether the cyclostationary statistic exceeded the
 	// threshold.
@@ -346,36 +368,23 @@ type CycleBreakdown struct {
 
 // Sense runs the full spectrum-sensing pipeline on the sampled band x
 // (complex samples; real signals carry zero imaginary parts). It needs
-// K·Blocks samples. The default configuration follows the paper's
-// hardware path; Config.Estimator swaps in a software estimator
+// K·Blocks samples, all finite. The default configuration follows the
+// paper's hardware path; Config.Estimator swaps in a software estimator
 // (direct/fam/ssca) for the surface while keeping the decision layer
 // identical.
 func Sense(x []complex128, cfg Config) (*Sensing, error) {
-	est, err := cfg.estimator()
+	pc, err := cfg.pipeline(x)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := cfg.batchDecider()
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Run(x, core.Config{
-		SoC: soc.Config{
-			K: cfg.K, M: cfg.M, Q: cfg.Q,
-			Blocks: cfg.Blocks, ClockMHz: cfg.ClockMHz,
-		},
-		MinAbsA:   cfg.MinAbsA,
-		Threshold: cfg.Threshold,
-		Decider:   dec,
-		Estimator: est,
-	})
+	res, err := core.Run(x, pc)
 	if err != nil {
 		return nil, err
 	}
 	f, a, _ := res.Surface.MaxFeature(true)
 	name := "platform"
-	if est != nil {
-		name = est.Name()
+	if pc.Estimator != nil {
+		name = pc.Estimator.Name()
 	}
 	out := &Sensing{
 		Estimator:    name,
@@ -435,26 +444,14 @@ type WindowVerdict struct {
 // Watch senses a continuous stream window by window (window = K·Blocks
 // samples; a trailing partial window is ignored) and returns the
 // per-window verdicts — the operational Cognitive-Radio mode: track when
-// a licensed user appears in or vacates the band.
+// a licensed user appears in or vacates the band. Every sample must be
+// finite.
 func Watch(stream []complex128, cfg Config) ([]WindowVerdict, error) {
-	est, err := cfg.estimator()
+	pc, err := cfg.pipeline(stream)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := cfg.batchDecider()
-	if err != nil {
-		return nil, err
-	}
-	mon, err := core.NewMonitor(core.Config{
-		SoC: soc.Config{
-			K: cfg.K, M: cfg.M, Q: cfg.Q,
-			Blocks: cfg.Blocks, ClockMHz: cfg.ClockMHz,
-		},
-		MinAbsA:   cfg.MinAbsA,
-		Threshold: cfg.Threshold,
-		Decider:   dec,
-		Estimator: est,
-	})
+	mon, err := core.NewMonitor(pc)
 	if err != nil {
 		return nil, err
 	}
@@ -474,11 +471,12 @@ func Watch(stream []complex128, cfg Config) ([]WindowVerdict, error) {
 	return out, nil
 }
 
-// MonitorOptions configures the streaming side of a Monitor: how the
-// engine ingests, schedules and decides. Estimator selection and
-// geometry come from Config (Config.Estimator must name a software
-// estimator — the bit-true platform simulation has no incremental form;
-// "" defaults to "direct").
+// MonitorOptions configures a Monitor: how its engines ingest, schedule
+// and decide, and which shards carry them. Estimator, geometry and
+// decision layer come from Config (Config.Estimator must name a
+// streaming estimator — the bit-true platform simulation has no
+// incremental form; "" defaults to "direct"). The zero value runs one
+// local shard.
 type MonitorOptions struct {
 	// Channels are ids registered at creation; more can be added later
 	// with AddChannel.
@@ -489,8 +487,9 @@ type MonitorOptions struct {
 	// RingSamples is the per-channel ingestion buffer capacity (default
 	// 4×SnapshotSamples).
 	RingSamples int
-	// Workers bounds the engine's drain/decision worker pool (default
-	// one per CPU core). Distinct from Config.Workers, which controls
+	// Workers bounds each shard engine's drain/decision worker pool
+	// (default one per CPU core), so the service total is
+	// Shards×Workers. Distinct from Config.Workers, which controls
 	// intra-estimator parallelism on the batch paths.
 	Workers int
 	// Cumulative keeps estimator state integrating across decisions
@@ -501,281 +500,6 @@ type MonitorOptions struct {
 	// Backpressure makes Push block when a ring fills instead of
 	// dropping the overflow.
 	Backpressure bool
-	// CFARScale is the self-calibrating "cfar" detector's
-	// peak-over-floor ratio (default 2). With an empty Config.Detector
-	// this is the legacy selection pair: a positive Config.Threshold
-	// means fixed-threshold decisions, otherwise CFAR at this scale.
-	// Ignored by the asymptotic detectors (dg, urriza).
-	CFARScale float64
-}
-
-// MonitorDecision is one periodic per-channel verdict of a Monitor.
-type MonitorDecision struct {
-	// Channel names the monitored channel.
-	Channel string
-	// Seq is the 0-based decision index within the channel.
-	Seq int64
-	// Window is the number of samples the decision's surface integrates.
-	Window int
-	// Detected reports whether the statistic exceeded the threshold.
-	Detected bool
-	// Statistic and Threshold carry the decision inputs.
-	Statistic, Threshold float64
-	// Detector names the decision layer that produced the verdict (one
-	// of DetectorNames).
-	Detector string
-	// TargetPfa is the false-alarm probability the detector was
-	// configured for; zero for the detectors that are not calibrated to
-	// one (cfar, fixed).
-	TargetPfa float64
-	// FeatureF/FeatureA locate the strongest cyclic feature (a != 0).
-	FeatureF, FeatureA int
-}
-
-// MonitorStats is a Monitor-wide accounting snapshot.
-type MonitorStats struct {
-	// Channels is the number of registered channels.
-	Channels int
-	// SamplesIn counts samples accepted; SamplesDropped counts samples
-	// discarded because an ingestion ring was full.
-	SamplesIn, SamplesDropped int64
-	// Surfaces counts estimator snapshots (= decisions made); Detections
-	// the subset declaring the band occupied; DecisionsDropped the
-	// decisions lost to a full or unread Decisions channel (the latest
-	// per channel always remains available via ChannelStats).
-	Surfaces, Detections, DecisionsDropped int64
-	// QueuedSamples is the momentary ingestion backlog: samples pushed
-	// but not yet integrated into estimator state.
-	QueuedSamples int64
-	// PrunedCellsSkipped counts surface cells never computed because of
-	// alpha-candidate pruning, summed over all snapshots. Zero when no
-	// channel prunes.
-	PrunedCellsSkipped int64
-	// SamplesPerSec and SurfacesPerSec are lifetime-average throughput
-	// rates.
-	SamplesPerSec, SurfacesPerSec float64
-}
-
-// MonitorChannelStats is per-channel Monitor accounting.
-type MonitorChannelStats struct {
-	// ID names the channel.
-	ID string
-	// SamplesIn counts samples accepted; SamplesDropped those discarded
-	// because the channel's ingestion ring was full.
-	SamplesIn, SamplesDropped int64
-	// Snapshots counts the channel's decisions; Detections the subset
-	// declaring the band occupied.
-	Snapshots, Detections int64
-	// Last is the most recent decision, nil before the first.
-	Last *MonitorDecision
-}
-
-// Monitor is a long-running streaming sensing session: the incremental
-// counterpart of Sense and Watch. Samples are pushed per channel as they
-// arrive; a bounded worker pool advances incremental estimator state and
-// emits a decision every SnapshotSamples samples. Streaming surfaces are
-// bit-identical to the batch estimators over the same samples, so
-// decisions agree exactly with the one-shot API.
-//
-// A Monitor must be Closed when done; Decisions delivers the rolling
-// verdicts until then.
-type Monitor struct {
-	eng     *stream.Engine
-	out     chan MonitorDecision
-	dropped atomic.Int64 // decisions lost at the forwarding layer
-	once    sync.Once
-}
-
-// toMonitorDecision converts the internal decision record; the single
-// conversion point shared by the forwarder and ChannelStats.
-func toMonitorDecision(d stream.Decision) MonitorDecision {
-	return MonitorDecision{
-		Channel:   d.Channel,
-		Seq:       d.Seq,
-		Window:    d.WindowSamples,
-		Detected:  d.Detected,
-		Statistic: d.Statistic,
-		Threshold: d.Threshold,
-		Detector:  d.Detector,
-		TargetPfa: d.TargetPfa,
-		FeatureF:  d.FeatureF,
-		FeatureA:  d.FeatureA,
-	}
-}
-
-// monitorStreamConfig validates the estimator selection and builds the
-// per-engine streaming configuration — the single translation point
-// shared by NewMonitor and NewShardedMonitor.
-func monitorStreamConfig(cfg Config, opts MonitorOptions) (stream.Config, error) {
-	if cfg.Estimator == "" {
-		cfg.Estimator = "direct"
-	}
-	est, err := cfg.estimator()
-	if err != nil {
-		return stream.Config{}, err
-	}
-	if est == nil {
-		return stream.Config{}, fmt.Errorf("tiledcfd: the %q path has no incremental form; "+
-			"pick a streaming estimator (%s) or use Watch",
-			cfg.Estimator, strings.Join(streamingEstimatorNames(), ", "))
-	}
-	sest, ok := est.(scf.StreamingEstimator)
-	if !ok {
-		return stream.Config{}, fmt.Errorf("tiledcfd: estimator %q cannot stream; pick one of %s",
-			cfg.Estimator, strings.Join(streamingEstimatorNames(), ", "))
-	}
-	if opts.Cumulative && cfg.Estimator == "ssca" {
-		return stream.Config{}, fmt.Errorf("tiledcfd: cumulative monitoring is unsupported with the ssca " +
-			"estimator: its un-reset accumulator grows without bound (one strip entry per " +
-			"addressed channel per sample); use windowed mode or another estimator")
-	}
-	dec, err := cfg.decider(opts.CFARScale)
-	if err != nil {
-		return stream.Config{}, err
-	}
-	return stream.Config{
-		Estimator:       sest,
-		SnapshotSamples: opts.SnapshotSamples,
-		RingSamples:     opts.RingSamples,
-		Workers:         opts.Workers,
-		Cumulative:      opts.Cumulative,
-		Block:           opts.Backpressure,
-		AlphaCandidates: cfg.AlphaCandidates,
-		MinAbsA:         cfg.MinAbsA,
-		Threshold:       cfg.Threshold,
-		CFARScale:       opts.CFARScale,
-		Decider:         dec,
-	}, nil
-}
-
-// NewMonitor creates a streaming sensing session. cfg selects the
-// estimator and geometry exactly as for Sense (software estimators only;
-// cfg.Threshold > 0 selects fixed-threshold decisions, otherwise the
-// self-calibrating CFAR is used); opts configures ingestion and
-// scheduling.
-func NewMonitor(cfg Config, opts MonitorOptions) (*Monitor, error) {
-	scfg, err := monitorStreamConfig(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := stream.New(scfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range opts.Channels {
-		if err := eng.AddChannel(id); err != nil {
-			eng.Close()
-			return nil, err
-		}
-	}
-	m := &Monitor{eng: eng, out: make(chan MonitorDecision, 64)}
-	go func() {
-		defer close(m.out)
-		for d := range eng.Decisions() {
-			md := toMonitorDecision(d)
-			// Never stall on an unread Decisions channel: drop the
-			// oldest unconsumed verdict (ChannelStats always has the
-			// latest), mirroring the engine's own overflow policy and
-			// counting the loss in Stats.DecisionsDropped.
-			select {
-			case m.out <- md:
-			default:
-				select {
-				case <-m.out:
-					m.dropped.Add(1)
-				default:
-				}
-				select {
-				case m.out <- md:
-				default:
-					m.dropped.Add(1)
-				}
-			}
-		}
-	}()
-	return m, nil
-}
-
-// AddChannel registers a new monitored channel, pruned to the session's
-// Config.AlphaCandidates when that is set.
-func (m *Monitor) AddChannel(id string) error { return m.eng.AddChannel(id) }
-
-// AddChannelCandidates registers a new monitored channel whose
-// estimation is restricted to the given alpha-candidate bin offsets
-// (overriding the session default; nil falls back to it).
-func (m *Monitor) AddChannelCandidates(id string, alphas []int) error {
-	return m.eng.AddChannelCandidates(id, alphas)
-}
-
-// Push appends samples to a channel's stream in arrival order, returning
-// how many were accepted (fewer than len(samples) only in drop mode
-// under overload).
-func (m *Monitor) Push(id string, samples []complex128) (int, error) {
-	return m.eng.Push(id, samples)
-}
-
-// Decisions returns the rolling per-channel verdicts. The channel is
-// closed by Close. A slow consumer never stalls sensing; the latest
-// decision per channel is always available via ChannelStats.
-func (m *Monitor) Decisions() <-chan MonitorDecision { return m.out }
-
-// Stats returns session-wide throughput and accounting figures.
-func (m *Monitor) Stats() MonitorStats {
-	s := m.eng.Stats()
-	return MonitorStats{
-		Channels:           s.Channels,
-		SamplesIn:          s.SamplesIn,
-		SamplesDropped:     s.SamplesDropped,
-		Surfaces:           s.Surfaces,
-		Detections:         s.Detections,
-		DecisionsDropped:   s.DecisionsDropped + m.dropped.Load(),
-		QueuedSamples:      s.QueuedSamples,
-		PrunedCellsSkipped: s.PrunedCellsSkipped,
-		SamplesPerSec:      s.SamplesPerSec,
-		SurfacesPerSec:     s.SurfacesPerSec,
-	}
-}
-
-// ChannelStats returns one channel's accounting; ok is false for an
-// unknown id.
-func (m *Monitor) ChannelStats(id string) (MonitorChannelStats, bool) {
-	cs, ok := m.eng.ChannelStats(id)
-	if !ok {
-		return MonitorChannelStats{}, false
-	}
-	out := MonitorChannelStats{
-		ID:             cs.ID,
-		SamplesIn:      cs.SamplesIn,
-		SamplesDropped: cs.SamplesDropped,
-		Snapshots:      cs.Snapshots,
-		Detections:     cs.Detections,
-	}
-	if cs.Last != nil {
-		last := toMonitorDecision(*cs.Last)
-		out.Last = &last
-	}
-	return out, true
-}
-
-// Flush blocks until all pushed samples are processed and due decisions
-// made, or the timeout elapses — the quiesce point before reading final
-// stats or closing after a batch feed.
-func (m *Monitor) Flush(timeout time.Duration) error { return m.eng.Flush(timeout) }
-
-// Close stops the session and closes Decisions. Unprocessed buffered
-// samples are discarded (Flush first to avoid that). Close is
-// idempotent.
-func (m *Monitor) Close() error {
-	var err error
-	m.once.Do(func() { err = m.eng.Close() })
-	return err
-}
-
-// ShardedMonitorOptions configures a NewShardedMonitor session. The
-// embedded MonitorOptions apply per shard (so Workers is the worker
-// count of each shard engine, and the service total is Shards×Workers).
-type ShardedMonitorOptions struct {
-	MonitorOptions
 	// Shards is the initial local engine count (default 1 when no
 	// Remotes are configured). More can be added at runtime with
 	// AddShards.
@@ -792,9 +516,9 @@ type ShardedMonitorOptions struct {
 	// FallbackLocal spills channels onto a lazily created local engine
 	// when every shard is down, instead of shedding their samples.
 	FallbackLocal bool
-	// DecisionBuffer is the capacity of the merged Decisions channel
-	// (default 1024). Decisions overflowing it are dropped and counted;
-	// the latest per channel stays available via ChannelStats.
+	// DecisionBuffer is the capacity of the Decisions channel (default
+	// 1024). Decisions overflowing it are dropped and counted; the
+	// latest per channel stays available via ChannelStats.
 	DecisionBuffer int
 	// HandoffTimeout bounds one channel's quiesce during rebalancing
 	// (default 30s).
@@ -828,16 +552,111 @@ type RemoteHealthOptions struct {
 	Cooldown time.Duration
 }
 
-// ShardDecision is one per-channel verdict of a ShardedMonitor, tagged
-// with the shard that produced it.
-type ShardDecision struct {
-	MonitorDecision
+// MonitorDecision is one periodic per-channel verdict of a Monitor.
+type MonitorDecision struct {
+	// Channel names the monitored channel.
+	Channel string
 	// Shard names the engine instance that owned the channel at decision
 	// time.
 	Shard string
+	// Seq is the 0-based decision index within the channel.
+	Seq int64
+	// Window is the number of samples the decision's surface integrates.
+	Window int
+	// Detected reports whether the statistic exceeded the threshold.
+	Detected bool
+	// Statistic and Threshold carry the decision inputs.
+	Statistic, Threshold float64
+	// Detector names the decision layer that produced the verdict (one
+	// of DetectorNames).
+	Detector string
+	// TargetPfa is the false-alarm probability the detector was
+	// configured for; zero for the detectors that are not calibrated to
+	// one (cfar, fixed).
+	TargetPfa float64
+	// FeatureF/FeatureA locate the strongest cyclic feature (a != 0).
+	FeatureF, FeatureA int
 }
 
-// ShardInfo is one shard's public accounting within a ShardedMonitor.
+// toMonitorDecision converts an engine decision made on the named shard.
+func toMonitorDecision(d stream.Decision, shard string) MonitorDecision {
+	return MonitorDecision{
+		Channel:   d.Channel,
+		Shard:     shard,
+		Seq:       d.Seq,
+		Window:    d.WindowSamples,
+		Detected:  d.Detected,
+		Statistic: d.Statistic,
+		Threshold: d.Threshold,
+		Detector:  d.Detector,
+		TargetPfa: d.TargetPfa,
+		FeatureF:  d.FeatureF,
+		FeatureA:  d.FeatureA,
+	}
+}
+
+// MonitorStats is session-wide Monitor accounting: live shards plus the
+// banked counters of every drained shard, so totals never move
+// backwards on rebalancing.
+type MonitorStats struct {
+	// Channels is the number of registered channels.
+	Channels int
+	// SamplesIn counts samples accepted; SamplesDropped counts samples
+	// discarded because an ingestion ring was full.
+	SamplesIn, SamplesDropped int64
+	// Surfaces counts estimator snapshots (= decisions made); Detections
+	// the subset declaring the band occupied; DecisionsDropped the
+	// decisions lost to a full or unread Decisions channel (the latest
+	// per channel always remains available via ChannelStats).
+	Surfaces, Detections, DecisionsDropped int64
+	// QueuedSamples is the momentary ingestion backlog: samples pushed
+	// but not yet integrated into estimator state.
+	QueuedSamples int64
+	// PrunedCellsSkipped counts surface cells never computed because of
+	// alpha-candidate pruning, summed over all snapshots. Zero when no
+	// channel prunes.
+	PrunedCellsSkipped int64
+	// SamplesPerSec and SurfacesPerSec are lifetime-average throughput
+	// rates.
+	SamplesPerSec, SurfacesPerSec float64
+	// Shards counts the live engine instances (down remotes excluded;
+	// see OpenCircuits).
+	Shards int
+	// Handoffs counts channel ownership moves across the session.
+	Handoffs int64
+	// Retries counts remote push retry attempts; DeadlineExceeded the
+	// pushes that overran their per-push deadline.
+	Retries, DeadlineExceeded int64
+	// Failovers counts dead-shard events that re-homed channels;
+	// ShedSamples the samples dropped because no healthy owner could
+	// take them.
+	Failovers, ShedSamples int64
+	// OpenCircuits counts remote shards currently failed (circuit open
+	// or half-open).
+	OpenCircuits int
+}
+
+// MonitorChannelStats aggregates one channel's accounting across every
+// shard that ever owned it.
+type MonitorChannelStats struct {
+	// ID names the channel.
+	ID string
+	// Shard names the channel's current owner.
+	Shard string
+	// SamplesIn counts samples accepted; SamplesDropped those discarded
+	// because the channel's ingestion ring was full or its owner was
+	// unreachable.
+	SamplesIn, SamplesDropped int64
+	// Snapshots counts the channel's decisions; Detections the subset
+	// declaring the band occupied.
+	Snapshots, Detections int64
+	// Handoffs counts the ownership moves this channel has been through.
+	Handoffs int64
+	// Last is the most recent decision, nil before the first.
+	Last *MonitorDecision
+}
+
+// ShardInfo is one shard's public accounting within a Monitor.
 type ShardInfo struct {
 	// Name identifies the shard (stable across the session).
 	Name string
@@ -856,59 +675,81 @@ type ShardInfo struct {
 	SamplesIn, Surfaces, Detections, QueuedSamples int64
 }
 
-// ShardedMonitorStats is session-wide ShardedMonitor accounting: live
-// shards plus the banked counters of every drained shard, so totals
-// never move backwards on rebalancing.
-type ShardedMonitorStats struct {
-	MonitorStats
-	// Shards counts the live engine instances (down remotes excluded;
-	// see OpenCircuits).
-	Shards int
-	// Handoffs counts channel ownership moves across the session.
-	Handoffs int64
-	// Retries counts remote push retry attempts; DeadlineExceeded the
-	// pushes that overran their per-push deadline.
-	Retries, DeadlineExceeded int64
-	// Failovers counts dead-shard events that re-homed channels;
-	// ShedSamples the samples dropped because no healthy owner could
-	// take them.
-	Failovers, ShedSamples int64
-	// OpenCircuits counts remote shards currently failed (circuit open
-	// or half-open).
-	OpenCircuits int
-}
-
-// ShardedMonitorChannelStats aggregates one channel's accounting across
-// every shard that ever owned it.
-type ShardedMonitorChannelStats struct {
-	MonitorChannelStats
-	// Shard names the channel's current owner.
-	Shard string
-	// Handoffs counts the ownership moves this channel has been through.
-	Handoffs int64
-}
-
-// ShardedMonitor is a Monitor partitioned across N engine instances:
-// every channel is owned by exactly one shard, chosen by rendezvous
-// hashing, so per-channel sample order and decision cadence are
-// preserved while unrelated channels scale across shards. The fleet can
-// be grown (AddShards) and shrunk (DrainShard) live: ownership moves by
-// explicit handoff — the old shard quiesces the channel and flushes any
-// partially integrated window into one final decision — so windows are
-// never lost to a rebalance and never counted twice.
+// Monitor is a long-running streaming sensing session: the incremental
+// counterpart of Sense and Watch. Samples are pushed per channel as they
+// arrive; each channel's engine advances incremental estimator state and
+// emits a decision every SnapshotSamples samples. Streaming surfaces are
+// bit-identical to the batch estimators over the same samples and the
+// decision layer is resolved from Config exactly as for Sense, so
+// decisions agree exactly with the one-shot API.
 //
-// A ShardedMonitor must be Closed when done.
-type ShardedMonitor struct {
-	r    *shard.Router
-	out  chan ShardDecision
-	once sync.Once
+// Channels are partitioned across shards — one local engine by default —
+// by rendezvous hashing, so per-channel sample order and decision
+// cadence are preserved while unrelated channels scale across shards.
+// The fleet can be grown (AddShards) and shrunk (DrainShard) live:
+// ownership moves by explicit handoff — the old shard quiesces the
+// channel and flushes any partially integrated window into one final
+// decision — so windows are never lost to a rebalance and never counted
+// twice.
+//
+// A Monitor must be Closed when done; Decisions delivers the rolling
+// verdicts until then.
+type Monitor struct {
+	r       *shard.Router
+	out     chan MonitorDecision
+	dropped atomic.Int64 // decisions lost to a full out channel
+	once    sync.Once
 }
 
-// NewShardedMonitor creates a sharded streaming sensing session. cfg
-// selects the estimator and geometry exactly as for NewMonitor; opts
-// adds the shard topology.
-func NewShardedMonitor(cfg Config, opts ShardedMonitorOptions) (*ShardedMonitor, error) {
-	scfg, err := monitorStreamConfig(cfg, opts.MonitorOptions)
+// streamConfig validates the estimator selection and builds the
+// per-engine streaming configuration shared by NewMonitor and
+// NewShardWorker.
+func streamConfig(cfg Config, opts MonitorOptions) (stream.Config, error) {
+	if cfg.Estimator == "" {
+		cfg.Estimator = "direct"
+	}
+	est, err := cfg.estimator()
+	if err != nil {
+		return stream.Config{}, err
+	}
+	if est == nil {
+		return stream.Config{}, fmt.Errorf("tiledcfd: the %q path has no incremental form; "+
+			"pick a streaming estimator (%s) or use Watch",
+			cfg.Estimator, strings.Join(streamingEstimatorNames(), ", "))
+	}
+	sest, ok := est.(scf.StreamingEstimator)
+	if !ok {
+		return stream.Config{}, fmt.Errorf("tiledcfd: estimator %q cannot stream; pick one of %s",
+			cfg.Estimator, strings.Join(streamingEstimatorNames(), ", "))
+	}
+	if opts.Cumulative && cfg.Estimator == "ssca" {
+		return stream.Config{}, fmt.Errorf("tiledcfd: cumulative monitoring is unsupported with the ssca " +
+			"estimator: its un-reset accumulator grows without bound (one strip entry per " +
+			"addressed channel per sample); use windowed mode or another estimator")
+	}
+	dec, err := cfg.decider()
+	if err != nil {
+		return stream.Config{}, err
+	}
+	return stream.Config{
+		Estimator:       sest,
+		SnapshotSamples: opts.SnapshotSamples,
+		RingSamples:     opts.RingSamples,
+		Workers:         opts.Workers,
+		Cumulative:      opts.Cumulative,
+		Block:           opts.Backpressure,
+		AlphaCandidates: cfg.AlphaCandidates,
+		MinAbsA:         cfg.MinAbsA,
+		Decider:         dec,
+	}, nil
+}
+
+// NewMonitor creates a streaming sensing session. cfg selects the
+// estimator, geometry and decision layer exactly as for Sense (software
+// estimators only); opts configures ingestion, scheduling and the shard
+// topology.
+func NewMonitor(cfg Config, opts MonitorOptions) (*Monitor, error) {
+	scfg, err := streamConfig(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -940,11 +781,17 @@ func NewShardedMonitor(cfg Config, opts ShardedMonitorOptions) (*ShardedMonitor,
 			return nil, err
 		}
 	}
-	m := &ShardedMonitor{r: r, out: make(chan ShardDecision, cap(r.Decisions()))}
+	m := &Monitor{r: r, out: make(chan MonitorDecision, cap(r.Decisions()))}
 	go func() {
 		defer close(m.out)
 		for d := range r.Decisions() {
-			m.out <- ShardDecision{MonitorDecision: toMonitorDecision(d.Decision), Shard: d.Shard}
+			// Never stall on an unread Decisions channel, so Close
+			// cannot strand this goroutine.
+			select {
+			case m.out <- toMonitorDecision(d.Decision, d.Shard):
+			default:
+				m.dropped.Add(1)
+			}
 		}
 	}()
 	return m, nil
@@ -952,54 +799,59 @@ func NewShardedMonitor(cfg Config, opts ShardedMonitorOptions) (*ShardedMonitor,
 
 // AddChannel registers a channel on its rendezvous-chosen shard, pruned
 // to the session's Config.AlphaCandidates when that is set.
-func (m *ShardedMonitor) AddChannel(id string) error { return m.r.AddChannel(id) }
+func (m *Monitor) AddChannel(id string) error { return m.r.AddChannel(id) }
 
 // AddChannelCandidates registers a channel on its rendezvous-chosen
-// shard with an alpha-candidate set that follows the channel across
-// handoffs and failovers — for remote shards the set travels in the
-// wire open frame, so the worker process prunes identically.
-func (m *ShardedMonitor) AddChannelCandidates(id string, alphas []int) error {
+// shard with an alpha-candidate set (overriding the session default;
+// nil falls back to it) that follows the channel across handoffs and
+// failovers — for remote shards the set travels in the wire open frame,
+// so the worker process prunes identically.
+func (m *Monitor) AddChannelCandidates(id string, alphas []int) error {
 	return m.r.AddChannelCandidates(id, alphas)
 }
 
 // RemoveChannel unregisters a channel, flushing any partially integrated
 // window into one final decision, and returns its aggregate accounting
 // across every shard that owned it.
-func (m *ShardedMonitor) RemoveChannel(id string) (ShardedMonitorChannelStats, error) {
+func (m *Monitor) RemoveChannel(id string) (MonitorChannelStats, error) {
 	cs, err := m.r.RemoveChannel(id)
 	if err != nil {
-		return ShardedMonitorChannelStats{}, err
+		return MonitorChannelStats{}, err
 	}
-	return toShardedChannelStats(cs), nil
+	return toMonitorChannelStats(cs), nil
 }
 
-// Push appends samples to a channel's stream on its current owner.
-// Pushes to one channel serialise with each other and with rebalancing,
-// so a handoff never interleaves with a half-delivered block.
-func (m *ShardedMonitor) Push(id string, samples []complex128) (int, error) {
+// Push appends samples to a channel's stream on its current owner,
+// returning how many were accepted (fewer than len(samples) only in
+// drop mode under overload). A block holding a NaN or infinite sample
+// is rejected whole. Pushes to one channel serialise with each other
+// and with rebalancing, so a handoff never interleaves with a
+// half-delivered block.
+func (m *Monitor) Push(id string, samples []complex128) (int, error) {
+	if err := checkFinite(samples); err != nil {
+		return 0, err
+	}
 	return m.r.Push(id, samples)
 }
 
 // Decisions returns the merged rolling verdicts across all shards,
 // closed by Close. A slow consumer never stalls sensing; overflowing
 // decisions are dropped and counted in Stats.DecisionsDropped.
-func (m *ShardedMonitor) Decisions() <-chan ShardDecision { return m.out }
+func (m *Monitor) Decisions() <-chan MonitorDecision { return m.out }
 
-// toShardedChannelStats converts the router's channel record.
-func toShardedChannelStats(cs shard.ChannelStats) ShardedMonitorChannelStats {
-	out := ShardedMonitorChannelStats{
-		MonitorChannelStats: MonitorChannelStats{
-			ID:             cs.ID,
-			SamplesIn:      cs.SamplesIn,
-			SamplesDropped: cs.SamplesDropped,
-			Snapshots:      cs.Snapshots,
-			Detections:     cs.Detections,
-		},
-		Shard:    cs.Shard,
-		Handoffs: cs.Handoffs,
+// toMonitorChannelStats converts the router's channel record.
+func toMonitorChannelStats(cs shard.ChannelStats) MonitorChannelStats {
+	out := MonitorChannelStats{
+		ID:             cs.ID,
+		Shard:          cs.Shard,
+		SamplesIn:      cs.SamplesIn,
+		SamplesDropped: cs.SamplesDropped,
+		Snapshots:      cs.Snapshots,
+		Detections:     cs.Detections,
+		Handoffs:       cs.Handoffs,
 	}
 	if cs.Last != nil {
-		last := toMonitorDecision(*cs.Last)
+		last := toMonitorDecision(*cs.Last, cs.Shard)
 		out.Last = &last
 	}
 	return out
@@ -1007,27 +859,25 @@ func toShardedChannelStats(cs shard.ChannelStats) ShardedMonitorChannelStats {
 
 // Stats returns session-wide accounting summed over live shards and the
 // banked counters of drained ones.
-func (m *ShardedMonitor) Stats() ShardedMonitorStats {
+func (m *Monitor) Stats() MonitorStats {
 	s := m.r.Stats()
-	out := ShardedMonitorStats{
-		MonitorStats: MonitorStats{
-			Channels:           s.Channels,
-			SamplesIn:          s.SamplesIn,
-			SamplesDropped:     s.SamplesDropped,
-			Surfaces:           s.Surfaces,
-			Detections:         s.Detections,
-			DecisionsDropped:   s.DecisionsDropped,
-			QueuedSamples:      s.QueuedSamples,
-			PrunedCellsSkipped: s.PrunedCellsSkipped,
-			SamplesPerSec:      s.SamplesPerSec,
-		},
-		Shards:           s.Shards,
-		Handoffs:         s.Handoffs,
-		Retries:          s.Retries,
-		DeadlineExceeded: s.DeadlineExceeded,
-		Failovers:        s.Failovers,
-		ShedSamples:      s.ShedSamples,
-		OpenCircuits:     s.OpenCircuits,
+	out := MonitorStats{
+		Channels:           s.Channels,
+		SamplesIn:          s.SamplesIn,
+		SamplesDropped:     s.SamplesDropped,
+		Surfaces:           s.Surfaces,
+		Detections:         s.Detections,
+		DecisionsDropped:   s.DecisionsDropped + m.dropped.Load(),
+		QueuedSamples:      s.QueuedSamples,
+		PrunedCellsSkipped: s.PrunedCellsSkipped,
+		SamplesPerSec:      s.SamplesPerSec,
+		Shards:             s.Shards,
+		Handoffs:           s.Handoffs,
+		Retries:            s.Retries,
+		DeadlineExceeded:   s.DeadlineExceeded,
+		Failovers:          s.Failovers,
+		ShedSamples:        s.ShedSamples,
+		OpenCircuits:       s.OpenCircuits,
 	}
 	if sec := s.Elapsed.Seconds(); sec > 0 {
 		out.SurfacesPerSec = float64(s.Surfaces) / sec
@@ -1037,23 +887,23 @@ func (m *ShardedMonitor) Stats() ShardedMonitorStats {
 
 // OpenCircuits returns the names of remote shards whose circuit breaker
 // is not closed — the degraded set a health endpoint should report.
-func (m *ShardedMonitor) OpenCircuits() []string { return m.r.OpenCircuits() }
+func (m *Monitor) OpenCircuits() []string { return m.r.OpenCircuits() }
 
 // ChannelStats returns one channel's aggregate accounting across every
 // owner it has had; ok is false for an unknown id.
-func (m *ShardedMonitor) ChannelStats(id string) (ShardedMonitorChannelStats, bool) {
+func (m *Monitor) ChannelStats(id string) (MonitorChannelStats, bool) {
 	cs, ok := m.r.ChannelStats(id)
 	if !ok {
-		return ShardedMonitorChannelStats{}, false
+		return MonitorChannelStats{}, false
 	}
-	return toShardedChannelStats(cs), true
+	return toMonitorChannelStats(cs), true
 }
 
 // Channels returns the registered channel ids (unordered).
-func (m *ShardedMonitor) Channels() []string { return m.r.Channels() }
+func (m *Monitor) Channels() []string { return m.r.Channels() }
 
 // Shards returns per-shard accounting in registration order.
-func (m *ShardedMonitor) Shards() []ShardInfo {
+func (m *Monitor) Shards() []ShardInfo {
 	ss := m.r.ShardStats()
 	out := make([]ShardInfo, len(ss))
 	for i, s := range ss {
@@ -1075,29 +925,45 @@ func (m *ShardedMonitor) Shards() []ShardInfo {
 // AddShards grows the fleet by n engines and rebalances; only channels
 // whose rendezvous maximum is a newcomer move. Returns the new shard
 // names.
-func (m *ShardedMonitor) AddShards(n int) ([]string, error) { return m.r.AddShards(n) }
+func (m *Monitor) AddShards(n int) ([]string, error) { return m.r.AddShards(n) }
 
 // DrainShard hands every channel off the named shard to the survivors
 // (flushing partial windows, preserving counters) and retires it. The
 // last shard cannot be drained.
-func (m *ShardedMonitor) DrainShard(name string) error { return m.r.DrainShard(name) }
+func (m *Monitor) DrainShard(name string) error { return m.r.DrainShard(name) }
 
 // Flush blocks until every shard has processed its pushed samples and
-// made its due decisions, or the timeout elapses.
-func (m *ShardedMonitor) Flush(timeout time.Duration) error { return m.r.Flush(timeout) }
+// made its due decisions, or the timeout elapses — the quiesce point
+// before reading final stats or closing after a batch feed.
+func (m *Monitor) Flush(timeout time.Duration) error { return m.r.Flush(timeout) }
 
-// Close stops every shard engine and closes Decisions. Idempotent.
-func (m *ShardedMonitor) Close() error {
+// Close stops every shard engine and closes Decisions. Unprocessed
+// buffered samples are discarded (Flush first to avoid that). Close is
+// idempotent.
+func (m *Monitor) Close() error {
 	var err error
 	m.once.Do(func() { err = m.r.Close() })
 	return err
 }
 
-// ShardWorkerOptions configures a NewShardWorker process.
+// ShardWorkerOptions configures a NewShardWorker process: the hosted
+// engine's ingestion and scheduling, and where it listens.
 type ShardWorkerOptions struct {
-	// MonitorOptions configures the hosted engine's ingestion and
-	// scheduling exactly as for NewMonitor.
-	MonitorOptions
+	// SnapshotSamples is the per-channel decision cadence in samples
+	// (default 8192).
+	SnapshotSamples int
+	// RingSamples is the per-channel ingestion buffer capacity (default
+	// 4×SnapshotSamples).
+	RingSamples int
+	// Workers bounds the engine's drain/decision worker pool (default
+	// one per CPU core).
+	Workers int
+	// Cumulative keeps estimator state integrating across decisions, as
+	// MonitorOptions.Cumulative.
+	Cumulative bool
+	// Backpressure makes pushes block when a ring fills instead of
+	// dropping the overflow.
+	Backpressure bool
 	// Listen is the TCP address the worker serves the wire protocol on
 	// (":port" or "host:port"; a ":0" port picks a free one).
 	Listen string
@@ -1106,8 +972,8 @@ type ShardWorkerOptions struct {
 }
 
 // ShardWorker hosts one streaming engine as a remote shard for another
-// process's ShardedMonitor (cfdserve worker mode, `-shard-of`). The
-// parent router dials Addr, opens channels, streams samples in lossless
+// process's Monitor (cfdserve worker mode, `-shard-of`). The parent
+// router dials Addr, opens channels, streams samples in lossless
 // cf64_le, drives the engine surface over control frames, and
 // subscribes to the decision stream. When the parent's connection
 // drops, the worker sweeps that connection's channels out of the engine
@@ -1121,13 +987,11 @@ type ShardWorker struct {
 }
 
 // shardWorkerSink adapts the hosted engine to the wire data plane. It
-// keeps the worker's Config and CFAR scale so an open frame naming a
-// detector can build the per-channel decider with the worker's own
-// geometry and knobs.
+// keeps the worker's Config so an open frame naming a detector can build
+// the per-channel decider with the worker's own geometry and knobs.
 type shardWorkerSink struct {
-	eng       *stream.Engine
-	cfg       Config
-	cfarScale float64
+	eng *stream.Engine
+	cfg Config
 }
 
 func (s shardWorkerSink) OpenChannel(meta wire.Meta) error {
@@ -1146,20 +1010,30 @@ func (s shardWorkerSink) OpenChannel(meta wire.Meta) error {
 	if len(meta.AlphaCandidates) > 0 {
 		c.AlphaCandidates = meta.AlphaCandidates
 	}
-	dec, err := c.decider(s.cfarScale)
+	dec, err := c.decider()
 	if err != nil {
 		return err
 	}
 	return s.eng.AddChannelDecider(meta.ID, meta.AlphaCandidates, dec)
 }
+
 func (s shardWorkerSink) Push(id string, samples []complex128) (int, error) {
+	if err := checkFinite(samples); err != nil {
+		return 0, err
+	}
 	return s.eng.Push(id, samples)
 }
 
 // NewShardWorker builds a bare engine from cfg/opts and serves it over
 // the wire protocol's worker mode on opts.Listen.
 func NewShardWorker(cfg Config, opts ShardWorkerOptions) (*ShardWorker, error) {
-	scfg, err := monitorStreamConfig(cfg, opts.MonitorOptions)
+	scfg, err := streamConfig(cfg, MonitorOptions{
+		SnapshotSamples: opts.SnapshotSamples,
+		RingSamples:     opts.RingSamples,
+		Workers:         opts.Workers,
+		Cumulative:      opts.Cumulative,
+		Backpressure:    opts.Backpressure,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1168,7 +1042,7 @@ func NewShardWorker(cfg Config, opts ShardWorkerOptions) (*ShardWorker, error) {
 		return nil, err
 	}
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Sink:          shardWorkerSink{eng: eng, cfg: cfg, cfarScale: opts.CFARScale},
+		Sink:          shardWorkerSink{eng: eng, cfg: cfg},
 		Engine:        eng,
 		RemoveOnClose: true,
 		Logf:          opts.Logf,
@@ -1268,8 +1142,12 @@ type SCResult struct {
 // SpectralCorrelation computes the spectral-correlation surface of x
 // with the estimator selected by cfg.Estimator ("" defaults to
 // "direct"; "platform" runs the full fixed-point tiled-SoC simulation).
-// It supersedes DSCF, which only exposes the direct method.
+// Every sample must be finite. It supersedes DSCF, which only exposes
+// the direct method.
 func SpectralCorrelation(x []complex128, cfg Config) (*SCResult, error) {
+	if err := checkFinite(x); err != nil {
+		return nil, err
+	}
 	if cfg.Estimator == "" {
 		cfg.Estimator = "direct"
 	}

@@ -386,14 +386,15 @@ func TestWatchWithEstimator(t *testing.T) {
 }
 
 func TestConfigWorkersPlumbed(t *testing.T) {
-	// Workers must reach the estimators and leave results bit-identical
-	// to the serial path (the parallel decompositions are exact).
+	// Workers must reach the FAM and SSCA estimators and leave results
+	// bit-identical to the serial path (the parallel decompositions are
+	// exact). The direct estimator is always serial.
 	const k, m, blocks = 64, 16, 8
 	band, err := NewBPSKBand(k*blocks, 8.0/k, 8, 6, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"direct", "fam", "ssca"} {
+	for _, name := range []string{"fam", "ssca"} {
 		serial, err := SpectralCorrelation(band, Config{K: k, M: m, Blocks: blocks, Estimator: name, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -507,25 +508,19 @@ func TestMonitorRejectsPlatform(t *testing.T) {
 	if _, err := NewMonitor(Config{Estimator: "platform"}, MonitorOptions{}); err == nil {
 		t.Fatal("NewMonitor with the platform path succeeded")
 	}
-	if _, err := NewShardedMonitor(Config{Estimator: "platform"}, ShardedMonitorOptions{}); err == nil {
-		t.Fatal("NewShardedMonitor with the platform path succeeded")
-	}
 }
 
-func TestShardedMonitorRebalancesLive(t *testing.T) {
-	// The sharded session must behave as one Monitor while the fleet
+func TestMonitorRebalancesLive(t *testing.T) {
+	// A multi-shard session must behave as one Monitor while the fleet
 	// grows and shrinks beneath the channels mid-stream.
 	const k, window = 64, 2048
 	ids := make([]string, 8)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("uhf-%d", i)
 	}
-	mon, err := NewShardedMonitor(
+	mon, err := NewMonitor(
 		Config{K: k, M: 16, Estimator: "fam"},
-		ShardedMonitorOptions{
-			MonitorOptions: MonitorOptions{Channels: ids, SnapshotSamples: window, Backpressure: true},
-			Shards:         2,
-		},
+		MonitorOptions{Channels: ids, SnapshotSamples: window, Backpressure: true, Shards: 2},
 	)
 	if err != nil {
 		t.Fatal(err)

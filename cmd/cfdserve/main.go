@@ -1,6 +1,6 @@
 // Command cfdserve is the long-running spectrum-sensing daemon: the
 // paper's Cognitive-Radio loop run as a network service. A sharded
-// streaming engine (tiledcfd.ShardedMonitor) partitions channels across
+// streaming engine (tiledcfd.Monitor) partitions channels across
 // -shards engine instances by rendezvous hashing; IQ blocks arrive over
 // the wire protocol (-listen), from built-in synthetic radio front ends
 // (-selftest), or both. Rolling per-channel decisions and engine
@@ -130,6 +130,16 @@ type options struct {
 	notifyHTTP func(net.Addr)
 }
 
+// sensingConfig is the estimator, geometry and decision layer shared by
+// the router and worker modes.
+func (o options) sensingConfig(candidates []int) tiledcfd.Config {
+	return tiledcfd.Config{
+		K: o.k, M: o.m, Estimator: o.estimator, Hop: o.hop,
+		Threshold: o.threshold, CFARScale: o.cfarScale, AlphaCandidates: candidates,
+		Detector: o.detector, TargetPfa: o.targetPfa,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cfdserve: ")
@@ -164,7 +174,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "scenario seed")
 	flag.Float64Var(&o.threshold, "threshold", 0, "fixed CFD decision threshold (0 = self-calibrating CFAR)")
 	flag.Float64Var(&o.cfarScale, "cfar-scale", 2, "CFAR peak-over-floor detection ratio")
-	flag.StringVar(&o.detector, "detector", "", "decision layer: "+strings.Join(tiledcfd.DetectorNames(), ", ")+" (empty = legacy -threshold/-cfar-scale mapping)")
+	flag.StringVar(&o.detector, "detector", "", "decision layer: "+strings.Join(tiledcfd.DetectorNames(), ", ")+" (empty = fixed when -threshold > 0, else cfar)")
 	flag.Float64Var(&o.targetPfa, "pfa", 0, "target false-alarm probability for -detector=dg|urriza (0 = 0.05)")
 	flag.BoolVar(&o.cumulative, "cumulative", false, "integrate estimator state across windows instead of per-window reset")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-decision transition logging")
@@ -201,7 +211,7 @@ type feeder struct {
 }
 
 // pusher is the ingest surface a feeder needs — satisfied by
-// tiledcfd.ShardedMonitor locally and by wireSender over the protocol.
+// tiledcfd.Monitor locally and by wireSender over the protocol.
 type pusher interface {
 	Push(id string, samples []complex128) (int, error)
 }
@@ -276,7 +286,7 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 
 // monitorSink adapts the sharded monitor to the wire server's Sink.
 type monitorSink struct {
-	mon *tiledcfd.ShardedMonitor
+	mon *tiledcfd.Monitor
 }
 
 // OpenChannel registers the stream's channel id on its shard, honouring
@@ -292,7 +302,7 @@ func (s monitorSink) Push(id string, samples []complex128) (int, error) {
 }
 
 // serveStats is the daemon's final accounting record.
-type serveStats = tiledcfd.ShardedMonitorStats
+type serveStats = tiledcfd.MonitorStats
 
 // run builds the sharded monitor, starts the wire listener and/or the
 // synthetic feeders, reporter, decision logger and optional status
@@ -341,24 +351,17 @@ func run(ctx context.Context, o options, out io.Writer) (*serveStats, error) {
 			}
 		}
 	}
-	mon, err := tiledcfd.NewShardedMonitor(
-		tiledcfd.Config{
-			K: o.k, M: o.m, Estimator: o.estimator, Hop: o.hop,
-			Threshold: o.threshold, AlphaCandidates: candidates,
-			Detector: o.detector, TargetPfa: o.targetPfa,
-		},
-		tiledcfd.ShardedMonitorOptions{
-			MonitorOptions: tiledcfd.MonitorOptions{
-				Channels:        ids,
-				SnapshotSamples: o.window,
-				RingSamples:     o.ring,
-				Workers:         o.workers,
-				Cumulative:      o.cumulative,
-				Backpressure:    o.mode == "block",
-				CFARScale:       o.cfarScale,
-			},
-			Shards:  o.shards,
-			Remotes: remotes,
+	mon, err := tiledcfd.NewMonitor(
+		o.sensingConfig(candidates),
+		tiledcfd.MonitorOptions{
+			Channels:        ids,
+			SnapshotSamples: o.window,
+			RingSamples:     o.ring,
+			Workers:         o.workers,
+			Cumulative:      o.cumulative,
+			Backpressure:    o.mode == "block",
+			Shards:          o.shards,
+			Remotes:         remotes,
 			Health: tiledcfd.RemoteHealthOptions{
 				Interval:    o.healthInterval,
 				PushTimeout: o.pushTimeout,
@@ -441,7 +444,7 @@ func run(ctx context.Context, o options, out io.Writer) (*serveStats, error) {
 
 	ticker := time.NewTicker(o.report)
 	defer ticker.Stop()
-	var prev tiledcfd.ShardedMonitorStats
+	var prev tiledcfd.MonitorStats
 	prevAt := time.Now()
 	for running := true; running; {
 		select {
@@ -536,22 +539,15 @@ func runWorker(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 	w, err := tiledcfd.NewShardWorker(
-		tiledcfd.Config{
-			K: o.k, M: o.m, Estimator: o.estimator, Hop: o.hop,
-			Threshold: o.threshold, AlphaCandidates: candidates,
-			Detector: o.detector, TargetPfa: o.targetPfa,
-		},
+		o.sensingConfig(candidates),
 		tiledcfd.ShardWorkerOptions{
-			MonitorOptions: tiledcfd.MonitorOptions{
-				SnapshotSamples: o.window,
-				RingSamples:     o.ring,
-				Workers:         o.workers,
-				Cumulative:      o.cumulative,
-				Backpressure:    o.mode == "block",
-				CFARScale:       o.cfarScale,
-			},
-			Listen: o.shardOf,
-			Logf:   logf,
+			SnapshotSamples: o.window,
+			RingSamples:     o.ring,
+			Workers:         o.workers,
+			Cumulative:      o.cumulative,
+			Backpressure:    o.mode == "block",
+			Listen:          o.shardOf,
+			Logf:            logf,
 		},
 	)
 	if err != nil {
@@ -587,8 +583,8 @@ func runWorker(ctx context.Context, o options, out io.Writer) error {
 
 // report prints one rolling stats block and returns the counters for the
 // next interval's rate computation.
-func report(out io.Writer, mon *tiledcfd.ShardedMonitor, feeders []*feeder,
-	prev tiledcfd.ShardedMonitorStats, prevAt time.Time) (tiledcfd.ShardedMonitorStats, time.Time) {
+func report(out io.Writer, mon *tiledcfd.Monitor, feeders []*feeder,
+	prev tiledcfd.MonitorStats, prevAt time.Time) (tiledcfd.MonitorStats, time.Time) {
 	st := mon.Stats()
 	now := time.Now()
 	dt := now.Sub(prevAt).Seconds()
@@ -627,15 +623,15 @@ func report(out io.Writer, mon *tiledcfd.ShardedMonitor, feeders []*feeder,
 
 // statusSnapshot is the /stats JSON schema.
 type statusSnapshot struct {
-	Stats    tiledcfd.ShardedMonitorStats          `json:"stats"`
-	Shards   []tiledcfd.ShardInfo                  `json:"shards"`
-	Channels []tiledcfd.ShardedMonitorChannelStats `json:"channels"`
+	Stats    tiledcfd.MonitorStats          `json:"stats"`
+	Shards   []tiledcfd.ShardInfo           `json:"shards"`
+	Channels []tiledcfd.MonitorChannelStats `json:"channels"`
 }
 
 // collectMetrics fills one Prometheus exposition scrape: engine-level
 // counters, per-shard gauges, and (when serving the wire protocol) the
 // ingest listener's counters.
-func collectMetrics(e *wire.Exposition, mon *tiledcfd.ShardedMonitor, srv *wire.Server) {
+func collectMetrics(e *wire.Exposition, mon *tiledcfd.Monitor, srv *wire.Server) {
 	st := mon.Stats()
 	e.Metric("cfd_engine_samples_in_total", "counter",
 		"IQ samples accepted by the sensing engines.", float64(st.SamplesIn))
@@ -715,7 +711,7 @@ type statusHTTP struct {
 
 // statusServer starts the embedded HTTP endpoint: /healthz, /stats
 // (JSON) and /metrics (Prometheus text exposition).
-func statusServer(addr string, mon *tiledcfd.ShardedMonitor, wsrv *wire.Server) (*statusHTTP, error) {
+func statusServer(addr string, mon *tiledcfd.Monitor, wsrv *wire.Server) (*statusHTTP, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Degraded = at least one remote shard's circuit is not closed:

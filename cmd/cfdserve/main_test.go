@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"tiledcfd"
+	"tiledcfd/internal/wire"
 )
 
 // TestServeSustainsConcurrentChannels runs the daemon loop briefly with
@@ -584,5 +588,53 @@ func TestServeRemoteShardFailover(t *testing.T) {
 	}
 	if !strings.Contains(serverOut.String(), "robustness:") {
 		t.Fatalf("final output lacks the robustness summary:\n%s", serverOut.String())
+	}
+}
+
+// TestServeRejectsNonFiniteSamples: a NaN sample arriving over the
+// network ends the connection with an error frame naming it and is
+// counted as a protocol error; nothing reaches the engine.
+func TestServeRejectsNonFiniteSamples(t *testing.T) {
+	mon, err := tiledcfd.NewMonitor(tiledcfd.Config{K: 64, M: 16, Estimator: "fam"},
+		tiledcfd.MonitorOptions{SnapshotSamples: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	srv, err := wire.NewServer(wire.ServerConfig{Sink: monitorSink{mon}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := wire.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cs, err := c.Open(wire.Meta{ID: "ch", Format: wire.FormatCF32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make([]complex128, 256)
+	block[17] = complex(0, math.NaN())
+	if err := cs.Send(block); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if c.Err() == nil || !strings.Contains(c.Err().Error(), "sample 17 is not finite") {
+		t.Fatalf("client error = %v, want a server error naming sample 17", c.Err())
+	}
+	if n := srv.Metrics.ProtocolErrors.Load(); n != 1 {
+		t.Fatalf("ProtocolErrors = %d, want 1", n)
+	}
+	if st := mon.Stats(); st.SamplesIn != 0 {
+		t.Fatalf("engine accepted %d samples of a rejected block", st.SamplesIn)
 	}
 }

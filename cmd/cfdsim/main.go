@@ -30,7 +30,8 @@
 // asymptotic detectors (dg, urriza) test the -alpha cycle set directly
 // on the samples and derive their threshold in closed form from the
 // -pfa target false-alarm probability — no calibration. Without
-// -detector the legacy mapping applies: the -threshold fixed decision.
+// -detector, a positive -threshold selects the fixed decision and
+// -threshold 0 the self-calibrating cfar.
 package main
 
 import (
@@ -61,7 +62,7 @@ func main() {
 	hop := flag.Int("hop", 0,
 		"block/channelizer advance in samples for -estimator=direct|fam|fam-q15 (0 = estimator default; rejected with ssca variants)")
 	workers := flag.Int("workers", 0,
-		"software-estimator worker goroutines (0 = one per CPU core, 1 = serial)")
+		"worker goroutines of the fam, ssca, fam-q15 and ssca-q15 estimators (0 = one per CPU core, 1 = serial; direct is always serial)")
 	alpha := flag.String("alpha", "",
 		"comma-separated alpha-candidate bin offsets (mirrors and a=0 implied); software estimators only")
 	alphaHz := flag.String("alpha-hz", "",
@@ -69,7 +70,7 @@ func main() {
 	rate := flag.Float64("rate", 0, "sample rate in Hz for -alpha-hz conversion")
 	detector := flag.String("detector", "",
 		"decision layer: "+strings.Join(tiledcfd.DetectorNames(), ", ")+
-			" (\"\" = legacy -threshold fixed decision)")
+			" (\"\" = fixed when -threshold > 0, else cfar)")
 	pfa := flag.Float64("pfa", 0, "target false-alarm probability for -detector=dg|urriza (0 = 0.05)")
 	flag.Parse()
 

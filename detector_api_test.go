@@ -1,6 +1,7 @@
 package tiledcfd
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,10 +15,9 @@ func TestDetectorNames(t *testing.T) {
 	}
 }
 
-// An empty Config.Detector with a positive Threshold is the legacy
-// fixed-threshold path; naming "fixed" explicitly must make the same
-// decision on the same samples, differing only in the label (legacy
-// paths stamp "cfd-<estimator>", the registry stamps the registry name).
+// An empty Config.Detector with a positive Threshold resolves to the
+// "fixed" registry entry; naming "fixed" explicitly must make the same
+// decision on the same samples, under the same label.
 func TestSenseLegacyThresholdEquivalence(t *testing.T) {
 	const k, m, blocks = 64, 16, 8
 	x, err := NewBPSKBand(k*blocks, 8.0/k, 8, 10, 21)
@@ -33,8 +33,8 @@ func TestSenseLegacyThresholdEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Detector != "cfd-direct" {
-		t.Errorf("legacy label = %q, want cfd-direct", legacy.Detector)
+	if legacy.Detector != "fixed" {
+		t.Errorf("legacy label = %q, want fixed", legacy.Detector)
 	}
 	if named.Detector != "fixed" {
 		t.Errorf("registry label = %q, want fixed", named.Detector)
@@ -149,4 +149,75 @@ func TestMonitorDecisionCarriesDetector(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no decision after flush")
 	}
+}
+
+// TestSenseAndMonitorAgree: Config alone decides the verdict. For every
+// empty-Detector config and every named detector, Sense on one window
+// and a one-shard Monitor decision over the same samples must agree on
+// the detector, the verdict and the statistic bits.
+func TestSenseAndMonitorAgree(t *testing.T) {
+	const k, m, blocks = 64, 16, 8
+	const window = k * blocks
+	base := Config{K: k, M: m, Blocks: blocks, Estimator: "direct"}
+	cases := []struct {
+		name string
+		mod  func(*Config)
+		want string
+	}{
+		{"empty/threshold-0", func(*Config) {}, "cfar"},
+		{"empty/threshold-0.3", func(c *Config) { c.Threshold = 0.3 }, "fixed"},
+		{"cfar", func(c *Config) { c.Detector = "cfar" }, "cfar"},
+		{"fixed", func(c *Config) { c.Detector, c.Threshold = "fixed", 0.3 }, "fixed"},
+		{"dg", func(c *Config) { c.Detector, c.AlphaCandidates = "dg", []int{8, 4} }, "dg"},
+	}
+	noise, err := NewNoiseBand(window, 1, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := NewBPSKBand(window, 8.0/k, 8, 6, 72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.mod(&cfg)
+		for band, x := range map[string][]complex128{"noise": noise, "bpsk": busy} {
+			s, err := Sense(x, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: Sense: %v", tc.name, band, err)
+			}
+			d := monitorDecision(t, cfg, x)
+			if s.Detector != tc.want || d.Detector != tc.want {
+				t.Errorf("%s/%s: detectors Sense %q, Monitor %q, want %q",
+					tc.name, band, s.Detector, d.Detector, tc.want)
+			}
+			if s.Detected != d.Detected || math.Float64bits(s.Statistic) != math.Float64bits(d.Statistic) {
+				t.Errorf("%s/%s: Sense %v/%v, Monitor %v/%v", tc.name, band,
+					s.Detected, s.Statistic, d.Detected, d.Statistic)
+			}
+		}
+	}
+}
+
+// monitorDecision runs x through a one-shard Monitor as one window and
+// returns its decision.
+func monitorDecision(t *testing.T, cfg Config, x []complex128) MonitorDecision {
+	t.Helper()
+	mon, err := NewMonitor(cfg, MonitorOptions{
+		Channels: []string{"ch"}, SnapshotSamples: len(x), Backpressure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	if _, err := mon.Push("ch", x); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cs, ok := mon.ChannelStats("ch")
+	if !ok || cs.Last == nil {
+		t.Fatalf("no decision: %+v", cs)
+	}
+	return *cs.Last
 }

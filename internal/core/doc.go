@@ -5,8 +5,9 @@
 // condition and quantise the sampled band to the Montium's Q15 datapath,
 // run the 4-tile platform simulation (FFT → reshuffle → init → folded MAC
 // loop per block, tiles exchanging chain values over the NoC), read the
-// DSCF out of the tiles' accumulator memories, apply the cyclostationary
-// detection statistic to that hardware-produced surface, and convert the
+// DSCF out of the tiles' accumulator memories, apply the configured
+// decision layer (Config.Decider) to that hardware-produced surface, and
+// convert the
 // measured cycle counts into the paper's evaluation figures (time per
 // integration step, analysed bandwidth, area, power).
 //

@@ -10,9 +10,8 @@ import (
 
 func monitorConfig() Config {
 	return Config{
-		SoC:       soc.Config{K: 64, M: 16, Q: 2, Blocks: 16},
-		MinAbsA:   2,
-		Threshold: 0.4,
+		SoC:     soc.Config{K: 64, M: 16, Q: 2, Blocks: 16},
+		Decider: fixedDecider(),
 	}
 }
 

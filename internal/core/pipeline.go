@@ -15,17 +15,11 @@ type Config struct {
 	// SoC is the platform configuration; zero fields take the paper's
 	// values (K=256, M=64, Q=4, 100 MHz).
 	SoC soc.Config
-	// MinAbsA is the smallest |a| the blind detector searches (default 2,
-	// keeping clear of PSD leakage around a=0).
-	MinAbsA int
-	// Threshold is the detection threshold on the CFD statistic; calibrate
-	// with detect.CalibrateThreshold for a target false-alarm rate.
-	// Ignored when Decider is set.
-	Threshold float64
-	// Decider, when set, replaces the fixed-threshold CFD decision with a
-	// registry decider (detect.NewDecider): surface detectors (cfar,
-	// fixed) evaluate the computed surface, sample-based asymptotic tests
-	// (dg, urriza) evaluate the raw input window.
+	// Decider is the decision layer (build one with detect.NewDecider):
+	// surface detectors (cfar, fixed) evaluate the computed surface,
+	// sample-based asymptotic tests (dg, urriza) evaluate the raw input
+	// window. nil computes the surface only and leaves Result.Decision
+	// zero.
 	Decider detect.Decider
 	// InputScale is the peak amplitude the input is conditioned to before
 	// Q15 quantisation (default 0.5, leaving 6 dB of headroom).
@@ -45,9 +39,6 @@ type Config struct {
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	c.SoC = c.SoC.WithDefaults()
-	if c.MinAbsA == 0 {
-		c.MinAbsA = 2
-	}
 	if c.InputScale == 0 {
 		c.InputScale = 0.5
 	}
@@ -71,7 +62,8 @@ type Result struct {
 	// Stats carries the software estimator's work counts; nil on the
 	// platform path, which reports cycles instead.
 	Stats *scf.Stats
-	// Decision is the detector verdict on the hardware surface.
+	// Decision is the detector verdict on the surface (zero when
+	// Config.Decider is nil).
 	Decision detect.Decision
 	// Evaluation figures derived from the measured cycles (section 5).
 	BlockTimeMicros      float64
@@ -113,7 +105,7 @@ func Run(x []complex128, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	surface := fx.Float(cfg.SoC.Blocks)
-	decision, err := cfg.decide(surface, x[:need], "cfd")
+	decision, err := cfg.decide(surface, x[:need])
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +132,7 @@ func runEstimator(x []complex128, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s estimator: %w", cfg.Estimator.Name(), err)
 	}
-	decision, err := cfg.decide(surface, x, "cfd-"+cfg.Estimator.Name())
+	decision, err := cfg.decide(surface, x)
 	if err != nil {
 		return nil, err
 	}
@@ -151,27 +143,16 @@ func runEstimator(x []complex128, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// decide applies the decision layer shared by both paths: the
-// configured Decider when one is set (its Decision carries the registry
-// detector name), otherwise the legacy fixed-threshold CFD statistic
-// under the path's historical detector label.
-func (c Config) decide(surface *scf.Surface, x []complex128, legacyName string) (detect.Decision, error) {
-	if c.Decider != nil {
-		d, err := c.Decider.Decide(surface, x)
-		if err != nil {
-			return detect.Decision{}, err
-		}
-		d.Detector = c.Decider.Name()
-		return d, nil
+// decide applies the configured Decider shared by both paths, stamping
+// its registry name; with no Decider there is no decision.
+func (c Config) decide(surface *scf.Surface, x []complex128) (detect.Decision, error) {
+	if c.Decider == nil {
+		return detect.Decision{}, nil
 	}
-	stat, err := detect.CFDStatistic(surface, c.MinAbsA)
+	d, err := c.Decider.Decide(surface, x)
 	if err != nil {
 		return detect.Decision{}, err
 	}
-	return detect.Decision{
-		Detector:  legacyName,
-		Statistic: stat,
-		Threshold: c.Threshold,
-		Detected:  stat > c.Threshold,
-	}, nil
+	d.Detector = c.Decider.Name()
+	return d, nil
 }

@@ -4,11 +4,22 @@ import (
 	"math"
 	"testing"
 
+	"tiledcfd/internal/detect"
 	"tiledcfd/internal/fam"
 	"tiledcfd/internal/scf"
 	"tiledcfd/internal/sig"
 	"tiledcfd/internal/soc"
 )
+
+// fixedDecider is the fixed-threshold decision layer the tests sense
+// with: CFD statistic over |a| >= 2 against 0.4.
+func fixedDecider() detect.Decider {
+	d, err := detect.NewDecider("fixed", detect.DeciderParams{MinAbsA: 2, Threshold: 0.4})
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
 
 // sense builds a band with or without a BPSK licensed user and runs the
 // pipeline on a small platform (fast test geometry).
@@ -29,9 +40,8 @@ func sense(t *testing.T, present bool, seed uint64) *Result {
 		x = noise
 	}
 	res, err := Run(x, Config{
-		SoC:       soc.Config{K: k, M: m, Q: 4, Blocks: blocks},
-		MinAbsA:   2,
-		Threshold: 0.4,
+		SoC:     soc.Config{K: k, M: m, Q: 4, Blocks: blocks},
+		Decider: fixedDecider(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +100,9 @@ func TestPipelinePaperEvaluationNumbers(t *testing.T) {
 	if res.Surface == nil || res.Fixed == nil {
 		t.Fatal("surfaces missing")
 	}
+	if res.Decision != (detect.Decision{}) {
+		t.Fatalf("no Decider configured, yet decision %+v", res.Decision)
+	}
 }
 
 func TestPipelineInputValidation(t *testing.T) {
@@ -122,7 +135,7 @@ func TestPipelineGainInvariance(t *testing.T) {
 	for i := range x {
 		loud[i] = x[i] * 37
 	}
-	cfg := Config{SoC: soc.Config{K: k, M: m, Q: 2, Blocks: blocks}}
+	cfg := Config{SoC: soc.Config{K: k, M: m, Q: 2, Blocks: blocks}, Decider: fixedDecider()}
 	a, err := Run(x, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +167,7 @@ func senseWith(t *testing.T, est scf.Estimator, present bool, seed uint64) *Resu
 	}
 	res, err := Run(x, Config{
 		SoC:       soc.Config{K: k, M: m, Q: 4, Blocks: blocks},
-		MinAbsA:   2,
-		Threshold: 0.4,
+		Decider:   fixedDecider(),
 		Estimator: est,
 	})
 	if err != nil {
@@ -174,7 +186,7 @@ func TestPipelineEstimatorPath(t *testing.T) {
 		if !res.Decision.Detected {
 			t.Errorf("%s: BPSK user not detected: statistic %v", est.Name(), res.Decision.Statistic)
 		}
-		if res.Decision.Detector != "cfd-"+est.Name() {
+		if res.Decision.Detector != "fixed" {
 			t.Errorf("%s: decision names %q", est.Name(), res.Decision.Detector)
 		}
 		if res.Report != nil || res.Fixed != nil {

@@ -119,7 +119,7 @@ func (d cfarDecider) Decide(s *scf.Surface, _ []complex128) (Decision, error) {
 }
 
 // fixedDecider thresholds the normalized CFD statistic at an externally
-// calibrated level — the legacy Threshold>0 decision path.
+// calibrated level — the paper's own decision rule.
 type fixedDecider struct {
 	minAbsA   int
 	threshold float64

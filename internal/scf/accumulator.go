@@ -92,10 +92,10 @@ func NewAccumulator(p Params) (Accumulator, error) {
 	}, nil
 }
 
-// NewAccumulator implements StreamingEstimator. Workers is ignored: an
-// accumulator processes blocks in arrival order on the caller's
-// goroutine (streaming parallelism lives across channels, in the stream
-// engine's worker pool).
+// NewAccumulator implements StreamingEstimator. An accumulator processes
+// blocks in arrival order on the caller's goroutine (streaming
+// parallelism lives across channels, in the stream engine's worker
+// pool).
 func (e Direct) NewAccumulator() (Accumulator, error) {
 	return NewAccumulator(e.Params)
 }

@@ -31,9 +31,9 @@
 // rest of the system (detectors, scanners, the core pipeline) consumes
 // estimators rather than this package's functions directly.
 //
-//   - Direct (this package) wraps Compute/ComputeParallel: a K-point FFT
-//     per integration block plus one complex product per grid cell per
-//     block. Cheapest on the paper's fixed (2M-1)² grid; cycle-frequency
+//   - Direct (this package) wraps Compute: a K-point FFT per
+//     integration block plus one complex product per grid cell per
+//     block, always serial. Cheapest on the paper's fixed (2M-1)² grid; cycle-frequency
 //     resolution is the grid's own 2/K.
 //   - fam.FAM (package fam) is the FFT Accumulation Method: overlapping
 //     windowed channelizer hops, downconversion, and a P-point second

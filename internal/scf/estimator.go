@@ -32,13 +32,6 @@ type Direct struct {
 	// Params configures the computation; zero fields take the paper's
 	// defaults (K=256, M=K/4, Blocks=1, Hop=K).
 	Params Params
-	// Workers > 1 evaluates integration blocks concurrently via
-	// ComputeParallel (bit-identical to the serial path); 0 or 1 stays
-	// serial. Unlike fam.FAM/fam.SSCA, zero does NOT fan out per core:
-	// block parallelism allocates one partial surface per block plus a
-	// merge pass, which only pays off for large Blocks counts, so it
-	// stays opt-in.
-	Workers int
 }
 
 // Name implements Estimator.
@@ -46,9 +39,6 @@ func (Direct) Name() string { return "direct" }
 
 // Estimate implements Estimator.
 func (e Direct) Estimate(x []complex128) (*Surface, *Stats, error) {
-	if e.Workers > 1 {
-		return ComputeParallel(x, e.Params, e.Workers)
-	}
 	return Compute(x, e.Params)
 }
 

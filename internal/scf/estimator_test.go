@@ -28,18 +28,15 @@ func TestDirectEstimatorMatchesCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 4} {
-		e := Direct{Params: p, Workers: workers}
-		got, gotStats, err := e.Estimate(x)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if d := MaxAbsDiff(want, got); d != 0 {
-			t.Errorf("workers=%d: surface differs from Compute by %g (want bit-identical)", workers, d)
-		}
-		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Errorf("workers=%d: stats %+v != Compute's %+v", workers, gotStats, wantStats)
-		}
+	got, gotStats, err := Direct{Params: p}.Estimate(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := MaxAbsDiff(want, got); d != 0 {
+		t.Errorf("surface differs from Compute by %g (want bit-identical)", d)
+	}
+	if !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("stats %+v != Compute's %+v", gotStats, wantStats)
 	}
 	if got := (Direct{}).Name(); got != "direct" {
 		t.Errorf("Name() = %q", got)

@@ -362,7 +362,7 @@ func (r *Router) addRemoteShardLocked(rc RemoteShard, seed int64) error {
 		// Ship the asymptotic decision layer with every channel open so
 		// the worker decides identically — name, target Pfa and the
 		// cycle set (per-channel, or the session default) fully specify
-		// it. The legacy detectors (cfar, fixed) stay the worker's own
+		// it. The surface detectors (cfar, fixed) stay the worker's own
 		// configuration, as their scalar knobs do not travel on the wire
 		// (like geometry, they come from matching worker flags).
 		rs.SetDetector(dec.Name(), dec.TargetPfa(), r.cfg.Engine.AlphaCandidates)

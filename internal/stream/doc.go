@@ -19,8 +19,8 @@
 // is enqueued at most once on the work queue, a worker claims it, feeds
 // the ring contents into the accumulator in arrival order, and — every
 // Config.SnapshotSamples samples — takes a surface snapshot and applies
-// the decision layer from internal/detect (self-calibrating CFAR by
-// default, a fixed CFD threshold when Config.Threshold is set). Because
+// the decision layer from internal/detect (Config.Decider, or the
+// self-calibrating CFAR by default). Because
 // one channel is drained by at most one worker at a time, accumulator
 // access is serialised without per-sample locking, and because
 // accumulator snapshots are bit-identical to the batch estimators

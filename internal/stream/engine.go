@@ -62,20 +62,10 @@ type Config struct {
 	// MinAbsA is the smallest |a| the decision layer searches (default
 	// 2, clear of PSD leakage around a=0).
 	MinAbsA int
-	// Decider, when set, is the decision layer applied to every channel
-	// (build one with detect.NewDecider; individual channels can
-	// override it via AddChannelDecider). When nil, a legacy decider is
-	// built from the scalar knobs below: Threshold > 0 selects "fixed",
-	// otherwise "cfar" — the pre-registry behaviour, preserved
-	// bit-for-bit.
+	// Decider is the decision layer applied to every channel (build one
+	// with detect.NewDecider; individual channels can override it via
+	// AddChannelDecider). Default: "cfar" with its default scale.
 	Decider detect.Decider
-	// Threshold, when positive, selects fixed-threshold decisions on the
-	// CFD statistic (the legacy "fixed" detector). Ignored when Decider
-	// is set.
-	Threshold float64
-	// CFARScale is the legacy "cfar" peak-over-floor ratio (default 2);
-	// ignored when Threshold or Decider is set.
-	CFARScale float64
 	// DecisionBuffer is the capacity of the Decisions channel. A slow
 	// consumer never stalls sensing: overflowing decisions are dropped
 	// and counted (the latest is always available via ChannelStats).
@@ -99,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinAbsA == 0 {
 		c.MinAbsA = 2
-	}
-	if c.CFARScale == 0 {
-		c.CFARScale = 2
 	}
 	if c.DecisionBuffer == 0 {
 		c.DecisionBuffer = 256
@@ -299,21 +286,12 @@ func accumulatorFor(est scf.StreamingEstimator, alphas []int) (scf.Accumulator, 
 }
 
 // deciderFor resolves the engine's default decision layer: the
-// explicitly configured Decider, or the legacy scalar-knob selection
-// (Threshold > 0 means fixed, otherwise CFAR).
+// configured Decider, or "cfar" with its defaults.
 func deciderFor(cfg Config) (detect.Decider, error) {
 	if cfg.Decider != nil {
 		return cfg.Decider, nil
 	}
-	name := "cfar"
-	if cfg.Threshold > 0 {
-		name = "fixed"
-	}
-	return detect.NewDecider(name, detect.DeciderParams{
-		MinAbsA:   cfg.MinAbsA,
-		Threshold: cfg.Threshold,
-		CFARScale: cfg.CFARScale,
-	})
+	return detect.NewDecider("cfar", detect.DeciderParams{MinAbsA: cfg.MinAbsA})
 }
 
 // AddChannel registers a new monitored channel with fresh accumulator

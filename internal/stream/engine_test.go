@@ -13,6 +13,17 @@ import (
 	"tiledcfd/internal/sig"
 )
 
+// fixedDecider thresholds the CFD statistic over |a| >= 2 at 0.25, so
+// a decision's statistic is comparable with the batch CFDStatistic.
+func fixedDecider(t testing.TB) detect.Decider {
+	t.Helper()
+	d, err := detect.NewDecider("fixed", detect.DeciderParams{MinAbsA: 2, Threshold: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // bpskBand synthesises a deterministic BPSK-in-noise band.
 func bpskBand(t testing.TB, n int, carrier float64, snrDB float64, seed uint64) []complex128 {
 	t.Helper()
@@ -50,7 +61,7 @@ func TestEngineStreamingMatchesBatchConcurrent(t *testing.T) {
 				Estimator:       est,
 				SnapshotSamples: window,
 				Block:           true,
-				Threshold:       0.25, // fixed-threshold mode: statistic is CFDStatistic
+				Decider:         fixedDecider(t), // statistic is CFDStatistic
 				MinAbsA:         2,
 			})
 			if err != nil {
@@ -127,7 +138,6 @@ func TestEngineWindowedDecisionsTrackOccupancy(t *testing.T) {
 		SnapshotSamples: window,
 		Block:           true,
 		MinAbsA:         2,
-		CFARScale:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +491,7 @@ func TestEngineCumulativeKeepsIntegrating(t *testing.T) {
 		SnapshotSamples: window,
 		Block:           true,
 		Cumulative:      true,
-		Threshold:       0.25,
+		Decider:         fixedDecider(t),
 		MinAbsA:         2,
 	})
 	if err != nil {

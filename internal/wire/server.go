@@ -13,7 +13,7 @@ import (
 )
 
 // Sink is where the server delivers ingested streams — implemented by
-// the shard router (and by the public ShardedMonitor facade).
+// the shard router (and by the public Monitor facade).
 type Sink interface {
 	// OpenChannel registers a channel before its first samples; an error
 	// rejects the client's open frame (duplicate id, channel limit, …).
