@@ -107,12 +107,12 @@ type Config struct {
 	// with "ssca" is an error — the SSCA channelizer advances one sample
 	// per hop by definition. The platform path ignores it.
 	Hop int
-	// Workers bounds the goroutines a batch FAM or SSCA estimator (float
-	// or Q15) uses internally: surface rows for "fam", strips for
-	// "ssca", bit-identical to serial. 1 forces the serial path; 0 takes
-	// one worker per CPU core. Ignored by "direct" (always serial), the
-	// platform path and streaming accumulators (Monitor parallelises
-	// across channels instead).
+	// Workers bounds the goroutines a batch "fam", "fam-q15" or
+	// "ssca-q15" estimator uses internally (surface rows or strips),
+	// bit-identical to serial. 1 forces the serial path; 0 takes one
+	// worker per CPU core. Ignored by "direct" and "ssca" (always
+	// serial), the platform path and streaming accumulators (Monitor
+	// parallelises across channels instead).
 	Workers int
 }
 
@@ -136,7 +136,7 @@ var estimatorRegistry = []struct {
 		if err := c.rejectHop("ssca"); err != nil {
 			return nil, err
 		}
-		return fam.SSCA{Params: c.params(0), Workers: c.Workers}, nil
+		return fam.SSCA{Params: c.params(0)}, nil
 	}},
 	{"fam-q15", func(c Config) (scf.Estimator, error) {
 		return fam.FAMQ15{Params: c.params(c.Hop), Workers: c.Workers}, nil

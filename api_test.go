@@ -386,15 +386,15 @@ func TestWatchWithEstimator(t *testing.T) {
 }
 
 func TestConfigWorkersPlumbed(t *testing.T) {
-	// Workers must reach the FAM and SSCA estimators and leave results
-	// bit-identical to the serial path (the parallel decompositions are
-	// exact). The direct estimator is always serial.
+	// Workers must reach the FAM estimator and leave results
+	// bit-identical to the serial path (the parallel decomposition is
+	// exact). The direct and SSCA estimators are always serial.
 	const k, m, blocks = 64, 16, 8
 	band, err := NewBPSKBand(k*blocks, 8.0/k, 8, 6, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fam", "ssca"} {
+	for _, name := range []string{"fam"} {
 		serial, err := SpectralCorrelation(band, Config{K: k, M: m, Blocks: blocks, Estimator: name, Workers: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func main() {
 	hop := flag.Int("hop", 0,
 		"block/channelizer advance in samples for -estimator=direct|fam|fam-q15 (0 = estimator default; rejected with ssca variants)")
 	workers := flag.Int("workers", 0,
-		"worker goroutines of the fam, ssca, fam-q15 and ssca-q15 estimators (0 = one per CPU core, 1 = serial; direct is always serial)")
+		"worker goroutines of the fam, fam-q15 and ssca-q15 estimators (0 = one per CPU core, 1 = serial; direct and ssca are always serial)")
 	alpha := flag.String("alpha", "",
 		"comma-separated alpha-candidate bin offsets (mirrors and a=0 implied); software estimators only")
 	alphaHz := flag.String("alpha-hz", "",

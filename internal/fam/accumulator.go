@@ -18,16 +18,16 @@ import (
 // power of two of channelizer hops, the SSCA strip FFT spans the largest
 // power of two of samples — so a naive running sum over *all* arrived
 // hops would diverge from the batch result whenever the hop count is not
-// a power of two. The two accumulators resolve this differently:
+// a power of two. Both accumulators keep running sums in arrival order
+// and *checkpoint* them every time the hop count reaches a power of two;
+// Snapshot reads the latest checkpoint, which by construction is the sum
+// over exactly the first pow2floor(hops) hops — the batch prefix.
 //
-//   - FAM keeps per-cell running sums in arrival order and *checkpoints*
-//     them every time the hop count reaches a power of two; Snapshot
-//     reads the latest checkpoint, which by construction is the sum over
-//     exactly the first pow2floor(hops) hops — the batch prefix.
-//   - The SSCA accumulates the cheap part incrementally (the per-sample
-//     channelizer and conjugate product, the O(n·K·logK) bulk of the
-//     work) into per-channel product strips, and defers only the strip
-//     FFTs — O(strips·N·logN) — to Snapshot, where N is known.
+//   - FAM sums each surface cell's channel-pair products.
+//   - The SSCA sums each strip's products folded modulo K, and Snapshot
+//     turns each fold into the strip bins the grid reads with one
+//     K-point FFT. Batch SSCA.Estimate is this accumulator run over its
+//     input.
 
 // NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
 // accumulators process hops in arrival order on the caller's goroutine
@@ -235,14 +235,11 @@ func (f *famAccumulator) Reset() {
 	f.total = 0
 }
 
-// NewAccumulator implements scf.StreamingEstimator. With N set the
-// accumulator's state is bounded (it stops extending its strips at N
-// hops and every snapshot transforms exactly those); with N zero the
-// strips grow with the stream — about (4M-3)·16 bytes per sample — and
-// each snapshot spans the largest power-of-two prefix, so long-running
-// monitors should either set N or reset the accumulator between windows
-// (the stream engine's windowed mode does the latter). Workers is
-// ignored, as for FAM.
+// NewAccumulator implements scf.StreamingEstimator. State is bounded by
+// the grid, not the stream: one K-point running fold per addressed
+// strip, plus (with N zero) its copy at the last power-of-two hop count.
+// With N set, samples past the first N hops are discarded; with N zero
+// each snapshot spans the largest power-of-two prefix of the stream.
 func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
@@ -251,7 +248,7 @@ func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 	}
 	if e.N != 0 {
 		if e.N < p.K {
-			return nil, needSamples("SSCA", 2*p.K-1, e.N)
+			return nil, fmt.Errorf("fam: SSCA strip length N=%d must be >= K=%d", e.N, p.K)
 		}
 		if !fft.IsPow2(e.N) {
 			return nil, fmt.Errorf("fam: SSCA strip length N=%d must be a power of two", e.N)
@@ -279,15 +276,18 @@ func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 
 var _ scf.StreamingEstimator = SSCA{}
 
-// sscaAccumulator is the incremental SSCA. Every arriving sample
-// completes one more position of the unit-hop channelizer; the
-// accumulator runs the K-point FFT, downconverts, and multiplies each
-// addressed channel by the conjugate centre-aligned input sample —
-// exactly the product sequence batch stripInto builds — appending one
-// entry per needed channel per sample. Snapshot performs the N-point
-// strip FFTs over the prefix of length N = pow2floor(hops) (or the fixed
-// N), applies the group-delay phase correction and fills the surface,
-// line for line the batch tail of SSCA.Estimate.
+// sscaAccumulator computes the SSCA, for streams and (through
+// SSCA.Estimate) batches alike. Every arriving sample completes one more
+// position of the unit-hop channelizer; the accumulator runs the K-point
+// FFT, downconverts the addressed channels and multiplies each by the
+// conjugate centre-aligned input sample, giving strip product p_v[h].
+//
+// Cell (f, a) reads only strip bin q = (N/K)·j, j = (a-f) mod K, of the
+// N-point strip FFT, and that bin equals bin j of the K-point DFT of the
+// strip folded modulo K, y_v[r] = Σ_{h ≡ r mod K} p_v[h], because
+// e^{-j2π·h·q/N} depends only on h mod K. At those bins the centre-shift
+// derotation e^{-j2π·q·(K/2)/N} is (-1)^j. So the accumulator keeps only
+// the running fold, and Snapshot runs one K-point FFT per strip.
 type sscaAccumulator struct {
 	p      scf.Params
 	nFixed int
@@ -295,11 +295,17 @@ type sscaAccumulator struct {
 	roots  []complex128
 	win    []float64
 
-	rowAlphas []int          // surface rows to fill: all of [-m, m], or the candidate set
-	needed    []int          // addressed channel indices, batch order
-	rotIdx    []int          // per needed channel: running derotation index (v·hops mod K)
-	prods     [][]complex128 // per needed channel: product sequence, one entry per hop
-	hops      int
+	rowAlphas []int // surface rows to fill: all of [-m, m], or the candidate set
+	needed    []int // addressed channel indices
+	rotIdx    []int // per needed channel: running downconversion index (v·hops mod K)
+	// fold is the running strip fold, hop-major so each hop's writes are
+	// contiguous: fold[(h mod K)·len(needed)+i] sums channel needed[i]'s
+	// products over the hops h seen so far. With N zero, ck is fold's
+	// copy at the last power-of-two hop count ckHops >= K. Both are
+	// allocated on the first hop.
+	fold, ck []complex128
+	hops     int
+	ckHops   int
 
 	buf      []complex128
 	bufStart int
@@ -330,16 +336,6 @@ func (s *sscaAccumulator) init() {
 		}
 	}
 	s.rotIdx = make([]int, len(s.needed))
-	s.prods = make([][]complex128, len(s.needed))
-	if s.nFixed != 0 {
-		// The strip length is known up front: reserve it so the
-		// steady-state Push loop never reallocates a product slice.
-		cells := make([]complex128, 0, len(s.needed)*s.nFixed)
-		for i := range s.prods {
-			s.prods[i] = cells[:0:s.nFixed]
-			cells = cells[s.nFixed:s.nFixed]
-		}
-	}
 	s.spec = make([]complex128, s.p.K)
 }
 
@@ -352,14 +348,11 @@ func (s *sscaAccumulator) Samples() int { return s.total }
 // stripLen returns the strip length a snapshot would use now, or 0 when
 // too few hops have arrived.
 func (s *sscaAccumulator) stripLen() int {
-	if s.nFixed != 0 {
-		if s.hops >= s.nFixed {
-			return s.nFixed
-		}
-		return 0
+	if s.nFixed == 0 {
+		return s.ckHops
 	}
-	if n := pow2Floor(s.hops); n >= s.p.K {
-		return n
+	if s.hops >= s.nFixed {
+		return s.nFixed
 	}
 	return 0
 }
@@ -372,11 +365,12 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 	s.buf = append(s.buf, samples...)
 	s.total += len(samples)
 	k := s.p.K
-	centre := k / 2
+	mask := k - 1
+	nn := len(s.needed)
 	for {
 		start := s.hops // unit hop: hop m starts at sample m
 		if s.nFixed != 0 && s.hops >= s.nFixed {
-			// Strips are complete; later samples can only be discarded
+			// The fold is complete; later samples can only be discarded
 			// (the fixed-N estimate spans the first N hops). Drop
 			// everything so memory stays flat; bufStart advances to the
 			// absolute index of the next sample to arrive.
@@ -389,6 +383,12 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 			// (compacting once per push keeps the cost linear).
 			s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, start)
 			return nil
+		}
+		if s.fold == nil {
+			s.fold = make([]complex128, k*nn)
+			if s.nFixed == 0 {
+				s.ck = make([]complex128, k*nn)
+			}
 		}
 		block := s.buf[start-s.bufStart : start-s.bufStart+k]
 		if s.win != nil {
@@ -404,25 +404,35 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 			return err
 		}
 		// The conjugate centre-aligned factor of this strip position.
-		xc := cmplx.Conj(s.buf[start-s.bufStart+centre])
-		// Downconvert only the needed channels and append their product
-		// entries. The derotation exponent (start·v) mod k advances by
-		// exactly v per unit hop, so each channel carries a running table
-		// index (rotIdx) instead of recomputing the v·start product — and
-		// the spec/roots/prods headers are hoisted out of the per-channel
-		// loop so nothing is reloaded per iteration.
-		spec, roots, prods, rot := s.spec, s.roots, s.prods, s.rotIdx
-		mask := k - 1
+		xc := cmplx.Conj(s.buf[start-s.bufStart+k/2])
+		// Fold this hop's products into residue row start mod K; the
+		// first K hops open the rows, so Reset never has to clear them.
+		// The downconversion exponent (start·v) mod K advances by v per
+		// unit hop, so each channel carries a running table index.
+		r := start & mask
+		row := s.fold[r*nn : (r+1)*nn]
+		if start < k {
+			clear(row)
+		}
+		spec, roots, rot := s.spec, s.roots, s.rotIdx
 		for i, v := range s.needed {
 			idx := rot[i]
-			prods[i] = append(prods[i], spec[v]*roots[idx]*xc)
+			row[i] += spec[v] * roots[idx] * xc
 			rot[i] = (idx + v) & mask
 		}
 		s.hops++
+		if s.nFixed == 0 && s.hops >= k && s.hops&(s.hops-1) == 0 {
+			// Power-of-two hop count: checkpoint the fold of exactly the
+			// prefix a batch estimate of this stream would transform.
+			copy(s.ck, s.fold)
+			s.ckHops = s.hops
+		}
 	}
 }
 
-// Snapshot implements scf.Accumulator.
+// Snapshot implements scf.Accumulator. Each strip's fold column goes
+// through one K-point FFT; cell (f, a) reads bin j = (a-f) mod K of
+// strip f+a, derotated by (-1)^j and scaled by 1/N.
 func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	n := s.stripLen()
 	if n == 0 {
@@ -432,54 +442,52 @@ func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 		}
 		return nil, nil, needSamples("SSCA", need, s.total)
 	}
-	planN, err := fft.PlanFor(n)
-	if err != nil {
-		return nil, nil, err
+	fold := s.fold
+	if s.nFixed == 0 {
+		fold = s.ck
 	}
-	rootsN, err := fft.Roots(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	centre := s.p.K / 2
-	m := s.p.M - 1
-	strips := make([][]complex128, s.p.K)
-	scells := make([]complex128, len(s.needed)*n)
-	for i, k := range s.needed {
-		u := scells[:n]
-		scells = scells[n:]
-		if err := planN.Forward(u, s.prods[i][:n]); err != nil {
+	k, nn := s.p.K, len(s.needed)
+	strips := make([][]complex128, k)
+	cells := make([]complex128, (nn+1)*k)
+	col := cells[nn*k:]
+	for i, v := range s.needed {
+		for r := range col {
+			col[r] = fold[r*nn+i]
+		}
+		u := cells[i*k : (i+1)*k]
+		if err := s.plan.Forward(u, col); err != nil {
 			return nil, nil, err
 		}
-		derotate(u, rootsN, centre)
-		strips[k] = u
+		strips[v] = u
 	}
+	m := s.p.M - 1
 	sf := scf.NewSurfaceFor(s.p)
 	inv := complex(1/float64(n), 0)
 	for i, a := range s.rowAlphas {
 		row := sf.Data[i]
 		for f := -m; f <= m; f++ {
-			u := strips[fft.BinIndex(s.p.K, f+a)]
-			q := fft.BinIndex(n, n/s.p.K*(a-f))
-			row[f+m] = u[q] * inv
+			j := fft.BinIndex(k, a-f)
+			c := strips[fft.BinIndex(k, f+a)][j]
+			if j&1 == 1 {
+				c = -c
+			}
+			row[f+m] = c * inv
 		}
 	}
+	// Stats report the canonical N-point strip model (see doc.go).
 	stats := &scf.Stats{
 		Blocks:    n,
-		FFTMults:  n*fft.ComplexMults(s.p.K) + len(s.needed)*fft.ComplexMults(n),
-		DSCFMults: n*s.p.K + len(s.needed)*n,
+		FFTMults:  n*fft.ComplexMults(k) + nn*fft.ComplexMults(n),
+		DSCFMults: n*k + nn*n,
 	}
 	return sf, stats, nil
 }
 
-// Reset implements scf.Accumulator.
+// Reset implements scf.Accumulator. The fold needs no clearing: the
+// first K hops after a reset overwrite it.
 func (s *sscaAccumulator) Reset() {
-	for i := range s.prods {
-		s.prods[i] = s.prods[i][:0]
-	}
-	for i := range s.rotIdx {
-		s.rotIdx[i] = 0
-	}
-	s.hops = 0
+	clear(s.rotIdx)
+	s.hops, s.ckHops = 0, 0
 	s.buf = s.buf[:0]
 	s.bufStart = 0
 	s.total = 0

@@ -205,9 +205,68 @@ func TestSSCAAccumulatorFixedNBounded(t *testing.T) {
 	}
 	requireIdentical(t, got, want, "overfed fixed-N snapshot")
 	sa := acc.(*sscaAccumulator)
-	for i := range sa.prods {
-		if len(sa.prods[i]) != 128 {
-			t.Fatalf("strip %d grew to %d entries (want exactly N=128)", i, len(sa.prods[i]))
+	if want := 64 * len(sa.needed); len(sa.fold) != want || cap(sa.fold) != want || sa.ck != nil {
+		t.Fatalf("fold holds %d cells (cap %d, checkpoint %d), want exactly K·strips = %d and no checkpoint",
+			len(sa.fold), cap(sa.fold), len(sa.ck), want)
+	}
+}
+
+// TestSSCAAccumulatorDerivedNBounded: with N derived from the stream,
+// the state is the running fold plus one checkpoint — 2·K cells per
+// strip however long the stream — and snapshots still match batch.
+func TestSSCAAccumulatorDerivedNBounded(t *testing.T) {
+	const k, window = 64, 512
+	e := SSCA{Params: scf.Params{K: k, M: 16}}
+	x := streamBand(t, 16*window, 14)
+	acc, err := e.NewAccumulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := acc.(*sscaAccumulator)
+	for w := 0; w < 16; w++ {
+		pushChunks(t, acc, x[w*window:(w+1)*window], []int{window})
+		if want := 2 * k * len(sa.needed); len(sa.fold)+len(sa.ck) != want ||
+			cap(sa.fold)+cap(sa.ck) != want {
+			t.Fatalf("after %d windows: fold %d + checkpoint %d cells, want exactly 2·K·strips = %d",
+				w+1, len(sa.fold), len(sa.ck), want)
+		}
+	}
+	got, _, err := acc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := e.Estimate(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, got, want, "long-stream snapshot")
+}
+
+// TestSSCAAccumulatorPushAllocs: once the first hop has allocated the
+// fold, steady-state Push allocates nothing, windowed or not, with N
+// derived (checkpoint copies included) or fixed.
+func TestSSCAAccumulatorPushAllocs(t *testing.T) {
+	x := streamBand(t, 64*1024, 15)
+	for _, e := range []SSCA{
+		{Params: scf.Params{K: 64, M: 16}},
+		{Params: scf.Params{K: 64, M: 16, Window: fft.Hamming}},
+		{Params: scf.Params{K: 64, M: 16}, N: 1 << 14},
+	} {
+		acc, err := e.NewAccumulator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.Push(x[:256]); err != nil {
+			t.Fatal(err)
+		}
+		off := 256
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := acc.Push(x[off : off+97]); err != nil {
+				t.Fatal(err)
+			}
+			off += 97
+		}); allocs != 0 {
+			t.Errorf("window %v N=%d: Push allocates %v objects per call, want 0", e.Params.Window, e.N, allocs)
 		}
 	}
 }

@@ -23,7 +23,10 @@
 //     conjugate of the full-rate input, and one long N-point strip FFT
 //     per channel covers a diagonal strip of the (f, α) plane: channel k,
 //     bin q estimates the SCF at f = k/(2K) - q/(2N), α = k/K + q/N.
-//     Surface cell (f, a) is channel k = f+a, bin q = N·(a-f)/K.
+//     Surface cell (f, a) is channel k = f+a, bin q = N·(a-f)/K. The grid
+//     reads only every (N/K)-th bin, and those bins are the K-point DFT
+//     of the strip folded modulo K, so the code keeps a K-length running
+//     fold per strip and runs K-point FFTs at snapshot time.
 //
 // Complexity (complex multiplications, reported in Stats): the direct
 // DSCF spends Blocks·(2M-1)² on products — the paper's "16× the FFT"
@@ -34,8 +37,9 @@
 // on the small (2M-1)² grid. Stats always report this canonical model;
 // the implementation itself shortcuts where the algebra allows (FAM
 // evaluates each cell's bin 0 as an O(P) dot product and mirrors the
-// α < 0 half-plane by exact Hermitian symmetry) — see the README's
-// model-vs-measured note.
+// α < 0 half-plane by exact Hermitian symmetry; SSCA replaces each
+// N-point strip FFT with a modulo-K fold and a K-point FFT) — see the
+// README's model-vs-measured note.
 //
 // Estimates agree with the direct method at grid points up to the
 // smoothing window: cross-check tests assert all three estimators locate

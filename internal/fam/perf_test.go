@@ -1,7 +1,7 @@
 // White-box performance-invariant tests for the estimator hot paths:
 // golden cross-checks that the optimized FAM/SSCA pipelines match the
 // pre-optimization formulations, bit-identity between serial and parallel
-// evaluation, and AllocsPerRun regressions asserting the per-hop and
+// FAM evaluation, and AllocsPerRun regressions asserting the per-hop and
 // per-cell loops stay allocation-free.
 package fam
 
@@ -169,13 +169,84 @@ func TestSSCAGoldenMatchesPreOptimization(t *testing.T) {
 		{K: 64, M: 16, Window: fft.Hamming},
 	} {
 		want := sscaReference(t, x, p, 1024)
-		got, _, err := SSCA{Params: p, N: 1024, Workers: 1}.Estimate(x)
+		got, _, err := SSCA{Params: p, N: 1024}.Estimate(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tol := 1e-12 * (1 + surfacePeak(want))
 		if d := scf.MaxAbsDiff(got, want); d > tol {
 			t.Errorf("K=%d M=%d: optimized SSCA differs from pre-optimization surface by %g (tol %g)", p.K, p.M, d, tol)
+		}
+	}
+}
+
+// TestSSCAFoldIdentity: bin (N/K)·j of the N-point DFT of p, derotated
+// by the centre shift e^{-j2π·q·(K/2)/N}, equals (-1)^j times bin j of
+// the K-point DFT of p folded modulo K — the identity the SSCA strip
+// evaluation rests on.
+func TestSSCAFoldIdentity(t *testing.T) {
+	rng := sig.NewRand(16)
+	for _, tc := range []struct{ k, n int }{{8, 8}, {8, 64}, {64, 1024}, {256, 2048}} {
+		p := make([]complex128, tc.n)
+		for i := range p {
+			p[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		full, err := fft.FFT(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootsN, err := fft.Roots(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold := make([]complex128, tc.k)
+		for i, v := range p {
+			fold[i%tc.k] += v
+		}
+		short, err := fft.FFT(fold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range short {
+			q := tc.n / tc.k * j
+			want := full[q] * rootsN[q*(tc.k/2)%tc.n]
+			got := short[j]
+			if j%2 == 1 {
+				got = -got
+			}
+			if d := cmplx.Abs(got - want); d > 1e-12*(1+cmplx.Abs(want)) {
+				t.Fatalf("K=%d N=%d bin %d: fold gives %v, N-point DFT %v (|diff| %g)", tc.k, tc.n, j, got, want, d)
+			}
+		}
+	}
+}
+
+// TestSSCAPaperGeometryGolden: at the paper geometry (K=256, M=64) the
+// folded SSCA matches the N-point reference for both strip lengths,
+// both windows, full plane and pruned, to rounding.
+func TestSSCAPaperGeometryGolden(t *testing.T) {
+	x := goldenBand(2048+255, 17)
+	for _, n := range []int{1024, 2048} {
+		for _, w := range []fft.WindowKind{fft.Rectangular, fft.Hamming} {
+			full := scf.Params{K: 256, M: 64, Window: w}
+			want := sscaReference(t, x, full, n)
+			tol := 1e-12 * (1 + surfacePeak(want))
+			for _, alphas := range [][]int{nil, {16, 32, 11, 40}} {
+				p := full
+				p.AlphaCandidates = alphas
+				got, _, err := SSCA{Params: p, N: n}.Estimate(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range got.AlphaValues() {
+					for f := -63; f <= 63; f++ {
+						if d := cmplx.Abs(got.At(f, a) - want.At(f, a)); d > tol {
+							t.Fatalf("N=%d window %v alphas %v: cell (f=%d, a=%d) differs from reference by %g (tol %g)",
+								n, w, alphas, f, a, d, tol)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -189,28 +260,6 @@ func TestFAMParallelBitIdenticalToSerial(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8} {
 		par, _, err := FAM{Params: p, Workers: workers}.Estimate(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial.Data {
-			for j := range serial.Data[i] {
-				if par.Data[i][j] != serial.Data[i][j] {
-					t.Fatalf("workers=%d: cell [%d][%d] %v != serial %v", workers, i, j, par.Data[i][j], serial.Data[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestSSCAParallelBitIdenticalToSerial(t *testing.T) {
-	x := goldenBand(2048, 10)
-	p := scf.Params{K: 64, M: 16}
-	serial, _, err := SSCA{Params: p, Workers: 1}.Estimate(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5} {
-		par, _, err := SSCA{Params: p, Workers: workers}.Estimate(x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package fam
 import (
 	"testing"
 
-	"tiledcfd/internal/fft"
 	"tiledcfd/internal/scf"
 )
 
@@ -156,53 +155,5 @@ func TestQ15PrunedRowSets(t *testing.T) {
 				t.Fatalf("not deterministic across worker counts: %s", why)
 			}
 		})
-	}
-}
-
-// TestSSCADerotateGolden: the hoisted masked-add table walk reads
-// exactly the root the naive roots[(q·centre) mod n] lookup selects, so
-// derotated strips are bit-identical to the textbook indexing.
-func TestSSCADerotateGolden(t *testing.T) {
-	for _, n := range []int{8, 64, 256, 1024} {
-		roots, err := fft.Roots(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := make([]complex128, n)
-		for i := range u {
-			u[i] = complex(float64(i%13)*0.17-0.5, float64(i%7)*0.29-0.9)
-		}
-		for _, centre := range []int{1, 4, n / 2} {
-			want := make([]complex128, n)
-			for q := range want {
-				want[q] = u[q] * roots[(q*centre)%n]
-			}
-			got := append([]complex128(nil), u...)
-			derotate(got, roots, centre)
-			for q := range want {
-				if got[q] != want[q] {
-					t.Fatalf("n=%d centre=%d bin %d = %v, want %v (not bit-identical)",
-						n, centre, q, got[q], want[q])
-				}
-			}
-		}
-	}
-}
-
-// TestSSCADerotateAllocs: the per-strip derotation allocates nothing —
-// the guard for the hoisted index computation in the strip inner loop.
-func TestSSCADerotateAllocs(t *testing.T) {
-	roots, err := fft.Roots(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := make([]complex128, 256)
-	for i := range u {
-		u[i] = complex(float64(i), -float64(i))
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		derotate(u, roots, 128)
-	}); allocs != 0 {
-		t.Fatalf("derotate allocates %v objects per run, want 0", allocs)
 	}
 }

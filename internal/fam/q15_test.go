@@ -79,7 +79,7 @@ func TestFAMQ15TracksFloatFAM(t *testing.T) {
 func TestSSCAQ15TracksFloatSSCA(t *testing.T) {
 	band := q15TestBand(t, 2048, 7)
 	p := scf.Params{K: 256, M: 64}
-	ref, _, err := (SSCA{Params: p, Workers: 1}).Estimate(band)
+	ref, _, err := (SSCA{Params: p}).Estimate(band)
 	if err != nil {
 		t.Fatal(err)
 	}

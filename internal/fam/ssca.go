@@ -1,14 +1,6 @@
 package fam
 
-import (
-	"fmt"
-	"math/cmplx"
-	"runtime"
-	"sync"
-
-	"tiledcfd/internal/fft"
-	"tiledcfd/internal/scf"
-)
+import "tiledcfd/internal/scf"
 
 // SSCA is the Strip Spectral Correlation Analyzer estimator: a K-point
 // channelizer sliding one sample at a time, each channel demodulate
@@ -16,6 +8,11 @@ import (
 // strip FFT per channel. Channel k, strip bin q estimates the SCF at
 // frequency f = k/(2K) - q/(2N) and cycle frequency α = k/K + q/N;
 // surface cell (f, a) reads channel k = f+a at bin q = N·(a-f)/K.
+//
+// The grid reads only every (N/K)-th strip bin, so the implementation
+// folds each strip modulo K and runs a K-point FFT in place of the
+// N-point one (see sscaAccumulator); the estimate is the same up to
+// floating-point summation order.
 //
 // The strip length N must be a power of two and a multiple of K so that
 // every grid cell lands exactly on a strip bin; both hold automatically
@@ -30,11 +27,6 @@ type SSCA struct {
 	// N is the strip FFT length (power of two >= K). Zero selects the
 	// largest power of two with N+K-1 <= len(x).
 	N int
-	// Workers bounds the goroutines computing strips concurrently.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial path. Strips
-	// are independent and each is computed by exactly one worker, so
-	// every worker count produces bit-identical surfaces.
-	Workers int
 }
 
 // Name implements scf.Estimator.
@@ -51,7 +43,9 @@ func (e SSCA) MinSamples() int {
 	return n + p.K - 1
 }
 
-// Estimate implements scf.Estimator.
+// Estimate implements scf.Estimator. It picks the strip length N and
+// runs the fixed-N accumulator over the first N+K-1 samples, so batch
+// and streaming estimates are one code path.
 func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
@@ -60,169 +54,21 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	}
 	n := e.N
 	if n == 0 {
-		n = pow2Floor(len(x) - p.K + 1)
-	} else if n < p.K {
-		return nil, nil, fmt.Errorf("fam: SSCA strip length N=%d must be >= K=%d", n, p.K)
+		if n = pow2Floor(len(x) - p.K + 1); n < p.K {
+			return nil, nil, needSamples("SSCA", 2*p.K-1, len(x))
+		}
 	}
-	if n < p.K {
-		return nil, nil, needSamples("SSCA", 2*p.K-1, len(x))
-	}
-	if !fft.IsPow2(n) {
-		return nil, nil, fmt.Errorf("fam: SSCA strip length N=%d must be a power of two", n)
+	acc, err := SSCA{Params: e.Params, N: n}.NewAccumulator()
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(x) < n+p.K-1 {
 		return nil, nil, needSamples("SSCA", n+p.K-1, len(x))
 	}
-	var win []float64
-	var err error
-	if p.Window != fft.Rectangular {
-		if win, err = fft.Window(p.Window, p.K); err != nil {
-			return nil, nil, err
-		}
-	}
-	ch, err := channelize(x, p.K, 1, n, win)
-	if err != nil {
+	if err := acc.Push(x[:n+p.K-1]); err != nil {
 		return nil, nil, err
 	}
-	planN, err := fft.PlanFor(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	roots, err := fft.Roots(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	// One strip per channel the grid addresses: strip k is the N-point
-	// FFT of x_k(m)·conj(x(m+K/2)). The conjugate factor is aligned with
-	// the channelizer window centre so the kernel's group-delay phase
-	// e^{j2πδ(K-1)/2} is constant along each strip bin's diagonal instead
-	// of rotating in-bin contributions into cancellation; the residual
-	// per-bin constant e^{j2πq(K/2)/N} is divided out — by indexing the
-	// cached roots table — to keep cell phases aligned with the direct
-	// method. The conjugated centre-shifted input is shared by every
-	// strip, so it is formed once here rather than per strip.
-	centre := p.K / 2
-	xc := make([]complex128, n)
-	for i := range xc {
-		xc[i] = cmplx.Conj(x[i+centre])
-	}
-	m := p.M - 1
-	// The rows the surface holds: all of [-m, m], or the candidate set
-	// (±a plus 0) when alpha pruning is on. SSCA computes each row
-	// directly — its strips are not Hermitian-mirrorable — so pruning
-	// keeps both signs explicitly.
-	rowAlphas := p.SurfaceAlphas()
-	if rowAlphas == nil {
-		rowAlphas = make([]int, 2*m+1)
-		for i := range rowAlphas {
-			rowAlphas[i] = i - m
-		}
-	}
-	// The held rows address channels k = f+a for f in [-m, m]: every
-	// residue of [a-m, a+m] mod K per row a, computed up front so the
-	// independent strips can be fanned out across bounded workers. With
-	// pruning only the strips whose cycle frequencies intersect the
-	// candidate rows are ever computed.
-	needed := make([]int, 0, 4*m+1)
-	seen := make([]bool, p.K)
-	for _, a := range rowAlphas {
-		for f := -m; f <= m; f++ {
-			if k := fft.BinIndex(p.K, f+a); !seen[k] {
-				seen[k] = true
-				needed = append(needed, k)
-			}
-		}
-	}
-	strips := make([][]complex128, p.K)
-	scells := make([]complex128, len(needed)*n)
-	for _, k := range needed {
-		strips[k], scells = scells[:n], scells[n:]
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(needed) {
-		workers = len(needed)
-	}
-	stripInto := func(k int, prod []complex128) error {
-		cs := ch[k]
-		for i := 0; i < n; i++ {
-			prod[i] = cs[i] * xc[i]
-		}
-		u := strips[k]
-		if err := planN.Forward(u, prod); err != nil {
-			return err
-		}
-		derotate(u, roots, centre)
-		return nil
-	}
-	if workers <= 1 {
-		prodBuf := fft.GetScratch(n)
-		for _, k := range needed {
-			if err := stripInto(k, *prodBuf); err != nil {
-				fft.PutScratch(prodBuf)
-				return nil, nil, err
-			}
-		}
-		fft.PutScratch(prodBuf)
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				prodBuf := fft.GetScratch(n)
-				defer fft.PutScratch(prodBuf)
-				for i := w; i < len(needed); i += workers {
-					if err := stripInto(needed[i], *prodBuf); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	s := scf.NewSurfaceFor(p)
-	inv := complex(1/float64(n), 0)
-	for i, a := range rowAlphas {
-		row := s.Data[i]
-		for f := -m; f <= m; f++ {
-			u := strips[fft.BinIndex(p.K, f+a)]
-			q := fft.BinIndex(n, n/p.K*(a-f))
-			row[f+m] = u[q] * inv
-		}
-	}
-	stats := &scf.Stats{
-		Blocks:    n,
-		FFTMults:  n*fft.ComplexMults(p.K) + len(needed)*fft.ComplexMults(n),
-		DSCFMults: n*p.K + len(needed)*n,
-	}
-	return s, stats, nil
-}
-
-// derotate divides the per-bin centre-shift phase e^{-j2πq·centre/n} out
-// of a strip transform by indexing the cached roots table. The exponent
-// (q·centre) mod n advances by centre per bin and n (= len(u) = len(roots))
-// is a power of two, so the reduction is a masked add — no per-bin
-// multiply, modulo or table-index recomputation, and no allocation. The
-// hoisted indexing reads exactly the root the naive roots[(q·centre)%n]
-// lookup would, so the derotated strips are bit-identical to it (guarded
-// by TestSSCADerotateGolden).
-func derotate(u, roots []complex128, centre int) {
-	mask := len(roots) - 1
-	idx := 0
-	for q := range u {
-		u[q] *= roots[idx]
-		idx = (idx + centre) & mask
-	}
+	return acc.Snapshot()
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

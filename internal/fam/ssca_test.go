@@ -77,4 +77,14 @@ func TestSSCAErrors(t *testing.T) {
 	if _, _, err := (SSCA{Params: scf.Params{K: 64, M: 16}, N: 1024}).Estimate(make([]complex128, 512)); err == nil {
 		t.Error("N longer than the input should fail")
 	}
+	// A strip shorter than the channelizer names N and K on both entry
+	// points, not a sample count.
+	short := SSCA{Params: scf.Params{K: 64, M: 16}, N: 32}
+	const want = "fam: SSCA strip length N=32 must be >= K=64"
+	if _, _, err := short.Estimate(make([]complex128, 1024)); err == nil || err.Error() != want {
+		t.Errorf("Estimate with N < K: error %v, want %q", err, want)
+	}
+	if _, err := short.NewAccumulator(); err == nil || err.Error() != want {
+		t.Errorf("NewAccumulator with N < K: error %v, want %q", err, want)
+	}
 }
