@@ -484,8 +484,8 @@ type MonitorOptions struct {
 	// SnapshotSamples is the per-channel decision cadence in samples
 	// (default 8192).
 	SnapshotSamples int
-	// RingSamples is the per-channel ingestion buffer capacity (default
-	// 4×SnapshotSamples).
+	// RingSamples is the per-channel ingestion buffer's capacity limit;
+	// memory follows the peak backlog (default 4×SnapshotSamples).
 	RingSamples int
 	// Workers bounds each shard engine's drain/decision worker pool
 	// (default one per CPU core), so the service total is
@@ -952,8 +952,8 @@ type ShardWorkerOptions struct {
 	// SnapshotSamples is the per-channel decision cadence in samples
 	// (default 8192).
 	SnapshotSamples int
-	// RingSamples is the per-channel ingestion buffer capacity (default
-	// 4×SnapshotSamples).
+	// RingSamples is the per-channel ingestion buffer's capacity limit;
+	// memory follows the peak backlog (default 4×SnapshotSamples).
 	RingSamples int
 	// Workers bounds the engine's drain/decision worker pool (default
 	// one per CPU core).

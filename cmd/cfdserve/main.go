@@ -164,7 +164,7 @@ func main() {
 	flag.IntVar(&o.m, "m", 0, "grid half-extent M (0 = K/4)")
 	flag.IntVar(&o.hop, "hop", 0, "block/channelizer advance (0 = estimator default; rejected with ssca)")
 	flag.IntVar(&o.window, "window", 16384, "samples per decision window")
-	flag.IntVar(&o.ring, "ring", 0, "per-channel ingestion ring capacity in samples (0 = 4×window)")
+	flag.IntVar(&o.ring, "ring", 0, "per-channel ingestion ring capacity limit in samples; memory follows the peak backlog (0 = 4×window)")
 	flag.IntVar(&o.workers, "workers", 0, "worker pool size per shard (0 = one per CPU core)")
 	flag.StringVar(&o.mode, "mode", "block", "overload policy: block (backpressure) or drop (count overflow)")
 	flag.IntVar(&o.rate, "rate", 0, "per-channel feed rate in samples/sec (0 = as fast as the engine accepts)")

@@ -78,12 +78,11 @@ type famAccumulator struct {
 	// only the candidate rows under alpha pruning.
 	rowSet []int
 	// acc0/acc1 are the parity-split per-cell sums, indexed
-	// [i][f+M-1] with i positional in rowSet; ck0/ck1 are their copies
-	// at the last power-of-two hop count ckHops.
-	acc0, acc1 [][]complex128
-	ck0, ck1   [][]complex128
-	hops       int
-	ckHops     int
+	// [i][f+M-1] with i positional in rowSet; ck holds acc0+acc1 as it
+	// stood at the last power-of-two hop count ckHops.
+	acc0, acc1, ck [][]complex128
+	hops           int
+	ckHops         int
 
 	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
 	bufStart int
@@ -110,8 +109,7 @@ func (f *famAccumulator) init() {
 		}
 		return data
 	}
-	f.acc0, f.acc1 = grid(), grid()
-	f.ck0, f.ck1 = grid(), grid()
+	f.acc0, f.acc1, f.ck = grid(), grid(), grid()
 	f.spec = make([]complex128, f.p.K)
 	f.chn = make([]complex128, f.p.K)
 	f.chc = make([]complex128, f.p.K)
@@ -182,10 +180,13 @@ func (f *famAccumulator) Push(samples []complex128) error {
 		}
 		f.hops++
 		if f.hops&(f.hops-1) == 0 {
-			// Power-of-two hop count: checkpoint the prefix sums.
-			for a := range f.acc0 {
-				copy(f.ck0[a], f.acc0[a])
-				copy(f.ck1[a], f.acc1[a])
+			// Power-of-two hop count: checkpoint the prefix sums,
+			// adding the parities as famRow does.
+			for i, ck := range f.ck {
+				c0, c1 := f.acc0[i], f.acc1[i]
+				for fi := range ck {
+					ck[fi] = c0[fi] + c1[fi]
+				}
 			}
 			f.ckHops = f.hops
 		}
@@ -205,9 +206,9 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	s := scf.NewSurfaceFor(f.p)
 	for i, a := range f.rowSet {
 		row := s.Row(a)
-		c0, c1 := f.ck0[i], f.ck1[i]
+		ck := f.ck[i]
 		for fi := range row {
-			row[fi] = (c0[fi] + c1[fi]) * inv
+			row[fi] = ck[fi] * inv
 		}
 	}
 	s.MirrorHermitian()
@@ -222,7 +223,7 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 
 // Reset implements scf.Accumulator.
 func (f *famAccumulator) Reset() {
-	for _, g := range [][][]complex128{f.acc0, f.acc1, f.ck0, f.ck1} {
+	for _, g := range [][][]complex128{f.acc0, f.acc1, f.ck} {
 		for _, row := range g {
 			for i := range row {
 				row[i] = 0

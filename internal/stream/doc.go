@@ -8,8 +8,12 @@
 //
 // An Engine owns a set of named channels. Each channel has
 //
-//   - a fixed-capacity ring buffer producers push sampled chunks into
-//     (Push never allocates on the hot path; it copies into the ring),
+//   - a ring buffer producers push sampled chunks into. Config.RingSamples
+//     is its capacity limit, not a reservation: a channel starts with no
+//     ring, and Push grows it by doubling (at least 4096 samples,
+//     at most the limit) only when a chunk does not fit. It never shrinks,
+//     so its memory follows the channel's peak backlog, and Push
+//     allocates only when the ring grows; otherwise it copies into it,
 //   - an scf.Accumulator holding that channel's incremental estimator
 //     state (direct DSCF, FAM, or SSCA — anything implementing
 //     scf.StreamingEstimator), and

@@ -33,8 +33,10 @@ type Config struct {
 	// snapshotted and a decision emitted every SnapshotSamples samples.
 	// Default 8192.
 	SnapshotSamples int
-	// RingSamples is the per-channel ingestion ring capacity. Default
-	// 4×SnapshotSamples.
+	// RingSamples is the per-channel ingestion ring capacity limit; the
+	// ring's memory follows the channel's peak backlog (it grows by
+	// doubling, up to this limit, only when a push needs the room).
+	// Default 4×SnapshotSamples.
 	RingSamples int
 	// Workers bounds the drain/decision worker pool. Default
 	// runtime.GOMAXPROCS(0).
@@ -207,6 +209,7 @@ type channel struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled when ring space frees (backpressure)
 	ring   []complex128
+	limit  int // capacity len(ring) may grow to (Config.RingSamples)
 	head   int // index of the oldest unread sample
 	count  int // unread samples in the ring
 	queued bool
@@ -329,7 +332,7 @@ func (e *Engine) AddChannelDecider(id string, alphas []int, dec detect.Decider) 
 	if dec == nil {
 		dec = e.dec
 	}
-	ch := &channel{id: id, ring: make([]complex128, e.cfg.RingSamples), acc: acc, dec: dec}
+	ch := &channel{id: id, limit: e.cfg.RingSamples, acc: acc, dec: dec}
 	ch.cond = sync.NewCond(&ch.mu)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -414,9 +417,10 @@ func (e *Engine) RemoveChannel(id string, timeout time.Duration) (ChannelStats, 
 }
 
 // Push appends samples to a channel's ring in arrival order and returns
-// how many were accepted. In drop mode (the default) overflow beyond the
-// ring capacity is discarded and counted; with Config.Block it blocks
-// until the pool frees space. Push is safe for concurrent use across
+// how many were accepted. The ring grows as needed up to
+// Config.RingSamples; in drop mode (the default) overflow beyond that
+// limit is discarded and counted; with Config.Block it blocks until the
+// pool frees space. Push is safe for concurrent use across
 // channels; pushes to the same channel must come from one producer (or
 // be externally ordered) for the stream order to be meaningful.
 func (e *Engine) Push(id string, samples []complex128) (int, error) {
@@ -450,7 +454,7 @@ func (e *Engine) Push(id string, samples []complex128) (int, error) {
 		// Backpressure: enqueue what we have so the pool works on it,
 		// then wait for room.
 		e.enqueueLocked(ch)
-		for ch.count == len(ch.ring) && !e.isClosed() {
+		for ch.count == ch.limit && !e.isClosed() {
 			ch.cond.Wait()
 		}
 		if e.isClosed() {
@@ -489,8 +493,12 @@ func (e *Engine) enqueueLocked(ch *channel) {
 	}
 }
 
-// put copies as much of src as fits into the ring. ch.mu must be held.
+// put copies as much of src as fits under the ring's limit, growing the
+// ring first when it is too short. ch.mu must be held.
 func (ch *channel) put(src []complex128) int {
+	if need := ch.count + len(src); need > len(ch.ring) && len(ch.ring) < ch.limit {
+		ch.grow(need)
+	}
 	n := len(ch.ring) - ch.count
 	if n > len(src) {
 		n = len(src)
@@ -507,6 +515,18 @@ func (ch *channel) put(src []complex128) int {
 	copy(ch.ring[:n-first], src[first:n])
 	ch.count += n
 	return n
+}
+
+// grow reallocates the ring to min(limit, max(2·len, need, drainChunk))
+// samples, moving the unread samples to its front in FIFO order. The ring
+// never shrinks, so its size is the channel's peak backlog rounded up by
+// doubling. ch.mu must be held.
+func (ch *channel) grow(need int) {
+	n := max(2*len(ch.ring), need, drainChunk)
+	n = min(n, ch.limit)
+	ring := make([]complex128, n)
+	ch.count = ch.take(ring)
+	ch.ring, ch.head = ring, 0
 }
 
 // take moves up to len(dst) samples out of the ring. ch.mu must be held.
