@@ -493,9 +493,10 @@ type MonitorOptions struct {
 	// intra-estimator parallelism on the batch paths.
 	Workers int
 	// Cumulative keeps estimator state integrating across decisions
-	// instead of resetting per window. Not supported with the "ssca"
-	// estimator, whose un-reset state grows without bound (one product
-	// entry per addressed channel per sample).
+	// instead of resetting per window: each decision covers the stream
+	// so far (FAM and SSCA smooth its largest power-of-two prefix), and
+	// estimator state stays bounded by the surface grid. Windowed
+	// channels fold only the hops their window's estimate reads.
 	Cumulative bool
 	// Backpressure makes Push block when a ring fills instead of
 	// dropping the overflow.
@@ -721,11 +722,6 @@ func streamConfig(cfg Config, opts MonitorOptions) (stream.Config, error) {
 	if !ok {
 		return stream.Config{}, fmt.Errorf("tiledcfd: estimator %q cannot stream; pick one of %s",
 			cfg.Estimator, strings.Join(streamingEstimatorNames(), ", "))
-	}
-	if opts.Cumulative && cfg.Estimator == "ssca" {
-		return stream.Config{}, fmt.Errorf("tiledcfd: cumulative monitoring is unsupported with the ssca " +
-			"estimator: its un-reset accumulator grows without bound (one strip entry per " +
-			"addressed channel per sample); use windowed mode or another estimator")
 	}
 	dec, err := cfg.decider()
 	if err != nil {

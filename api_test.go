@@ -606,3 +606,52 @@ func TestMonitorRebalancesLive(t *testing.T) {
 		t.Fatalf("merged stream delivered %d decisions, want %d", count, 4*len(ids))
 	}
 }
+
+// TestMonitorCumulativeSSCA: a cumulative ssca Monitor decides every
+// window, and each verdict is the batch one over the stream so far —
+// SSCA.Estimate smooths its largest power-of-two prefix — so the last
+// decision equals Sense over the whole stream.
+func TestMonitorCumulativeSSCA(t *testing.T) {
+	const k, window, windows = 64, 1024, 8
+	cfg := Config{K: k, M: 16, Estimator: "ssca"}
+	mon, err := NewMonitor(cfg, MonitorOptions{
+		Channels: []string{"cum"}, SnapshotSamples: window, Backpressure: true, Cumulative: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	band, err := NewBPSKBand(windows*window, 8.0/k, 8, 6, 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < windows; w++ {
+		if _, err := mon.Push("cum", band[w*window:(w+1)*window]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mon.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var decs []MonitorDecision
+	for d := range mon.Decisions() {
+		decs = append(decs, d)
+	}
+	if len(decs) != windows {
+		t.Fatalf("%d decisions over %d windows, want one per window", len(decs), windows)
+	}
+	for i, d := range decs {
+		n := (i + 1) * window
+		want, err := Sense(band[:n], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Window != n || d.Statistic != want.Statistic || d.Threshold != want.Threshold || d.Detected != want.Detected {
+			t.Fatalf("decision %d: window %d statistic %v threshold %v detected %v; batch over %d samples: %v %v %v",
+				i, d.Window, d.Statistic, d.Threshold, d.Detected, n, want.Statistic, want.Threshold, want.Detected)
+		}
+	}
+}

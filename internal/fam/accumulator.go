@@ -18,10 +18,17 @@ import (
 // power of two of channelizer hops, the SSCA strip FFT spans the largest
 // power of two of samples — so a naive running sum over *all* arrived
 // hops would diverge from the batch result whenever the hop count is not
-// a power of two. Both accumulators keep running sums in arrival order
-// and *checkpoint* them every time the hop count reaches a power of two;
-// Snapshot reads the latest checkpoint, which by construction is the sum
-// over exactly the first pow2floor(hops) hops — the batch prefix.
+// a power of two. The plain accumulators keep running sums in arrival
+// order and *checkpoint* them every time the hop count reaches a power
+// of two; Snapshot reads the latest checkpoint, which by construction is
+// the sum over exactly the first pow2floor(hops) hops — the batch prefix.
+//
+// A window-bound accumulator (NewWindowAccumulator, which the windowed
+// stream engine uses) folds only the hops its window's estimate reads:
+// at most cap = pow2floor(hops in the window). It folds lazily — a hop
+// waits in the buffer until the stream reaches the next power-of-two
+// hop count — so the running sums always are the latest checkpoint and
+// no copy is kept. Samples past the cap's span are dropped until Reset.
 //
 //   - FAM sums each surface cell's channel-pair products.
 //   - The SSCA sums each strip's products folded modulo K, and Snapshot
@@ -29,11 +36,38 @@ import (
 //     K-point FFT. Batch SSCA.Estimate is this accumulator run over its
 //     input.
 
+// lazyEnd returns the hop count a lazy fold of hop h waits for: the end
+// of h's power-of-two batch [pow2floor(h), 2·pow2floor(h)).
+func lazyEnd(h int) int { return max(1, 2*pow2Floor(h)) }
+
+// famHopCap returns the FAM hop cap of a window: the power-of-two hop
+// count Estimate smooths over window samples, or 0 when that is fewer
+// than two hops (no snapshot).
+func famHopCap(p scf.Params, window int) int {
+	if window < p.K+p.Hop {
+		return 0
+	}
+	return pow2Floor((window-p.K)/p.Hop + 1)
+}
+
+// sscaStripCap returns the SSCA strip length Estimate derives from window
+// samples, or 0 when that is shorter than K (no snapshot).
+func sscaStripCap(k, window int) int {
+	if window < 2*k-1 {
+		return 0
+	}
+	return pow2Floor(window - k + 1)
+}
+
 // NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
 // accumulators process hops in arrival order on the caller's goroutine
 // (streaming parallelism lives across channels, in the stream engine's
 // worker pool).
-func (e FAM) NewAccumulator() (scf.Accumulator, error) {
+func (e FAM) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
+
+// NewWindowAccumulator implements scf.WindowEstimator: it folds at most
+// famHopCap hops, lazily, and keeps no checkpoint copy.
+func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	p := famDefaults(e.Params, 0)
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -53,12 +87,15 @@ func (e FAM) NewAccumulator() (scf.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &famAccumulator{p: p, plan: plan, roots: roots, win: win}
+	a := &famAccumulator{p: p, hopCap: famHopCap(p, window), plan: plan, roots: roots, win: win}
 	a.init()
 	return a, nil
 }
 
-var _ scf.StreamingEstimator = FAM{}
+var (
+	_ scf.StreamingEstimator = FAM{}
+	_ scf.WindowEstimator    = FAM{}
+)
 
 // famAccumulator is the incremental FAM. Each completed channelizer hop
 // is windowed, FFT'd and downconverted exactly as channelize does, then
@@ -69,17 +106,19 @@ var _ scf.StreamingEstimator = FAM{}
 // Only the a >= 0 rows are accumulated; Snapshot mirrors the rest, as the
 // batch path does.
 type famAccumulator struct {
-	p     scf.Params
-	plan  *fft.Plan
-	roots []complex128
-	win   []float64
+	p      scf.Params
+	hopCap int // window-bound: the lazy fold's last hop count; 0 = unbounded
+	plan   *fft.Plan
+	roots  []complex128
+	win    []float64
 
 	// rowSet lists the a >= 0 rows the accumulator maintains: 0..M-1, or
 	// only the candidate rows under alpha pruning.
 	rowSet []int
 	// acc0/acc1 are the parity-split per-cell sums, indexed
 	// [i][f+M-1] with i positional in rowSet; ck holds acc0+acc1 as it
-	// stood at the last power-of-two hop count ckHops.
+	// stood at the last power-of-two hop count ckHops. A window-bound
+	// accumulator has no ck: its hops are always a power of two.
 	acc0, acc1, ck [][]complex128
 	hops           int
 	ckHops         int
@@ -109,7 +148,10 @@ func (f *famAccumulator) init() {
 		}
 		return data
 	}
-	f.acc0, f.acc1, f.ck = grid(), grid(), grid()
+	f.acc0, f.acc1 = grid(), grid()
+	if f.hopCap == 0 {
+		f.ck = grid()
+	}
 	f.spec = make([]complex128, f.p.K)
 	f.chn = make([]complex128, f.p.K)
 	f.chc = make([]complex128, f.p.K)
@@ -127,12 +169,23 @@ func (f *famAccumulator) Ready() bool { return f.ckHops >= 2 }
 
 // Push implements scf.Accumulator.
 func (f *famAccumulator) Push(samples []complex128) error {
-	f.buf = append(f.buf, samples...)
 	f.total += len(samples)
 	k, hop := f.p.K, f.p.Hop
+	if f.hopCap != 0 {
+		// Buffer nothing past the last sample the capped hops read.
+		room := max(0, (f.hopCap-1)*hop+k-f.bufStart-len(f.buf))
+		samples = samples[:min(len(samples), room)]
+	}
+	f.buf = append(f.buf, samples...)
 	for {
 		start := f.hops * hop
-		if f.bufStart+len(f.buf) < start+k {
+		end := start + k
+		if f.hopCap != 0 {
+			// Fold lazily: hop h waits for the last hop of its batch (at
+			// the cap that sample never comes, so folding stops there).
+			end = (lazyEnd(f.hops)-1)*hop + k
+		}
+		if f.bufStart+len(f.buf) < end {
 			// Keep only what the next hop reads (compacting once per
 			// push keeps the cost linear in the chunk).
 			f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, start)
@@ -181,7 +234,7 @@ func (f *famAccumulator) Push(samples []complex128) error {
 		f.hops++
 		if f.hops&(f.hops-1) == 0 {
 			// Power-of-two hop count: checkpoint the prefix sums,
-			// adding the parities as famRow does.
+			// adding the parities as famRow does (a no-op without ck).
 			for i, ck := range f.ck {
 				c0, c1 := f.acc0[i], f.acc1[i]
 				for fi := range ck {
@@ -195,8 +248,8 @@ func (f *famAccumulator) Push(samples []complex128) error {
 
 // Snapshot implements scf.Accumulator. It reads the checkpoint at
 // P = pow2floor(hops) — the sums over exactly the hops the batch path
-// would smooth — normalises each cell by 1/P as famRow does, and mirrors
-// the a < 0 rows.
+// would smooth, acc0+acc1 itself when window-bound — normalises each
+// cell by 1/P as famRow does, and mirrors the a < 0 rows.
 func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	if f.ckHops < 2 {
 		return nil, nil, needSamples("FAM", f.p.K+f.p.Hop, f.total)
@@ -206,9 +259,16 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	s := scf.NewSurfaceFor(f.p)
 	for i, a := range f.rowSet {
 		row := s.Row(a)
-		ck := f.ck[i]
+		if f.ck != nil {
+			ck := f.ck[i]
+			for fi := range row {
+				row[fi] = ck[fi] * inv
+			}
+			continue
+		}
+		c0, c1 := f.acc0[i], f.acc1[i]
 		for fi := range row {
-			row[fi] = ck[fi] * inv
+			row[fi] = (c0[fi] + c1[fi]) * inv
 		}
 	}
 	s.MirrorHermitian()
@@ -241,7 +301,13 @@ func (f *famAccumulator) Reset() {
 // strip, plus (with N zero) its copy at the last power-of-two hop count.
 // With N set, samples past the first N hops are discarded; with N zero
 // each snapshot spans the largest power-of-two prefix of the stream.
-func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
+func (e SSCA) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
+
+// NewWindowAccumulator implements scf.WindowEstimator: with N zero it
+// runs fixed-N at the window's strip length (sscaStripCap), folding
+// lazily, with no checkpoint copy. With N set, the plain accumulator
+// already meets the contract.
+func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
 	if err := p.Validate(); err != nil {
@@ -271,11 +337,17 @@ func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 		return nil, err
 	}
 	a := &sscaAccumulator{p: p, nFixed: e.N, plan: plan, roots: roots, win: win}
+	if n := sscaStripCap(p.K, window); e.N == 0 && n != 0 {
+		a.nFixed, a.lazy = n, true
+	}
 	a.init()
 	return a, nil
 }
 
-var _ scf.StreamingEstimator = SSCA{}
+var (
+	_ scf.StreamingEstimator = SSCA{}
+	_ scf.WindowEstimator    = SSCA{}
+)
 
 // sscaAccumulator computes the SSCA, for streams and (through
 // SSCA.Estimate) batches alike. Every arriving sample completes one more
@@ -292,6 +364,7 @@ var _ scf.StreamingEstimator = SSCA{}
 type sscaAccumulator struct {
 	p      scf.Params
 	nFixed int
+	lazy   bool // window-bound: fold to each power of two up to nFixed
 	plan   *fft.Plan
 	roots  []complex128
 	win    []float64
@@ -303,7 +376,7 @@ type sscaAccumulator struct {
 	// contiguous: fold[(h mod K)·len(needed)+i] sums channel needed[i]'s
 	// products over the hops h seen so far. With N zero, ck is fold's
 	// copy at the last power-of-two hop count ckHops >= K. Both are
-	// allocated on the first hop.
+	// allocated on the first hop. A lazy fold is its own checkpoint.
 	fold, ck []complex128
 	hops     int
 	ckHops   int
@@ -312,7 +385,7 @@ type sscaAccumulator struct {
 	bufStart int
 	total    int
 
-	spec, winbuf []complex128
+	spec, winbuf []complex128 // spec doubles as Snapshot's strip column
 }
 
 func (s *sscaAccumulator) init() {
@@ -349,7 +422,7 @@ func (s *sscaAccumulator) Samples() int { return s.total }
 // stripLen returns the strip length a snapshot would use now, or 0 when
 // too few hops have arrived.
 func (s *sscaAccumulator) stripLen() int {
-	if s.nFixed == 0 {
+	if s.nFixed == 0 || s.lazy {
 		return s.ckHops
 	}
 	if s.hops >= s.nFixed {
@@ -363,9 +436,14 @@ func (s *sscaAccumulator) Ready() bool { return s.stripLen() != 0 }
 
 // Push implements scf.Accumulator.
 func (s *sscaAccumulator) Push(samples []complex128) error {
-	s.buf = append(s.buf, samples...)
 	s.total += len(samples)
 	k := s.p.K
+	if s.lazy {
+		// Buffer nothing past the last sample the N hops read.
+		room := max(0, s.nFixed+k-1-s.bufStart-len(s.buf))
+		samples = samples[:min(len(samples), room)]
+	}
+	s.buf = append(s.buf, samples...)
 	mask := k - 1
 	nn := len(s.needed)
 	for {
@@ -379,9 +457,14 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 			s.bufStart = s.total
 			return nil
 		}
-		if s.bufStart+len(s.buf) < start+k {
-			// Keep only the K-1 overlap tail the next hop reads
-			// (compacting once per push keeps the cost linear).
+		end := start + k
+		if s.lazy {
+			// Fold lazily: hop h waits for the last hop of its batch.
+			end = lazyEnd(start) - 1 + k
+		}
+		if s.bufStart+len(s.buf) < end {
+			// Keep only what the next hop reads (compacting once per
+			// push keeps the cost linear).
 			s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, start)
 			return nil
 		}
@@ -422,9 +505,10 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 			rot[i] = (idx + v) & mask
 		}
 		s.hops++
-		if s.nFixed == 0 && s.hops >= k && s.hops&(s.hops-1) == 0 {
+		if s.hops >= k && s.hops&(s.hops-1) == 0 {
 			// Power-of-two hop count: checkpoint the fold of exactly the
-			// prefix a batch estimate of this stream would transform.
+			// prefix a batch estimate of this stream would transform (a
+			// no-op without ck).
 			copy(s.ck, s.fold)
 			s.ckHops = s.hops
 		}
@@ -433,46 +517,51 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 
 // Snapshot implements scf.Accumulator. Each strip's fold column goes
 // through one K-point FFT; cell (f, a) reads bin j = (a-f) mod K of
-// strip f+a, derotated by (-1)^j and scaled by 1/N.
+// strip f+a, derotated by (-1)^j and scaled by 1/N. Each strip is
+// transformed in place in one K-length scratch and its bins scattered
+// straight into its cells, so the snapshot allocates only the surface
+// and its stats.
 func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	n := s.stripLen()
 	if n == 0 {
 		need := 2*s.p.K - 1
-		if s.nFixed != 0 {
+		if s.nFixed != 0 && !s.lazy {
 			need = s.nFixed + s.p.K - 1
 		}
 		return nil, nil, needSamples("SSCA", need, s.total)
 	}
 	fold := s.fold
-	if s.nFixed == 0 {
+	if s.ck != nil {
 		fold = s.ck
 	}
 	k, nn := s.p.K, len(s.needed)
-	strips := make([][]complex128, k)
-	cells := make([]complex128, (nn+1)*k)
-	col := cells[nn*k:]
-	for i, v := range s.needed {
-		for r := range col {
-			col[r] = fold[r*nn+i]
-		}
-		u := cells[i*k : (i+1)*k]
-		if err := s.plan.Forward(u, col); err != nil {
-			return nil, nil, err
-		}
-		strips[v] = u
-	}
+	mask := k - 1
 	m := s.p.M - 1
 	sf := scf.NewSurfaceFor(s.p)
 	inv := complex(1/float64(n), 0)
-	for i, a := range s.rowAlphas {
-		row := sf.Data[i]
-		for f := -m; f <= m; f++ {
-			j := fft.BinIndex(k, a-f)
-			c := strips[fft.BinIndex(k, f+a)][j]
+	bins := s.spec
+	for i, v := range s.needed {
+		for r := range bins {
+			bins[r] = fold[r*nn+i]
+		}
+		if err := s.plan.Forward(bins, bins); err != nil {
+			return nil, nil, err
+		}
+		// Row a reads strip v at column f ≡ v-a (mod K), when |f| <= m;
+		// 2m < K, so there is at most one such column.
+		for ri, a := range s.rowAlphas {
+			f := (v - a) & mask
+			if f > m {
+				if f -= k; f < -m {
+					continue
+				}
+			}
+			j := (a - f) & mask
+			c := bins[j]
 			if j&1 == 1 {
 				c = -c
 			}
-			row[f+m] = c * inv
+			sf.Data[ri][f+m] = c * inv
 		}
 	}
 	// Stats report the canonical N-point strip model (see doc.go).

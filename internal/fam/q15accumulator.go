@@ -29,9 +29,10 @@ import (
 // sequence of channelizeQ15 — and defer alignment and the second stage
 // to Snapshot, where they run the same shared finish code as the batch
 // path (famQ15Finish / sscaQ15Finish). Banked rows cost 4·K bytes per
-// hop: bounded by N for SSCAQ15 with N set, stream-proportional
-// otherwise (long-running monitors should set N or Reset between
-// windows, as with the float SSCA).
+// hop: bounded by N for SSCAQ15 with N set and by the window's cap for
+// a window-bound accumulator (NewWindowAccumulator, the float twins'
+// caps), stream-proportional otherwise (long-running monitors should set
+// N or Reset between windows, as with the float SSCA).
 
 // q15Front is the shared streaming front end: the fixed-gain quantiser
 // and the banked per-hop channelizer state.
@@ -44,8 +45,9 @@ type q15Front struct {
 	policy fft.ScalingPolicy
 	gain   float64
 
-	rows [][]fixed.Complex // banked downconverted hops, hop-major
-	exps []int             // per-hop BFP exponents
+	rows  [][]fixed.Complex // banked downconverted hops, hop-major
+	exps  []int             // per-hop BFP exponents
+	limit int               // window-bound: the most hops banked; 0 = unbounded
 
 	xq    []fixed.Complex // quantised pending tail; xq[0] is sample base
 	base  int
@@ -93,14 +95,19 @@ func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, na
 // push quantises the chunk with the fixed conditioning gain — the exact
 // expression quantiseQ15 applies, so the streamed Q15 words match the
 // batch words — and completes every hop the buffered tail now covers
-// (hop h spans samples [h·hop, h·hop+K)).
+// (hop h spans samples [h·hop, h·hop+K)). With a limit, samples past
+// the last banked hop's span are dropped.
 func (q *q15Front) push(samples []complex128, hop int) error {
+	q.total += len(samples)
+	k := q.p.K
+	if q.limit != 0 {
+		room := max(0, (q.limit-1)*hop+k-q.base-len(q.xq))
+		samples = samples[:min(len(samples), room)]
+	}
 	g := complex(q.gain, 0)
 	for _, s := range samples {
 		q.xq = append(q.xq, fixed.CFromFloat(s*g))
 	}
-	q.total += len(samples)
-	k := q.p.K
 	for {
 		start := len(q.rows) * hop
 		if q.base+len(q.xq) < start+k {
@@ -170,7 +177,11 @@ func (q *q15Front) reset() {
 // Workers is ignored — snapshots run serially on the caller's
 // goroutine. Memory grows by 4·K bytes per channelizer hop plus the
 // K-sample window overlap.
-func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) {
+func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
+
+// NewWindowAccumulator implements scf.WindowEstimator: it banks at most
+// the window's famHopCap hops.
+func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	p := famDefaults(e.Params, 0)
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -179,10 +190,14 @@ func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	front.limit = famHopCap(p, window)
 	return &famQ15Accumulator{front: front}, nil
 }
 
-var _ scf.StreamingEstimator = FAMQ15{}
+var (
+	_ scf.StreamingEstimator = FAMQ15{}
+	_ scf.WindowEstimator    = FAMQ15{}
+)
 
 // famQ15Accumulator is the incremental FAMQ15: banked channelizer hops
 // (see the file comment) with the batch second stage replayed by
@@ -243,7 +258,12 @@ func (f *famQ15Accumulator) Reset() { f.front.reset() }
 // state is bounded (N hops of 4·K bytes plus the sample prefix the
 // conjugate factor reads); with N zero it grows with the stream and
 // each snapshot spans the largest power-of-two hop prefix.
-func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) {
+func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
+
+// NewWindowAccumulator implements scf.WindowEstimator: with N zero it
+// banks at most the window's sscaStripCap hops. With N set, the plain
+// accumulator already meets the contract.
+func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
 	if err := p.Validate(); err != nil {
@@ -261,10 +281,16 @@ func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	if e.N == 0 {
+		front.limit = sscaStripCap(p.K, window)
+	}
 	return &sscaQ15Accumulator{front: front, nFixed: e.N}, nil
 }
 
-var _ scf.StreamingEstimator = SSCAQ15{}
+var (
+	_ scf.StreamingEstimator = SSCAQ15{}
+	_ scf.WindowEstimator    = SSCAQ15{}
+)
 
 // sscaQ15Accumulator is the incremental SSCAQ15: banked unit-hop
 // channelizer rows with the batch strip stage replayed by Snapshot.

@@ -57,6 +57,30 @@ type StreamingEstimator interface {
 	NewAccumulator() (Accumulator, error)
 }
 
+// WindowEstimator is a StreamingEstimator whose accumulator can be bound
+// to one window of a windowed stream (reset every window samples), so
+// it does no work and keeps no state past what that window's estimate
+// reads. The contract: after any n samples pushed since construction or
+// the last Reset, in any chunking, Snapshot equals
+// Estimate(x[:min(n, window)]) bit for bit, and Ready is true exactly
+// when that Estimate succeeds. A window too short for any snapshot gets
+// the plain NewAccumulator, which keeps accumulating past it.
+// fam.FAM, fam.SSCA and their Q15 twins implement it.
+type WindowEstimator interface {
+	NewWindowAccumulator(window int) (Accumulator, error)
+}
+
+// AccumulatorFor returns est's accumulator bound to window when window
+// is positive and est implements WindowEstimator, and
+// est.NewAccumulator() otherwise: how windowed serving builds every
+// channel's state.
+func AccumulatorFor(est StreamingEstimator, window int) (Accumulator, error) {
+	if we, ok := est.(WindowEstimator); ok && window > 0 {
+		return we.NewWindowAccumulator(window)
+	}
+	return est.NewAccumulator()
+}
+
 // NewAccumulator returns incremental state for the direct DSCF with the
 // given parameters. Params.Blocks is ignored: the block count is derived
 // from the pushed samples (a snapshot after n complete blocks equals

@@ -48,7 +48,9 @@ type Config struct {
 	// keeps integrating). Default false: windowed — the accumulator is
 	// reset after each decision, so every decision covers its own
 	// SnapshotSamples window and memory stays bounded for all
-	// estimators.
+	// estimators. Windowed channels of an scf.WindowEstimator (FAM,
+	// SSCA and their Q15 twins) fold only the hops the window's
+	// estimate reads and keep no checkpoint copy.
 	Cumulative bool
 	// Block selects backpressure over dropping: Push blocks until ring
 	// space frees instead of discarding the overflow. Default false
@@ -96,6 +98,15 @@ func (c Config) withDefaults() Config {
 		c.DecisionBuffer = 256
 	}
 	return c
+}
+
+// window is the length accumulators are bound to: SnapshotSamples in
+// windowed mode, 0 (unbounded) when Cumulative.
+func (c Config) window() int {
+	if c.Cumulative {
+		return 0
+	}
+	return c.SnapshotSamples
 }
 
 // Decision is one periodic verdict for one channel.
@@ -246,7 +257,7 @@ func New(cfg Config) (*Engine, error) {
 			cfg.RingSamples, cfg.SnapshotSamples)
 	}
 	// Surface estimator misconfiguration now rather than at AddChannel.
-	if _, err := accumulatorFor(cfg.Estimator, cfg.AlphaCandidates); err != nil {
+	if _, err := accumulatorFor(cfg.Estimator, cfg.AlphaCandidates, cfg.window()); err != nil {
 		return nil, err
 	}
 	dec, err := deciderFor(cfg)
@@ -270,10 +281,11 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // accumulatorFor builds a fresh accumulator, restricted to the given
-// alpha-candidate set when one is supplied. Estimators that cannot prune
+// alpha-candidate set when one is supplied and bound to window (0 =
+// unbounded; see scf.AccumulatorFor). Estimators that cannot prune
 // (no scf.CandidateEstimator implementation) are rejected rather than
 // silently computing the full plane.
-func accumulatorFor(est scf.StreamingEstimator, alphas []int) (scf.Accumulator, error) {
+func accumulatorFor(est scf.StreamingEstimator, alphas []int, window int) (scf.Accumulator, error) {
 	if len(alphas) > 0 {
 		ce, ok := est.(scf.CandidateEstimator)
 		if !ok {
@@ -285,7 +297,7 @@ func accumulatorFor(est scf.StreamingEstimator, alphas []int) (scf.Accumulator, 
 		}
 		est = pruned
 	}
-	return est.NewAccumulator()
+	return scf.AccumulatorFor(est, window)
 }
 
 // deciderFor resolves the engine's default decision layer: the
@@ -325,7 +337,7 @@ func (e *Engine) AddChannelDecider(id string, alphas []int, dec detect.Decider) 
 	if alphas == nil {
 		alphas = e.cfg.AlphaCandidates
 	}
-	acc, err := accumulatorFor(e.cfg.Estimator, alphas)
+	acc, err := accumulatorFor(e.cfg.Estimator, alphas, e.cfg.window())
 	if err != nil {
 		return err
 	}
