@@ -108,11 +108,13 @@ type Config struct {
 	// per hop by definition. The platform path ignores it.
 	Hop int
 	// Workers bounds the goroutines a batch "fam", "fam-q15" or
-	// "ssca-q15" estimator uses internally (surface rows or strips),
-	// bit-identical to serial. 1 forces the serial path; 0 takes one
-	// worker per CPU core. Ignored by "direct" and "ssca" (always
-	// serial), the platform path and streaming accumulators (Monitor
-	// parallelises across channels instead).
+	// "ssca-q15" estimate uses internally, bit-identical to serial: the
+	// rows of each FAM fold block, the fam-q15 second-stage rows, or the
+	// ssca-q15 strips. The channelizer front end runs serially. 1 forces
+	// the serial path; 0 takes one worker per CPU core. Ignored by
+	// "direct" and "ssca" (always serial), the platform path and
+	// streaming accumulators (Monitor parallelises across channels
+	// instead).
 	Workers int
 }
 
@@ -610,6 +612,11 @@ type MonitorStats struct {
 	// decisions lost to a full or unread Decisions channel (the latest
 	// per channel always remains available via ChannelStats).
 	Surfaces, Detections, DecisionsDropped int64
+	// WindowsFailed counts due windows that produced no decision because
+	// the estimator snapshot or the detector failed on their data (for
+	// example an all-zero window under "urriza", whose branch
+	// correlation matrix is singular).
+	WindowsFailed int64
 	// QueuedSamples is the momentary ingestion backlog: samples pushed
 	// but not yet integrated into estimator state.
 	QueuedSamples int64
@@ -864,6 +871,7 @@ func (m *Monitor) Stats() MonitorStats {
 		Surfaces:           s.Surfaces,
 		Detections:         s.Detections,
 		DecisionsDropped:   s.DecisionsDropped + m.dropped.Load(),
+		WindowsFailed:      s.WindowsFailed,
 		QueuedSamples:      s.QueuedSamples,
 		PrunedCellsSkipped: s.PrunedCellsSkipped,
 		SamplesPerSec:      s.SamplesPerSec,
@@ -1069,6 +1077,7 @@ func (w *ShardWorker) Stats() MonitorStats {
 		Surfaces:           s.Surfaces,
 		Detections:         s.Detections,
 		DecisionsDropped:   s.DecisionsDropped,
+		WindowsFailed:      s.WindowsFailed,
 		QueuedSamples:      s.QueuedSamples,
 		PrunedCellsSkipped: s.PrunedCellsSkipped,
 		SamplesPerSec:      s.SamplesPerSec,

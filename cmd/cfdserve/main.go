@@ -645,6 +645,9 @@ func collectMetrics(e *wire.Exposition, mon *tiledcfd.Monitor, srv *wire.Server)
 		"Decision windows declaring the band occupied.", float64(st.Detections))
 	e.Metric("cfd_engine_decisions_dropped_total", "counter",
 		"Decisions lost to a full or unread decision stream.", float64(st.DecisionsDropped))
+	e.Metric("cfd_windows_failed_total", "counter",
+		"Due decision windows that produced no decision because the estimator or detector failed on their data.",
+		float64(st.WindowsFailed))
 	e.Metric("cfd_engine_channels", "gauge",
 		"Registered channels.", float64(st.Channels))
 	e.Metric("cfd_pruned_cells_skipped_total", "counter",

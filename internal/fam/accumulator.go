@@ -3,41 +3,45 @@ package fam
 import (
 	"fmt"
 	"math/cmplx"
+	"sync"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/scf"
 )
 
-// This file implements scf.Accumulator for the FAM and the SSCA: the
-// incremental twins of the two batch estimators, bit-identical to
-// Estimate on the concatenated stream (golden equivalence tests in
-// accumulator_test.go).
+// This file implements scf.Accumulator for the FAM and the SSCA. The
+// batch estimators are these accumulators run over their input
+// (FAM.Estimate and SSCA.Estimate bind one to len(x); FAMQ15 and SSCAQ15
+// do the same in q15accumulator.go), so batch and streaming are one code
+// path, and chunking tests in accumulator_test.go hold every push
+// pattern to the one-shot bits.
 //
 // The structural obstacle both share is that their smoothing length is a
 // function of the total input length — FAM averages over the largest
 // power of two of channelizer hops, the SSCA strip FFT spans the largest
 // power of two of samples — so a naive running sum over *all* arrived
-// hops would diverge from the batch result whenever the hop count is not
-// a power of two. The plain accumulators keep running sums in arrival
+// hops would diverge from the estimate whenever the hop count is not a
+// power of two. The plain accumulators keep running sums in arrival
 // order and *checkpoint* them every time the hop count reaches a power
 // of two; Snapshot reads the latest checkpoint, which by construction is
-// the sum over exactly the first pow2floor(hops) hops — the batch prefix.
+// the sum over exactly the first pow2floor(hops) hops.
 //
 // A window-bound accumulator (NewWindowAccumulator, which the windowed
-// stream engine uses) folds only the hops its window's estimate reads:
-// at most cap = pow2floor(hops in the window). It folds lazily — a hop
-// waits in the buffer until the stream reaches the next power-of-two
-// hop count — so the running sums always are the latest checkpoint and
-// no copy is kept. Samples past the cap's span are dropped until Reset.
+// stream engine and the batch FAM use) folds only the hops its window's
+// estimate reads: at most cap = pow2floor(hops in the window). It folds
+// up to the largest power-of-two hop count the buffer covers, so the
+// running sums always are the latest checkpoint and no copy is kept.
+// Samples past the cap's span are dropped until Reset.
 //
-//   - FAM sums each surface cell's channel-pair products.
+//   - FAM channelizes every hop it folds into one channel-major block
+//     and sums each surface cell's channel-pair products over the block.
 //   - The SSCA sums each strip's products folded modulo K, and Snapshot
 //     turns each fold into the strip bins the grid reads with one
-//     K-point FFT. Batch SSCA.Estimate is this accumulator run over its
-//     input.
+//     K-point FFT.
 
-// lazyEnd returns the hop count a lazy fold of hop h waits for: the end
-// of h's power-of-two batch [pow2floor(h), 2·pow2floor(h)).
+// lazyEnd returns the end of hop h's power-of-two batch
+// [pow2floor(h), 2·pow2floor(h)): the hop count a lazy SSCA fold of hop
+// h waits for, and the checkpoint a plain FAM fold from hop h stops at.
 func lazyEnd(h int) int { return max(1, 2*pow2Floor(h)) }
 
 // famHopCap returns the FAM hop cap of a window: the power-of-two hop
@@ -60,14 +64,19 @@ func sscaStripCap(k, window int) int {
 }
 
 // NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
-// accumulators process hops in arrival order on the caller's goroutine
-// (streaming parallelism lives across channels, in the stream engine's
-// worker pool).
+// accumulators fold on the caller's goroutine (streaming parallelism
+// lives across channels, in the stream engine's worker pool).
 func (e FAM) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it folds at most
-// famHopCap hops, lazily, and keeps no checkpoint copy.
+// famHopCap hops and keeps no checkpoint copy.
 func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	return e.newAccumulator(window, 1)
+}
+
+// newAccumulator builds the FAM accumulator with the given fold worker
+// count (0 = GOMAXPROCS).
+func (e FAM) newAccumulator(window, workers int) (*famAccumulator, error) {
 	p := famDefaults(e.Params, 0)
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -87,7 +96,7 @@ func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &famAccumulator{p: p, hopCap: famHopCap(p, window), plan: plan, roots: roots, win: win}
+	a := &famAccumulator{p: p, hopCap: famHopCap(p, window), workers: workers, plan: plan, roots: roots, win: win}
 	a.init()
 	return a, nil
 }
@@ -97,20 +106,29 @@ var (
 	_ scf.WindowEstimator    = FAM{}
 )
 
-// famAccumulator is the incremental FAM. Each completed channelizer hop
-// is windowed, FFT'd and downconverted exactly as channelize does, then
-// folded into per-cell running sums. The sums are split by hop parity
-// (acc0 for even hops, acc1 for odd) because famRow sums each cell with
-// two interleaved accumulators — keeping the same split keeps the
-// floating-point addition order identical, hence bit-identical surfaces.
-// Only the a >= 0 rows are accumulated; Snapshot mirrors the rest, as the
-// batch path does.
+// famAccumulator computes the FAM, for streams and (through FAM.Estimate)
+// batches alike. Push channelizes every complete hop the buffer holds
+// into one channel-major block (window, FFT and downconversion with the
+// absolute-time reference), then folds the block into per-cell running
+// sums, cell by cell. Each cell is bin 0 of the P-point second FFT of its
+// channel-pair product sequence, which is the plain sum
+// Σ_n x_{f+a}(n)·conj(x_{f-a}(n)): an O(P) dot product in place of the
+// O(P·logP) per-cell FFT (the neighbouring bins refine α between grid
+// rows, so only bin 0 lands on the surface).
+//
+// The sums are split by hop parity (acc0 for even hops, acc1 for odd):
+// the two interleaved accumulators halve the floating-point add
+// dependency chain the fold is latency-bound on, and fixing the split by
+// absolute hop parity keeps the addition order, hence every surface bit,
+// independent of how the stream was chunked into blocks. Only the a >= 0
+// rows are accumulated; Snapshot mirrors the rest.
 type famAccumulator struct {
-	p      scf.Params
-	hopCap int // window-bound: the lazy fold's last hop count; 0 = unbounded
-	plan   *fft.Plan
-	roots  []complex128
-	win    []float64
+	p       scf.Params
+	hopCap  int // window-bound: the most hops folded; 0 = unbounded
+	workers int // goroutines sharing each block's rows (0 = GOMAXPROCS)
+	plan    *fft.Plan
+	roots   []complex128
+	win     []float64
 
 	// rowSet lists the a >= 0 rows the accumulator maintains: 0..M-1, or
 	// only the candidate rows under alpha pruning.
@@ -118,7 +136,9 @@ type famAccumulator struct {
 	// acc0/acc1 are the parity-split per-cell sums, indexed
 	// [i][f+M-1] with i positional in rowSet; ck holds acc0+acc1 as it
 	// stood at the last power-of-two hop count ckHops. A window-bound
-	// accumulator has no ck: its hops are always a power of two.
+	// accumulator has no ck: its hops are always a power of two. Its
+	// last fold, the one reaching hopCap, leaves acc0+acc1 in acc0, so
+	// one that gets its whole window in one fold never allocates acc1.
 	acc0, acc1, ck [][]complex128
 	hops           int
 	ckHops         int
@@ -126,8 +146,6 @@ type famAccumulator struct {
 	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
 	bufStart int
 	total    int
-
-	spec, chn, chc, winbuf []complex128 // private per-hop scratch
 }
 
 func (f *famAccumulator) init() {
@@ -139,22 +157,21 @@ func (f *famAccumulator) init() {
 			f.rowSet[a] = a
 		}
 	}
-	rows, cols := len(f.rowSet), 2*m+1
-	grid := func() [][]complex128 {
-		data := make([][]complex128, rows)
-		cells := make([]complex128, rows*cols)
-		for i := range data {
-			data[i], cells = cells[:cols], cells[cols:]
-		}
-		return data
-	}
-	f.acc0, f.acc1 = grid(), grid()
+	f.acc0 = f.grid()
 	if f.hopCap == 0 {
-		f.ck = grid()
+		f.acc1, f.ck = f.grid(), f.grid()
 	}
-	f.spec = make([]complex128, f.p.K)
-	f.chn = make([]complex128, f.p.K)
-	f.chc = make([]complex128, f.p.K)
+}
+
+// grid allocates a zeroed per-cell grid over the held rows.
+func (f *famAccumulator) grid() [][]complex128 {
+	rows, cols := len(f.rowSet), 2*f.p.M-1
+	data := make([][]complex128, rows)
+	cells := make([]complex128, rows*cols)
+	for i := range data {
+		data[i], cells = cells[:cols], cells[cols:]
+	}
+	return data
 }
 
 // Name implements scf.Accumulator.
@@ -163,11 +180,15 @@ func (f *famAccumulator) Name() string { return "fam" }
 // Samples implements scf.Accumulator.
 func (f *famAccumulator) Samples() int { return f.total }
 
-// Ready implements scf.Accumulator: the batch path needs at least two
-// hops of smoothing.
+// Ready implements scf.Accumulator: the estimate needs at least two hops
+// of smoothing.
 func (f *famAccumulator) Ready() bool { return f.ckHops >= 2 }
 
-// Push implements scf.Accumulator.
+// Push implements scf.Accumulator. A window-bound accumulator folds up to
+// the largest power-of-two hop count the buffer covers, in one block of
+// up to foldBlockHops hops; the plain one folds every complete hop,
+// splitting its blocks at the power-of-two hop counts where it
+// checkpoints.
 func (f *famAccumulator) Push(samples []complex128) error {
 	f.total += len(samples)
 	k, hop := f.p.K, f.p.Hop
@@ -176,65 +197,33 @@ func (f *famAccumulator) Push(samples []complex128) error {
 		room := max(0, (f.hopCap-1)*hop+k-f.bufStart-len(f.buf))
 		samples = samples[:min(len(samples), room)]
 	}
-	f.buf = append(f.buf, samples...)
+	// Fold straight from the chunk when nothing is buffered, so a batch
+	// estimate never copies its input.
+	src, srcStart := samples, f.bufStart+len(f.buf)
+	if len(f.buf) > 0 {
+		f.buf = append(f.buf, samples...)
+		src, srcStart = f.buf, f.bufStart
+	}
+	avail := 0
+	if n := srcStart + len(src); n >= k {
+		avail = (n-k)/hop + 1
+	}
 	for {
-		start := f.hops * hop
-		end := start + k
+		end := min(avail, lazyEnd(f.hops))
 		if f.hopCap != 0 {
-			// Fold lazily: hop h waits for the last hop of its batch (at
-			// the cap that sample never comes, so folding stops there).
-			end = (lazyEnd(f.hops)-1)*hop + k
+			end = pow2Floor(avail)
 		}
-		if f.bufStart+len(f.buf) < end {
-			// Keep only what the next hop reads (compacting once per
-			// push keeps the cost linear in the chunk).
-			f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, start)
-			return nil
+		end = min(end, f.hops+foldBlockHops)
+		if end <= f.hops {
+			break
 		}
-		block := f.buf[start-f.bufStart : start-f.bufStart+k]
-		if f.win != nil {
-			if f.winbuf == nil {
-				f.winbuf = make([]complex128, k)
-			}
-			if err := fft.ApplyWindowInto(f.winbuf, block, f.win); err != nil {
-				return err
-			}
-			block = f.winbuf
-		}
-		if err := f.plan.Forward(f.spec, block); err != nil {
+		if err := f.fold(src, srcStart, f.hops, end); err != nil {
 			return err
 		}
-		// Downconvert with the absolute-time reference, as channelize
-		// does: exponent (start·v) mod k advances by start per channel.
-		step := start & (k - 1)
-		idx := 0
-		for v := 0; v < k; v++ {
-			f.chn[v] = f.spec[v] * f.roots[idx]
-			f.chc[v] = cmplx.Conj(f.chn[v])
-			idx = (idx + step) & (k - 1)
-		}
-		// Fold the hop into the parity accumulator famRow would have
-		// used: cell (f, a) gains x_{f+a}(n)·conj(x_{f-a}(n)).
-		tgt := f.acc0
-		if f.hops&1 == 1 {
-			tgt = f.acc1
-		}
-		m := f.p.M - 1
-		mask := k - 1
-		for i, a := range f.rowSet {
-			row := tgt[i]
-			pi := (a - m) & mask
-			qi := (-a - m) & mask
-			for fi := range row {
-				row[fi] += f.chn[pi] * f.chc[qi]
-				pi = (pi + 1) & mask
-				qi = (qi + 1) & mask
-			}
-		}
-		f.hops++
+		f.hops = end
 		if f.hops&(f.hops-1) == 0 {
-			// Power-of-two hop count: checkpoint the prefix sums,
-			// adding the parities as famRow does (a no-op without ck).
+			// Power-of-two hop count: checkpoint the prefix sums, adding
+			// the parities as Snapshot does (a no-op without ck).
 			for i, ck := range f.ck {
 				c0, c1 := f.acc0[i], f.acc1[i]
 				for fi := range ck {
@@ -244,12 +233,158 @@ func (f *famAccumulator) Push(samples []complex128) error {
 			f.ckHops = f.hops
 		}
 	}
+	// Keep only what the next hop reads (compacting once per push keeps
+	// the cost linear in the chunk).
+	if len(f.buf) > 0 {
+		f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, f.hops*hop)
+		return nil
+	}
+	cut := min(max(0, f.hops*hop-srcStart), len(src))
+	f.buf, f.bufStart = append(f.buf, src[cut:]...), srcStart+cut
+	return nil
+}
+
+// foldBlockHops caps the hops one fold channelizes. Every window the
+// benchmarks serve (at most 64 hops at the paper geometry) folds in one
+// block; longer inputs fold in 64-hop blocks, one grid pass each.
+const foldBlockHops = 64
+
+// foldScratch recycles fold scratch (a block's channel-major cells plus
+// K each for the FFT and the window) across accumulators, so no channel
+// keeps a block of its own. It is a mutex-guarded free list, not a
+// sync.Pool, because a pool may drop a buffer at any GC (and, under the
+// race detector, at random), which would make a steady stream allocate.
+// It holds at most as many buffers as folds ever ran at once, each as
+// large as the largest block it served.
+var foldScratch struct {
+	sync.Mutex
+	free [][]complex128
+}
+
+// getFoldScratch returns a buffer of n cells. A free buffer too small
+// for n is dropped for a new one, so the list's buffers only grow.
+func getFoldScratch(n int) []complex128 {
+	foldScratch.Lock()
+	defer foldScratch.Unlock()
+	free := foldScratch.free
+	if len(free) == 0 {
+		return make([]complex128, n)
+	}
+	buf := free[len(free)-1]
+	foldScratch.free = free[:len(free)-1]
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
+}
+
+func putFoldScratch(buf []complex128) {
+	foldScratch.Lock()
+	defer foldScratch.Unlock()
+	foldScratch.free = append(foldScratch.free, buf)
+}
+
+// fold channelizes hops [h0, h1), at most foldBlockHops of them, from
+// src (src[0] is sample srcStart) into a channel-major block and adds
+// every cell's products to its parity sums, rows shared across the
+// workers. Each cell is written by one worker only, so every worker
+// count gives the same bits.
+func (f *famAccumulator) fold(src []complex128, srcStart, h0, h1 int) error {
+	k, hop, nb := f.p.K, f.p.Hop, h1-h0
+	scratch := getFoldScratch(k * (nb + 2))
+	defer putFoldScratch(scratch)
+	blk, spec, winbuf := scratch[:k*nb], scratch[k*nb:k*(nb+1)], scratch[k*(nb+1):]
+	mask := k - 1
+	for n := 0; n < nb; n++ {
+		start := (h0 + n) * hop
+		block := src[start-srcStart : start-srcStart+k]
+		if f.win != nil {
+			if err := fft.ApplyWindowInto(winbuf, block, f.win); err != nil {
+				return err
+			}
+			block = winbuf
+		}
+		if err := f.plan.Forward(spec, block); err != nil {
+			return err
+		}
+		// Downconvert with the absolute-time reference: the exponent
+		// (start·v) mod k advances by start per channel, reduced with a
+		// masked add (k is a power of two), exact for large start·v.
+		step := start & mask
+		idx := 0
+		for v := 0; v < k; v++ {
+			blk[v*nb+n] = spec[v] * f.roots[idx]
+			idx = (idx + step) & mask
+		}
+	}
+	odd, last := h0&1 == 1, f.hopCap != 0 && h1 == f.hopCap
+	if !last && f.acc1 == nil {
+		f.acc1 = f.grid()
+	}
+	if f.workers == 1 {
+		// Streaming accumulators: no goroutines, and no closure to
+		// allocate.
+		for i := range f.rowSet {
+			f.foldRow(i, blk, nb, odd, last)
+		}
+		return nil
+	}
+	forEach(len(f.rowSet), f.workers, func(i int) { f.foldRow(i, blk, nb, odd, last) })
+	return nil
+}
+
+// foldRow adds one block's products to row i's parity sums: cell (f, a)
+// gains x_{f+a}(n)·conj(x_{f-a}(n)) for each of the block's nb hops, even
+// hops into acc0 and odd hops into acc1, each in arrival order. odd says
+// the block's first hop is odd; last stores the two sums added in acc0.
+// The loop allocates nothing.
+func (f *famAccumulator) foldRow(i int, blk []complex128, nb int, odd, last bool) {
+	a, m := f.rowSet[i], f.p.M-1
+	// K is a power of two (Params.Validate), so the f±a bin wrap-around is
+	// a masked increment instead of a per-cell modulo.
+	mask := f.p.K - 1
+	pi := (a - m) & mask
+	qi := (-a - m) & mask
+	c0 := f.acc0[i]
+	var c1 []complex128 // nil until a fold that is not the last
+	if f.acc1 != nil {
+		c1 = f.acc1[i]
+	}
+	for fi := range c0 {
+		cp := blk[pi*nb : pi*nb+nb]
+		// Slicing cq to len(cp) lets the compiler drop its bounds checks.
+		cq := blk[qi*nb : qi*nb+nb][:len(cp)]
+		s0, s1 := c0[fi], complex128(0)
+		if c1 != nil {
+			s1 = c1[fi]
+		}
+		n := 0
+		if odd {
+			s1 += cp[0] * cmplx.Conj(cq[0])
+			n = 1
+		}
+		for ; n+1 < len(cp); n += 2 {
+			s0 += cp[n] * cmplx.Conj(cq[n])
+			s1 += cp[n+1] * cmplx.Conj(cq[n+1])
+		}
+		if n < len(cp) {
+			s0 += cp[n] * cmplx.Conj(cq[n])
+		}
+		if last {
+			c0[fi] = s0 + s1
+		} else {
+			c0[fi], c1[fi] = s0, s1
+		}
+		pi = (pi + 1) & mask
+		qi = (qi + 1) & mask
+	}
 }
 
 // Snapshot implements scf.Accumulator. It reads the checkpoint at
-// P = pow2floor(hops) — the sums over exactly the hops the batch path
-// would smooth, acc0+acc1 itself when window-bound — normalises each
-// cell by 1/P as famRow does, and mirrors the a < 0 rows.
+// P = pow2floor(hops) (acc0+acc1 itself when window-bound), normalises
+// each cell by 1/P and mirrors the a < 0 rows: the FAM surface is exactly
+// Hermitian in α, since cell (f, -a) sums the termwise conjugates of
+// cell (f, a)'s terms in the same order, and conjugation is exact.
 func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	if f.ckHops < 2 {
 		return nil, nil, needSamples("FAM", f.p.K+f.p.Hop, f.total)
@@ -259,19 +394,27 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	s := scf.NewSurfaceFor(f.p)
 	for i, a := range f.rowSet {
 		row := s.Row(a)
-		if f.ck != nil {
-			ck := f.ck[i]
-			for fi := range row {
-				row[fi] = ck[fi] * inv
+		switch {
+		case f.ck != nil:
+			for fi, c := range f.ck[i] {
+				row[fi] = c * inv
 			}
-			continue
-		}
-		c0, c1 := f.acc0[i], f.acc1[i]
-		for fi := range row {
-			row[fi] = (c0[fi] + c1[fi]) * inv
+		case f.hops == f.hopCap: // the last fold left acc0+acc1 in acc0
+			for fi, c := range f.acc0[i] {
+				row[fi] = c * inv
+			}
+		default:
+			c0, c1 := f.acc0[i], f.acc1[i]
+			for fi := range row {
+				row[fi] = (c0[fi] + c1[fi]) * inv
+			}
 		}
 	}
 	s.MirrorHermitian()
+	// Stats charge the canonical per-cell P-point second FFT, the
+	// operation-count model of the paper's complexity comparison, even
+	// though only its bin 0 is evaluated (model vs measured; see the
+	// README). With alpha pruning the count covers only the held rows.
 	cells := f.p.DSCFMults()
 	stats := &scf.Stats{
 		Blocks:    np,

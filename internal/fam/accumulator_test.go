@@ -79,6 +79,9 @@ func TestFAMAccumulatorMatchesBatch(t *testing.T) {
 		{"ragged-hops", FAM{Params: scf.Params{K: 64, M: 16}}, 64 + 44*16 + 7, []int{13, 57}},
 		{"custom-hop", FAM{Params: scf.Params{K: 64, M: 16, Hop: 32}}, 64 + 21*32, []int{200}},
 		{"hamming", FAM{Params: scf.Params{K: 64, M: 8, Window: fft.Hamming}}, 64 + 17*16, []int{31}},
+		// K+Hop, then 3·Hop: pushes end on odd hop counts, so folds
+		// start on odd hops.
+		{"odd-start-blocks", FAM{Params: scf.Params{K: 64, M: 16}}, 64 + 44*16 + 7, []int{64 + 16, 3 * 16}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

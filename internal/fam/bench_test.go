@@ -49,3 +49,34 @@ func BenchmarkEstimators(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatchEstimate times one batch estimate of an 8192-sample band
+// at the paper's geometry (K=256, M=64) for FAM at one and two fold
+// workers and for the Q15 estimators with a measured input peak. Run with
+//
+//	go test -run '^$' -bench BatchEstimate -benchmem -cpu 2 ./internal/fam
+func BenchmarkBatchEstimate(b *testing.B) {
+	band, err := tiledcfd.NewBPSKBand(8192, 0.125, 8, 10, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := scf.Params{K: 256, M: 64}
+	for _, c := range []struct {
+		name string
+		est  scf.Estimator
+	}{
+		{"fam/workers=1", fam.FAM{Params: p, Workers: 1}},
+		{"fam/workers=2", fam.FAM{Params: p, Workers: 2}},
+		{"fam-q15", fam.FAMQ15{Params: p}},
+		{"ssca-q15", fam.SSCAQ15{Params: p}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.est.Estimate(band); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

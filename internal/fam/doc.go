@@ -41,6 +41,12 @@
 // N-point strip FFT with a modulo-K fold and a K-point FFT) — see the
 // README's model-vs-measured note.
 //
+// Every batch estimate here is its streaming accumulator run over the
+// input: FAM.Estimate, SSCA.Estimate, FAMQ15.EstimateQ15 and
+// SSCAQ15.EstimateQ15 bind the accumulator to len(x) (see accumulator.go
+// and q15accumulator.go), so batch and streaming share one body per
+// estimator and agree bit for bit.
+//
 // Estimates agree with the direct method at grid points up to the
 // smoothing window: cross-check tests assert all three estimators locate
 // the same strongest cyclic feature on a BPSK band. Unlike the direct

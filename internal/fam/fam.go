@@ -1,7 +1,7 @@
 package fam
 
 import (
-	"math/cmplx"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -28,10 +28,12 @@ type FAM struct {
 	// default is rectangular for comparability with the direct method).
 	// Blocks is ignored: the smoothing length is derived from the input.
 	Params scf.Params
-	// Workers bounds the goroutines evaluating surface rows concurrently.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial path. Rows are
-	// partitioned across workers, each cell written exactly once, so
-	// every worker count produces bit-identical surfaces.
+	// Workers bounds the goroutines Estimate folds surface rows on: each
+	// block of channelizer hops is channelized once, then its rows are
+	// partitioned across workers. 0 means runtime.GOMAXPROCS(0); 1 forces
+	// the serial path. Each cell is written by one worker only, so every
+	// worker count produces bit-identical surfaces. Accumulators
+	// (NewAccumulator, NewWindowAccumulator) always fold serially.
 	Workers int
 }
 
@@ -45,146 +47,17 @@ func (e FAM) MinSamples() int {
 	return p.K + p.Hop
 }
 
-// Estimate implements scf.Estimator.
+// Estimate implements scf.Estimator: the accumulator bound to len(x)
+// run over x, so batch and streaming estimates are one code path.
 func (e FAM) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	p := famDefaults(e.Params, 0)
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	hops := 0
-	if len(x) >= p.K {
-		hops = (len(x)-p.K)/p.Hop + 1
-	}
-	np := pow2Floor(hops)
-	if np < 2 {
-		return nil, nil, needSamples("FAM", p.K+p.Hop, len(x))
-	}
-	var win []float64
-	var err error
-	if p.Window != fft.Rectangular {
-		if win, err = fft.Window(p.Window, p.K); err != nil {
-			return nil, nil, err
-		}
-	}
-	ch, err := channelize(x, p.K, p.Hop, np, win)
+	acc, err := e.newAccumulator(len(x), e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The a >= 0 rows to evaluate: the full half-plane, or only the
-	// candidate rows when alpha pruning is on (the mirrors come from the
-	// final Hermitian pass either way, so pruning skips entire
-	// conjugate-product rows without touching the per-cell arithmetic).
-	m := p.M - 1
-	rowSet := p.CandidateRows()
-	if rowSet == nil {
-		rowSet = make([]int, m+1)
-		for a := range rowSet {
-			rowSet[a] = a
-		}
+	if err := acc.Push(x); err != nil {
+		return nil, nil, err
 	}
-	// Hoist the conjugation out of the α/f loops: every cell (f, a) reads
-	// conj of channel f-a, so conjugating each addressed channel once
-	// replaces (2M-1)²·P per-cell conjugations with one pass per channel.
-	// Only the residues f-a the evaluated rows span are conjugated (for
-	// the full default M = K/4 geometry that is nearly all of them, but
-	// small-M grids and pruned candidate sets touch only a sliver).
-	conjSet := make([]int, 0, 4*m+1)
-	seen := make([]bool, p.K)
-	for _, a := range rowSet {
-		for f := -m; f <= m; f++ {
-			if k := fft.BinIndex(p.K, f-a); !seen[k] {
-				seen[k] = true
-				conjSet = append(conjSet, k)
-			}
-		}
-	}
-	chc := make([][]complex128, p.K)
-	ccells := make([]complex128, len(conjSet)*np)
-	for _, k := range conjSet {
-		chc[k], ccells = ccells[:np], ccells[np:]
-		for n, c := range ch[k] {
-			chc[k][n] = cmplx.Conj(c)
-		}
-	}
-	s := scf.NewSurfaceFor(p)
-	// The FAM surface is exactly Hermitian in α: the cell (f, -a) sums
-	// x_{f-a}(n)·conj(x_{f+a}(n)) — the termwise conjugate of cell (f, a)
-	// in the same order — so only the a >= 0 rows are evaluated and the
-	// a < 0 rows mirrored by conjugation, bit-identical to evaluating
-	// them directly (conjugation is exact in floating point).
-	rows := len(rowSet)
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		for _, a := range rowSet {
-			famRow(s.Row(a), ch, chc, p.K, a, m, np)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < rows; i += workers {
-					a := rowSet[i]
-					famRow(s.Row(a), ch, chc, p.K, a, m, np)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	s.MirrorHermitian()
-	// Stats keep charging the canonical per-cell P-point second FFT —
-	// the operation-count model of the paper's complexity comparison —
-	// even though the implementation evaluates only its bin 0 as an O(P)
-	// dot product (model vs measured; see famRow and the README). With
-	// alpha pruning the count covers only the held rows.
-	cells := p.DSCFMults()
-	stats := &scf.Stats{
-		Blocks:    np,
-		FFTMults:  np*fft.ComplexMults(p.K) + cells*fft.ComplexMults(np),
-		DSCFMults: np*p.K + cells*np,
-	}
-	return s, stats, nil
-}
-
-// famRow fills one cycle-frequency row of the surface: row[f+m] for
-// f in [-m, m] at offset a. Each cell is bin 0 of the P-point second FFT
-// of the channel-pair product sequence, which is algebraically the plain
-// sum Σ_n x_{f+a}(n)·conj(x_{f-a}(n)) — an O(P) complex dot product in
-// place of the O(P·logP) per-cell FFT (only bin 0 lands on the coarse
-// surface grid: with hop K/4 the neighbouring bins refine α by half-row
-// steps, falling between grid rows rather than filling them). The loop
-// allocates nothing.
-func famRow(row []complex128, ch, chc [][]complex128, k, a, m, np int) {
-	inv := complex(1/float64(np), 0)
-	// K is a power of two (Params.Validate), so the f±a bin wrap-around is
-	// a masked increment instead of a per-cell modulo.
-	mask := k - 1
-	pi := (a - m) & mask
-	qi := (-a - m) & mask
-	for f := -m; f <= m; f++ {
-		cc := chc[qi][:np]
-		// Slicing cp to len(cc) lets the compiler drop the bounds check
-		// on cc inside the loop.
-		cp := ch[pi][:len(cc)]
-		// Two interleaved accumulators: P is a power of two (always
-		// even here), and the split halves the floating-point add
-		// dependency chain the loop is otherwise latency-bound on.
-		var s0, s1 complex128
-		for n := 1; n < len(cp); n += 2 {
-			s0 += cp[n-1] * cc[n-1]
-			s1 += cp[n] * cc[n]
-		}
-		row[f+m] = (s0 + s1) * inv
-		pi = (pi + 1) & mask
-		qi = (qi + 1) & mask
-	}
+	return acc.Snapshot()
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.
@@ -202,3 +75,60 @@ func (e FAM) WithAlphaCandidates(alphas []int) (scf.StreamingEstimator, error) {
 }
 
 var _ scf.Estimator = FAM{}
+
+// famDefaults fills the zero fields of a FAM/SSCA parameter set: K=256,
+// M=K/4, and the given default hop. Blocks is forced to 1 — both
+// estimators derive their own smoothing length from the input.
+func famDefaults(p scf.Params, defaultHop int) scf.Params {
+	if p.K == 0 {
+		p.K = 256
+	}
+	if p.M == 0 {
+		p.M = p.K / 4
+	}
+	if p.Hop == 0 {
+		p.Hop = defaultHop
+		if p.Hop == 0 {
+			p.Hop = p.K / 4
+		}
+	}
+	p.Blocks = 1
+	return p
+}
+
+// pow2Floor returns the largest power of two not exceeding n, or 0 when
+// n < 1 (fft.Pow2Floor, aliased for the package's call sites).
+func pow2Floor(n int) int { return fft.Pow2Floor(n) }
+
+// needSamples formats the standard too-short error.
+func needSamples(name string, need, have int) error {
+	return fmt.Errorf("fam: %s needs >= %d samples, have %d", name, need, have)
+}
+
+// forEach runs job(i) for every i in [0, n) on up to workers goroutines
+// (0 = GOMAXPROCS), worker w taking i ≡ w (mod workers), and returns when
+// all are done. One worker runs the jobs in order on the caller's
+// goroutine.
+func forEach(n, workers int, job func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			job(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -1,8 +1,7 @@
 package fam
 
 import (
-	"runtime"
-	"sync"
+	"sort"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/fixed"
@@ -33,7 +32,8 @@ type FAMQ15 struct {
 	// Workers bounds the goroutines evaluating surface rows concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial path. All
 	// arithmetic is integer and each cell is written exactly once, so
-	// every worker count produces bit-identical surfaces.
+	// every worker count produces bit-identical surfaces. Accumulators
+	// always run serially.
 	Workers int
 	// InputScale is the peak amplitude the input is conditioned to
 	// before Q15 quantisation — the word-level backoff of the paper's
@@ -75,52 +75,29 @@ func (e FAMQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	return q.Float(), stats, nil
 }
 
-// EstimateQ15 computes the surface in its native Q15-plus-exponent form.
+// EstimateQ15 computes the surface in its native Q15-plus-exponent form:
+// the accumulator bound to len(x) run over x.
 func (e FAMQ15) EstimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
-	p := famDefaults(e.Params, 0)
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	backoff, err := q15Backoff(e.InputScale)
+	acc, err := e.newAccumulator(len(x), e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	peak, err := q15InputPeak(e.InputPeak)
-	if err != nil {
+	if e.InputPeak == 0 {
+		acc.front.measure(x)
+	}
+	if err := acc.Push(x); err != nil {
 		return nil, nil, err
 	}
-	hops := 0
-	if len(x) >= p.K {
-		hops = (len(x)-p.K)/p.Hop + 1
-	}
-	np := pow2Floor(hops)
-	if np < 2 {
-		return nil, nil, needSamples("FAM-Q15", p.K+p.Hop, len(x))
-	}
-	win, err := fft.FixedWindow(p.Window, p.K)
-	if err != nil {
-		return nil, nil, err
-	}
-	kern := fixed.Active()
-	need := p.K + (np-1)*p.Hop
-	xq, gain := quantiseQ15(x, need, backoff, peak)
-	ch, err := channelizeQ15(kern, xq, p.K, p.Hop, np, win, e.Policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return famQ15Finish(p, kern, ch, gain, e.Workers, need)
+	return acc.SnapshotQ15()
 }
 
-// famQ15Finish runs the second stage of the Q15 FAM on an already
-// channelized snapshot: exponent alignment, the bin-0 dot products for
-// the non-negative cycle rows, the exact Hermitian mirror into the
-// negative rows, and the single-rounding surface reduction. It is
-// shared verbatim by the batch estimator and the streaming
-// accumulator's Snapshot, which is what makes the two bit-identical.
-// The channelizer is consumed (alignment shifts its rows in place).
+// famQ15Finish runs the second stage of the Q15 FAM on a channelized
+// snapshot: the aligned gather, the bin-0 dot products for the
+// non-negative cycle rows, the exact Hermitian mirror into the negative
+// rows, and the single-rounding surface reduction.
 func famQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, gain float64, workers, need int) (*scf.QSurface, *scf.Stats, error) {
 	np := len(ch.hops)
-	emax, aligned := ch.alignExponents(kern)
+	emax, aligned := ch.emax, ch.aligned
 	// Every cell (f, a) is the full-precision sum over hops of
 	// ch[f+a](n)·conj(ch[f-a](n)) — the bin-0 dot product of the second
 	// FFT, like the float path — accumulated int64 at Q30. Only the
@@ -129,55 +106,23 @@ func famQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, gain flo
 	m := p.M - 1
 	grid := newAccGridFor(p)
 	rowAlphas := grid.rowAlphas()
-	posRows := make([]int, 0, m+1)
-	for ai, a := range rowAlphas {
-		if a >= 0 {
-			posRows = append(posRows, ai)
-		}
-	}
-	posAlphas := make([]int, len(posRows))
-	for i, ai := range posRows {
-		posAlphas[i] = rowAlphas[ai]
-	}
-	chv := ch.transposeWide(neededChannels(p.K, m, posAlphas, true))
-	cols := 2*m + 1
+	// The rows are sorted by offset, so the a >= 0 rows are a suffix;
+	// the ± row pairs read the same channels.
+	first := sort.SearchInts(rowAlphas, 0)
+	chv := ch.transposeWide(neededChannels(p.K, m, rowAlphas, true))
 	mask := p.K - 1
-	rowJob := func(ai int) {
-		a := rowAlphas[ai]
-		row := grid.data[ai]
+	forEach(len(rowAlphas)-first, workers, func(i int) {
+		a, row := rowAlphas[first+i], grid.data[first+i]
 		pi := (a - m) & mask
 		qi := (-a - m) & mask
-		for fi := 0; fi < cols; fi++ {
+		for fi := range row {
 			re, im := kern.DotConjQ30(chv[pi], chv[qi])
 			row[fi] = fixed.CAcc{Re: re, Im: im}
 			pi = (pi + 1) & mask
 			qi = (qi + 1) & mask
 		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(posRows) {
-		workers = len(posRows)
-	}
-	if workers <= 1 {
-		for _, ai := range posRows {
-			rowJob(ai)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(posRows); i += workers {
-					rowJob(posRows[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	grid.mirrorHermitian()
+	})
+	grid.mirrorHermitian(rowAlphas)
 	// Products of two aligned channels carry 2^(2·emax); 1/np and the
 	// squared input conditioning gain are the residual gain.
 	s := grid.reduce(2*emax, surfaceGain(np, gain))

@@ -92,6 +92,24 @@ func TestQ15EstimatorsKernelImplInvariant(t *testing.T) {
 	}
 }
 
+// quantiseQ15 conditions the first n samples of x so full scale peak
+// (the measured peak when zero) sits at backoff, then rounds to Q15. It
+// returns the words and the gain applied.
+func quantiseQ15(x []complex128, n int, backoff, peak float64) ([]fixed.Complex, float64) {
+	if peak == 0 {
+		peak = peakOf(x[:n])
+	}
+	out := make([]fixed.Complex, n)
+	if peak == 0 {
+		return out, 0
+	}
+	gain := backoff / peak
+	for i := range out {
+		out[i] = fixed.CFromFloat(x[i] * complex(gain, 0))
+	}
+	return out, gain
+}
+
 // TestQ15ChannelizerBatchAllocs guards the steady-state allocation
 // behaviour of the batched strip machinery underneath the estimators:
 // with rows, window and plan in hand, windowing + the batched FFT +

@@ -8,66 +8,68 @@ import (
 	"tiledcfd/internal/scf"
 )
 
-// This file implements scf.Accumulator for FAMQ15 and SSCAQ15: the
-// incremental twins of the fixed-point batch estimators, bit-identical
-// to EstimateQ15 on the concatenated stream for every chunking.
+// This file implements scf.Accumulator for FAMQ15 and SSCAQ15. Batch
+// EstimateQ15 is the accumulator bound to len(x) run over x, so batch
+// and streaming estimates are one code path.
 //
 // The fixed-point front door is the obstacle the float accumulators do
-// not have: batch quantisation conditions the input against its own
-// measured peak, which an incremental path cannot know. Both Q15
-// accumulators therefore require InputPeak — the fixed full-scale
-// reference a real ADC front end presents — so quantisation becomes a
-// pure per-sample map and the streamed words match the batch words
-// exactly. NewAccumulator rejects estimators without it.
+// not have: a batch estimate with InputPeak zero conditions the input
+// against the peak of the samples it reads, which an incremental path
+// cannot know. Streaming accumulators therefore require InputPeak, the
+// fixed full-scale reference a real ADC front end presents, so
+// quantisation is a pure per-sample map. NewAccumulator rejects
+// estimators without it.
 //
 // The second obstacle is block floating point: every hop carries its
 // own exponent, and the common scale emax is a function of ALL hops in
 // a snapshot, so per-cell running sums cannot be maintained (a new hop
 // with a larger exponent would retroactively re-scale every earlier
-// product). Both accumulators instead bank the per-hop channelizer rows
-// — computed incrementally, hop by hop, through the exact kernel
-// sequence of channelizeQ15 — and defer alignment and the second stage
-// to Snapshot, where they run the same shared finish code as the batch
-// path (famQ15Finish / sscaQ15Finish). Banked rows cost 4·K bytes per
-// hop: bounded by N for SSCAQ15 with N set and by the window's cap for
-// a window-bound accumulator (NewWindowAccumulator, the float twins'
+// product). Both accumulators instead bank the per-hop channelizer rows,
+// computed hop by hop as they complete, and defer alignment and the
+// second stage to Snapshot (famQ15Finish / sscaQ15Finish), which reads
+// the bank without modifying it. Banked rows cost 4·K bytes per hop:
+// bounded by N for SSCAQ15 with N set and by the window's cap for a
+// window-bound accumulator (NewWindowAccumulator, the float twins'
 // caps), stream-proportional otherwise (long-running monitors should set
 // N or Reset between windows, as with the float SSCA).
 
-// q15Front is the shared streaming front end: the fixed-gain quantiser
-// and the banked per-hop channelizer state.
+// q15Front is the shared front end: the fixed-gain quantiser and the
+// banked per-hop channelizer state.
 type q15Front struct {
-	p      scf.Params
-	kern   fixed.Kernels
-	plan   *fft.FixedPlan
-	roots  []fixed.Complex
-	win    []fixed.Q15
-	policy fft.ScalingPolicy
-	gain   float64
+	p       scf.Params
+	kern    fixed.Kernels
+	plan    *fft.FixedPlan
+	roots   []fixed.Complex
+	win     []fixed.Q15
+	policy  fft.ScalingPolicy
+	backoff float64
+	gain    float64
+	workers int // goroutines a snapshot's second stage runs on
 
-	rows  [][]fixed.Complex // banked downconverted hops, hop-major
+	rows  [][]fixed.Complex // banked downconverted hops, hop-major; never written once banked
 	exps  []int             // per-hop BFP exponents
 	limit int               // window-bound: the most hops banked; 0 = unbounded
+	bank  []fixed.Complex   // with a limit: the backing store of all limit rows
 
 	xq    []fixed.Complex // quantised pending tail; xq[0] is sample base
 	base  int
 	total int
 }
 
-// newQ15Front validates the shared streaming configuration. The kernel
-// implementation is captured once here (fixed.Active() at construction),
-// so a process-wide fixed.Use switch mid-stream cannot mix kernels
-// within one accumulator's lifetime.
-func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, name string) (*q15Front, error) {
+// newQ15Front validates the shared configuration. peak is the
+// conditioning full scale (InputPeak; zero leaves the gain 0 until
+// measure sets it). The kernel implementation is captured once here
+// (fixed.Active() at construction), so a process-wide fixed.Use switch
+// mid-stream cannot mix kernels within one accumulator's lifetime. With
+// a limit, the hop bank and the quantised sample buffer are allocated
+// here, once, at their final size.
+func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, limit, workers int) (*q15Front, error) {
 	backoff, err := q15Backoff(scale)
 	if err != nil {
 		return nil, err
 	}
 	if peak, err = q15InputPeak(peak); err != nil {
 		return nil, err
-	}
-	if peak == 0 {
-		return nil, fmt.Errorf("fam: %s streaming requires InputPeak: the batch path conditions against the measured input peak, which an incremental path cannot know", name)
 	}
 	win, err := fft.FixedWindow(p.Window, p.K)
 	if err != nil {
@@ -81,82 +83,123 @@ func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, na
 	if err != nil {
 		return nil, err
 	}
-	return &q15Front{
-		p:      p,
-		kern:   fixed.Active(),
-		plan:   plan,
-		roots:  roots,
-		win:    win,
-		policy: policy,
-		gain:   backoff / peak,
-	}, nil
+	q := &q15Front{
+		p:       p,
+		kern:    fixed.Active(),
+		plan:    plan,
+		roots:   roots,
+		win:     win,
+		policy:  policy,
+		backoff: backoff,
+		workers: workers,
+		limit:   limit,
+	}
+	q.condition(peak)
+	if limit != 0 {
+		q.bank = make([]fixed.Complex, limit*p.K)
+		q.rows = make([][]fixed.Complex, 0, limit)
+		q.exps = make([]int, 0, limit)
+		q.xq = make([]fixed.Complex, 0, q.span())
+	}
+	return q, nil
 }
 
-// push quantises the chunk with the fixed conditioning gain — the exact
-// expression quantiseQ15 applies, so the streamed Q15 words match the
-// batch words — and completes every hop the buffered tail now covers
-// (hop h spans samples [h·hop, h·hop+K)). With a limit, samples past
-// the last banked hop's span are dropped.
-func (q *q15Front) push(samples []complex128, hop int) error {
-	q.total += len(samples)
-	k := q.p.K
+// requireInputPeak rejects a streaming accumulator without InputPeak.
+func requireInputPeak(peak float64, name string) error {
+	if peak == 0 {
+		return fmt.Errorf("fam: %s streaming requires InputPeak: the batch path conditions against the measured input peak, which an incremental path cannot know", name)
+	}
+	return nil
+}
+
+// condition sets the gain that brings full scale peak to the backoff, or
+// 0 for a zero peak (every word then quantises to 0, and the surface is
+// exactly zero).
+func (q *q15Front) condition(peak float64) {
+	q.gain = 0
+	if peak != 0 {
+		q.gain = q.backoff / peak
+	}
+}
+
+// measure conditions a batch estimate against the peak of the samples
+// it reads: the span of the limit's hops (none without a limit, where
+// the input is too short for an estimate).
+func (q *q15Front) measure(x []complex128) {
 	if q.limit != 0 {
-		room := max(0, (q.limit-1)*hop+k-q.base-len(q.xq))
-		samples = samples[:min(len(samples), room)]
+		q.condition(peakOf(x[:min(len(x), q.span())]))
+	}
+}
+
+// span returns the samples the limit's hops read.
+func (q *q15Front) span() int { return (q.limit-1)*q.p.Hop + q.p.K }
+
+// push quantises the chunk with the conditioning gain and completes
+// every hop the buffered tail now covers (hop h spans samples
+// [h·Hop, h·Hop+K)). With a limit, samples past the last banked hop's
+// span are dropped.
+func (q *q15Front) push(samples []complex128) error {
+	q.total += len(samples)
+	k, hop := q.p.K, q.p.Hop
+	if q.limit != 0 {
+		samples = samples[:min(len(samples), max(0, q.span()-q.base-len(q.xq)))]
 	}
 	g := complex(q.gain, 0)
 	for _, s := range samples {
 		q.xq = append(q.xq, fixed.CFromFloat(s*g))
 	}
 	for {
-		start := len(q.rows) * hop
+		n := len(q.rows)
+		start := n * hop
 		if q.base+len(q.xq) < start+k {
 			return nil
 		}
-		row := make([]fixed.Complex, k)
-		exp, err := q15Hop(q.kern, q.plan, q.roots, row, q.xq[start-q.base:start-q.base+k], q.win, start, q.policy)
+		var row []fixed.Complex
+		if q.bank != nil {
+			row = q.bank[n*k : (n+1)*k : (n+1)*k]
+		} else {
+			row = make([]fixed.Complex, k)
+		}
+		// Window, FFT under the policy, and downconvert with the
+		// absolute-time reference e^{-j2π·start·v/K}, exactly as the
+		// float channelizer but through the Q15 roots.
+		if block := q.xq[start-q.base : start-q.base+k]; q.win != nil {
+			q.kern.ScaleReal(row, block, q.win)
+		} else {
+			copy(row, block)
+		}
+		exp, err := q.plan.ForwardScaledWith(q.kern, row, row, q.policy)
 		if err != nil {
 			return err
 		}
+		q.kern.MulRoots(row, row, q.roots, 0, start&(k-1), k-1)
 		q.rows = append(q.rows, row)
 		q.exps = append(q.exps, exp)
 	}
 }
 
-// trim drops quantised samples before absolute index keepFrom.
-func (q *q15Front) trim(keepFrom int) {
-	cut := keepFrom - q.base
-	if cut <= 0 {
-		return
-	}
-	if cut > len(q.xq) {
-		cut = len(q.xq)
-	}
-	n := copy(q.xq, q.xq[cut:])
-	q.xq = q.xq[:n]
-	q.base += cut
-}
-
-// channelizer rebuilds a q15Channelizer over the first blocks banked
-// hops, with copied rows (Snapshot must not consume the banked state —
-// alignment shifts in place) and the cycle counters channelizeQ15 would
-// have charged for the same geometry.
+// channelizer views the first blocks banked hops as a q15Channelizer,
+// with their common exponent and the cycle counters the same geometry
+// charges. No row is copied: the gathers align as they read.
 func (q *q15Front) channelizer(blocks int) *q15Channelizer {
 	k := q.p.K
 	c := &q15Channelizer{
 		k:     k,
-		hops:  make([][]fixed.Complex, blocks),
-		exps:  append([]int(nil), q.exps[:blocks]...),
+		hops:  q.rows[:blocks],
+		exps:  q.exps[:blocks],
 		fftCy: int64(blocks) * montiumFFTCycles(k),
 		macCy: int64(blocks) * int64(k),
 	}
 	if q.win != nil {
 		c.macCy *= 2
 	}
-	cells := make([]fixed.Complex, k*blocks)
-	for n := range c.hops {
-		c.hops[n], cells = cells[:k:k], cells[k:]
-		copy(c.hops[n], q.rows[n])
+	for _, e := range c.exps {
+		c.emax = max(c.emax, e)
+	}
+	for _, e := range c.exps {
+		if e != c.emax {
+			c.aligned += int64(k)
+		}
 	}
 	return c
 }
@@ -174,7 +217,7 @@ func (q *q15Front) reset() {
 // InputPeak > 0 (see the file comment: batch quantisation conditions
 // against the measured peak, which a stream cannot know; set the same
 // InputPeak on the batch estimator to compare the two bit for bit).
-// Workers is ignored — snapshots run serially on the caller's
+// Workers is ignored: snapshots run serially on the caller's
 // goroutine. Memory grows by 4·K bytes per channelizer hop plus the
 // K-sample window overlap.
 func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
@@ -182,15 +225,23 @@ func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAc
 // NewWindowAccumulator implements scf.WindowEstimator: it banks at most
 // the window's famHopCap hops.
 func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	if err := requireInputPeak(e.InputPeak, "FAM-Q15"); err != nil {
+		return nil, err
+	}
+	return e.newAccumulator(window, 1)
+}
+
+// newAccumulator builds the accumulator bound to window with the given
+// second-stage worker count (0 = GOMAXPROCS).
+func (e FAMQ15) newAccumulator(window, workers int) (*famQ15Accumulator, error) {
 	p := famDefaults(e.Params, 0)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	front, err := newQ15Front(p, e.InputScale, e.InputPeak, e.Policy, "FAM-Q15")
+	front, err := newQ15Front(p, e.InputScale, e.InputPeak, e.Policy, famHopCap(p, window), workers)
 	if err != nil {
 		return nil, err
 	}
-	front.limit = famHopCap(p, window)
 	return &famQ15Accumulator{front: front}, nil
 }
 
@@ -199,9 +250,10 @@ var (
 	_ scf.WindowEstimator    = FAMQ15{}
 )
 
-// famQ15Accumulator is the incremental FAMQ15: banked channelizer hops
-// (see the file comment) with the batch second stage replayed by
-// Snapshot over the largest power-of-two hop prefix.
+// famQ15Accumulator computes the FAMQ15, for streams and (through
+// EstimateQ15) batches alike: banked channelizer hops (see the file
+// comment) with the second stage run by Snapshot over the largest
+// power-of-two hop prefix.
 type famQ15Accumulator struct {
 	front *q15Front
 }
@@ -212,24 +264,25 @@ func (f *famQ15Accumulator) Name() string { return "fam-q15" }
 // Samples implements scf.Accumulator.
 func (f *famQ15Accumulator) Samples() int { return f.front.total }
 
-// Ready implements scf.Accumulator: the batch path needs two hops.
+// Ready implements scf.Accumulator: the estimate needs two hops.
 func (f *famQ15Accumulator) Ready() bool { return len(f.front.rows) >= 2 }
 
 // Push implements scf.Accumulator.
 func (f *famQ15Accumulator) Push(samples []complex128) error {
-	if err := f.front.push(samples, f.front.p.Hop); err != nil {
+	q := f.front
+	if err := q.push(samples); err != nil {
 		return err
 	}
 	// Hops overlap when Hop < K, but a completed hop's samples before
 	// the next hop's start are never read again.
-	f.front.trim(len(f.front.rows) * f.front.p.Hop)
+	q.xq, q.base = scf.TrimBefore(q.xq, q.base, len(q.rows)*q.p.Hop)
 	return nil
 }
 
 // SnapshotQ15 computes the surface in its native Q15-plus-exponent
-// form: the shared famQ15Finish over the first pow2floor(hops) banked
-// hops — exactly the prefix batch EstimateQ15 smooths — leaving the
-// banked state untouched, so snapshots repeat and the stream continues.
+// form: famQ15Finish over the first pow2floor(hops) banked hops, leaving
+// the banked state untouched, so snapshots repeat and the stream
+// continues.
 func (f *famQ15Accumulator) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
 	q := f.front
 	np := pow2Floor(len(q.rows))
@@ -237,7 +290,7 @@ func (f *famQ15Accumulator) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
 		return nil, nil, needSamples("FAM-Q15", q.p.K+q.p.Hop, q.total)
 	}
 	need := q.p.K + (np-1)*q.p.Hop
-	return famQ15Finish(q.p, q.kern, q.channelizer(np), q.gain, 1, need)
+	return famQ15Finish(q.p, q.kern, q.channelizer(np), q.gain, q.workers, need)
 }
 
 // Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
@@ -255,34 +308,41 @@ func (f *famQ15Accumulator) Reset() { f.front.reset() }
 
 // NewAccumulator implements scf.StreamingEstimator, with the same
 // InputPeak requirement as FAMQ15.NewAccumulator. With N set the banked
-// state is bounded (N hops of 4·K bytes plus the sample prefix the
-// conjugate factor reads); with N zero it grows with the stream and
-// each snapshot spans the largest power-of-two hop prefix.
+// state is bounded (N hops of 4·K bytes plus the N+K-1 samples they and
+// the conjugate factor read; later samples are dropped); with N zero it
+// grows with the stream and each snapshot spans the largest power-of-two
+// hop prefix.
 func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: with N zero it
 // banks at most the window's sscaStripCap hops. With N set, the plain
 // accumulator already meets the contract.
 func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	if err := requireInputPeak(e.InputPeak, "SSCA-Q15"); err != nil {
+		return nil, err
+	}
+	return e.newAccumulator(window, 1)
+}
+
+// newAccumulator builds the accumulator bound to window with the given
+// strip worker count (0 = GOMAXPROCS).
+func (e SSCAQ15) newAccumulator(window, workers int) (*sscaQ15Accumulator, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if e.N != 0 {
-		if e.N < p.K {
-			return nil, needSamples("SSCA-Q15", 2*p.K-1, e.N)
-		}
-		if !fft.IsPow2(e.N) {
-			return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be a power of two", e.N)
-		}
+	limit := e.N
+	if e.N == 0 {
+		limit = sscaStripCap(p.K, window)
+	} else if e.N < p.K {
+		return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be >= K=%d", e.N, p.K)
+	} else if !fft.IsPow2(e.N) {
+		return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be a power of two", e.N)
 	}
-	front, err := newQ15Front(p, e.InputScale, e.InputPeak, e.Policy, "SSCA-Q15")
+	front, err := newQ15Front(p, e.InputScale, e.InputPeak, e.Policy, limit, workers)
 	if err != nil {
 		return nil, err
-	}
-	if e.N == 0 {
-		front.limit = sscaStripCap(p.K, window)
 	}
 	return &sscaQ15Accumulator{front: front, nFixed: e.N}, nil
 }
@@ -292,12 +352,13 @@ var (
 	_ scf.WindowEstimator    = SSCAQ15{}
 )
 
-// sscaQ15Accumulator is the incremental SSCAQ15: banked unit-hop
-// channelizer rows with the batch strip stage replayed by Snapshot.
-// Unlike the float SSCA accumulator it cannot pre-multiply the
-// conjugate factor into running strips (the products would need the
-// not-yet-known common exponent), so it banks the raw rows and keeps
-// the quantised sample prefix the conjugate factor reads.
+// sscaQ15Accumulator computes the SSCAQ15, for streams and (through
+// EstimateQ15) batches alike: banked unit-hop channelizer rows with the
+// strip stage run by Snapshot. Unlike the float SSCA accumulator it
+// cannot pre-multiply the conjugate factor into running strips (the
+// products would need the not-yet-known common exponent), so it banks
+// the raw rows and keeps the quantised sample prefix the conjugate
+// factor reads.
 type sscaQ15Accumulator struct {
 	front  *q15Front
 	nFixed int
@@ -329,21 +390,12 @@ func (s *sscaQ15Accumulator) stripLen() int {
 func (s *sscaQ15Accumulator) Ready() bool { return s.stripLen() != 0 }
 
 // Push implements scf.Accumulator. The quantised prefix is retained in
-// full (the conjugate factor reads it back to sample centre and the
-// strip length can still grow), except in fixed-N mode once the N hops
-// and their conjugate span are complete, after which arriving samples
-// only advance the counter.
-func (s *sscaQ15Accumulator) Push(samples []complex128) error {
-	q := s.front
-	if s.nFixed != 0 && len(q.rows) >= s.nFixed {
-		q.total += len(samples)
-		return nil
-	}
-	return q.push(samples, 1)
-}
+// full: the conjugate factor reads it back to sample centre, and with N
+// zero the strip length can still grow.
+func (s *sscaQ15Accumulator) Push(samples []complex128) error { return s.front.push(samples) }
 
 // SnapshotQ15 computes the surface in its native Q15-plus-exponent
-// form via the shared sscaQ15Finish, leaving the banked state intact.
+// form via sscaQ15Finish, leaving the banked state intact.
 func (s *sscaQ15Accumulator) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
 	q := s.front
 	n := s.stripLen()
@@ -355,7 +407,7 @@ func (s *sscaQ15Accumulator) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
 		return nil, nil, needSamples("SSCA-Q15", need, q.total)
 	}
 	need := n + q.p.K - 1
-	return sscaQ15Finish(q.p, q.kern, q.channelizer(n), q.xq, q.gain, 1, need, q.policy)
+	return sscaQ15Finish(q.p, q.kern, q.channelizer(n), q.xq, q.gain, q.workers, need, q.policy)
 }
 
 // Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"tiledcfd/internal/fft"
 	"tiledcfd/internal/fixed"
 	"tiledcfd/internal/montium"
 	"tiledcfd/internal/scf"
@@ -38,41 +37,20 @@ func q15InputPeak(peak float64) (float64, error) {
 	return peak, nil
 }
 
-// quantiseQ15 conditions the first n samples of x so the peak component
-// sits at backoff, then rounds to Q15 — the same front door core.Run
-// applies on the platform path (InputScale semantics). It returns the
-// quantised samples and the gain actually applied, which the caller
-// divides back out of the surface so fixed results stay in float-path
-// units.
-//
-// peak > 0 fixes the conditioning reference instead of measuring it
-// from the input — the deterministic front door the streaming
-// accumulators need (an incremental path cannot know the future peak).
-// Samples exceeding peak then saturate at the Q15 rails, exactly as a
-// fixed-gain ADC front end would. With peak == 0 the input's own peak
-// is measured; a zero input returns gain 0 (the surface is exactly
-// zero).
-func quantiseQ15(x []complex128, n int, backoff, peak float64) ([]fixed.Complex, float64) {
-	if peak == 0 {
-		for i := 0; i < n; i++ {
-			if v := math.Abs(real(x[i])); v > peak {
-				peak = v
-			}
-			if v := math.Abs(imag(x[i])); v > peak {
-				peak = v
-			}
+// peakOf returns the largest real or imaginary magnitude in x: the full
+// scale a batch Q15 estimate conditions its input against when
+// InputPeak is zero.
+func peakOf(x []complex128) float64 {
+	var peak float64
+	for _, c := range x {
+		if v := math.Abs(real(c)); v > peak {
+			peak = v
+		}
+		if v := math.Abs(imag(c)); v > peak {
+			peak = v
 		}
 	}
-	out := make([]fixed.Complex, n)
-	if peak == 0 {
-		return out, 0
-	}
-	gain := backoff / peak
-	g := complex(gain, 0)
-	for i := range out {
-		out[i] = fixed.CFromFloat(x[i] * g)
-	}
-	return out, gain
+	return peak
 }
 
 // surfaceGain folds the input conditioning gain and the smoothing-length
@@ -85,118 +63,31 @@ func surfaceGain(smooth int, gain float64) float64 {
 	return 1 / (float64(smooth) * gain * gain)
 }
 
-// q15Channelizer is the fixed-point twin of channelize: blocks hops of a
-// k-point windowed block-floating-point FFT over xq, hop samples apart,
-// each channel downconverted by the Q15 roots table. Storage is
-// hop-major: hops[n][v] is channel v of hop n, valued DFT_channel/
-// 2^exps[n] (each hop carries its own tracked exponent), so windowing,
-// the batched FFT, downconversion and exponent alignment all run over
-// contiguous rows; transpose gathers channel-major series for the
-// second-stage consumers.
+// q15Channelizer is a snapshot's view of the banked fixed-point
+// channelizer: hops K-point windowed block-floating-point FFTs, each
+// channel downconverted by the Q15 roots table. Storage is hop-major and
+// read-only: hops[n][v] is channel v of hop n, valued DFT_channel/
+// 2^exps[n] (each hop carries its own tracked exponent). The gathers
+// (transpose, transposeWide) renormalise every value to the common
+// exponent emax = max(exps) as they read it, so the bank is never
+// copied or shifted in place.
 type q15Channelizer struct {
-	k     int
-	hops  [][]fixed.Complex
-	exps  []int
-	fftCy int64 // modeled FFT kernel cycles spent
-	macCy int64 // modeled complex-MAC cycles spent (window + downconversion)
+	k       int
+	hops    [][]fixed.Complex
+	exps    []int
+	emax    int
+	aligned int64 // values renormalised (the alignment pass's cycle cost)
+	fftCy   int64 // modeled FFT kernel cycles spent
+	macCy   int64 // modeled complex-MAC cycles spent (window + downconversion)
 }
 
-// channelizeQ15 runs the fixed channelizer on the given kernels: all
-// hop rows are windowed, pushed through ONE shared plan invocation
-// (fft.FixedPlan.ForwardScaledBatchWith) and downconverted in place.
-// The caller guarantees len(xq) >= k+(blocks-1)·hop. The per-hop value
-// sequence is identical to running q15Hop hop by hop, which is how the
-// streaming accumulators reproduce it incrementally.
-func channelizeQ15(kern fixed.Kernels, xq []fixed.Complex, k, hop, blocks int, win []fixed.Q15, policy fft.ScalingPolicy) (*q15Channelizer, error) {
-	if win != nil && len(win) != k {
-		return nil, fmt.Errorf("fam: window length %d != channelizer size %d", len(win), k)
-	}
-	plan, err := fft.NewFixedPlan(k)
-	if err != nil {
-		return nil, err
-	}
-	roots, err := fft.FixedRoots(k)
-	if err != nil {
-		return nil, err
-	}
-	c := &q15Channelizer{k: k, hops: make([][]fixed.Complex, blocks)}
-	cells := make([]fixed.Complex, k*blocks)
-	for n := range c.hops {
-		c.hops[n], cells = cells[:k:k], cells[k:]
-	}
-	for n := 0; n < blocks; n++ {
-		block := xq[n*hop : n*hop+k]
-		if win != nil {
-			kern.ScaleReal(c.hops[n], block, win)
-			c.macCy += int64(k)
-		} else {
-			copy(c.hops[n], block)
-		}
-	}
-	exps, err := plan.ForwardScaledBatchWith(kern, c.hops, policy)
-	if err != nil {
-		return nil, err
-	}
-	c.exps = exps
-	mask := k - 1
-	for n := 0; n < blocks; n++ {
-		// Downconvert with the absolute-time reference e^{-j2π·start·v/k},
-		// exactly as the float channelizer, but through the Q15 roots.
-		kern.MulRoots(c.hops[n], c.hops[n], roots, 0, (n*hop)&mask, mask)
-		c.fftCy += montiumFFTCycles(k)
-		c.macCy += int64(k)
-	}
-	return c, nil
-}
-
-// q15Hop computes one channelizer hop row into dst (len k): optional
-// window, FFT under policy, downconversion for a block starting at
-// absolute sample `start`. It is the incremental unit of channelizeQ15
-// — same kernels, same order, bit-identical values — used by the
-// streaming accumulators.
-func q15Hop(kern fixed.Kernels, plan *fft.FixedPlan, roots []fixed.Complex, dst, block []fixed.Complex, win []fixed.Q15, start int, policy fft.ScalingPolicy) (int, error) {
-	if win != nil {
-		kern.ScaleReal(dst, block, win)
-	} else {
-		copy(dst, block)
-	}
-	exp, err := plan.ForwardScaledWith(kern, dst, dst, policy)
-	if err != nil {
-		return 0, err
-	}
-	k := len(dst)
-	kern.MulRoots(dst, dst, roots, 0, start&(k-1), k-1)
-	return exp, nil
-}
-
-// alignExponents renormalises every hop to the common exponent
-// max(exps): hop n's channel values are right-shifted by emax-exps[n]
-// with round-half-up, after which every channel value is DFT/2^emax.
-// It returns emax and the number of values shifted (the alignment pass's
-// cycle cost). The shift order is fixed (hops ascending, channels
-// ascending within the kernel pass), so the pass is bit-deterministic.
-func (c *q15Channelizer) alignExponents(kern fixed.Kernels) (emax int, shifted int64) {
-	for _, e := range c.exps {
-		if e > emax {
-			emax = e
-		}
-	}
-	for n, e := range c.exps {
-		d := uint(emax - e)
-		if d == 0 {
-			continue
-		}
-		kern.ShiftRound(c.hops[n], d)
-		shifted += int64(c.k)
-	}
-	return emax, shifted
-}
-
-// transpose gathers the listed channels into channel-major series:
-// out[v][n] = hops[n][v]. Only channels in needed are materialised
-// (out keeps nil rows elsewhere), so pruned runs pay for exactly the
-// channels their rows read. needed must be sorted ascending for cache-
-// friendly reads; duplicates are not allowed.
+// transpose gathers the listed channels into channel-major series,
+// aligning as it reads: out[v][n] = hops[n][v] >> (emax-exps[n]), with
+// the round-half-up shift of fixed.CRShiftRound (kern.ShiftRound's
+// semantics). Only channels in
+// needed are materialised (out keeps nil rows elsewhere), so pruned runs
+// pay for exactly the channels their rows read. needed must be sorted
+// ascending for cache-friendly reads; duplicates are not allowed.
 func (c *q15Channelizer) transpose(needed []int) [][]fixed.Complex {
 	blocks := len(c.hops)
 	out := make([][]fixed.Complex, c.k)
@@ -210,14 +101,11 @@ func (c *q15Channelizer) transpose(needed []int) [][]fixed.Complex {
 	// other way around).
 	const tile = 32
 	for n0 := 0; n0 < blocks; n0 += tile {
-		n1 := n0 + tile
-		if n1 > blocks {
-			n1 = blocks
-		}
+		n1 := min(n0+tile, blocks)
 		for _, v := range needed {
 			row := out[v]
 			for n := n0; n < n1; n++ {
-				row[n] = c.hops[n][v]
+				row[n] = fixed.CRShiftRound(c.hops[n][v], uint(c.emax-c.exps[n]))
 			}
 		}
 	}
@@ -226,10 +114,10 @@ func (c *q15Channelizer) transpose(needed []int) [][]fixed.Complex {
 
 // transposeWide is transpose with the output rows pre-widened into the
 // fixed.WidenRow float64 layout fixed.Kernels.DotConjQ30 consumes:
-// out[v][2n], out[v][2n+1] = re, im of channel v at hop n, exact. The
-// FAM second stage runs thousands of dots over a few hundred channel
-// rows, so widening once here amortises the integer-to-float conversion
-// to nothing.
+// out[v][2n], out[v][2n+1] = re, im of aligned channel v at hop n,
+// exact. The FAM second stage runs thousands of dots over a few hundred
+// channel rows, so widening once here amortises the integer-to-float
+// conversion to nothing.
 func (c *q15Channelizer) transposeWide(needed []int) [][]float64 {
 	blocks := len(c.hops)
 	out := make([][]float64, c.k)
@@ -239,14 +127,11 @@ func (c *q15Channelizer) transposeWide(needed []int) [][]float64 {
 	}
 	const tile = 32
 	for n0 := 0; n0 < blocks; n0 += tile {
-		n1 := n0 + tile
-		if n1 > blocks {
-			n1 = blocks
-		}
+		n1 := min(n0+tile, blocks)
 		for _, v := range needed {
 			row := out[v]
 			for n := n0; n < n1; n++ {
-				h := c.hops[n][v]
+				h := fixed.CRShiftRound(c.hops[n][v], uint(c.emax-c.exps[n]))
 				row[2*n] = float64(h.Re)
 				row[2*n+1] = float64(h.Im)
 			}
@@ -364,9 +249,10 @@ func (g *accGrid) rowIndex(a int) int {
 // before the single-rounding reduce is therefore bit-identical to
 // accumulating the negative rows directly, at half the dot-product
 // work. (SSCA must not use this: its strips are FFTs of distinct
-// product sequences, not termwise conjugates.)
-func (g *accGrid) mirrorHermitian() {
-	for i, a := range g.rowAlphas() {
+// product sequences, not termwise conjugates.) rowAlphas is
+// g.rowAlphas(), which the caller already holds.
+func (g *accGrid) mirrorHermitian(rowAlphas []int) {
+	for i, a := range rowAlphas {
 		if a >= 0 {
 			continue
 		}

@@ -43,29 +43,15 @@ func (e SSCA) MinSamples() int {
 	return n + p.K - 1
 }
 
-// Estimate implements scf.Estimator. It picks the strip length N and
-// runs the fixed-N accumulator over the first N+K-1 samples, so batch
-// and streaming estimates are one code path.
+// Estimate implements scf.Estimator: the accumulator bound to len(x)
+// run over x, so batch and streaming estimates are one code path. With N
+// zero it picks the largest N the input affords.
 func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	p := famDefaults(e.Params, 1)
-	p.Hop = 1
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := e.N
-	if n == 0 {
-		if n = pow2Floor(len(x) - p.K + 1); n < p.K {
-			return nil, nil, needSamples("SSCA", 2*p.K-1, len(x))
-		}
-	}
-	acc, err := SSCA{Params: e.Params, N: n}.NewAccumulator()
+	acc, err := e.NewWindowAccumulator(len(x))
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(x) < n+p.K-1 {
-		return nil, nil, needSamples("SSCA", n+p.K-1, len(x))
-	}
-	if err := acc.Push(x[:n+p.K-1]); err != nil {
+	if err := acc.Push(x); err != nil {
 		return nil, nil, err
 	}
 	return acc.Snapshot()

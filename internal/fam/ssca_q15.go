@@ -1,9 +1,7 @@
 package fam
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
+	"errors"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/fixed"
@@ -29,10 +27,9 @@ type SSCAQ15 struct {
 	// largest power of two with N+K-1 <= len(x).
 	N int
 	// Workers bounds the goroutines computing strips concurrently.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial path, which
-	// batches every strip FFT through one shared plan invocation. Strips
+	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial path. Strips
 	// are independent integer computations, so every worker count
-	// produces bit-identical surfaces.
+	// produces bit-identical surfaces. Accumulators always run serially.
 	Workers int
 	// InputScale is the peak amplitude the input is conditioned to
 	// before Q15 quantisation, as for FAMQ15 (0 = 0.5).
@@ -69,61 +66,30 @@ func (e SSCAQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	return q.Float(), stats, nil
 }
 
-// EstimateQ15 computes the surface in its native Q15-plus-exponent form.
+// EstimateQ15 computes the surface in its native Q15-plus-exponent form:
+// the accumulator bound to len(x) run over x.
 func (e SSCAQ15) EstimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
-	p := famDefaults(e.Params, 1)
-	p.Hop = 1
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	backoff, err := q15Backoff(e.InputScale)
+	acc, err := e.newAccumulator(len(x), e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	peak, err := q15InputPeak(e.InputPeak)
-	if err != nil {
+	if e.InputPeak == 0 {
+		acc.front.measure(x)
+	}
+	if err := acc.Push(x); err != nil {
 		return nil, nil, err
 	}
-	n := e.N
-	if n == 0 {
-		n = pow2Floor(len(x) - p.K + 1)
-	} else if n < p.K {
-		return nil, nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be >= K=%d", n, p.K)
-	}
-	if n < p.K {
-		return nil, nil, needSamples("SSCA-Q15", 2*p.K-1, len(x))
-	}
-	if !fft.IsPow2(n) {
-		return nil, nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be a power of two", n)
-	}
-	if len(x) < n+p.K-1 {
-		return nil, nil, needSamples("SSCA-Q15", n+p.K-1, len(x))
-	}
-	win, err := fft.FixedWindow(p.Window, p.K)
-	if err != nil {
-		return nil, nil, err
-	}
-	kern := fixed.Active()
-	need := n + p.K - 1
-	xq, gain := quantiseQ15(x, need, backoff, peak)
-	ch, err := channelizeQ15(kern, xq, p.K, 1, n, win, e.Policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sscaQ15Finish(p, kern, ch, xq, gain, e.Workers, need, e.Policy)
+	return acc.SnapshotQ15()
 }
 
-// sscaQ15Finish runs the second stage of the Q15 SSCA on an already
-// channelized snapshot: exponent alignment, the per-channel strip FFTs
-// batched through one shared plan invocation per worker, derotation, the
-// lossless exponent merge into the int64 grid, and the single-rounding
-// surface reduction. It is shared verbatim by the batch estimator and
-// the streaming accumulator's Snapshot, which is what makes the two
-// bit-identical. The channelizer is consumed; xq must hold at least
-// n + K/2 quantised samples (the conjugate factor's span).
+// sscaQ15Finish runs the second stage of the Q15 SSCA on a channelized
+// snapshot: the aligned gather, the per-channel strip FFTs shared across
+// the workers, derotation, the lossless exponent merge into the int64 grid, and the single-rounding
+// surface reduction. xq must hold at least n + K/2 quantised samples
+// (the conjugate factor's span).
 func sscaQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, xq []fixed.Complex, gain float64, workers, need int, policy fft.ScalingPolicy) (*scf.QSurface, *scf.Stats, error) {
 	n := len(ch.hops)
-	emax, aligned := ch.alignExponents(kern)
+	emax, aligned := ch.emax, ch.aligned
 	// The conjugate input factor is centre-aligned with the channelizer
 	// window (same group-delay argument as the float path) and shared by
 	// every strip. It is plain quantised input: exponent zero.
@@ -153,57 +119,19 @@ func sscaQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, xq []fi
 		return nil, nil, err
 	}
 	// The channel-major series become the strips in place: the Q15
-	// product against xc, the N-point block-floating-point FFTs batched
-	// through one ForwardScaledBatchWith call per worker, and the
+	// product against xc, the N-point block-floating-point FFT, and the
 	// per-bin derotation by e^{-j2πq·centre/N} through the Q15 roots.
 	strips := ch.transpose(needed)
 	stripExp := make([]int, p.K)
-	stripJob := func(ks []int) error {
-		rows := make([][]fixed.Complex, len(ks))
-		for i, k := range ks {
-			kern.MulElems(strips[k], strips[k], xc)
-			rows[i] = strips[k]
-		}
-		exps, err := planN.ForwardScaledBatchWith(kern, rows, policy)
-		if err != nil {
-			return err
-		}
-		for i, k := range ks {
-			stripExp[k] = exps[i]
-			kern.MulRoots(strips[k], strips[k], rootsN, 0, centre, n-1)
-		}
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(needed) {
-		workers = len(needed)
-	}
-	if workers <= 1 {
-		if err := stripJob(needed); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		shards := make([][]int, workers)
-		for i, k := range needed {
-			shards[i%workers] = append(shards[i%workers], k)
-		}
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = stripJob(shards[w])
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
+	errs := make([]error, len(needed))
+	forEach(len(needed), workers, func(i int) {
+		k := needed[i]
+		kern.MulElems(strips[k], strips[k], xc)
+		stripExp[k], errs[i] = planN.ForwardScaledWith(kern, strips[k], strips[k], policy)
+		kern.MulRoots(strips[k], strips[k], rootsN, 0, centre, n-1)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
 	}
 	// Merge the per-strip exponents losslessly: every cell value is
 	// widened to int64 and left-shifted up to the common scale 2^Emin

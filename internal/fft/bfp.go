@@ -111,9 +111,8 @@ func (p *FixedPlan) ForwardScaledWith(kern fixed.Kernels, dst, src []fixed.Compl
 
 // ForwardScaledBatch transforms every block in place under one policy
 // and returns the per-block exponents. It resolves the kernel selection
-// and reuses the plan tables across the whole batch — the entry point
-// the Q15 estimators use to push all channelizer hops (FAM) or all
-// demodulate strips (SSCA) of a snapshot through one plan invocation.
+// and reuses the plan tables across the whole batch: many channelizer
+// hops or demodulate strips through one plan invocation.
 func (p *FixedPlan) ForwardScaledBatch(blocks [][]fixed.Complex, policy ScalingPolicy) ([]int, error) {
 	return p.ForwardScaledBatchWith(fixed.Active(), blocks, policy)
 }

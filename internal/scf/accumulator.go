@@ -281,7 +281,7 @@ func (d *directAccumulator) Snapshot() (*Surface, *Stats, error) {
 // every streaming accumulator (this package's direct one and the fam
 // package's). buf[0] has absolute index bufStart on entry; the updated
 // slice and start index are returned.
-func TrimBefore(buf []complex128, bufStart, keepFrom int) ([]complex128, int) {
+func TrimBefore[T any](buf []T, bufStart, keepFrom int) ([]T, int) {
 	cut := keepFrom - bufStart
 	if cut <= 0 {
 		return buf, bufStart

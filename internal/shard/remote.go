@@ -336,6 +336,7 @@ func sumStats(base, cur stream.Stats) stream.Stats {
 	cur.Surfaces += base.Surfaces
 	cur.Detections += base.Detections
 	cur.DecisionsDropped += base.DecisionsDropped
+	cur.WindowsFailed += base.WindowsFailed
 	cur.PrunedCellsSkipped += base.PrunedCellsSkipped
 	return cur
 }

@@ -111,9 +111,9 @@ type Stats struct {
 	// Shards and Channels count the live topology (down remotes are not
 	// in Shards; see OpenCircuits).
 	Shards, Channels int
-	// SamplesIn, SamplesDropped, Surfaces, Detections and
-	// DecisionsDropped aggregate the engine counters.
-	SamplesIn, SamplesDropped, Surfaces, Detections, DecisionsDropped int64
+	// SamplesIn, SamplesDropped, Surfaces, Detections, DecisionsDropped
+	// and WindowsFailed aggregate the engine counters.
+	SamplesIn, SamplesDropped, Surfaces, Detections, DecisionsDropped, WindowsFailed int64
 	// QueuedSamples is the momentary ingestion depth summed over live
 	// shards.
 	QueuedSamples int64
@@ -241,7 +241,7 @@ type Router struct {
 	closed  bool
 	// retired accumulates final counters of drained shards.
 	retiredIn, retiredDropped, retiredSurfaces, retiredDetections, retiredDecDropped int64
-	retiredRetries, retiredDeadline, retiredPruned                                   int64
+	retiredRetries, retiredDeadline, retiredPruned, retiredFailed                    int64
 
 	out              chan Decision
 	fwdWG            sync.WaitGroup
@@ -818,6 +818,7 @@ func (r *Router) DrainShard(name string) error {
 	r.retiredSurfaces += final.Surfaces
 	r.retiredDetections += final.Detections
 	r.retiredDecDropped += final.DecisionsDropped
+	r.retiredFailed += final.WindowsFailed
 	r.retiredPruned += final.PrunedCellsSkipped
 	if s.g != nil {
 		r.retiredRetries += s.g.retries.Load()
@@ -988,6 +989,7 @@ func (r *Router) Stats() Stats {
 		Surfaces:           r.retiredSurfaces,
 		Detections:         r.retiredDetections,
 		DecisionsDropped:   r.retiredDecDropped + r.decisionsDropped.Load(),
+		WindowsFailed:      r.retiredFailed,
 		Retries:            r.retiredRetries,
 		DeadlineExceeded:   r.retiredDeadline,
 		PrunedCellsSkipped: r.retiredPruned,
@@ -1000,6 +1002,7 @@ func (r *Router) Stats() Stats {
 		st.Surfaces += es.Surfaces
 		st.Detections += es.Detections
 		st.DecisionsDropped += es.DecisionsDropped
+		st.WindowsFailed += es.WindowsFailed
 		st.PrunedCellsSkipped += es.PrunedCellsSkipped
 		if !s.down.Load() {
 			st.QueuedSamples += es.QueuedSamples

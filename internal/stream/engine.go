@@ -154,6 +154,11 @@ type Stats struct {
 	// of decisions that declared the band occupied; DecisionsDropped the
 	// decisions discarded because the Decisions channel was full.
 	Surfaces, Detections, DecisionsDropped int64
+	// WindowsFailed counts due windows that produced no decision because
+	// the snapshot or the decider failed on their data (for example a
+	// rank-deficient all-zero window under urriza). Every due window is
+	// either a decision (Surfaces) or counted here.
+	WindowsFailed int64
 	// QueuedSamples is the momentary ingestion queue depth: samples
 	// accepted into rings but not yet fed to an accumulator, summed over
 	// all channels.
@@ -210,6 +215,7 @@ type Engine struct {
 	samplesIn, samplesDropped atomic.Int64
 	surfaces, detections      atomic.Int64
 	decisionsDropped          atomic.Int64
+	windowsFailed             atomic.Int64
 	prunedCellsSkipped        atomic.Int64
 }
 
@@ -658,6 +664,7 @@ func (e *Engine) decide(ch *channel) {
 	if err != nil {
 		// Ready() gated this; failure here is data-dependent and rare —
 		// skip the window rather than killing the channel.
+		e.windowsFailed.Add(1)
 		return
 	}
 	d := Decision{
@@ -674,6 +681,7 @@ func (e *Engine) decide(ch *channel) {
 		// Data-dependent decider failures (e.g. a partial flush window
 		// too short for an asymptotic test) skip the window rather than
 		// killing the channel, like snapshot failures above.
+		e.windowsFailed.Add(1)
 		return
 	}
 	d.Statistic, d.Threshold, d.Detected = res.Statistic, res.Threshold, res.Detected
@@ -825,6 +833,7 @@ func (e *Engine) Stats() Stats {
 		Surfaces:           e.surfaces.Load(),
 		Detections:         e.detections.Load(),
 		DecisionsDropped:   e.decisionsDropped.Load(),
+		WindowsFailed:      e.windowsFailed.Load(),
 		QueuedSamples:      queued,
 		PrunedCellsSkipped: e.prunedCellsSkipped.Load(),
 		Elapsed:            elapsed,

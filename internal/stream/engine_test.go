@@ -536,3 +536,53 @@ func TestEngineCumulativeKeepsIntegrating(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCountsFailedWindows: a due window whose decision fails is
+// counted in Stats.WindowsFailed instead of vanishing. Under urriza an
+// all-zero window has a singular branch correlation matrix, so after a
+// noise window and an all-zero one the engine has made one decision,
+// Surfaces is 1 and WindowsFailed is 1.
+func TestEngineCountsFailedWindows(t *testing.T) {
+	const window = 2048
+	p := scf.Params{K: 64, M: 16, AlphaCandidates: []int{4, 8}}
+	dec, err := detect.NewDecider("urriza", detect.DeciderParams{Scf: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		Estimator:       fam.FAM{Params: scf.Params{K: 64, M: 16}},
+		AlphaCandidates: p.AlphaCandidates,
+		SnapshotSamples: window,
+		Block:           true,
+		Decider:         dec,
+		MinAbsA:         2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddChannel("quiet"); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range [][]complex128{noiseBand(t, window, 31), make([]complex128, window)} {
+		if _, err := e.Push("quiet", seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []Decision
+	for d := range e.Decisions() {
+		got = append(got, d)
+	}
+	if len(got) != 1 || got[0].Seq != 0 {
+		t.Fatalf("decisions %+v, want only the noise window's", got)
+	}
+	if st.Surfaces != 1 || st.WindowsFailed != 1 {
+		t.Fatalf("Surfaces %d, WindowsFailed %d, want 1 and 1", st.Surfaces, st.WindowsFailed)
+	}
+}

@@ -212,6 +212,7 @@ func appendStats(dst []byte, st stream.Stats) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(st.Surfaces))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(st.Detections))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(st.DecisionsDropped))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(st.WindowsFailed))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(st.QueuedSamples))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(st.PrunedCellsSkipped))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(st.Elapsed.Nanoseconds()))
@@ -228,6 +229,7 @@ func readStats(r *byteReader) stream.Stats {
 	st.Surfaces = r.i64()
 	st.Detections = r.i64()
 	st.DecisionsDropped = r.i64()
+	st.WindowsFailed = r.i64()
 	st.QueuedSamples = r.i64()
 	st.PrunedCellsSkipped = r.i64()
 	st.Elapsed = time.Duration(r.i64())
