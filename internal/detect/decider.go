@@ -162,9 +162,11 @@ func asymptoticCycles(p DeciderParams, detector string) ([]float64, error) {
 	return CyclesForBins(geom.AlphaCandidates, geom.K)
 }
 
-// dgDecider adapts DG to the Decider seam.
+// dgDecider adapts DG to the Decider seam. The closed-form threshold is
+// computed once, at construction.
 type dgDecider struct {
-	dg DG
+	dg        DG
+	threshold float64
 }
 
 func newDGDecider(p DeciderParams) (Decider, error) {
@@ -173,25 +175,29 @@ func newDGDecider(p DeciderParams) (Decider, error) {
 		return nil, err
 	}
 	dg := DG{Cycles: cycles, Lags: p.Lags, Pfa: p.TargetPfa}.withDefaults()
-	if err := dg.validate(); err != nil {
+	th, err := dg.Threshold()
+	if err != nil {
 		return nil, err
 	}
-	if _, err := dg.Threshold(); err != nil {
-		return nil, err
-	}
-	return dgDecider{dg: dg}, nil
+	return dgDecider{dg: dg, threshold: th}, nil
 }
 
 func (dgDecider) Name() string         { return "dg" }
 func (dgDecider) NeedsSamples() bool   { return true }
 func (d dgDecider) TargetPfa() float64 { return d.dg.Pfa }
 func (d dgDecider) Decide(_ *scf.Surface, samples []complex128) (Decision, error) {
-	return d.dg.Decide(samples)
+	stat, err := d.dg.statistic(samples, true)
+	if err != nil {
+		return Decision{}, err
+	}
+	return Decision{Detector: d.Name(), Statistic: stat, Threshold: d.threshold, Detected: stat > d.threshold}, nil
 }
 
-// urrizaDecider adapts Urriza to the Decider seam.
+// urrizaDecider adapts Urriza to the Decider seam. The closed-form
+// threshold is computed once, at construction.
 type urrizaDecider struct {
-	ur Urriza
+	ur        Urriza
+	threshold float64
 }
 
 func newUrrizaDecider(p DeciderParams) (Decider, error) {
@@ -200,18 +206,20 @@ func newUrrizaDecider(p DeciderParams) (Decider, error) {
 		return nil, err
 	}
 	ur := Urriza{Cycles: cycles, Branches: p.Branches, Pfa: p.TargetPfa}.withDefaults()
-	if err := ur.validate(); err != nil {
+	th, err := ur.Threshold()
+	if err != nil {
 		return nil, err
 	}
-	if _, err := ur.Threshold(); err != nil {
-		return nil, err
-	}
-	return urrizaDecider{ur: ur}, nil
+	return urrizaDecider{ur: ur, threshold: th}, nil
 }
 
 func (urrizaDecider) Name() string         { return "urriza" }
 func (urrizaDecider) NeedsSamples() bool   { return true }
 func (d urrizaDecider) TargetPfa() float64 { return d.ur.Pfa }
 func (d urrizaDecider) Decide(_ *scf.Surface, samples []complex128) (Decision, error) {
-	return d.ur.Decide(samples)
+	stat, err := d.ur.statistic(samples)
+	if err != nil {
+		return Decision{}, err
+	}
+	return Decision{Detector: d.Name(), Statistic: stat, Threshold: d.threshold, Detected: stat > d.threshold}, nil
 }

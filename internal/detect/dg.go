@@ -21,6 +21,16 @@ import (
 // threshold for a target false-alarm rate comes from the chi-square
 // quantile (Threshold) — no Monte-Carlo calibration step, the property
 // that distinguishes this detector from the calibrated CFD statistics.
+//
+// Cost: one zero-padded FFT per lag serves every cycle with α·size an
+// integer (all CyclesForBins cycles once the padded size reaches K/2);
+// each other cycle derotates and transforms its own lag products.
+//
+// Degenerate windows have defined outcomes, not errors. An all-zero
+// window has a zero covariance estimate; the ridged solve returns 0, so
+// the statistic is 0 and nothing is detected. A constant (DC-only)
+// window carries no cyclic feature; its statistic is finite and far
+// below any threshold (about 0.6 at 2048 samples).
 type DG struct {
 	// Cycles are the candidate cycle frequencies in cycles per sample
 	// (non-zero, |α| < 1). At least one is required. Use CyclesForBins to
@@ -148,17 +158,7 @@ func (d DG) Statistic(x []complex128) (float64, error) {
 	if err := d.validate(); err != nil {
 		return 0, err
 	}
-	best := math.Inf(-1)
-	for _, alpha := range d.Cycles {
-		t, err := d.statisticAt(x, alpha)
-		if err != nil {
-			return 0, err
-		}
-		if t > best {
-			best = t
-		}
-	}
-	return best, nil
+	return d.statistic(x, true)
 }
 
 // Decide evaluates the detector against its closed-form threshold.
@@ -174,8 +174,32 @@ func (d DG) Decide(x []complex128) (Decision, error) {
 	return Decision{Detector: d.Name(), Statistic: stat, Threshold: th, Detected: stat > th}, nil
 }
 
-// statisticAt computes the DG statistic for one cycle frequency.
-func (d DG) statisticAt(x []complex128, alpha float64) (float64, error) {
+// dgScratch is one decision's working memory, recycled through
+// dgScratches so a steady stream of decisions allocates nothing.
+type dgScratch struct {
+	lagSpectra []complex128 // one underotated size-point spectrum per lag
+	rotated    []complex128 // one off-grid cycle's derotated lag spectra
+	g          []complex128 // one lag-product sequence, zero-padded
+	rot        []complex128 // e^{-j2παt} of the off-grid cycle
+	c          []complex128 // c_τ = √n · r̂(α, τ)
+	qc, qp     []complex128 // Q* and Q, p×p row-major
+	sigma      []float64    // covariance of ξ, dim×dim row-major
+	xi         []float64    // ξ = [Re c; Im c]
+	spd        spdSolver
+}
+
+var dgScratches scratchList[dgScratch]
+
+// statistic computes the statistic of a defaulted, validated DG. All
+// lag-product sequences share the support t ∈ [0, n) and are
+// zero-padded to size = nextPow2(n) bins. For a cycle with α·size an
+// integer (every CyclesForBins cycle once size ≥ K/2), derotating by
+// e^{-j2παt} circularly shifts the spectrum by sh = α·size bins, so such
+// a cycle reads shifted bins of one underotated spectrum per lag: one
+// FFT per lag for all on-grid cycles. Off-grid cycles, and every cycle
+// when shared is false (the per-cycle reference the shared path is
+// tested against), derotate and transform their own lag products.
+func (d DG) statistic(x []complex128, shared bool) (float64, error) {
 	maxLag := 0
 	for _, l := range d.Lags {
 		if l > maxLag {
@@ -187,44 +211,11 @@ func (d DG) statisticAt(x []complex128, alpha float64) (float64, error) {
 		return 0, fmt.Errorf("detect: DG needs >= %d samples beyond the largest lag, have %d",
 			dgMinWindow, n)
 	}
-	// All lag-product sequences share the common support t ∈ [0, n) and
-	// the same derotation e^{-j2παt}, computed once by recurrence.
-	rot := derotation(alpha, n)
 	size := nextPow2(n)
 	plan, err := fft.PlanFor(size)
 	if err != nil {
 		return 0, err
 	}
-	p := len(d.Lags)
-	spectra := make([][]complex128, p)
-	c := make([]complex128, p) // c_τ = √n · r̂(α, τ)
-	g := make([]complex128, size)
-	for i, lag := range d.Lags {
-		for t := 0; t < n; t++ {
-			re, im := real(x[t+lag]), imag(x[t+lag])
-			xr, xi := real(x[t]), imag(x[t])
-			// x(t+τ)·conj(x(t)) · e^{-j2παt}
-			g[t] = complex(re*xr+im*xi, im*xr-re*xi) * rot[t]
-		}
-		for t := n; t < size; t++ {
-			g[t] = 0
-		}
-		var sum complex128
-		for _, v := range g[:n] {
-			sum += v
-		}
-		c[i] = sum / complex(math.Sqrt(float64(n)), 0)
-		out := make([]complex128, size)
-		if err := plan.Forward(out, g); err != nil {
-			return 0, err
-		}
-		spectra[i] = out
-	}
-	// Frequency-smoothed covariance of the c vector: the spectral density
-	// Q*(m,n) = S_{g_m g_n}(0) and the conjugate (pseudo) density
-	// Q(m,n) = E[c_m c_n], both averaged over the bins around the cycle
-	// frequency (bin 0 of the derotated product), excluding the guard
-	// zone where the H1 feature line leaks.
 	smooth := d.SmoothBins
 	if smooth == 0 {
 		smooth = n / 4
@@ -243,47 +234,113 @@ func (d DG) statisticAt(x []complex128, alpha float64) (float64, error) {
 	if smooth < 8 {
 		return 0, fmt.Errorf("detect: DG smoothing span %d too narrow (window too short?)", smooth)
 	}
+	p := len(d.Lags)
+	sc := dgScratches.get()
+	defer dgScratches.put(sc)
+	sc.g = grow(sc.g, size)
+	sc.c = grow(sc.c, p)
+	rootN := complex(math.Sqrt(float64(n)), 0)
+	haveLagSpectra := false
+	best := math.Inf(-1)
+	for _, alpha := range d.Cycles {
+		var spectra []complex128
+		sh := 0
+		if v := alpha * float64(size); shared && v == math.Trunc(v) {
+			sc.lagSpectra = grow(sc.lagSpectra, p*size)
+			spectra, sh = sc.lagSpectra, fft.RootIdx(int(v), size)
+			for i, lag := range d.Lags {
+				if !haveLagSpectra {
+					lagProduct(sc.g, x, lag, n)
+					if err := plan.Forward(spectra[i*size:(i+1)*size], sc.g); err != nil {
+						return 0, err
+					}
+				}
+				sc.c[i] = spectra[i*size+sh] / rootN
+			}
+			haveLagSpectra = true
+		} else {
+			sc.rot = grow(sc.rot, n)
+			derotation(sc.rot, alpha)
+			sc.rotated = grow(sc.rotated, p*size)
+			spectra = sc.rotated
+			for i, lag := range d.Lags {
+				g := lagProduct(sc.g, x, lag, n)
+				var sum complex128
+				for t, r := range sc.rot {
+					g[t] *= r
+					sum += g[t]
+				}
+				sc.c[i] = sum / rootN
+				if err := plan.Forward(spectra[i*size:(i+1)*size], g); err != nil {
+					return 0, err
+				}
+			}
+		}
+		t, err := sc.hotelling(spectra, size, sh, n, smooth, guard)
+		if err != nil {
+			return 0, err
+		}
+		if t > best {
+			best = t
+		}
+	}
+	return best, nil
+}
+
+// hotelling forms one cycle's statistic from sc.c and the p lag spectra
+// in spectra (size bins each, back to back) whose bin sh is the cycle
+// frequency: bin 0 of the derotated product.
+func (sc *dgScratch) hotelling(spectra []complex128, size, sh, n, smooth, guard int) (float64, error) {
+	p := len(sc.c)
+	// Frequency-smoothed covariance of the c vector: the spectral density
+	// Q*(m,n) = S_{g_m g_n}(0) and the conjugate (pseudo) density
+	// Q(m,n) = E[c_m c_n], both averaged over the bins around the cycle
+	// frequency, excluding the guard zone where the H1 feature line
+	// leaks. Q* is Hermitian and Q symmetric, so only j >= m is summed;
+	// the mirrored entries are the same bits the sum would give.
 	norm := 1 / (float64(n) * float64(2*smooth))
-	qc := make([][]complex128, p) // Q*: covariance block
-	qp := make([][]complex128, p) // Q: pseudo-covariance block
+	mask := size - 1
+	sc.qc = grow(sc.qc, p*p)
+	sc.qp = grow(sc.qp, p*p)
+	qc, qp := sc.qc, sc.qp
 	for m := 0; m < p; m++ {
-		qc[m] = make([]complex128, p)
-		qp[m] = make([]complex128, p)
-		for j := 0; j < p; j++ {
+		gm := spectra[m*size : (m+1)*size]
+		for j := m; j < p; j++ {
+			gj := spectra[j*size : (j+1)*size]
 			var cc, cp complex128
-			gm, gj := spectra[m], spectra[j]
 			for s := guard + 1; s <= guard+smooth; s++ {
-				pos, neg := s, size-s
+				pos, neg := (s+sh)&mask, (size-s+sh)&mask
 				cc += gm[pos]*conj(gj[pos]) + gm[neg]*conj(gj[neg])
 				cp += gm[neg]*gj[pos] + gm[pos]*gj[neg]
 			}
-			qc[m][j] = cc * complex(norm, 0)
-			qp[m][j] = cp * complex(norm, 0)
+			qc[m*p+j] = cc * complex(norm, 0)
+			qp[m*p+j] = cp * complex(norm, 0)
+			qc[j*p+m] = conj(qc[m*p+j])
+			qp[j*p+m] = qp[m*p+j]
 		}
 	}
 	// Real covariance of ξ = [Re c; Im c] from the complex blocks:
 	// E[Re u Re v] = ½Re(Q+Q*), E[Re u Im v] = ½Im(Q−Q*),
 	// E[Im u Re v] = ½Im(Q+Q*), E[Im u Im v] = ½Re(Q*−Q).
 	dim := 2 * p
-	sigma := make([][]float64, dim)
-	for i := range sigma {
-		sigma[i] = make([]float64, dim)
-	}
+	sc.sigma = grow(sc.sigma, dim*dim)
+	sigma := sc.sigma
 	for m := 0; m < p; m++ {
 		for j := 0; j < p; j++ {
-			q, qs := qp[m][j], qc[m][j]
-			sigma[m][j] = 0.5 * (real(q) + real(qs))
-			sigma[m][j+p] = 0.5 * (imag(q) - imag(qs))
-			sigma[m+p][j] = 0.5 * (imag(q) + imag(qs))
-			sigma[m+p][j+p] = 0.5 * (real(qs) - real(q))
+			q, qs := qp[m*p+j], qc[m*p+j]
+			sigma[m*dim+j] = 0.5 * (real(q) + real(qs))
+			sigma[m*dim+j+p] = 0.5 * (imag(q) - imag(qs))
+			sigma[(m+p)*dim+j] = 0.5 * (imag(q) + imag(qs))
+			sigma[(m+p)*dim+j+p] = 0.5 * (real(qs) - real(q))
 		}
 	}
-	xi := make([]float64, dim)
-	for i, v := range c {
+	sc.xi = grow(sc.xi, dim)
+	xi := sc.xi
+	for i, v := range sc.c {
 		xi[i] = real(v)
 		xi[i+p] = imag(v)
 	}
-	y, err := solveSPD(sigma, xi)
+	y, err := sc.spd.solve(sigma, xi)
 	if err != nil {
 		return 0, err
 	}
@@ -303,15 +360,14 @@ func (d DG) statisticAt(x []complex128, alpha float64) (float64, error) {
 	return t, nil
 }
 
-// derotation returns e^{-j2παt} for t in [0, n) by complex recurrence,
-// renormalized periodically so drift stays far below the estimation
-// noise.
-func derotation(alpha float64, n int) []complex128 {
-	rot := make([]complex128, n)
+// derotation fills rot with e^{-j2παt} for t in [0, len(rot)) by
+// complex recurrence, renormalized periodically so drift stays far
+// below the estimation noise.
+func derotation(rot []complex128, alpha float64) {
 	s, c := math.Sincos(-2 * math.Pi * alpha)
 	step := complex(c, s)
 	w := complex(1, 0)
-	for t := 0; t < n; t++ {
+	for t := range rot {
 		rot[t] = w
 		w *= step
 		if t&255 == 255 {
@@ -319,7 +375,18 @@ func derotation(alpha float64, n int) []complex128 {
 			w /= complex(mag, 0)
 		}
 	}
-	return rot
+}
+
+// lagProduct fills g[:n] with the lag product x(t+lag)·conj(x(t)),
+// zero-pads the rest of g and returns it.
+func lagProduct(g, x []complex128, lag, n int) []complex128 {
+	for t := 0; t < n; t++ {
+		re, im := real(x[t+lag]), imag(x[t+lag])
+		xr, xi := real(x[t]), imag(x[t])
+		g[t] = complex(re*xr+im*xi, im*xr-re*xi)
+	}
+	clear(g[n:])
+	return g
 }
 
 // conj avoids pulling in math/cmplx for a one-liner.
@@ -334,24 +401,35 @@ func nextPow2(n int) int {
 	return p
 }
 
-// solveSPD solves A·y = b for a symmetric positive (semi)definite A by
-// Gaussian elimination with partial pivoting, ridging the diagonal by a
-// tiny multiple of its mean so a near-singular covariance estimate
-// degrades gracefully instead of failing.
-func solveSPD(a [][]float64, b []float64) ([]float64, error) {
-	dim := len(a)
-	m := make([][]float64, dim)
+// spdSolver solves A·y = b for a symmetric positive (semi)definite A
+// by Gaussian elimination with partial pivoting, ridging the diagonal by
+// a tiny multiple of its mean so a near-singular covariance estimate
+// degrades gracefully instead of failing. Its work matrix and result
+// are reused across solves.
+type spdSolver struct {
+	cells []float64   // the augmented [A+ridge | b], dim×(dim+1)
+	rows  [][]float64 // row headers into cells, swapped by pivoting
+	y     []float64
+}
+
+// solve solves for the dim×dim row-major a, dim = len(b). The returned
+// slice is valid until the next solve.
+func (s *spdSolver) solve(a, b []float64) ([]float64, error) {
+	dim := len(b)
+	s.cells = grow(s.cells, dim*(dim+1))
+	s.rows = grow(s.rows, dim)
+	m := s.rows
 	tr := 0.0
-	for i := range a {
-		tr += a[i][i]
+	for i := 0; i < dim; i++ {
+		tr += a[i*dim+i]
 	}
 	ridge := 1e-12 * tr / float64(dim)
 	if ridge <= 0 {
 		ridge = 1e-300
 	}
-	for i := range a {
-		m[i] = make([]float64, dim+1)
-		copy(m[i], a[i])
+	for i := 0; i < dim; i++ {
+		m[i] = s.cells[i*(dim+1) : (i+1)*(dim+1)]
+		copy(m[i], a[i*dim:(i+1)*dim])
 		m[i][i] += ridge
 		m[i][dim] = b[i]
 	}
@@ -377,7 +455,8 @@ func solveSPD(a [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 	}
-	y := make([]float64, dim)
+	s.y = grow(s.y, dim)
+	y := s.y
 	for i := dim - 1; i >= 0; i-- {
 		v := m[i][dim]
 		for j := i + 1; j < dim; j++ {

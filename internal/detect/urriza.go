@@ -120,46 +120,7 @@ func (u Urriza) Statistic(x []complex128) (float64, error) {
 	if err := u.validate(); err != nil {
 		return 0, err
 	}
-	m := u.Branches
-	n := len(x)/m - u.Lag
-	if n < urrizaMinBranchLen {
-		return 0, fmt.Errorf("detect: Urriza needs >= %d samples per branch beyond the lag, have %d",
-			urrizaMinBranchLen, n)
-	}
-	// Polyphase branches at the decimated rate.
-	branches := make([][]complex128, m)
-	for b := 0; b < m; b++ {
-		row := make([]complex128, len(x)/m)
-		for t := range row {
-			row[t] = x[m*t+b]
-		}
-		branches[b] = row
-	}
-	// R̂_xx over the common support; it is cycle-independent.
-	rxx := make([][]complex128, m)
-	for i := 0; i < m; i++ {
-		rxx[i] = make([]complex128, m)
-		for j := 0; j <= i; j++ {
-			var s complex128
-			for t := 0; t < n; t++ {
-				s += branches[i][t] * conj(branches[j][t])
-			}
-			s /= complex(float64(n), 0)
-			rxx[i][j] = s
-			rxx[j][i] = conj(s)
-		}
-	}
-	best := math.Inf(-1)
-	for _, alpha := range u.Cycles {
-		t, err := u.statisticAt(branches, rxx, n, u.decimatedCycle(alpha))
-		if err != nil {
-			return 0, err
-		}
-		if t > best {
-			best = t
-		}
-	}
-	return best, nil
+	return u.statistic(x)
 }
 
 // Decide evaluates the detector against its closed-form threshold.
@@ -175,44 +136,124 @@ func (u Urriza) Decide(x []complex128) (Decision, error) {
 	return Decision{Detector: u.Name(), Statistic: stat, Threshold: th, Detected: stat > th}, nil
 }
 
-// statisticAt computes the GLR statistic for one decimated cycle.
-func (u Urriza) statisticAt(branches [][]complex128, rxx [][]complex128, n int, alphaPrime float64) (float64, error) {
+// urrizaScratch is one decision's working memory, recycled through
+// urrizaScratches so a steady stream of decisions allocates nothing.
+type urrizaScratch struct {
+	samples  []complex128   // the polyphase branches, back to back
+	branches [][]complex128 // one row header per branch
+	rot      []complex128   // e^{-j2πα′t}
+	cells    []complex128   // backing of the m×m (aug: m×2m) matrices
+	rows     [][]complex128 // their row headers
+	// The work matrices of statisticAt; rxx is cycle-independent.
+	rxx, ra, raH, z, w, r, iminus, aug [][]complex128
+}
+
+var urrizaScratches scratchList[urrizaScratch]
+
+// carve sizes the scratch for m branches of l samples and a support of
+// n, and lays the work matrices out over cells.
+func (s *urrizaScratch) carve(m, l, n int) {
+	s.samples = grow(s.samples, m*l)
+	s.branches = grow(s.branches, m)
+	for b := range s.branches {
+		s.branches[b] = s.samples[b*l : (b+1)*l]
+	}
+	s.rot = grow(s.rot, n)
+	s.cells = grow(s.cells, 9*m*m)
+	s.rows = grow(s.rows, 8*m)
+	cells, rows := s.cells, s.rows
+	mat := func(cols int) [][]complex128 {
+		out := rows[:m:m]
+		for i := range out {
+			out[i] = cells[:cols:cols]
+			cells = cells[cols:]
+		}
+		rows = rows[m:]
+		return out
+	}
+	s.rxx, s.ra, s.raH, s.z, s.w, s.r, s.iminus = mat(m), mat(m), mat(m), mat(m), mat(m), mat(m), mat(m)
+	s.aug = mat(2 * m)
+}
+
+// statistic computes the statistic of a defaulted, validated Urriza.
+func (u Urriza) statistic(x []complex128) (float64, error) {
 	m := u.Branches
-	rot := derotation(alphaPrime, n)
-	// R̂_α(i,j) = (1/N′) Σ_t y_i(t+τ)·conj(y_j(t))·e^{-j2πα′t}.
-	ra := make([][]complex128, m)
+	n := len(x)/m - u.Lag
+	if n < urrizaMinBranchLen {
+		return 0, fmt.Errorf("detect: Urriza needs >= %d samples per branch beyond the lag, have %d",
+			urrizaMinBranchLen, n)
+	}
+	s := urrizaScratches.get()
+	defer urrizaScratches.put(s)
+	s.carve(m, len(x)/m, n)
+	// Polyphase branches at the decimated rate.
+	branches := s.branches
+	for b, row := range branches {
+		for t := range row {
+			row[t] = x[m*t+b]
+		}
+	}
+	// R̂_xx over the common support; it is cycle-independent.
+	rxx := s.rxx
 	for i := 0; i < m; i++ {
-		ra[i] = make([]complex128, m)
-		for j := 0; j < m; j++ {
-			var s complex128
+		for j := 0; j <= i; j++ {
+			var v complex128
 			for t := 0; t < n; t++ {
-				s += branches[i][t+u.Lag] * conj(branches[j][t]) * rot[t]
+				v += branches[i][t] * conj(branches[j][t])
 			}
-			ra[i][j] = s / complex(float64(n), 0)
+			v /= complex(float64(n), 0)
+			rxx[i][j] = v
+			rxx[j][i] = conj(v)
+		}
+	}
+	best := math.Inf(-1)
+	for _, alpha := range u.Cycles {
+		t, err := u.statisticAt(s, n, u.decimatedCycle(alpha))
+		if err != nil {
+			return 0, err
+		}
+		if t > best {
+			best = t
+		}
+	}
+	return best, nil
+}
+
+// statisticAt computes the GLR statistic for one decimated cycle from
+// the branches and R̂_xx held in s.
+func (u Urriza) statisticAt(s *urrizaScratch, n int, alphaPrime float64) (float64, error) {
+	m, branches := u.Branches, s.branches
+	rot := s.rot
+	derotation(rot, alphaPrime)
+	// R̂_α(i,j) = (1/N′) Σ_t y_i(t+τ)·conj(y_j(t))·e^{-j2πα′t}.
+	ra := s.ra
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			var v complex128
+			for t := 0; t < n; t++ {
+				v += branches[i][t+u.Lag] * conj(branches[j][t]) * rot[t]
+			}
+			ra[i][j] = v / complex(float64(n), 0)
 		}
 	}
 	// R = R_xx⁻¹·R_α·R_xx⁻¹·R_αᴴ, then λ = Re det(I − R). R is similar
 	// to a PSD product, so det(I−R) is real up to rounding; the GLR is
 	// −2(N′−M−1)·ln λ.
-	raH := make([][]complex128, m)
+	raH := s.raH
 	for i := 0; i < m; i++ {
-		raH[i] = make([]complex128, m)
 		for j := 0; j < m; j++ {
 			raH[i][j] = conj(ra[j][i])
 		}
 	}
-	z, err := solveComplex(rxx, ra)
-	if err != nil {
+	if err := solveComplex(s.z, s.rxx, ra, s.aug); err != nil {
 		return 0, err
 	}
-	w, err := solveComplex(rxx, raH)
-	if err != nil {
+	if err := solveComplex(s.w, s.rxx, raH, s.aug); err != nil {
 		return 0, err
 	}
-	r := matmulComplex(z, w)
-	iminus := make([][]complex128, m)
+	r := matmulComplex(s.r, s.z, s.w)
+	iminus := s.iminus
 	for i := 0; i < m; i++ {
-		iminus[i] = make([]complex128, m)
 		for j := 0; j < m; j++ {
 			iminus[i][j] = -r[i][j]
 		}
@@ -228,13 +269,12 @@ func (u Urriza) statisticAt(branches [][]complex128, rxx [][]complex128, n int, 
 	return -2 * float64(n-m-1) * math.Log(lambda), nil
 }
 
-// solveComplex solves A·X = B column-wise by Gaussian elimination with
-// partial pivoting, for small square complex systems.
-func solveComplex(a, b [][]complex128) ([][]complex128, error) {
+// solveComplex solves A·X = B column-wise into x by Gaussian
+// elimination with partial pivoting, for small square complex systems.
+// aug is n×2n work space.
+func solveComplex(x, a, b, aug [][]complex128) error {
 	n := len(a)
-	aug := make([][]complex128, n)
 	for i := 0; i < n; i++ {
-		aug[i] = make([]complex128, 2*n)
 		copy(aug[i], a[i])
 		copy(aug[i][n:], b[i])
 	}
@@ -247,7 +287,7 @@ func solveComplex(a, b [][]complex128) ([][]complex128, error) {
 		}
 		aug[col], aug[piv] = aug[piv], aug[col]
 		if cAbs(aug[col][col]) == 0 {
-			return nil, fmt.Errorf("detect: singular branch correlation matrix")
+			return fmt.Errorf("detect: singular branch correlation matrix")
 		}
 		inv := 1 / aug[col][col]
 		for r := 0; r < n; r++ {
@@ -263,23 +303,21 @@ func solveComplex(a, b [][]complex128) ([][]complex128, error) {
 			}
 		}
 	}
-	x := make([][]complex128, n)
 	for i := 0; i < n; i++ {
-		x[i] = make([]complex128, n)
 		inv := 1 / aug[i][i]
 		for j := 0; j < n; j++ {
 			x[i][j] = aug[i][n+j] * inv
 		}
 	}
-	return x, nil
+	return nil
 }
 
-// matmulComplex multiplies two small square complex matrices.
-func matmulComplex(a, b [][]complex128) [][]complex128 {
+// matmulComplex multiplies two small square complex matrices into out
+// and returns it.
+func matmulComplex(out, a, b [][]complex128) [][]complex128 {
 	n := len(a)
-	out := make([][]complex128, n)
 	for i := 0; i < n; i++ {
-		out[i] = make([]complex128, n)
+		clear(out[i])
 		for k := 0; k < n; k++ {
 			aik := a[i][k]
 			if aik == 0 {

@@ -704,10 +704,22 @@ func (e *Engine) decide(ch *channel) {
 		e.detections.Add(1)
 	}
 	ch.last.Store(&d)
+	// A consumer that falls behind is usually runnable but not running:
+	// the workers and the feeders hold every P. Past half a buffer, and
+	// once more before dropping, yield so it can drain. A yield is not a
+	// wait, so a consumer that stops reading still never stalls sensing.
 	select {
 	case e.out <- d:
+		if 2*len(e.out) > cap(e.out) {
+			runtime.Gosched()
+		}
 	default:
-		e.decisionsDropped.Add(1)
+		runtime.Gosched()
+		select {
+		case e.out <- d:
+		default:
+			e.decisionsDropped.Add(1)
+		}
 	}
 }
 

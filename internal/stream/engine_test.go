@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -584,5 +585,51 @@ func TestEngineCountsFailedWindows(t *testing.T) {
 	}
 	if st.Surfaces != 1 || st.WindowsFailed != 1 {
 		t.Fatalf("Surfaces %d, WindowsFailed %d, want 1 and 1", st.Surfaces, st.WindowsFailed)
+	}
+}
+
+// TestEngineYieldsToLaggingConsumer: on a single P the worker never
+// blocks while windows are due, so the consumer runs only when the
+// worker yields. A burst of decisions far larger than the buffer must
+// still all arrive, because emitting past half a buffer yields to the
+// consumer.
+func TestEngineYieldsToLaggingConsumer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const window, windows = 256, 96
+	e, err := New(Config{
+		Estimator:       scf.Direct{Params: scf.Params{K: 64, M: 16}},
+		SnapshotSamples: window,
+		RingSamples:     window * windows,
+		Block:           true,
+		Workers:         1,
+		Decider:         fixedDecider(t),
+		DecisionBuffer:  8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddChannel("burst"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int)
+	go func() {
+		n := 0
+		for range e.Decisions() {
+			n++
+		}
+		got <- n
+	}()
+	if _, err := e.Push("burst", noiseBand(t, window*windows, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-got; n != windows || st.DecisionsDropped != 0 {
+		t.Fatalf("%d of %d decisions arrived, %d dropped", n, windows, st.DecisionsDropped)
 	}
 }
