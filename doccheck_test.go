@@ -18,6 +18,7 @@ var auditedPackages = []string{
 	"internal/detect",
 	"internal/fft",
 	"internal/fixed",
+	"internal/freelist",
 	"internal/scf",
 	"internal/sig",
 	"internal/shard",

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tiledcfd/internal/fft"
+	"tiledcfd/internal/freelist"
 )
 
 // DG is the Dandawate–Giannakis cyclostationarity test in Lundén's
@@ -188,7 +189,7 @@ type dgScratch struct {
 	spd        spdSolver
 }
 
-var dgScratches scratchList[dgScratch]
+var dgScratches freelist.List[dgScratch]
 
 // statistic computes the statistic of a defaulted, validated DG. All
 // lag-product sequences share the support t ∈ [0, n) and are
@@ -235,10 +236,10 @@ func (d DG) statistic(x []complex128, shared bool) (float64, error) {
 		return 0, fmt.Errorf("detect: DG smoothing span %d too narrow (window too short?)", smooth)
 	}
 	p := len(d.Lags)
-	sc := dgScratches.get()
-	defer dgScratches.put(sc)
-	sc.g = grow(sc.g, size)
-	sc.c = grow(sc.c, p)
+	sc := dgScratches.Get()
+	defer dgScratches.Put(sc)
+	sc.g = freelist.Grow(sc.g, size)
+	sc.c = freelist.Grow(sc.c, p)
 	rootN := complex(math.Sqrt(float64(n)), 0)
 	haveLagSpectra := false
 	best := math.Inf(-1)
@@ -246,7 +247,7 @@ func (d DG) statistic(x []complex128, shared bool) (float64, error) {
 		var spectra []complex128
 		sh := 0
 		if v := alpha * float64(size); shared && v == math.Trunc(v) {
-			sc.lagSpectra = grow(sc.lagSpectra, p*size)
+			sc.lagSpectra = freelist.Grow(sc.lagSpectra, p*size)
 			spectra, sh = sc.lagSpectra, fft.RootIdx(int(v), size)
 			for i, lag := range d.Lags {
 				if !haveLagSpectra {
@@ -259,9 +260,9 @@ func (d DG) statistic(x []complex128, shared bool) (float64, error) {
 			}
 			haveLagSpectra = true
 		} else {
-			sc.rot = grow(sc.rot, n)
+			sc.rot = freelist.Grow(sc.rot, n)
 			derotation(sc.rot, alpha)
-			sc.rotated = grow(sc.rotated, p*size)
+			sc.rotated = freelist.Grow(sc.rotated, p*size)
 			spectra = sc.rotated
 			for i, lag := range d.Lags {
 				g := lagProduct(sc.g, x, lag, n)
@@ -300,8 +301,8 @@ func (sc *dgScratch) hotelling(spectra []complex128, size, sh, n, smooth, guard 
 	// the mirrored entries are the same bits the sum would give.
 	norm := 1 / (float64(n) * float64(2*smooth))
 	mask := size - 1
-	sc.qc = grow(sc.qc, p*p)
-	sc.qp = grow(sc.qp, p*p)
+	sc.qc = freelist.Grow(sc.qc, p*p)
+	sc.qp = freelist.Grow(sc.qp, p*p)
 	qc, qp := sc.qc, sc.qp
 	for m := 0; m < p; m++ {
 		gm := spectra[m*size : (m+1)*size]
@@ -323,7 +324,7 @@ func (sc *dgScratch) hotelling(spectra []complex128, size, sh, n, smooth, guard 
 	// E[Re u Re v] = ½Re(Q+Q*), E[Re u Im v] = ½Im(Q−Q*),
 	// E[Im u Re v] = ½Im(Q+Q*), E[Im u Im v] = ½Re(Q*−Q).
 	dim := 2 * p
-	sc.sigma = grow(sc.sigma, dim*dim)
+	sc.sigma = freelist.Grow(sc.sigma, dim*dim)
 	sigma := sc.sigma
 	for m := 0; m < p; m++ {
 		for j := 0; j < p; j++ {
@@ -334,7 +335,7 @@ func (sc *dgScratch) hotelling(spectra []complex128, size, sh, n, smooth, guard 
 			sigma[(m+p)*dim+j+p] = 0.5 * (real(qs) - real(q))
 		}
 	}
-	sc.xi = grow(sc.xi, dim)
+	sc.xi = freelist.Grow(sc.xi, dim)
 	xi := sc.xi
 	for i, v := range sc.c {
 		xi[i] = real(v)
@@ -416,8 +417,8 @@ type spdSolver struct {
 // slice is valid until the next solve.
 func (s *spdSolver) solve(a, b []float64) ([]float64, error) {
 	dim := len(b)
-	s.cells = grow(s.cells, dim*(dim+1))
-	s.rows = grow(s.rows, dim)
+	s.cells = freelist.Grow(s.cells, dim*(dim+1))
+	s.rows = freelist.Grow(s.rows, dim)
 	m := s.rows
 	tr := 0.0
 	for i := 0; i < dim; i++ {
@@ -455,7 +456,7 @@ func (s *spdSolver) solve(a, b []float64) ([]float64, error) {
 			}
 		}
 	}
-	s.y = grow(s.y, dim)
+	s.y = freelist.Grow(s.y, dim)
 	y := s.y
 	for i := dim - 1; i >= 0; i-- {
 		v := m[i][dim]

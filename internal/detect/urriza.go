@@ -3,6 +3,8 @@ package detect
 import (
 	"fmt"
 	"math"
+
+	"tiledcfd/internal/freelist"
 )
 
 // Urriza is the multiple-sequence cyclic-correlation significance test
@@ -148,19 +150,19 @@ type urrizaScratch struct {
 	rxx, ra, raH, z, w, r, iminus, aug [][]complex128
 }
 
-var urrizaScratches scratchList[urrizaScratch]
+var urrizaScratches freelist.List[urrizaScratch]
 
 // carve sizes the scratch for m branches of l samples and a support of
 // n, and lays the work matrices out over cells.
 func (s *urrizaScratch) carve(m, l, n int) {
-	s.samples = grow(s.samples, m*l)
-	s.branches = grow(s.branches, m)
+	s.samples = freelist.Grow(s.samples, m*l)
+	s.branches = freelist.Grow(s.branches, m)
 	for b := range s.branches {
 		s.branches[b] = s.samples[b*l : (b+1)*l]
 	}
-	s.rot = grow(s.rot, n)
-	s.cells = grow(s.cells, 9*m*m)
-	s.rows = grow(s.rows, 8*m)
+	s.rot = freelist.Grow(s.rot, n)
+	s.cells = freelist.Grow(s.cells, 9*m*m)
+	s.rows = freelist.Grow(s.rows, 8*m)
 	cells, rows := s.cells, s.rows
 	mat := func(cols int) [][]complex128 {
 		out := rows[:m:m]
@@ -183,8 +185,8 @@ func (u Urriza) statistic(x []complex128) (float64, error) {
 		return 0, fmt.Errorf("detect: Urriza needs >= %d samples per branch beyond the lag, have %d",
 			urrizaMinBranchLen, n)
 	}
-	s := urrizaScratches.get()
-	defer urrizaScratches.put(s)
+	s := urrizaScratches.Get()
+	defer urrizaScratches.Put(s)
 	s.carve(m, len(x)/m, n)
 	// Polyphase branches at the decimated rate.
 	branches := s.branches

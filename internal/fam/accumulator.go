@@ -3,45 +3,59 @@ package fam
 import (
 	"fmt"
 	"math/cmplx"
-	"sync"
 
 	"tiledcfd/internal/fft"
+	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/scf"
 )
 
-// This file implements scf.Accumulator for the FAM and the SSCA. The
-// batch estimators are these accumulators run over their input
-// (FAM.Estimate and SSCA.Estimate bind one to len(x); FAMQ15 and SSCAQ15
-// do the same in q15accumulator.go), so batch and streaming are one code
-// path, and chunking tests in accumulator_test.go hold every push
-// pattern to the one-shot bits.
+// This file implements scf.Accumulator for the FAM and the SSCA, and the
+// span folds batch FAM.Estimate and SSCA.Estimate run (FAMQ15 and
+// SSCAQ15 have their twins in q15accumulator.go). Chunking tests in
+// accumulator_test.go and window_test.go hold every push pattern to the
+// one-shot bits.
 //
-// The structural obstacle both share is that their smoothing length is a
-// function of the total input length — FAM averages over the largest
-// power of two of channelizer hops, the SSCA strip FFT spans the largest
-// power of two of samples — so a naive running sum over *all* arrived
-// hops would diverge from the estimate whenever the hop count is not a
-// power of two. The plain accumulators keep running sums in arrival
-// order and *checkpoint* them every time the hop count reaches a power
-// of two; Snapshot reads the latest checkpoint, which by construction is
-// the sum over exactly the first pow2floor(hops) hops.
+// The structural obstacle both estimators share is that their smoothing
+// length is a function of the total input length — FAM averages over the
+// largest power of two of channelizer hops, the SSCA strip FFT spans the
+// largest power of two of samples — so a naive running sum over *all*
+// arrived hops would diverge from the estimate whenever the hop count is
+// not a power of two. The plain accumulators (NewAccumulator) keep
+// running sums in arrival order and *checkpoint* them every time the hop
+// count reaches a power of two; Snapshot reads the latest checkpoint,
+// which by construction is the sum over exactly the first
+// pow2floor(hops) hops.
 //
 // A window-bound accumulator (NewWindowAccumulator, which the windowed
-// stream engine and the batch FAM use) folds only the hops its window's
-// estimate reads: at most cap = pow2floor(hops in the window). It folds
-// up to the largest power-of-two hop count the buffer covers, so the
-// running sums always are the latest checkpoint and no copy is kept.
-// Samples past the cap's span are dropped until Reset.
+// stream engine uses) knows its smoothing length up front, so it knows
+// the span its window's estimate reads: (P-1)·Hop + K samples for the
+// FAM's P hops, N + K - 1 for the SSCA's N-point strips. It buffers that
+// span and nothing past it, and the push that completes the span runs
+// the batch span fold once: the FAM's into the window's a >= 0 sums, the
+// SSCA's straight into the window's normalised surface. Until Reset the
+// accumulator then holds only its span buffer and that result. The
+// fold's working set — the channel-major block and odd-hop sums of the
+// FAM, the K×strips residue fold of the SSCA — is borrowed from a free
+// list shared by every channel, so serving memory follows the folds
+// running at once, not the channel count. A snapshot taken before the
+// span is complete (a channel's final flush, a short input) folds
+// pow2floor(buffered hops) on demand, as Estimate does on the same
+// samples. Estimate runs the same span fold straight over its input.
 //
-//   - FAM channelizes every hop it folds into one channel-major block
-//     and sums each surface cell's channel-pair products over the block.
-//   - The SSCA sums each strip's products folded modulo K, and Snapshot
-//     turns each fold into the strip bins the grid reads with one
-//     K-point FFT.
+// Every path adds each cell's terms in one order — FAM parity sums by
+// absolute hop, SSCA residue rows in hop order — so every path, in every
+// chunking, gives the same bits.
+//
+//   - FAM channelizes each block of up to foldBlockHops hops into one
+//     channel-major block and sums each surface cell's channel-pair
+//     products over the block.
+//   - The SSCA sums each strip's products folded modulo K, and one
+//     K-point FFT per fold column turns the fold into the strip bins the
+//     grid reads.
 
 // lazyEnd returns the end of hop h's power-of-two batch
-// [pow2floor(h), 2·pow2floor(h)): the hop count a lazy SSCA fold of hop
-// h waits for, and the checkpoint a plain FAM fold from hop h stops at.
+// [pow2floor(h), 2·pow2floor(h)): the checkpoint a plain fold from hop h
+// stops at.
 func lazyEnd(h int) int { return max(1, 2*pow2Floor(h)) }
 
 // famHopCap returns the FAM hop cap of a window: the power-of-two hop
@@ -63,42 +77,94 @@ func sscaStripCap(k, window int) int {
 	return pow2Floor(window - k + 1)
 }
 
-// NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
-// accumulators fold on the caller's goroutine (streaming parallelism
-// lives across channels, in the stream engine's worker pool).
-func (e FAM) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
-
-// NewWindowAccumulator implements scf.WindowEstimator: it folds at most
-// famHopCap hops and keeps no checkpoint copy.
-func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
-	return e.newAccumulator(window, 1)
-}
-
-// newAccumulator builds the FAM accumulator with the given fold worker
-// count (0 = GOMAXPROCS).
-func (e FAM) newAccumulator(window, workers int) (*famAccumulator, error) {
-	p := famDefaults(e.Params, 0)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// channelizer returns the K-point plan, twiddle table and analysis window
+// (nil when rectangular) of a validated FAM or SSCA geometry.
+func channelizer(p scf.Params) (*fft.Plan, []complex128, []float64, error) {
 	var win []float64
-	var err error
 	if p.Window != fft.Rectangular {
+		var err error
 		if win, err = fft.Window(p.Window, p.K); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 	plan, err := fft.PlanFor(p.K)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	roots, err := fft.Roots(p.K)
 	if err != nil {
+		return nil, nil, nil, err
+	}
+	return plan, roots, win, nil
+}
+
+// spanBuffer collects a window-bound accumulator's span: the first span
+// samples since Reset, in a buffer allocated once, span long. Samples
+// past the span are counted and dropped.
+type spanBuffer struct {
+	span  int
+	buf   []complex128
+	done  bool // the span has been folded; the result is held
+	total int
+}
+
+// push counts a chunk and returns the complete span the first time the
+// chunk completes it, or nil. A chunk that holds the whole span while
+// nothing is buffered is returned as is, uncopied.
+func (b *spanBuffer) push(samples []complex128) []complex128 {
+	b.total += len(samples)
+	if b.done {
+		return nil
+	}
+	if len(b.buf) == 0 && len(samples) >= b.span {
+		return samples[:b.span]
+	}
+	if b.buf == nil {
+		b.buf = make([]complex128, 0, b.span)
+	}
+	b.buf = append(b.buf, samples[:min(len(samples), b.span-len(b.buf))]...)
+	if len(b.buf) == b.span {
+		return b.buf
+	}
+	return nil
+}
+
+// Samples implements scf.Accumulator.
+func (b *spanBuffer) Samples() int { return b.total }
+
+// Reset implements scf.Accumulator: the buffer and the held result stay
+// allocated for the next window.
+func (b *spanBuffer) Reset() {
+	b.buf = b.buf[:0]
+	b.done = false
+	b.total = 0
+}
+
+// NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
+// accumulators fold on the caller's goroutine (streaming parallelism
+// lives across channels, in the stream engine's worker pool).
+func (e FAM) NewAccumulator() (scf.Accumulator, error) {
+	c, err := newFAMKernel(e.Params, 1)
+	if err != nil {
 		return nil, err
 	}
-	a := &famAccumulator{p: p, hopCap: famHopCap(p, window), workers: workers, plan: plan, roots: roots, win: win}
-	a.init()
-	return a, nil
+	return c.newPlain(), nil
+}
+
+// NewWindowAccumulator implements scf.WindowEstimator: it buffers the
+// span the window's famHopCap hops read and folds it once, as soon as it
+// is complete.
+func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	c, err := newFAMKernel(e.Params, 1)
+	if err != nil {
+		return nil, err
+	}
+	hopCap := famHopCap(c.p, window)
+	if hopCap == 0 {
+		return c.newPlain(), nil
+	}
+	span := spanBuffer{span: (hopCap-1)*c.p.Hop + c.p.K}
+	return &famWindow{famKernel: c, spanBuffer: span, hopCap: hopCap}, nil
 }
 
 var (
@@ -106,205 +172,102 @@ var (
 	_ scf.WindowEstimator    = FAM{}
 )
 
-// famAccumulator computes the FAM, for streams and (through FAM.Estimate)
-// batches alike. Push channelizes every complete hop the buffer holds
-// into one channel-major block (window, FFT and downconversion with the
-// absolute-time reference), then folds the block into per-cell running
-// sums, cell by cell. Each cell is bin 0 of the P-point second FFT of its
-// channel-pair product sequence, which is the plain sum
-// Σ_n x_{f+a}(n)·conj(x_{f-a}(n)): an O(P) dot product in place of the
-// O(P·logP) per-cell FFT (the neighbouring bins refine α between grid
-// rows, so only bin 0 lands on the surface).
+// famKernel is the geometry every FAM fold runs with. A fold channelizes
+// a block of hops into one channel-major block (window, FFT and
+// downconversion with the absolute-time reference), then adds the block
+// to per-cell sums, cell by cell. Each cell is bin 0 of the P-point
+// second FFT of its channel-pair product sequence, which is the plain
+// sum Σ_n x_{f+a}(n)·conj(x_{f-a}(n)): an O(P) dot product in place of
+// the O(P·logP) per-cell FFT (the neighbouring bins refine α between
+// grid rows, so only bin 0 lands on the surface).
 //
-// The sums are split by hop parity (acc0 for even hops, acc1 for odd):
-// the two interleaved accumulators halve the floating-point add
+// The sums are split by hop parity (even hops in one sum, odd in the
+// other): the two interleaved accumulators halve the floating-point add
 // dependency chain the fold is latency-bound on, and fixing the split by
 // absolute hop parity keeps the addition order, hence every surface bit,
-// independent of how the stream was chunked into blocks. Only the a >= 0
-// rows are accumulated; Snapshot mirrors the rest.
-type famAccumulator struct {
+// independent of how the hops were split into blocks. Only the a >= 0
+// rows are summed; the surface mirrors the rest.
+type famKernel struct {
 	p       scf.Params
-	hopCap  int // window-bound: the most hops folded; 0 = unbounded
 	workers int // goroutines sharing each block's rows (0 = GOMAXPROCS)
 	plan    *fft.Plan
 	roots   []complex128
 	win     []float64
-
-	// rowSet lists the a >= 0 rows the accumulator maintains: 0..M-1, or
-	// only the candidate rows under alpha pruning.
+	// rowSet lists the a >= 0 rows the sums hold: 0..M-1, or only the
+	// candidate rows under alpha pruning. Sums are row-major over it,
+	// 2M-1 cells a row.
 	rowSet []int
-	// acc0/acc1 are the parity-split per-cell sums, indexed
-	// [i][f+M-1] with i positional in rowSet; ck holds acc0+acc1 as it
-	// stood at the last power-of-two hop count ckHops. A window-bound
-	// accumulator has no ck: its hops are always a power of two. Its
-	// last fold, the one reaching hopCap, leaves acc0+acc1 in acc0, so
-	// one that gets its whole window in one fold never allocates acc1.
-	acc0, acc1, ck [][]complex128
-	hops           int
-	ckHops         int
-
-	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
-	bufStart int
-	total    int
 }
 
-func (f *famAccumulator) init() {
-	m := f.p.M - 1
-	f.rowSet = f.p.CandidateRows()
-	if f.rowSet == nil {
-		f.rowSet = make([]int, m+1)
-		for a := range f.rowSet {
-			f.rowSet[a] = a
+func newFAMKernel(params scf.Params, workers int) (*famKernel, error) {
+	p := famDefaults(params, 0)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	plan, roots, win, err := channelizer(p)
+	if err != nil {
+		return nil, err
+	}
+	rowSet := p.CandidateRows()
+	if rowSet == nil {
+		rowSet = make([]int, p.M)
+		for a := range rowSet {
+			rowSet[a] = a
 		}
 	}
-	f.acc0 = f.grid()
-	if f.hopCap == 0 {
-		f.acc1, f.ck = f.grid(), f.grid()
-	}
+	return &famKernel{p: p, workers: workers, plan: plan, roots: roots, win: win, rowSet: rowSet}, nil
 }
 
-// grid allocates a zeroed per-cell grid over the held rows.
-func (f *famAccumulator) grid() [][]complex128 {
-	rows, cols := len(f.rowSet), 2*f.p.M-1
-	data := make([][]complex128, rows)
-	cells := make([]complex128, rows*cols)
-	for i := range data {
-		data[i], cells = cells[:cols], cells[cols:]
-	}
-	return data
-}
+// Name implements scf.Accumulator for both FAM accumulators.
+func (c *famKernel) Name() string { return "fam" }
 
-// Name implements scf.Accumulator.
-func (f *famAccumulator) Name() string { return "fam" }
+// cells returns the number of sums a fold keeps per parity.
+func (c *famKernel) cells() int { return len(c.rowSet) * (2*c.p.M - 1) }
 
-// Samples implements scf.Accumulator.
-func (f *famAccumulator) Samples() int { return f.total }
-
-// Ready implements scf.Accumulator: the estimate needs at least two hops
-// of smoothing.
-func (f *famAccumulator) Ready() bool { return f.ckHops >= 2 }
-
-// Push implements scf.Accumulator. A window-bound accumulator folds up to
-// the largest power-of-two hop count the buffer covers, in one block of
-// up to foldBlockHops hops; the plain one folds every complete hop,
-// splitting its blocks at the power-of-two hop counts where it
-// checkpoints.
-func (f *famAccumulator) Push(samples []complex128) error {
-	f.total += len(samples)
-	k, hop := f.p.K, f.p.Hop
-	if f.hopCap != 0 {
-		// Buffer nothing past the last sample the capped hops read.
-		room := max(0, (f.hopCap-1)*hop+k-f.bufStart-len(f.buf))
-		samples = samples[:min(len(samples), room)]
+// hopsIn returns the complete hops n samples hold.
+func (c *famKernel) hopsIn(n int) int {
+	if n < c.p.K {
+		return 0
 	}
-	// Fold straight from the chunk when nothing is buffered, so a batch
-	// estimate never copies its input.
-	src, srcStart := samples, f.bufStart+len(f.buf)
-	if len(f.buf) > 0 {
-		f.buf = append(f.buf, samples...)
-		src, srcStart = f.buf, f.bufStart
-	}
-	avail := 0
-	if n := srcStart + len(src); n >= k {
-		avail = (n-k)/hop + 1
-	}
-	for {
-		end := min(avail, lazyEnd(f.hops))
-		if f.hopCap != 0 {
-			end = pow2Floor(avail)
-		}
-		end = min(end, f.hops+foldBlockHops)
-		if end <= f.hops {
-			break
-		}
-		if err := f.fold(src, srcStart, f.hops, end); err != nil {
-			return err
-		}
-		f.hops = end
-		if f.hops&(f.hops-1) == 0 {
-			// Power-of-two hop count: checkpoint the prefix sums, adding
-			// the parities as Snapshot does (a no-op without ck).
-			for i, ck := range f.ck {
-				c0, c1 := f.acc0[i], f.acc1[i]
-				for fi := range ck {
-					ck[fi] = c0[fi] + c1[fi]
-				}
-			}
-			f.ckHops = f.hops
-		}
-	}
-	// Keep only what the next hop reads (compacting once per push keeps
-	// the cost linear in the chunk).
-	if len(f.buf) > 0 {
-		f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, f.hops*hop)
-		return nil
-	}
-	cut := min(max(0, f.hops*hop-srcStart), len(src))
-	f.buf, f.bufStart = append(f.buf, src[cut:]...), srcStart+cut
-	return nil
+	return (n-c.p.K)/c.p.Hop + 1
 }
 
 // foldBlockHops caps the hops one fold channelizes. Every window the
 // benchmarks serve (at most 64 hops at the paper geometry) folds in one
-// block; longer inputs fold in 64-hop blocks, one grid pass each.
+// block; longer spans fold in 64-hop blocks, one grid pass each.
 const foldBlockHops = 64
 
-// foldScratch recycles fold scratch (a block's channel-major cells plus
-// K each for the FFT and the window) across accumulators, so no channel
-// keeps a block of its own. It is a mutex-guarded free list, not a
-// sync.Pool, because a pool may drop a buffer at any GC (and, under the
-// race detector, at random), which would make a steady stream allocate.
-// It holds at most as many buffers as folds ever ran at once, each as
-// large as the largest block it served.
-var foldScratch struct {
-	sync.Mutex
-	free [][]complex128
+// famScratch is one running FAM fold's working memory, borrowed from
+// famScratches for the fold's duration, so no channel keeps any.
+type famScratch struct {
+	blk  []complex128 // a block's channel-major cells, then K each for the FFT and the window
+	odd  []complex128 // the odd-hop sums of a span longer than one block
+	sums []complex128 // the sums of a snapshot folded on demand
 }
 
-// getFoldScratch returns a buffer of n cells. A free buffer too small
-// for n is dropped for a new one, so the list's buffers only grow.
-func getFoldScratch(n int) []complex128 {
-	foldScratch.Lock()
-	defer foldScratch.Unlock()
-	free := foldScratch.free
-	if len(free) == 0 {
-		return make([]complex128, n)
-	}
-	buf := free[len(free)-1]
-	foldScratch.free = free[:len(free)-1]
-	if cap(buf) < n {
-		return make([]complex128, n)
-	}
-	return buf[:n]
-}
-
-func putFoldScratch(buf []complex128) {
-	foldScratch.Lock()
-	defer foldScratch.Unlock()
-	foldScratch.free = append(foldScratch.free, buf)
-}
+var famScratches freelist.List[famScratch]
 
 // fold channelizes hops [h0, h1), at most foldBlockHops of them, from
 // src (src[0] is sample srcStart) into a channel-major block and adds
 // every cell's products to its parity sums, rows shared across the
-// workers. Each cell is written by one worker only, so every worker
-// count gives the same bits.
-func (f *famAccumulator) fold(src []complex128, srcStart, h0, h1 int) error {
-	k, hop, nb := f.p.K, f.p.Hop, h1-h0
-	scratch := getFoldScratch(k * (nb + 2))
-	defer putFoldScratch(scratch)
-	blk, spec, winbuf := scratch[:k*nb], scratch[k*nb:k*(nb+1)], scratch[k*(nb+1):]
+// workers. odd may be nil when last is set and the sums start at zero.
+// Each cell is written by one worker only, so every worker count gives
+// the same bits.
+func (c *famKernel) fold(sc *famScratch, src []complex128, srcStart, h0, h1 int, even, odd []complex128, last bool) error {
+	k, hop, nb := c.p.K, c.p.Hop, h1-h0
+	sc.blk = freelist.Grow(sc.blk, k*(nb+2))
+	blk, spec, winbuf := sc.blk[:k*nb], sc.blk[k*nb:k*(nb+1)], sc.blk[k*(nb+1):]
 	mask := k - 1
 	for n := 0; n < nb; n++ {
 		start := (h0 + n) * hop
 		block := src[start-srcStart : start-srcStart+k]
-		if f.win != nil {
-			if err := fft.ApplyWindowInto(winbuf, block, f.win); err != nil {
+		if c.win != nil {
+			if err := fft.ApplyWindowInto(winbuf, block, c.win); err != nil {
 				return err
 			}
 			block = winbuf
 		}
-		if err := f.plan.Forward(spec, block); err != nil {
+		if err := c.plan.Forward(spec, block); err != nil {
 			return err
 		}
 		// Downconvert with the absolute-time reference: the exponent
@@ -313,42 +276,39 @@ func (f *famAccumulator) fold(src []complex128, srcStart, h0, h1 int) error {
 		step := start & mask
 		idx := 0
 		for v := 0; v < k; v++ {
-			blk[v*nb+n] = spec[v] * f.roots[idx]
+			blk[v*nb+n] = spec[v] * c.roots[idx]
 			idx = (idx + step) & mask
 		}
 	}
-	odd, last := h0&1 == 1, f.hopCap != 0 && h1 == f.hopCap
-	if !last && f.acc1 == nil {
-		f.acc1 = f.grid()
-	}
-	if f.workers == 1 {
-		// Streaming accumulators: no goroutines, and no closure to
-		// allocate.
-		for i := range f.rowSet {
-			f.foldRow(i, blk, nb, odd, last)
+	oddStart := h0&1 == 1
+	if c.workers == 1 {
+		// Accumulators: no goroutines, and no closure to allocate.
+		for i := range c.rowSet {
+			c.foldRow(i, blk, nb, even, odd, oddStart, last)
 		}
 		return nil
 	}
-	forEach(len(f.rowSet), f.workers, func(i int) { f.foldRow(i, blk, nb, odd, last) })
+	forEach(len(c.rowSet), c.workers, func(i int) { c.foldRow(i, blk, nb, even, odd, oddStart, last) })
 	return nil
 }
 
 // foldRow adds one block's products to row i's parity sums: cell (f, a)
 // gains x_{f+a}(n)·conj(x_{f-a}(n)) for each of the block's nb hops, even
-// hops into acc0 and odd hops into acc1, each in arrival order. odd says
-// the block's first hop is odd; last stores the two sums added in acc0.
-// The loop allocates nothing.
-func (f *famAccumulator) foldRow(i int, blk []complex128, nb int, odd, last bool) {
-	a, m := f.rowSet[i], f.p.M-1
+// hops into even and odd hops into odd, each in arrival order. oddStart
+// says the block's first hop is odd; last stores the two sums added in
+// even. The loop allocates nothing.
+func (c *famKernel) foldRow(i int, blk []complex128, nb int, even, odd []complex128, oddStart, last bool) {
+	a, m := c.rowSet[i], c.p.M-1
 	// K is a power of two (Params.Validate), so the f±a bin wrap-around is
 	// a masked increment instead of a per-cell modulo.
-	mask := f.p.K - 1
+	mask := c.p.K - 1
 	pi := (a - m) & mask
 	qi := (-a - m) & mask
-	c0 := f.acc0[i]
-	var c1 []complex128 // nil until a fold that is not the last
-	if f.acc1 != nil {
-		c1 = f.acc1[i]
+	cols := 2*m + 1
+	c0 := even[i*cols : (i+1)*cols]
+	var c1 []complex128 // nil: the odd sums start at zero
+	if odd != nil {
+		c1 = odd[i*cols : (i+1)*cols]
 	}
 	for fi := range c0 {
 		cp := blk[pi*nb : pi*nb+nb]
@@ -359,7 +319,7 @@ func (f *famAccumulator) foldRow(i int, blk []complex128, nb int, odd, last bool
 			s1 = c1[fi]
 		}
 		n := 0
-		if odd {
+		if oddStart {
 			s1 += cp[0] * cmplx.Conj(cq[0])
 			n = 1
 		}
@@ -380,34 +340,53 @@ func (f *famAccumulator) foldRow(i int, blk []complex128, nb int, odd, last bool
 	}
 }
 
-// Snapshot implements scf.Accumulator. It reads the checkpoint at
-// P = pow2floor(hops) (acc0+acc1 itself when window-bound), normalises
-// each cell by 1/P and mirrors the a < 0 rows: the FAM surface is exactly
-// Hermitian in α, since cell (f, -a) sums the termwise conjugates of
-// cell (f, a)'s terms in the same order, and conjugation is exact.
-func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	if f.ckHops < 2 {
-		return nil, nil, needSamples("FAM", f.p.K+f.p.Hop, f.total)
+// foldSpan sets sums to the fold of hops [0, np) of src (src[0] is sample
+// 0), in blocks of at most foldBlockHops hops, each cell's two parity
+// sums added. A span of more than one block borrows its odd-hop sums
+// from sc.
+func (c *famKernel) foldSpan(sc *famScratch, sums, src []complex128, np int) error {
+	clear(sums)
+	var odd []complex128
+	if np > foldBlockHops {
+		sc.odd = freelist.Grow(sc.odd, len(sums))
+		odd = sc.odd
+		clear(odd)
 	}
-	np := f.ckHops
+	for h0 := 0; h0 < np; h0 += foldBlockHops {
+		h1 := min(np, h0+foldBlockHops)
+		if err := c.fold(sc, src, 0, h0, h1, sums, odd, h1 == np); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// estimate returns the surface over the first np hops of src (src[0] is
+// sample 0), folded in borrowed scratch: what Estimate returns, and what
+// a window snapshot taken before its span is complete returns.
+func (c *famKernel) estimate(src []complex128, np int) (*scf.Surface, *scf.Stats, error) {
+	sc := famScratches.Get()
+	defer famScratches.Put(sc)
+	sc.sums = freelist.Grow(sc.sums, c.cells())
+	if err := c.foldSpan(sc, sc.sums, src, np); err != nil {
+		return nil, nil, err
+	}
+	s, stats := c.surface(sc.sums, np)
+	return s, stats, nil
+}
+
+// surface normalises the sums of np hops by 1/np and mirrors the a < 0
+// rows: the FAM surface is exactly Hermitian in α, since cell (f, -a)
+// sums the termwise conjugates of cell (f, a)'s terms in the same order,
+// and conjugation is exact.
+func (c *famKernel) surface(sums []complex128, np int) (*scf.Surface, *scf.Stats) {
 	inv := complex(1/float64(np), 0)
-	s := scf.NewSurfaceFor(f.p)
-	for i, a := range f.rowSet {
+	s := scf.NewSurfaceFor(c.p)
+	cols := 2*c.p.M - 1
+	for i, a := range c.rowSet {
 		row := s.Row(a)
-		switch {
-		case f.ck != nil:
-			for fi, c := range f.ck[i] {
-				row[fi] = c * inv
-			}
-		case f.hops == f.hopCap: // the last fold left acc0+acc1 in acc0
-			for fi, c := range f.acc0[i] {
-				row[fi] = c * inv
-			}
-		default:
-			c0, c1 := f.acc0[i], f.acc1[i]
-			for fi := range row {
-				row[fi] = (c0[fi] + c1[fi]) * inv
-			}
+		for fi, v := range sums[i*cols : (i+1)*cols] {
+			row[fi] = v * inv
 		}
 	}
 	s.MirrorHermitian()
@@ -415,24 +394,143 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	// operation-count model of the paper's complexity comparison, even
 	// though only its bin 0 is evaluated (model vs measured; see the
 	// README). With alpha pruning the count covers only the held rows.
-	cells := f.p.DSCFMults()
+	cells := c.p.DSCFMults()
 	stats := &scf.Stats{
 		Blocks:    np,
-		FFTMults:  np*fft.ComplexMults(f.p.K) + cells*fft.ComplexMults(np),
-		DSCFMults: np*f.p.K + cells*np,
+		FFTMults:  np*fft.ComplexMults(c.p.K) + cells*fft.ComplexMults(np),
+		DSCFMults: np*c.p.K + cells*np,
 	}
+	return s, stats
+}
+
+// famWindow is the window-bound FAM accumulator: the span its window's
+// hopCap hops read, then, once the span is folded, the window's sums.
+type famWindow struct {
+	*famKernel
+	spanBuffer
+	hopCap int
+	sums   []complex128 // allocated at the first span completion
+}
+
+// Ready implements scf.Accumulator: the estimate needs at least two hops
+// of smoothing.
+func (w *famWindow) Ready() bool { return w.done || w.hopsIn(len(w.buf)) >= 2 }
+
+// Push implements scf.Accumulator. The push that completes the span
+// folds all hopCap hops.
+func (w *famWindow) Push(samples []complex128) error {
+	span := w.push(samples)
+	if span == nil {
+		return nil
+	}
+	if w.sums == nil {
+		w.sums = make([]complex128, w.cells())
+	}
+	sc := famScratches.Get()
+	defer famScratches.Put(sc)
+	if err := w.foldSpan(sc, w.sums, span, w.hopCap); err != nil {
+		return err
+	}
+	w.done = true
+	return nil
+}
+
+// Snapshot implements scf.Accumulator: the held sums, or, before the
+// span is complete, pow2floor(buffered hops) folded on demand.
+func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
+	if w.done {
+		s, stats := w.surface(w.sums, w.hopCap)
+		return s, stats, nil
+	}
+	np := pow2Floor(w.hopsIn(len(w.buf)))
+	if np < 2 {
+		return nil, nil, needSamples("FAM", w.p.K+w.p.Hop, w.total)
+	}
+	return w.estimate(w.buf, np)
+}
+
+// famAccumulator is the plain FAM accumulator. Push folds every complete
+// hop into the parity sums acc0 (even hops) and acc1 (odd), splitting
+// its blocks at the power-of-two hop counts where it checkpoints
+// acc0+acc1 into ck.
+type famAccumulator struct {
+	*famKernel
+	acc0, acc1, ck []complex128
+	hops, ckHops   int
+
+	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
+	bufStart int
+	total    int
+}
+
+func (c *famKernel) newPlain() *famAccumulator {
+	n := c.cells()
+	return &famAccumulator{famKernel: c, acc0: make([]complex128, n), acc1: make([]complex128, n), ck: make([]complex128, n)}
+}
+
+// Samples implements scf.Accumulator.
+func (f *famAccumulator) Samples() int { return f.total }
+
+// Ready implements scf.Accumulator: the estimate needs at least two hops
+// of smoothing.
+func (f *famAccumulator) Ready() bool { return f.ckHops >= 2 }
+
+// Push implements scf.Accumulator.
+func (f *famAccumulator) Push(samples []complex128) error {
+	f.total += len(samples)
+	// Fold straight from the chunk when nothing is buffered.
+	src, srcStart := samples, f.bufStart+len(f.buf)
+	if len(f.buf) > 0 {
+		f.buf = append(f.buf, samples...)
+		src, srcStart = f.buf, f.bufStart
+	}
+	avail := f.hopsIn(srcStart + len(src))
+	for {
+		end := min(avail, lazyEnd(f.hops), f.hops+foldBlockHops)
+		if end <= f.hops {
+			break
+		}
+		sc := famScratches.Get()
+		err := f.fold(sc, src, srcStart, f.hops, end, f.acc0, f.acc1, false)
+		famScratches.Put(sc)
+		if err != nil {
+			return err
+		}
+		f.hops = end
+		if f.hops&(f.hops-1) == 0 {
+			// Power-of-two hop count: checkpoint the prefix sums, adding
+			// the parities as a span fold's last block does.
+			for i := range f.ck {
+				f.ck[i] = f.acc0[i] + f.acc1[i]
+			}
+			f.ckHops = f.hops
+		}
+	}
+	// Keep only what the next hop reads (compacting once per push keeps
+	// the cost linear in the chunk).
+	if len(f.buf) > 0 {
+		f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, f.hops*f.p.Hop)
+		return nil
+	}
+	cut := min(max(0, f.hops*f.p.Hop-srcStart), len(src))
+	f.buf, f.bufStart = append(f.buf, src[cut:]...), srcStart+cut
+	return nil
+}
+
+// Snapshot implements scf.Accumulator: the checkpoint at
+// P = pow2floor(hops).
+func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
+	if f.ckHops < 2 {
+		return nil, nil, needSamples("FAM", f.p.K+f.p.Hop, f.total)
+	}
+	s, stats := f.surface(f.ck, f.ckHops)
 	return s, stats, nil
 }
 
 // Reset implements scf.Accumulator.
 func (f *famAccumulator) Reset() {
-	for _, g := range [][][]complex128{f.acc0, f.acc1, f.ck} {
-		for _, row := range g {
-			for i := range row {
-				row[i] = 0
-			}
-		}
-	}
+	clear(f.acc0)
+	clear(f.acc1)
 	f.hops, f.ckHops = 0, 0
 	f.buf = f.buf[:0]
 	f.bufStart = 0
@@ -444,13 +542,58 @@ func (f *famAccumulator) Reset() {
 // strip, plus (with N zero) its copy at the last power-of-two hop count.
 // With N set, samples past the first N hops are discarded; with N zero
 // each snapshot spans the largest power-of-two prefix of the stream.
-func (e SSCA) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
+func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
+	c, err := newSSCAKernel(e)
+	if err != nil {
+		return nil, err
+	}
+	return c.newPlain(e.N), nil
+}
 
 // NewWindowAccumulator implements scf.WindowEstimator: with N zero it
-// runs fixed-N at the window's strip length (sscaStripCap), folding
-// lazily, with no checkpoint copy. With N set, the plain accumulator
+// buffers the span of the window's strip length (sscaStripCap) and folds
+// it once, as soon as it is complete. With N set, the plain accumulator
 // already meets the contract.
 func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	c, err := newSSCAKernel(e)
+	if err != nil {
+		return nil, err
+	}
+	n := sscaStripCap(c.p.K, window)
+	if e.N != 0 || n == 0 {
+		return c.newPlain(e.N), nil
+	}
+	return &sscaWindow{sscaKernel: c, spanBuffer: spanBuffer{span: n + c.p.K - 1}, n: n}, nil
+}
+
+var (
+	_ scf.StreamingEstimator = SSCA{}
+	_ scf.WindowEstimator    = SSCA{}
+)
+
+// sscaKernel is the geometry every SSCA fold runs with. Every sample
+// completes one more position of the unit-hop channelizer: a fold runs
+// its K-point FFT, downconverts the addressed channels and multiplies
+// each by the conjugate centre-aligned input sample, giving strip
+// product p_v[h].
+//
+// Cell (f, a) reads only strip bin q = (N/K)·j, j = (a-f) mod K, of the
+// N-point strip FFT, and that bin equals bin j of the K-point DFT of the
+// strip folded modulo K, y_v[r] = Σ_{h ≡ r mod K} p_v[h], because
+// e^{-j2π·h·q/N} depends only on h mod K. At those bins the centre-shift
+// derotation e^{-j2π·q·(K/2)/N} is (-1)^j. So a fold keeps only the
+// residue fold, and one K-point FFT per strip turns it into cells.
+type sscaKernel struct {
+	p     scf.Params
+	plan  *fft.Plan
+	roots []complex128
+	win   []float64
+
+	rowAlphas []int // surface rows to fill: all of [-m, m], or the candidate set
+	needed    []int // addressed channel indices
+}
+
+func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
 	if err := p.Validate(); err != nil {
@@ -464,62 +607,213 @@ func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 			return nil, fmt.Errorf("fam: SSCA strip length N=%d must be a power of two", e.N)
 		}
 	}
-	var win []float64
-	var err error
-	if p.Window != fft.Rectangular {
-		if win, err = fft.Window(p.Window, p.K); err != nil {
-			return nil, err
+	plan, roots, win, err := channelizer(p)
+	if err != nil {
+		return nil, err
+	}
+	c := &sscaKernel{p: p, plan: plan, roots: roots, win: win, needed: make([]int, 0, p.K)}
+	m := p.M - 1
+	c.rowAlphas = p.SurfaceAlphas()
+	if c.rowAlphas == nil {
+		c.rowAlphas = make([]int, 2*m+1)
+		for i := range c.rowAlphas {
+			c.rowAlphas[i] = i - m
 		}
 	}
-	plan, err := fft.PlanFor(p.K)
-	if err != nil {
-		return nil, err
+	// Only the channels the held rows address get strips: the residues
+	// f+a mod K per row a — the full [-2m, 2m] band, or the candidate
+	// strips under alpha pruning.
+	seen := make([]bool, p.K)
+	for _, a := range c.rowAlphas {
+		for f := -m; f <= m; f++ {
+			if k := fft.BinIndex(p.K, f+a); !seen[k] {
+				seen[k] = true
+				c.needed = append(c.needed, k)
+			}
+		}
 	}
-	roots, err := fft.Roots(p.K)
-	if err != nil {
-		return nil, err
-	}
-	a := &sscaAccumulator{p: p, nFixed: e.N, plan: plan, roots: roots, win: win}
-	if n := sscaStripCap(p.K, window); e.N == 0 && n != 0 {
-		a.nFixed, a.lazy = n, true
-	}
-	a.init()
-	return a, nil
+	return c, nil
 }
 
-var (
-	_ scf.StreamingEstimator = SSCA{}
-	_ scf.WindowEstimator    = SSCA{}
-)
+// Name implements scf.Accumulator for both SSCA accumulators.
+func (c *sscaKernel) Name() string { return "ssca" }
 
-// sscaAccumulator computes the SSCA, for streams and (through
-// SSCA.Estimate) batches alike. Every arriving sample completes one more
-// position of the unit-hop channelizer; the accumulator runs the K-point
-// FFT, downconverts the addressed channels and multiplies each by the
-// conjugate centre-aligned input sample, giving strip product p_v[h].
-//
-// Cell (f, a) reads only strip bin q = (N/K)·j, j = (a-f) mod K, of the
-// N-point strip FFT, and that bin equals bin j of the K-point DFT of the
-// strip folded modulo K, y_v[r] = Σ_{h ≡ r mod K} p_v[h], because
-// e^{-j2π·h·q/N} depends only on h mod K. At those bins the centre-shift
-// derotation e^{-j2π·q·(K/2)/N} is (-1)^j. So the accumulator keeps only
-// the running fold, and Snapshot runs one K-point FFT per strip.
+// foldHops adds hops [h0, h1) of src (src[0] is sample srcStart; hop h
+// reads samples [h, h+K)) to fold, hop h into residue row h mod K, in
+// hop order. The fold is hop-major, so each hop's writes are contiguous:
+// fold[r·len(needed)+i] sums channel needed[i]'s products. Hops below K
+// open their rows, so the fold needs no clearing. rot holds each
+// channel's downconversion index v·h0 mod K and is advanced to h1. spec
+// is K cells of FFT scratch; winbuf, K more, is read only under an
+// analysis window.
+func (c *sscaKernel) foldHops(fold []complex128, rot []int, spec, winbuf, src []complex128, srcStart, h0, h1 int) error {
+	k, nn := c.p.K, len(c.needed)
+	mask := k - 1
+	roots, needed := c.roots, c.needed
+	for h := h0; h < h1; h++ {
+		block := src[h-srcStart : h-srcStart+k]
+		if c.win != nil {
+			if err := fft.ApplyWindowInto(winbuf, block, c.win); err != nil {
+				return err
+			}
+			block = winbuf
+		}
+		if err := c.plan.Forward(spec, block); err != nil {
+			return err
+		}
+		// The conjugate centre-aligned factor of this strip position.
+		xc := cmplx.Conj(src[h-srcStart+k/2])
+		// The downconversion exponent (h·v) mod K advances by v per unit
+		// hop, so each channel carries a running table index.
+		r := h & mask
+		row := fold[r*nn : (r+1)*nn]
+		if h < k {
+			clear(row)
+		}
+		for i, v := range needed {
+			idx := rot[i]
+			row[i] += spec[v] * roots[idx] * xc
+			rot[i] = (idx + v) & mask
+		}
+	}
+	return nil
+}
+
+// strips writes the cells of a residue fold of n hops into sf. Each
+// strip's fold column goes through one K-point FFT in col (K cells of
+// scratch); cell (f, a) reads bin j = (a-f) mod K of strip f+a,
+// derotated by (-1)^j and scaled by 1/N.
+func (c *sscaKernel) strips(sf *scf.Surface, fold, col []complex128, n int) error {
+	k, nn := c.p.K, len(c.needed)
+	mask := k - 1
+	m := c.p.M - 1
+	inv := complex(1/float64(n), 0)
+	for i, v := range c.needed {
+		for r := range col {
+			col[r] = fold[r*nn+i]
+		}
+		if err := c.plan.Forward(col, col); err != nil {
+			return err
+		}
+		// Row a reads strip v at column f ≡ v-a (mod K), when |f| <= m;
+		// 2m < K, so there is at most one such column.
+		for ri, a := range c.rowAlphas {
+			f := (v - a) & mask
+			if f > m {
+				if f -= k; f < -m {
+					continue
+				}
+			}
+			j := (a - f) & mask
+			cell := col[j]
+			if j&1 == 1 {
+				cell = -cell
+			}
+			sf.Data[ri][f+m] = cell * inv
+		}
+	}
+	return nil
+}
+
+// stats reports the canonical N-point strip model (see doc.go).
+func (c *sscaKernel) stats(n int) *scf.Stats {
+	k, nn := c.p.K, len(c.needed)
+	return &scf.Stats{
+		Blocks:    n,
+		FFTMults:  n*fft.ComplexMults(k) + nn*fft.ComplexMults(n),
+		DSCFMults: n*k + nn*n,
+	}
+}
+
+// sscaScratch is one running SSCA span fold's working memory, borrowed
+// from sscaScratches for the fold's duration, so no channel keeps any.
+type sscaScratch struct {
+	fold []complex128 // the K×strips residue fold
+	spec []complex128 // K cells of FFT scratch, then K for the window
+	rot  []int
+}
+
+var sscaScratches freelist.List[sscaScratch]
+
+// spanFold writes the surface over the first n >= K hops of src (src[0]
+// is sample 0) into sf, folding in borrowed scratch. The SSCA
+// allocates nothing else: the returned surface is the whole cost.
+func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
+	sc := sscaScratches.Get()
+	defer sscaScratches.Put(sc)
+	k := c.p.K
+	sc.fold = freelist.Grow(sc.fold, k*len(c.needed))
+	sc.spec = freelist.Grow(sc.spec, 2*k)
+	sc.rot = freelist.Grow(sc.rot, len(c.needed))
+	clear(sc.rot)
+	spec := sc.spec[:k]
+	if err := c.foldHops(sc.fold, sc.rot, spec, sc.spec[k:], src, 0, 0, n); err != nil {
+		return err
+	}
+	return c.strips(sf, sc.fold, spec, n)
+}
+
+// sscaWindow is the window-bound SSCA accumulator: the span its window's
+// n hops read, then, once the span is folded, the window's surface.
+type sscaWindow struct {
+	*sscaKernel
+	spanBuffer
+	n    int // the window's strip length
+	surf *scf.Surface
+}
+
+// Ready implements scf.Accumulator: a K-point strip needs 2K-1 samples.
+func (s *sscaWindow) Ready() bool { return s.done || len(s.buf) >= 2*s.p.K-1 }
+
+// Push implements scf.Accumulator. The push that completes the span
+// folds all n hops and writes the normalised cells into the held
+// surface.
+func (s *sscaWindow) Push(samples []complex128) error {
+	span := s.push(samples)
+	if span == nil {
+		return nil
+	}
+	if s.surf == nil {
+		s.surf = scf.NewSurfaceFor(s.p)
+	}
+	if err := s.spanFold(s.surf, span, s.n); err != nil {
+		return err
+	}
+	s.done = true
+	return nil
+}
+
+// Snapshot implements scf.Accumulator: a copy of the held surface, or,
+// before the span is complete, the strip length the buffered samples
+// afford folded on demand.
+func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
+	if !s.Ready() {
+		return nil, nil, needSamples("SSCA", 2*s.p.K-1, s.total)
+	}
+	sf := scf.NewSurfaceFor(s.p)
+	if s.done {
+		for i, row := range s.surf.Data {
+			copy(sf.Data[i], row)
+		}
+		return sf, s.stats(s.n), nil
+	}
+	n := sscaStripCap(s.p.K, len(s.buf))
+	if err := s.spanFold(sf, s.buf, n); err != nil {
+		return nil, nil, err
+	}
+	return sf, s.stats(n), nil
+}
+
+// sscaAccumulator is the plain SSCA accumulator: Push folds every
+// complete hop into the running residue fold (the first nFixed hops only,
+// when N is set).
 type sscaAccumulator struct {
-	p      scf.Params
+	*sscaKernel
 	nFixed int
-	lazy   bool // window-bound: fold to each power of two up to nFixed
-	plan   *fft.Plan
-	roots  []complex128
-	win    []float64
-
-	rowAlphas []int // surface rows to fill: all of [-m, m], or the candidate set
-	needed    []int // addressed channel indices
-	rotIdx    []int // per needed channel: running downconversion index (v·hops mod K)
-	// fold is the running strip fold, hop-major so each hop's writes are
-	// contiguous: fold[(h mod K)·len(needed)+i] sums channel needed[i]'s
-	// products over the hops h seen so far. With N zero, ck is fold's
-	// copy at the last power-of-two hop count ckHops >= K. Both are
-	// allocated on the first hop. A lazy fold is its own checkpoint.
+	rot    []int // per needed channel: running downconversion index (v·hops mod K)
+	// fold is the running residue fold over the hops seen so far; with N
+	// zero, ck is its copy at the last power-of-two hop count ckHops >=
+	// K. Both are allocated on the first hop.
 	fold, ck []complex128
 	hops     int
 	ckHops   int
@@ -528,36 +822,12 @@ type sscaAccumulator struct {
 	bufStart int
 	total    int
 
-	spec, winbuf []complex128 // spec doubles as Snapshot's strip column
+	spec []complex128 // K cells of FFT scratch (Snapshot's strip column), then K for the window
 }
 
-func (s *sscaAccumulator) init() {
-	m := s.p.M - 1
-	s.rowAlphas = s.p.SurfaceAlphas()
-	if s.rowAlphas == nil {
-		s.rowAlphas = make([]int, 2*m+1)
-		for i := range s.rowAlphas {
-			s.rowAlphas[i] = i - m
-		}
-	}
-	// Only the channels the held rows address get strips: the residues
-	// f+a mod K per row a — the full [-2m, 2m] band, or the candidate
-	// strips under alpha pruning.
-	seen := make([]bool, s.p.K)
-	for _, a := range s.rowAlphas {
-		for f := -m; f <= m; f++ {
-			if k := fft.BinIndex(s.p.K, f+a); !seen[k] {
-				seen[k] = true
-				s.needed = append(s.needed, k)
-			}
-		}
-	}
-	s.rotIdx = make([]int, len(s.needed))
-	s.spec = make([]complex128, s.p.K)
+func (c *sscaKernel) newPlain(nFixed int) *sscaAccumulator {
+	return &sscaAccumulator{sscaKernel: c, nFixed: nFixed, rot: make([]int, len(c.needed)), spec: make([]complex128, 2*c.p.K)}
 }
-
-// Name implements scf.Accumulator.
-func (s *sscaAccumulator) Name() string { return "ssca" }
 
 // Samples implements scf.Accumulator.
 func (s *sscaAccumulator) Samples() int { return s.total }
@@ -565,7 +835,7 @@ func (s *sscaAccumulator) Samples() int { return s.total }
 // stripLen returns the strip length a snapshot would use now, or 0 when
 // too few hops have arrived.
 func (s *sscaAccumulator) stripLen() int {
-	if s.nFixed == 0 || s.lazy {
+	if s.nFixed == 0 {
 		return s.ckHops
 	}
 	if s.hops >= s.nFixed {
@@ -581,94 +851,58 @@ func (s *sscaAccumulator) Ready() bool { return s.stripLen() != 0 }
 func (s *sscaAccumulator) Push(samples []complex128) error {
 	s.total += len(samples)
 	k := s.p.K
-	if s.lazy {
-		// Buffer nothing past the last sample the N hops read.
-		room := max(0, s.nFixed+k-1-s.bufStart-len(s.buf))
-		samples = samples[:min(len(samples), room)]
-	}
 	s.buf = append(s.buf, samples...)
-	mask := k - 1
-	nn := len(s.needed)
 	for {
-		start := s.hops // unit hop: hop m starts at sample m
-		if s.nFixed != 0 && s.hops >= s.nFixed {
-			// The fold is complete; later samples can only be discarded
-			// (the fixed-N estimate spans the first N hops). Drop
-			// everything so memory stays flat; bufStart advances to the
-			// absolute index of the next sample to arrive.
-			s.buf = s.buf[:0]
-			s.bufStart = s.total
-			return nil
+		// Fold the hops the buffer completes, up to N or (N zero) the
+		// next power-of-two checkpoint.
+		end := s.bufStart + len(s.buf) - k + 1
+		if s.nFixed != 0 {
+			end = min(end, s.nFixed)
+		} else {
+			end = min(end, max(k, lazyEnd(s.hops)))
 		}
-		end := start + k
-		if s.lazy {
-			// Fold lazily: hop h waits for the last hop of its batch.
-			end = lazyEnd(start) - 1 + k
-		}
-		if s.bufStart+len(s.buf) < end {
-			// Keep only what the next hop reads (compacting once per
-			// push keeps the cost linear).
-			s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, start)
-			return nil
+		if end <= s.hops {
+			break
 		}
 		if s.fold == nil {
-			s.fold = make([]complex128, k*nn)
+			s.fold = make([]complex128, k*len(s.needed))
 			if s.nFixed == 0 {
-				s.ck = make([]complex128, k*nn)
+				s.ck = make([]complex128, k*len(s.needed))
 			}
 		}
-		block := s.buf[start-s.bufStart : start-s.bufStart+k]
-		if s.win != nil {
-			if s.winbuf == nil {
-				s.winbuf = make([]complex128, k)
-			}
-			if err := fft.ApplyWindowInto(s.winbuf, block, s.win); err != nil {
-				return err
-			}
-			block = s.winbuf
-		}
-		if err := s.plan.Forward(s.spec, block); err != nil {
+		if err := s.foldHops(s.fold, s.rot, s.spec[:k], s.spec[k:], s.buf, s.bufStart, s.hops, end); err != nil {
 			return err
 		}
-		// The conjugate centre-aligned factor of this strip position.
-		xc := cmplx.Conj(s.buf[start-s.bufStart+k/2])
-		// Fold this hop's products into residue row start mod K; the
-		// first K hops open the rows, so Reset never has to clear them.
-		// The downconversion exponent (start·v) mod K advances by v per
-		// unit hop, so each channel carries a running table index.
-		r := start & mask
-		row := s.fold[r*nn : (r+1)*nn]
-		if start < k {
-			clear(row)
-		}
-		spec, roots, rot := s.spec, s.roots, s.rotIdx
-		for i, v := range s.needed {
-			idx := rot[i]
-			row[i] += spec[v] * roots[idx] * xc
-			rot[i] = (idx + v) & mask
-		}
-		s.hops++
-		if s.hops >= k && s.hops&(s.hops-1) == 0 {
+		s.hops = end
+		if s.nFixed == 0 && s.hops >= k && s.hops&(s.hops-1) == 0 {
 			// Power-of-two hop count: checkpoint the fold of exactly the
-			// prefix a batch estimate of this stream would transform (a
-			// no-op without ck).
+			// prefix a batch estimate of this stream would transform.
 			copy(s.ck, s.fold)
 			s.ckHops = s.hops
 		}
 	}
+	if s.nFixed != 0 && s.hops >= s.nFixed {
+		// The fold is complete; later samples can only be discarded (the
+		// fixed-N estimate spans the first N hops). Drop everything so
+		// memory stays flat; bufStart advances to the absolute index of
+		// the next sample to arrive.
+		s.buf = s.buf[:0]
+		s.bufStart = s.total
+		return nil
+	}
+	// Keep only what the next hop reads (compacting once per push keeps
+	// the cost linear).
+	s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, s.hops)
+	return nil
 }
 
-// Snapshot implements scf.Accumulator. Each strip's fold column goes
-// through one K-point FFT; cell (f, a) reads bin j = (a-f) mod K of
-// strip f+a, derotated by (-1)^j and scaled by 1/N. Each strip is
-// transformed in place in one K-length scratch and its bins scattered
-// straight into its cells, so the snapshot allocates only the surface
-// and its stats.
+// Snapshot implements scf.Accumulator, allocating only the surface and
+// its stats.
 func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	n := s.stripLen()
 	if n == 0 {
 		need := 2*s.p.K - 1
-		if s.nFixed != 0 && !s.lazy {
+		if s.nFixed != 0 {
 			need = s.nFixed + s.p.K - 1
 		}
 		return nil, nil, needSamples("SSCA", need, s.total)
@@ -677,49 +911,17 @@ func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	if s.ck != nil {
 		fold = s.ck
 	}
-	k, nn := s.p.K, len(s.needed)
-	mask := k - 1
-	m := s.p.M - 1
 	sf := scf.NewSurfaceFor(s.p)
-	inv := complex(1/float64(n), 0)
-	bins := s.spec
-	for i, v := range s.needed {
-		for r := range bins {
-			bins[r] = fold[r*nn+i]
-		}
-		if err := s.plan.Forward(bins, bins); err != nil {
-			return nil, nil, err
-		}
-		// Row a reads strip v at column f ≡ v-a (mod K), when |f| <= m;
-		// 2m < K, so there is at most one such column.
-		for ri, a := range s.rowAlphas {
-			f := (v - a) & mask
-			if f > m {
-				if f -= k; f < -m {
-					continue
-				}
-			}
-			j := (a - f) & mask
-			c := bins[j]
-			if j&1 == 1 {
-				c = -c
-			}
-			sf.Data[ri][f+m] = c * inv
-		}
+	if err := s.strips(sf, fold, s.spec[:s.p.K], n); err != nil {
+		return nil, nil, err
 	}
-	// Stats report the canonical N-point strip model (see doc.go).
-	stats := &scf.Stats{
-		Blocks:    n,
-		FFTMults:  n*fft.ComplexMults(k) + nn*fft.ComplexMults(n),
-		DSCFMults: n*k + nn*n,
-	}
-	return sf, stats, nil
+	return sf, s.stats(n), nil
 }
 
 // Reset implements scf.Accumulator. The fold needs no clearing: the
 // first K hops after a reset overwrite it.
 func (s *sscaAccumulator) Reset() {
-	clear(s.rotIdx)
+	clear(s.rot)
 	s.hops, s.ckHops = 0, 0
 	s.buf = s.buf[:0]
 	s.bufStart = 0

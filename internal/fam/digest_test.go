@@ -42,11 +42,13 @@ func surfaceDigest(s *scf.Surface, st *scf.Stats) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestEstimatorDigestsPinned pins the exact output of the FAM, FAM-Q15
-// and SSCA-Q15 estimators: every surface cell and stat, hashed. The
-// digests were recorded before batch FAM and the Q15 estimators were
-// rebuilt on their accumulators, so they prove that rebuild moved no
-// bit. Any intended numerical change must re-record them on purpose.
+// TestEstimatorDigestsPinned pins the exact output of the FAM, SSCA,
+// FAM-Q15 and SSCA-Q15 estimators: every surface cell and stat, hashed.
+// The FAM and Q15 digests were recorded before batch FAM and the Q15
+// estimators were rebuilt on their accumulators, and the SSCA digests
+// before the window-bound FAM and SSCA became span folds, so they prove
+// those rebuilds moved no bit. Any intended numerical change must
+// re-record them on purpose.
 func TestEstimatorDigestsPinned(t *testing.T) {
 	type geometry struct {
 		k, m, n int
@@ -84,6 +86,30 @@ func TestEstimatorDigestsPinned(t *testing.T) {
 		}, [2]string{
 			"8c38913a550a70bd3b32c471a16ee5b6ff0d53632a140f2f757bb7a3d9e6af98",
 			"9b940b0b1b0ec8f42a9cde28f2cb0fa0b01c6185cdce68e664e12ab732143fa3",
+		}},
+		{"ssca-full", func(g geometry) scf.Estimator {
+			return SSCA{Params: scf.Params{K: g.k, M: g.m}}
+		}, [2]string{
+			"a86ab268339b6845d9e05f03acf9d0414143e0f5e8a1e791a5cf2bf58b6fd05d",
+			"8a5a9e57c9b15696d2b15c15dfc7258187caebe191f9e600fedb4e0f377f710f",
+		}},
+		{"ssca-pruned", func(g geometry) scf.Estimator {
+			return SSCA{Params: scf.Params{K: g.k, M: g.m, AlphaCandidates: g.alphas}}
+		}, [2]string{
+			"c1f7d9912a71c65ce75fa10600e6fc6c6e627be0538061f5c115f114f3758d9f",
+			"32a0b7de45aa7de84195f44f7092499a3ae9b6361605e1acd8ca55c1dadd5d7e",
+		}},
+		{"ssca-hann", func(g geometry) scf.Estimator {
+			return SSCA{Params: scf.Params{K: g.k, M: g.m, Window: fft.Hann}}
+		}, [2]string{
+			"5d0c6387998fb6ae330fb9cdb20ed2703c0392742afeb087482aa83ae86be339",
+			"16723f019fc6ec5533562db869a7c224cf617f686f5f117d7e83340fa90aba3e",
+		}},
+		{"ssca-fixed-n", func(g geometry) scf.Estimator {
+			return SSCA{Params: scf.Params{K: g.k, M: g.m}, N: g.n / 8}
+		}, [2]string{
+			"9fe58ba7f2f2495439ed48411e96b7ad3a99cf52faa61fe98b023d5c7727cb31",
+			"847d1285ae58e2eb7f847f5a4411016677940ed3cc47d7f7409996141c7c9cb2",
 		}},
 		{"fam-q15-measured", func(g geometry) scf.Estimator {
 			return FAMQ15{Params: scf.Params{K: g.k, M: g.m}}

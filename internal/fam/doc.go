@@ -41,11 +41,11 @@
 // N-point strip FFT with a modulo-K fold and a K-point FFT) — see the
 // README's model-vs-measured note.
 //
-// Every batch estimate here is its streaming accumulator run over the
-// input: FAM.Estimate, SSCA.Estimate, FAMQ15.EstimateQ15 and
-// SSCAQ15.EstimateQ15 bind the accumulator to len(x) (see accumulator.go
-// and q15accumulator.go), so batch and streaming share one body per
-// estimator and agree bit for bit.
+// Every batch estimate here shares its body with the window-bound
+// accumulator: FAM.Estimate and SSCA.Estimate run its span fold straight
+// over the input, FAMQ15.EstimateQ15 and SSCAQ15.EstimateQ15 bind the
+// accumulator to len(x) (see accumulator.go and q15accumulator.go), so
+// batch and streaming agree bit for bit.
 //
 // Estimates agree with the direct method at grid points up to the
 // smoothing window: cross-check tests assert all three estimators locate

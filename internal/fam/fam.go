@@ -47,17 +47,20 @@ func (e FAM) MinSamples() int {
 	return p.K + p.Hop
 }
 
-// Estimate implements scf.Estimator: the accumulator bound to len(x)
-// run over x, so batch and streaming estimates are one code path.
+// Estimate implements scf.Estimator: the span fold of the window-bound
+// accumulator run straight over x, in scratch borrowed for the call, so
+// batch and windowed streaming estimates are one code path and an
+// estimate allocates little more than its surface.
 func (e FAM) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	acc, err := e.newAccumulator(len(x), e.Workers)
+	c, err := newFAMKernel(e.Params, e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := acc.Push(x); err != nil {
-		return nil, nil, err
+	np := famHopCap(c.p, len(x))
+	if np == 0 {
+		return nil, nil, needSamples("FAM", c.p.K+c.p.Hop, len(x))
 	}
-	return acc.Snapshot()
+	return c.estimate(x, np)
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

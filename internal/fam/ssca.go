@@ -43,18 +43,28 @@ func (e SSCA) MinSamples() int {
 	return n + p.K - 1
 }
 
-// Estimate implements scf.Estimator: the accumulator bound to len(x)
-// run over x, so batch and streaming estimates are one code path. With N
-// zero it picks the largest N the input affords.
+// Estimate implements scf.Estimator: the span fold of the window-bound
+// accumulator run straight over x, in scratch borrowed for the call, so
+// batch and windowed streaming estimates are one code path and an
+// estimate allocates only its surface and stats. With N zero it picks
+// the largest N the input affords.
 func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	acc, err := e.NewWindowAccumulator(len(x))
+	c, err := newSSCAKernel(e)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := acc.Push(x); err != nil {
+	n, need := e.N, e.N+c.p.K-1
+	if n == 0 {
+		n, need = sscaStripCap(c.p.K, len(x)), 2*c.p.K-1
+	}
+	if n == 0 || len(x) < need {
+		return nil, nil, needSamples("SSCA", need, len(x))
+	}
+	sf := scf.NewSurfaceFor(c.p)
+	if err := c.spanFold(sf, x, n); err != nil {
 		return nil, nil, err
 	}
-	return acc.Snapshot()
+	return sf, c.stats(n), nil
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

@@ -2,6 +2,9 @@ package fam
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"tiledcfd/internal/fft"
@@ -13,7 +16,9 @@ import (
 // Reset, in any chunking, Snapshot equals Estimate(x[:min(n, W)]) bit for
 // bit with the same stats, and Ready holds exactly when that Estimate
 // succeeds. A window too short for any snapshot gets the plain
-// accumulator, whose snapshot is Estimate(x[:n]).
+// accumulator, whose snapshot is Estimate(x[:n]). Float FAM and SSCA
+// snapshots must also equal the plain accumulator's fed the same
+// samples, the same way.
 //
 // The inputs decode as: seed picks the band; estSel%5 picks fam, pruned
 // fam, ssca, fam-q15 or ssca-q15, and estSel/5%3 the FAM hop (K/4, 13 or
@@ -83,38 +88,101 @@ func FuzzWindowAccumulator(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, got, want, fmt.Sprintf("%s W=%d n=%d", est.Name(), window, n))
+			label := fmt.Sprintf("%s W=%d n=%d", est.Name(), window, n)
+			requireIdentical(t, got, want, label)
 			requireSameStats(t, gotStats, wantStats)
+			if estSel%5 < 3 {
+				// Estimate runs the window accumulator's own span fold;
+				// the plain accumulator, which folds at push time and
+				// checkpoints, is an independent reference.
+				ref, err := est.NewAccumulator()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pushChunks(t, ref, x[:lim], sizes)
+				refSurface, refStats, err := ref.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, got, refSurface, label+" vs plain accumulator")
+				requireSameStats(t, gotStats, refStats)
+			}
 		}
 	})
 }
 
-// TestWindowAccumulatorKeepsNoCheckpoint: over a whole window, a
-// window-bound FAM or SSCA accumulator folds only the hops the snapshot
-// reads and never allocates the checkpoint copy the plain one keeps.
+// TestWindowAccumulatorKeepsNoCheckpoint: after a whole window, a
+// window-bound FAM, pruned FAM or SSCA accumulator holds its span buffer
+// (exactly span long) and its result, and nothing else: no parity grid,
+// no checkpoint, no K×strips fold. Its snapshot still equals Estimate.
 func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 	const window = 2048
 	x := streamBand(t, window, 16)
 	p := scf.Params{K: 64, M: 16} // FAM: 125 hops in the window, 64 read
-	fa, err := FAM{Params: p}.NewWindowAccumulator(window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, err := SSCA{Params: p}.NewWindowAccumulator(window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, acc := range []scf.Accumulator{fa, sa} {
-		if err := acc.Push(x); err != nil {
+	pruned := p
+	pruned.AlphaCandidates = []int{3, 8, 11}
+	for _, c := range []struct {
+		name            string
+		est             scf.StreamingEstimator
+		span, heldCells int
+	}{
+		{"fam", FAM{Params: p}, 63*16 + 64, 16 * 31},
+		{"fam-pruned", FAM{Params: pruned}, 63*16 + 64, len(famDefaults(pruned, 0).CandidateRows()) * 31},
+		{"ssca", SSCA{Params: p}, 1024 + 63, 31 * 31},
+	} {
+		acc, err := c.est.(scf.WindowEstimator).NewWindowAccumulator(window)
+		if err != nil {
 			t.Fatal(err)
 		}
+		pushChunks(t, acc, x, []int{500})
+		want := 16 * (c.span + c.heldCells)
+		if got := heldBytes(reflect.ValueOf(acc)); got != want {
+			t.Errorf("%s: holds %d bytes past its geometry, want a %d-sample span plus %d result cells (%d bytes)",
+				c.name, got, c.span, c.heldCells, want)
+		}
+		got, _, err := acc.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSurface, _, err := c.est.Estimate(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, wantSurface, c.name)
 	}
-	if f := fa.(*famAccumulator); f.ck != nil || f.hops != 64 {
-		t.Errorf("fam: folded %d hops (want 64 of 125), checkpoint allocated %v", f.hops, f.ck != nil)
+}
+
+// heldBytes sums the backing arrays an accumulator keeps per channel:
+// every slice, and every *scf.Surface's cells, reachable through its
+// struct fields and embedded structs. The kernels (plans, tables and row
+// sets that describe the geometry, not the stream) are left out.
+func heldBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		switch v.Type() {
+		case reflect.TypeOf(&famKernel{}), reflect.TypeOf(&sscaKernel{}):
+			return 0
+		case reflect.TypeOf(&scf.Surface{}):
+			n, data := 0, v.Elem().FieldByName("Data")
+			for i := 0; i < data.Len(); i++ {
+				n += 16 * data.Index(i).Len() // rows share one backing array
+			}
+			return n
+		}
+		return heldBytes(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += heldBytes(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		return v.Cap() * int(v.Type().Elem().Size())
 	}
-	if s := sa.(*sscaAccumulator); s.ck != nil || s.hops != 1024 {
-		t.Errorf("ssca: folded %d hops (want 1024 of %d), checkpoint allocated %v", s.hops, window-64+1, s.ck != nil)
-	}
+	return 0
 }
 
 // sink keeps benchmark and allocation-test results live.
@@ -156,6 +224,108 @@ func TestSSCASnapshotAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchEstimateBytes: at the paper geometry (K=256, M=64), a batch
+// FAM or SSCA estimate allocates at most the surface and stats it
+// returns plus a small constant. The fold's working set (block, sums,
+// K×strips fold) is borrowed from the shared free lists, and the input
+// is never copied.
+func TestBatchEstimateBytes(t *testing.T) {
+	const slack = 16 << 10
+	p := scf.Params{K: 256, M: 64}
+	for _, n := range []int{2048, 8192} {
+		x := goldenBand(n, 2)
+		for _, est := range []scf.Estimator{FAM{Params: p}, SSCA{Params: p}} {
+			estimate := func() {
+				var err error
+				if sinkSurface, sinkStats, err = est.Estimate(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			estimate() // size the free lists
+			got := bytesPerRun(10, estimate)
+			want := bytesPerRun(10, func() {
+				sinkSurface, sinkStats = scf.NewSurfaceFor(famDefaults(p, 0)), &scf.Stats{}
+			})
+			if got > want+slack {
+				t.Errorf("%s over %d samples: Estimate allocates %d bytes per call, want at most the surface plus stats (%d) + %d",
+					est.Name(), n, got, want, slack)
+			}
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged
+// over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestConcurrentFoldsShareScratch: window accumulators and batch
+// estimates folding at once on several goroutines, each with fold
+// scratch from the shared free lists, still give the serial bits. The
+// FAM hop of 13 makes 128 hops, two blocks, so the odd-hop sums are
+// borrowed too.
+func TestConcurrentFoldsShareScratch(t *testing.T) {
+	const window, goroutines = 2048, 4
+	x := streamBand(t, window, 18)
+	p := scf.Params{K: 64, M: 16}
+	multi := p
+	multi.Hop = 13
+	ests := []scf.StreamingEstimator{FAM{Params: p}, FAM{Params: multi}, SSCA{Params: p}}
+	want := make([]*scf.Surface, len(ests))
+	for i, est := range ests {
+		var err error
+		if want[i], _, err = est.Estimate(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i, est := range ests {
+					acc, err := est.(scf.WindowEstimator).NewWindowAccumulator(window)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for off := 0; off < window; off += 300 + 100*g {
+						if err := acc.Push(x[off:min(off+300+100*g, window)]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					got, _, err := acc.Snapshot()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					batch, _, err := est.Estimate(x)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, s := range []*scf.Surface{got, batch} {
+						if d := scf.MaxAbsDiff(s, want[i]); d != 0 {
+							t.Errorf("goroutine %d, %s: surface differs from the serial one by %g", g, est.Name(), d)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkWindowPushSnapshot times one serving window's Push and

@@ -49,8 +49,9 @@ type Config struct {
 	// reset after each decision, so every decision covers its own
 	// SnapshotSamples window and memory stays bounded for all
 	// estimators. Windowed channels of an scf.WindowEstimator (FAM,
-	// SSCA and their Q15 twins) fold only the hops the window's
-	// estimate reads and keep no checkpoint copy.
+	// SSCA and their Q15 twins) work only on the span of samples the
+	// window's estimate reads; the float ones fold it once, as soon as
+	// it is buffered, and keep only the window's result.
 	Cumulative bool
 	// Block selects backpressure over dropping: Push blocks until ring
 	// space frees instead of discarding the overflow. Default false

@@ -219,8 +219,15 @@ func TestQuotaShedsOverRateClientOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The two connections are served independently: wait for both the
+	// polite client's samples and every hog frame's fate (delivered or
+	// shed), so the hog's count below is final.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(sink.got("polite")) < 400 && time.Now().Before(deadline) {
+	settled := func() bool {
+		hogDone := int64(len(sink.got("hog"))) + srv.Metrics.SamplesShed.Load()
+		return len(sink.got("polite")) >= 400 && hogDone >= 5*8000
+	}
+	for !settled() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := len(sink.got("polite")); got != 400 {
