@@ -613,9 +613,7 @@ type MonitorStats struct {
 	// per channel always remains available via ChannelStats).
 	Surfaces, Detections, DecisionsDropped int64
 	// WindowsFailed counts due windows that produced no decision because
-	// the estimator snapshot or the detector failed on their data (for
-	// example an all-zero window under "urriza", whose branch
-	// correlation matrix is singular).
+	// the estimator snapshot or the detector failed on their data.
 	WindowsFailed int64
 	// QueuedSamples is the momentary ingestion backlog: samples pushed
 	// but not yet integrated into estimator state.

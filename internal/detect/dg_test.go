@@ -134,6 +134,40 @@ func TestDGDegenerateWindows(t *testing.T) {
 	}
 }
 
+// TestUrrizaDegenerateWindows: an all-zero window has a zero branch
+// correlation matrix and a constant one a rank-one matrix; both solve
+// with a ridged diagonal instead of failing, so a silent or DC-only
+// channel still decides. The all-zero window gives statistic 0 and the
+// constant one a finite statistic, neither detected.
+func TestUrrizaDegenerateWindows(t *testing.T) {
+	onGrid, err := CyclesForBins([]int{16, 32, 11, 40}, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		cycles []float64
+	}{
+		{"on-grid", onGrid},
+		{"off-grid", []float64{0.1234, -0.3}},
+	} {
+		u := Urriza{Cycles: tc.cycles}
+		zero := make([]complex128, 2048)
+		dec, err := u.Decide(zero)
+		if err != nil || dec.Statistic != 0 || dec.Detected {
+			t.Errorf("%s all-zero window: %+v, %v; want statistic 0, not detected", tc.name, dec, err)
+		}
+		dc := make([]complex128, 2048)
+		for i := range dc {
+			dc[i] = complex(0.3, -2)
+		}
+		dec, err = u.Decide(dc)
+		if err != nil || math.IsNaN(dec.Statistic) || math.IsInf(dec.Statistic, 0) || dec.Statistic < 0 || dec.Detected {
+			t.Errorf("%s constant window: %+v, %v; want a finite statistic, not detected", tc.name, dec, err)
+		}
+	}
+}
+
 // TestDecidersAllocateNothing: once the scratch list holds a decision's
 // working memory, the dg and urriza deciders allocate nothing per
 // decision.

@@ -273,11 +273,41 @@ func (u Urriza) statisticAt(s *urrizaScratch, n int, alphaPrime float64) (float6
 
 // solveComplex solves A·X = B column-wise into x by Gaussian
 // elimination with partial pivoting, for small square complex systems.
-// aug is n×2n work space.
+// aug is n×2n work space. A is the Hermitian branch correlation R̂_xx:
+// when elimination meets an exactly zero pivot (an all-zero window, or a
+// rank-deficient one such as a constant window), it re-solves with the
+// diagonal ridged by 1e-12 × its mean (at least 1e-300), as spdSolver
+// does, so a degenerate window gets a defined statistic instead of an
+// error. Systems with no zero pivot are solved unridged.
 func solveComplex(x, a, b, aug [][]complex128) error {
+	if eliminate(x, a, b, aug, 0) {
+		return nil
+	}
+	n := len(a)
+	tr := 0.0
+	for i := 0; i < n; i++ {
+		tr += real(a[i][i])
+	}
+	ridge := 1e-12 * tr / float64(n)
+	if ridge <= 0 {
+		ridge = 1e-300
+	}
+	if eliminate(x, a, b, aug, ridge) {
+		return nil
+	}
+	return fmt.Errorf("detect: singular branch correlation matrix")
+}
+
+// eliminate is one solveComplex attempt with ridge added to A's
+// diagonal. It reports false, leaving x unset, when a pivot is exactly
+// zero.
+func eliminate(x, a, b, aug [][]complex128, ridge float64) bool {
 	n := len(a)
 	for i := 0; i < n; i++ {
 		copy(aug[i], a[i])
+		if ridge != 0 {
+			aug[i][i] += complex(ridge, 0)
+		}
 		copy(aug[i][n:], b[i])
 	}
 	for col := 0; col < n; col++ {
@@ -289,7 +319,7 @@ func solveComplex(x, a, b, aug [][]complex128) error {
 		}
 		aug[col], aug[piv] = aug[piv], aug[col]
 		if cAbs(aug[col][col]) == 0 {
-			return fmt.Errorf("detect: singular branch correlation matrix")
+			return false
 		}
 		inv := 1 / aug[col][col]
 		for r := 0; r < n; r++ {
@@ -311,7 +341,7 @@ func solveComplex(x, a, b, aug [][]complex128) error {
 			x[i][j] = aug[i][n+j] * inv
 		}
 	}
-	return nil
+	return true
 }
 
 // matmulComplex multiplies two small square complex matrices into out

@@ -42,10 +42,13 @@
 // README's model-vs-measured note.
 //
 // Every batch estimate here shares its body with the window-bound
-// accumulator: FAM.Estimate and SSCA.Estimate run its span fold straight
-// over the input, FAMQ15.EstimateQ15 and SSCAQ15.EstimateQ15 bind the
-// accumulator to len(x) (see accumulator.go and q15accumulator.go), so
-// batch and streaming agree bit for bit.
+// accumulator: FAM.Estimate, SSCA.Estimate and both Q15 estimators run
+// its span fold straight over the input (see accumulator.go and
+// q15accumulator.go), with the fold's working set borrowed from shared
+// free lists, so batch and streaming agree bit for bit and an estimate
+// allocates little more than the surface it returns. The plain
+// accumulators (NewAccumulator), which fold or bank at push time, are
+// the independent reference the span fold is tested against.
 //
 // Estimates agree with the direct method at grid points up to the
 // smoothing window: cross-check tests assert all three estimators locate

@@ -66,68 +66,68 @@ func (e FAMQ15) MinSamples() int {
 }
 
 // Estimate implements scf.Estimator: the Q15 surface converted exactly
-// into float-FAM units.
+// into float-FAM units. Every intermediate, the QSurface included, is
+// borrowed, so an estimate allocates little more than the float surface
+// it returns.
 func (e FAMQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	q, stats, err := e.EstimateQ15(x)
+	c, err := e.kernel(e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	return q.Float(), stats, nil
+	return c.estimate(x)
 }
 
 // EstimateQ15 computes the surface in its native Q15-plus-exponent form:
-// the accumulator bound to len(x) run over x.
+// the window-bound accumulator's span fold run straight over x, so batch
+// and windowed streaming estimates are one code path.
 func (e FAMQ15) EstimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
-	acc, err := e.newAccumulator(len(x), e.Workers)
+	c, err := e.kernel(e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if e.InputPeak == 0 {
-		acc.front.measure(x)
-	}
-	if err := acc.Push(x); err != nil {
-		return nil, nil, err
-	}
-	return acc.SnapshotQ15()
+	return c.estimateQ15(x)
 }
 
-// famQ15Finish runs the second stage of the Q15 FAM on a channelized
-// snapshot: the aligned gather, the bin-0 dot products for the
-// non-negative cycle rows, the exact Hermitian mirror into the negative
-// rows, and the single-rounding surface reduction.
-func famQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, gain float64, workers, need int) (*scf.QSurface, *scf.Stats, error) {
-	np := len(ch.hops)
-	emax, aligned := ch.emax, ch.aligned
+// kernel builds the fold kernel with the given second-stage worker count
+// (0 = GOMAXPROCS).
+func (e FAMQ15) kernel(workers int) (*q15Kernel, error) {
+	p := famDefaults(e.Params, 0)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return newQ15Kernel(p, false, 0, e.InputScale, e.InputPeak, e.Policy, workers)
+}
+
+// famFinish runs the second stage of the Q15 FAM over aligned hops: the
+// aligned gather, the bin-0 dot products for the non-negative cycle rows,
+// the exact Hermitian mirror into the negative rows, and the
+// single-rounding reduction into out.
+func (c *q15Kernel) famFinish(sc *q15Scratch, ch *q15Channelizer, gain float64, out *scf.QSurface) scf.Stats {
+	p, np := c.p, len(ch.exps)
 	// Every cell (f, a) is the full-precision sum over hops of
 	// ch[f+a](n)·conj(ch[f-a](n)) — the bin-0 dot product of the second
 	// FFT, like the float path — accumulated int64 at Q30. Only the
 	// rows a >= 0 are evaluated; row -a is the exact termwise conjugate
 	// of row +a, so mirrorHermitian fills it at accumulator precision.
-	m := p.M - 1
-	grid := newAccGridFor(p)
-	rowAlphas := grid.rowAlphas()
+	grid := sc.gridFor(c)
 	// The rows are sorted by offset, so the a >= 0 rows are a suffix;
 	// the ± row pairs read the same channels.
-	first := sort.SearchInts(rowAlphas, 0)
-	chv := ch.transposeWide(neededChannels(p.K, m, rowAlphas, true))
-	mask := p.K - 1
-	forEach(len(rowAlphas)-first, workers, func(i int) {
-		a, row := rowAlphas[first+i], grid.data[first+i]
-		pi := (a - m) & mask
-		qi := (-a - m) & mask
-		for fi := range row {
-			re, im := kern.DotConjQ30(chv[pi], chv[qi])
-			row[fi] = fixed.CAcc{Re: re, Im: im}
-			pi = (pi + 1) & mask
-			qi = (qi + 1) & mask
+	first := sort.SearchInts(c.rowAlphas, 0)
+	chv := ch.transposeWide(sc, c.needed)
+	if c.workers == 1 {
+		// Accumulators: no goroutines, and no closure to allocate.
+		for i := first; i < len(c.rowAlphas); i++ {
+			c.famRow(grid, chv, i)
 		}
-	})
-	grid.mirrorHermitian(rowAlphas)
+	} else {
+		forEach(len(c.rowAlphas)-first, c.workers, func(i int) { c.famRow(grid, chv, first+i) })
+	}
+	grid.mirrorHermitian(c.rowAlphas)
 	// Products of two aligned channels carry 2^(2·emax); 1/np and the
 	// squared input conditioning gain are the residual gain.
-	s := grid.reduce(2*emax, surfaceGain(np, gain))
+	grid.reduce(2*ch.emax, surfaceGain(np, gain), out)
 	cells := p.DSCFMults()
-	stats := &scf.Stats{
+	return scf.Stats{
 		Blocks: np,
 		// The canonical operation model matches float FAM: a full P-point
 		// second FFT charged per cell even though only bin 0 is evaluated
@@ -137,14 +137,25 @@ func famQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, gain flo
 		DSCFMults: np*p.K + cells*np,
 		Cycles: ch.fftCy +
 			montium.MACKernelCycles(ch.macCy+int64(cells)*int64(np)) +
-			montium.ReadDataCycles(int64(need)) +
-			montium.AlignCycles(aligned+int64(cells)),
-		Kernel: kern.Name(),
+			montium.ReadDataCycles(int64(c.spanOf(np))) +
+			montium.AlignCycles(ch.aligned+int64(cells)),
+		Kernel: c.kern.Name(),
 	}
-	// The batch backend runs the whole pipeline on one modeled tile;
-	// internal/tile schedules fill multi-tile breakdowns.
-	stats.PerTile = []scf.TileCycles{{Tile: 0, Compute: stats.Cycles}}
-	return s, stats, nil
+}
+
+// famRow fills grid row i (offset a = rowAlphas[i] >= 0) with its dot
+// products over the widened channels chv.
+func (c *q15Kernel) famRow(grid *accGrid, chv [][]float64, i int) {
+	m, mask := c.p.M-1, c.p.K-1
+	a, row := c.rowAlphas[i], grid.data[i]
+	pi := (a - m) & mask
+	qi := (-a - m) & mask
+	for fi := range row {
+		re, im := c.kern.DotConjQ30(chv[pi], chv[qi])
+		row[fi] = fixed.CAcc{Re: re, Im: im}
+		pi = (pi + 1) & mask
+		qi = (qi + 1) & mask
+	}
 }
 
 var _ scf.Estimator = FAMQ15{}

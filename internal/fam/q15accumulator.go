@@ -2,15 +2,17 @@ package fam
 
 import (
 	"fmt"
+	"slices"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/fixed"
+	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/scf"
 )
 
-// This file implements scf.Accumulator for FAMQ15 and SSCAQ15. Batch
-// EstimateQ15 is the accumulator bound to len(x) run over x, so batch
-// and streaming estimates are one code path.
+// This file implements scf.Accumulator for FAMQ15 and SSCAQ15, and the
+// span fold batch EstimateQ15 runs: the Q15 twins of accumulator.go's
+// float shapes.
 //
 // The fixed-point front door is the obstacle the float accumulators do
 // not have: a batch estimate with InputPeak zero conditions the input
@@ -21,49 +23,64 @@ import (
 // estimators without it.
 //
 // The second obstacle is block floating point: every hop carries its
-// own exponent, and the common scale emax is a function of ALL hops in
-// a snapshot, so per-cell running sums cannot be maintained (a new hop
+// own exponent, and the common scale emax is a function of ALL hops an
+// estimate reads, so per-cell running sums cannot be kept (a new hop
 // with a larger exponent would retroactively re-scale every earlier
-// product). Both accumulators instead bank the per-hop channelizer rows,
-// computed hop by hop as they complete, and defer alignment and the
-// second stage to Snapshot (famQ15Finish / sscaQ15Finish), which reads
-// the bank without modifying it. Banked rows cost 4·K bytes per hop:
-// bounded by N for SSCAQ15 with N set and by the window's cap for a
-// window-bound accumulator (NewWindowAccumulator, the float twins'
-// caps), stream-proportional otherwise (long-running monitors should set
-// N or Reset between windows, as with the float SSCA).
+// product). Alignment and the second stage therefore run once the last
+// hop's exponent is known.
+//
+// A window-bound accumulator (NewWindowAccumulator, which the windowed
+// stream engine uses) knows its smoothing up front, so it knows the span
+// its window's estimate reads: (P-1)·Hop + K samples for the FAM-Q15's P
+// hops, N + K - 1 for the SSCA-Q15's N-point strips. It buffers that span
+// quantised, at 4 bytes a sample, and nothing past it. The push that
+// completes the span runs the span fold once: it channelizes every hop
+// into a bank borrowed from a free list shared by every channel, aligns
+// the exponents, runs the second stage into borrowed scratch, and keeps
+// only the resulting QSurface. Until Reset the accumulator holds its
+// quantised span and that surface. A snapshot taken before the span is
+// complete (a channel's final flush, a short input) folds the smoothing
+// the buffered hops afford on demand, as EstimateQ15 does on the same
+// samples. Batch Estimate and EstimateQ15 run the same span fold
+// straight over their input, every intermediate borrowed.
+//
+// The plain accumulators (NewAccumulator) instead channelize each hop as
+// it completes and bank the rows, running the alignment and second stage
+// over the bank at Snapshot, which reads it without modifying it. Banked
+// rows cost 4·K bytes per hop: bounded by N for SSCAQ15 with N set,
+// stream-proportional otherwise (long-running monitors should set N or
+// Reset between windows, as with the float SSCA). They are the
+// independent reference for the span fold: a hop's block-floating-point
+// FFT does not depend on when it runs, and alignment, the second stage
+// and the single-rounding reduce read the hops in one order, so both
+// give the same bits in every chunking.
 
-// q15Front is the shared front end: the fixed-gain quantiser and the
-// banked per-hop channelizer state.
-type q15Front struct {
+// q15Kernel is the geometry, tables and front end every Q15 fold runs
+// with: the fixed-gain quantiser, the K-point channelizer and the grid
+// rows the second stage fills. The kernel implementation is captured
+// once (fixed.Active() at construction), so a process-wide fixed.Use
+// switch mid-stream cannot mix kernels within one accumulator's
+// lifetime.
+type q15Kernel struct {
 	p       scf.Params
+	ssca    bool // SSCA-Q15: unit hop, strip second stage; FAM-Q15 otherwise
+	nFixed  int  // SSCA-Q15's N; 0 derives the strip length from the input
 	kern    fixed.Kernels
 	plan    *fft.FixedPlan
 	roots   []fixed.Complex
 	win     []fixed.Q15
 	policy  fft.ScalingPolicy
 	backoff float64
-	gain    float64
-	workers int // goroutines a snapshot's second stage runs on
+	peak    float64 // InputPeak; 0 conditions each batch on its measured peak
+	workers int     // goroutines the second stage runs on (0 = GOMAXPROCS)
 
-	rows  [][]fixed.Complex // banked downconverted hops, hop-major; never written once banked
-	exps  []int             // per-hop BFP exponents
-	limit int               // window-bound: the most hops banked; 0 = unbounded
-	bank  []fixed.Complex   // with a limit: the backing store of all limit rows
-
-	xq    []fixed.Complex // quantised pending tail; xq[0] is sample base
-	base  int
-	total int
+	gridAlphas []int // the pruned grid's rows; nil when dense
+	rowAlphas  []int // the grid's rows, ascending: gridAlphas or all of [-(M-1), M-1]
+	needed     []int // the channels the second stage gathers, ascending
 }
 
-// newQ15Front validates the shared configuration. peak is the
-// conditioning full scale (InputPeak; zero leaves the gain 0 until
-// measure sets it). The kernel implementation is captured once here
-// (fixed.Active() at construction), so a process-wide fixed.Use switch
-// mid-stream cannot mix kernels within one accumulator's lifetime. With
-// a limit, the hop bank and the quantised sample buffer are allocated
-// here, once, at their final size.
-func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, limit, workers int) (*q15Front, error) {
+// newQ15Kernel builds the kernel for a defaulted, validated geometry.
+func newQ15Kernel(p scf.Params, ssca bool, nFixed int, scale, peak float64, policy fft.ScalingPolicy, workers int) (*q15Kernel, error) {
 	backoff, err := q15Backoff(scale)
 	if err != nil {
 		return nil, err
@@ -75,7 +92,7 @@ func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, li
 	if err != nil {
 		return nil, err
 	}
-	plan, err := fft.NewFixedPlan(p.K)
+	plan, err := fft.FixedPlanFor(p.K)
 	if err != nil {
 		return nil, err
 	}
@@ -83,25 +100,30 @@ func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, li
 	if err != nil {
 		return nil, err
 	}
-	q := &q15Front{
+	c := &q15Kernel{
 		p:       p,
+		ssca:    ssca,
+		nFixed:  nFixed,
 		kern:    fixed.Active(),
 		plan:    plan,
 		roots:   roots,
 		win:     win,
 		policy:  policy,
 		backoff: backoff,
+		peak:    peak,
 		workers: workers,
-		limit:   limit,
 	}
-	q.condition(peak)
-	if limit != 0 {
-		q.bank = make([]fixed.Complex, limit*p.K)
-		q.rows = make([][]fixed.Complex, 0, limit)
-		q.exps = make([]int, 0, limit)
-		q.xq = make([]fixed.Complex, 0, q.span())
+	m := p.M - 1
+	c.gridAlphas = p.SurfaceAlphas()
+	c.rowAlphas = c.gridAlphas
+	if c.rowAlphas == nil {
+		c.rowAlphas = make([]int, 2*m+1)
+		for i := range c.rowAlphas {
+			c.rowAlphas[i] = i - m
+		}
 	}
-	return q, nil
+	c.needed = neededChannels(p.K, m, c.rowAlphas, !ssca)
+	return c, nil
 }
 
 // requireInputPeak rejects a streaming accumulator without InputPeak.
@@ -112,105 +134,260 @@ func requireInputPeak(peak float64, name string) error {
 	return nil
 }
 
-// condition sets the gain that brings full scale peak to the backoff, or
-// 0 for a zero peak (every word then quantises to 0, and the surface is
-// exactly zero).
-func (q *q15Front) condition(peak float64) {
-	q.gain = 0
-	if peak != 0 {
-		q.gain = q.backoff / peak
+// Name implements scf.Accumulator for both Q15 accumulators.
+func (c *q15Kernel) Name() string {
+	if c.ssca {
+		return "ssca-q15"
+	}
+	return "fam-q15"
+}
+
+// hopsIn returns the complete channelizer hops n samples hold.
+func (c *q15Kernel) hopsIn(n int) int {
+	if n < c.p.K {
+		return 0
+	}
+	return (n-c.p.K)/c.p.Hop + 1
+}
+
+// smoothing returns the hops an estimate over the first hops channelizer
+// hops folds — the FAM-Q15's largest power of two of at least two, the
+// SSCA-Q15's N or largest power of two of at least K — or 0 when they
+// afford no estimate.
+func (c *q15Kernel) smoothing(hops int) int {
+	if c.nFixed != 0 {
+		if hops >= c.nFixed {
+			return c.nFixed
+		}
+		return 0
+	}
+	least := 2
+	if c.ssca {
+		least = c.p.K
+	}
+	if n := pow2Floor(hops); n >= least {
+		return n
+	}
+	return 0
+}
+
+// spanOf returns the samples np hops read.
+func (c *q15Kernel) spanOf(np int) int { return (np-1)*c.p.Hop + c.p.K }
+
+// needErr is the error of a snapshot or estimate over too few samples.
+func (c *q15Kernel) needErr(have int) error {
+	if !c.ssca {
+		return needSamples("FAM-Q15", c.p.K+c.p.Hop, have)
+	}
+	need := 2*c.p.K - 1
+	if c.nFixed != 0 {
+		need = c.nFixed + c.p.K - 1
+	}
+	return needSamples("SSCA-Q15", need, have)
+}
+
+// gainFor returns the conditioning gain that brings full scale peak to
+// the backoff, or 0 for a zero peak (every word then quantises to 0, and
+// the surface is exactly zero).
+func (c *q15Kernel) gainFor(peak float64) float64 {
+	if peak == 0 {
+		return 0
+	}
+	return c.backoff / peak
+}
+
+// quantise writes src conditioned by gain and rounded to Q15 into dst.
+func quantise(dst []fixed.Complex, src []complex128, gain float64) {
+	g := complex(gain, 0)
+	for i, s := range src {
+		dst[i] = fixed.CFromFloat(s * g)
 	}
 }
 
-// measure conditions a batch estimate against the peak of the samples
-// it reads: the span of the limit's hops (none without a limit, where
-// the input is too short for an estimate).
-func (q *q15Front) measure(x []complex128) {
-	if q.limit != 0 {
-		q.condition(peakOf(x[:min(len(x), q.span())]))
+// channelize computes the hop starting at sample start from its K
+// quantised samples block into row and returns its exponent: window, FFT
+// under the policy, and downconversion with the absolute-time reference
+// e^{-j2π·start·v/K}, exactly as the float channelizer but through the
+// Q15 roots.
+func (c *q15Kernel) channelize(row, block []fixed.Complex, start int) (int, error) {
+	if c.win != nil {
+		c.kern.ScaleReal(row, block, c.win)
+	} else {
+		copy(row, block)
 	}
+	exp, err := c.plan.ForwardScaledWith(c.kern, row, row, c.policy)
+	if err != nil {
+		return 0, err
+	}
+	c.kern.MulRoots(row, row, c.roots, 0, start&(c.p.K-1), c.p.K-1)
+	return exp, nil
 }
 
-// span returns the samples the limit's hops read.
-func (q *q15Front) span() int { return (q.limit-1)*q.p.Hop + q.p.K }
+// q15Scratch is one running Q15 fold's working memory, borrowed from
+// q15Scratches for the fold's duration, so no channel and no batch call
+// keeps any.
+type q15Scratch struct {
+	xq       []fixed.Complex   // a batch estimate's quantised span
+	bank     []fixed.Complex   // the span's channelized hops, hop-major
+	exps     []int             // their exponents
+	rows     [][]fixed.Complex // transpose's channel rows (the SSCA strips)
+	cells    []fixed.Complex
+	wideRows [][]float64 // transposeWide's channel rows (the FAM)
+	wide     []float64
+	xc       []fixed.Complex // the SSCA conjugate factor
+	stripExp []int
+	errs     []error
+	accRows  [][]fixed.CAcc
+	acc      []fixed.CAcc
+	grid     accGrid
+	surf     *scf.QSurface // Estimate's surface before Float
+}
 
-// push quantises the chunk with the conditioning gain and completes
-// every hop the buffered tail now covers (hop h spans samples
-// [h·Hop, h·Hop+K)). With a limit, samples past the last banked hop's
-// span are dropped.
-func (q *q15Front) push(samples []complex128) error {
-	q.total += len(samples)
-	k, hop := q.p.K, q.p.Hop
-	if q.limit != 0 {
-		samples = samples[:min(len(samples), max(0, q.span()-q.base-len(q.xq)))]
+var q15Scratches freelist.List[q15Scratch]
+
+// gridFor lays the accumulator grid of c's rows out over the scratch.
+func (sc *q15Scratch) gridFor(c *q15Kernel) *accGrid {
+	cols, rows := 2*c.p.M-1, len(c.rowAlphas)
+	sc.acc = freelist.Grow(sc.acc, rows*cols)
+	sc.accRows = freelist.Grow(sc.accRows, rows)
+	for i := range sc.accRows {
+		sc.accRows[i] = sc.acc[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	g := complex(q.gain, 0)
-	for _, s := range samples {
-		q.xq = append(q.xq, fixed.CFromFloat(s*g))
+	sc.grid = accGrid{m: c.p.M, alphas: c.gridAlphas, data: sc.accRows}
+	return &sc.grid
+}
+
+// newQSurface allocates a QSurface of the kernel's grid rows.
+func (c *q15Kernel) newQSurface() *scf.QSurface {
+	if c.gridAlphas == nil {
+		return scf.NewQSurface(c.p.M)
 	}
-	for {
-		n := len(q.rows)
-		start := n * hop
-		if q.base+len(q.xq) < start+k {
-			return nil
-		}
-		var row []fixed.Complex
-		if q.bank != nil {
-			row = q.bank[n*k : (n+1)*k : (n+1)*k]
-		} else {
-			row = make([]fixed.Complex, k)
-		}
-		// Window, FFT under the policy, and downconvert with the
-		// absolute-time reference e^{-j2π·start·v/K}, exactly as the
-		// float channelizer but through the Q15 roots.
-		if block := q.xq[start-q.base : start-q.base+k]; q.win != nil {
-			q.kern.ScaleReal(row, block, q.win)
-		} else {
-			copy(row, block)
-		}
-		exp, err := q.plan.ForwardScaledWith(q.kern, row, row, q.policy)
+	return scf.NewSparseQSurface(c.p.M, c.gridAlphas)
+}
+
+// scratchSurface returns the scratch's QSurface, reallocated when it was
+// laid out for another geometry.
+func (c *q15Kernel) scratchSurface(sc *q15Scratch) *scf.QSurface {
+	if sc.surf == nil || sc.surf.M != c.p.M || !slices.Equal(sc.surf.Alphas, c.gridAlphas) {
+		sc.surf = c.newQSurface()
+	}
+	return sc.surf
+}
+
+// fold sets out to the surface over the first np hops of the quantised
+// xq (xq[0] is sample 0), channelizing them into a bank borrowed from sc,
+// and returns its stats. np is the fold's smoothing, which the caller
+// picks.
+func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, np int, gain float64, out *scf.QSurface) (scf.Stats, error) {
+	k, hop := c.p.K, c.p.Hop
+	sc.bank = freelist.Grow(sc.bank, np*k)
+	sc.exps = freelist.Grow(sc.exps, np)
+	for h := range np {
+		start := h * hop
+		exp, err := c.channelize(sc.bank[h*k:(h+1)*k], xq[start:start+k], start)
 		if err != nil {
-			return err
+			return scf.Stats{}, err
 		}
-		q.kern.MulRoots(row, row, q.roots, 0, start&(k-1), k-1)
-		q.rows = append(q.rows, row)
-		q.exps = append(q.exps, exp)
+		sc.exps[h] = exp
 	}
+	return c.finish(sc, sc.bank, sc.exps, xq, gain, out)
 }
 
-// channelizer views the first blocks banked hops as a q15Channelizer,
-// with their common exponent and the cycle counters the same geometry
-// charges. No row is copied: the gathers align as they read.
-func (q *q15Front) channelizer(blocks int) *q15Channelizer {
-	k := q.p.K
-	c := &q15Channelizer{
+// finish aligns the hops in bank (one per exponent in exps), runs the
+// estimator's second stage into scratch borrowed from sc and reduces it
+// into out. xq is the quantised input from sample 0, which the SSCA's
+// conjugate factor reads.
+func (c *q15Kernel) finish(sc *q15Scratch, bank []fixed.Complex, exps []int, xq []fixed.Complex, gain float64, out *scf.QSurface) (scf.Stats, error) {
+	k, np := c.p.K, len(exps)
+	ch := q15Channelizer{
 		k:     k,
-		hops:  q.rows[:blocks],
-		exps:  q.exps[:blocks],
-		fftCy: int64(blocks) * montiumFFTCycles(k),
-		macCy: int64(blocks) * int64(k),
+		bank:  bank[:np*k],
+		exps:  exps,
+		fftCy: int64(np) * montiumFFTCycles(k),
+		macCy: int64(np) * int64(k),
 	}
-	if q.win != nil {
-		c.macCy *= 2
+	if c.win != nil {
+		ch.macCy *= 2
 	}
-	for _, e := range c.exps {
-		c.emax = max(c.emax, e)
+	for _, e := range exps {
+		ch.emax = max(ch.emax, e)
 	}
-	for _, e := range c.exps {
-		if e != c.emax {
-			c.aligned += int64(k)
+	for _, e := range exps {
+		if e != ch.emax {
+			ch.aligned += int64(k)
 		}
 	}
-	return c
+	if c.ssca {
+		return c.sscaFinish(sc, &ch, xq, gain, out)
+	}
+	return c.famFinish(sc, &ch, gain, out), nil
 }
 
-// reset returns the front end to its freshly constructed state.
-func (q *q15Front) reset() {
-	q.rows = q.rows[:0]
-	q.exps = q.exps[:0]
-	q.xq = q.xq[:0]
-	q.base = 0
-	q.total = 0
+// q15Stats returns st with its whole cost charged to tile 0: the batch
+// backend runs the pipeline on one modeled tile (internal/tile schedules
+// fill multi-tile breakdowns).
+func q15Stats(st scf.Stats) *scf.Stats {
+	st.PerTile = []scf.TileCycles{{Tile: 0, Compute: st.Cycles}}
+	return &st
+}
+
+// estimateQ15 is batch EstimateQ15: the span fold over x in borrowed
+// scratch, into a QSurface the caller keeps.
+func (c *q15Kernel) estimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	out := c.newQSurface()
+	stats, err := c.estimateInto(sc, x, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, stats, nil
+}
+
+// estimate is batch Estimate: estimateQ15 into a borrowed QSurface, so
+// only its float conversion is allocated.
+func (c *q15Kernel) estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	out := c.scratchSurface(sc)
+	stats, err := c.estimateInto(sc, x, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.Float(), stats, nil
+}
+
+// estimateInto quantises the span the estimate over x reads into sc,
+// conditioned against InputPeak or, when that is zero, the span's
+// measured peak, and folds it into out.
+func (c *q15Kernel) estimateInto(sc *q15Scratch, x []complex128, out *scf.QSurface) (*scf.Stats, error) {
+	np := c.smoothing(c.hopsIn(len(x)))
+	if np == 0 {
+		return nil, c.needErr(len(x))
+	}
+	span := x[:c.spanOf(np)]
+	peak := c.peak
+	if peak == 0 {
+		peak = peakOf(span)
+	}
+	gain := c.gainFor(peak)
+	sc.xq = freelist.Grow(sc.xq, len(span))
+	quantise(sc.xq, span, gain)
+	st, err := c.fold(sc, sc.xq, np, gain, out)
+	if err != nil {
+		return nil, err
+	}
+	return q15Stats(st), nil
+}
+
+// newAccumulator returns the window-bound accumulator of window samples
+// (window 0: the plain one), or the plain one when the window affords no
+// estimate.
+func (c *q15Kernel) newAccumulator(window int) scf.Accumulator {
+	if np := c.smoothing(c.hopsIn(window)); np != 0 {
+		return &q15Window{q15Kernel: c, gain: c.gainFor(c.peak), np: np}
+	}
+	return &q15Plain{q15Kernel: c, gain: c.gainFor(c.peak)}
 }
 
 // NewAccumulator implements scf.StreamingEstimator. It requires
@@ -222,89 +399,24 @@ func (q *q15Front) reset() {
 // K-sample window overlap.
 func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
-// NewWindowAccumulator implements scf.WindowEstimator: it banks at most
-// the window's famHopCap hops.
+// NewWindowAccumulator implements scf.WindowEstimator: it buffers the
+// quantised span the window's famHopCap hops read and folds it once, as
+// soon as it is complete.
 func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err := requireInputPeak(e.InputPeak, "FAM-Q15"); err != nil {
 		return nil, err
 	}
-	return e.newAccumulator(window, 1)
-}
-
-// newAccumulator builds the accumulator bound to window with the given
-// second-stage worker count (0 = GOMAXPROCS).
-func (e FAMQ15) newAccumulator(window, workers int) (*famQ15Accumulator, error) {
-	p := famDefaults(e.Params, 0)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	front, err := newQ15Front(p, e.InputScale, e.InputPeak, e.Policy, famHopCap(p, window), workers)
+	c, err := e.kernel(1)
 	if err != nil {
 		return nil, err
 	}
-	return &famQ15Accumulator{front: front}, nil
+	return c.newAccumulator(window), nil
 }
 
 var (
 	_ scf.StreamingEstimator = FAMQ15{}
 	_ scf.WindowEstimator    = FAMQ15{}
 )
-
-// famQ15Accumulator computes the FAMQ15, for streams and (through
-// EstimateQ15) batches alike: banked channelizer hops (see the file
-// comment) with the second stage run by Snapshot over the largest
-// power-of-two hop prefix.
-type famQ15Accumulator struct {
-	front *q15Front
-}
-
-// Name implements scf.Accumulator.
-func (f *famQ15Accumulator) Name() string { return "fam-q15" }
-
-// Samples implements scf.Accumulator.
-func (f *famQ15Accumulator) Samples() int { return f.front.total }
-
-// Ready implements scf.Accumulator: the estimate needs two hops.
-func (f *famQ15Accumulator) Ready() bool { return len(f.front.rows) >= 2 }
-
-// Push implements scf.Accumulator.
-func (f *famQ15Accumulator) Push(samples []complex128) error {
-	q := f.front
-	if err := q.push(samples); err != nil {
-		return err
-	}
-	// Hops overlap when Hop < K, but a completed hop's samples before
-	// the next hop's start are never read again.
-	q.xq, q.base = scf.TrimBefore(q.xq, q.base, len(q.rows)*q.p.Hop)
-	return nil
-}
-
-// SnapshotQ15 computes the surface in its native Q15-plus-exponent
-// form: famQ15Finish over the first pow2floor(hops) banked hops, leaving
-// the banked state untouched, so snapshots repeat and the stream
-// continues.
-func (f *famQ15Accumulator) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
-	q := f.front
-	np := pow2Floor(len(q.rows))
-	if np < 2 {
-		return nil, nil, needSamples("FAM-Q15", q.p.K+q.p.Hop, q.total)
-	}
-	need := q.p.K + (np-1)*q.p.Hop
-	return famQ15Finish(q.p, q.kern, q.channelizer(np), q.gain, q.workers, need)
-}
-
-// Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
-// into float-FAM units.
-func (f *famQ15Accumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	s, stats, err := f.SnapshotQ15()
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Float(), stats, nil
-}
-
-// Reset implements scf.Accumulator.
-func (f *famQ15Accumulator) Reset() { f.front.reset() }
 
 // NewAccumulator implements scf.StreamingEstimator, with the same
 // InputPeak requirement as FAMQ15.NewAccumulator. With N set the banked
@@ -314,37 +426,18 @@ func (f *famQ15Accumulator) Reset() { f.front.reset() }
 // hop prefix.
 func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
-// NewWindowAccumulator implements scf.WindowEstimator: with N zero it
-// banks at most the window's sscaStripCap hops. With N set, the plain
-// accumulator already meets the contract.
+// NewWindowAccumulator implements scf.WindowEstimator: it buffers the
+// quantised span of the window's strip length (N, or sscaStripCap with N
+// zero) and folds it once, as soon as it is complete.
 func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err := requireInputPeak(e.InputPeak, "SSCA-Q15"); err != nil {
 		return nil, err
 	}
-	return e.newAccumulator(window, 1)
-}
-
-// newAccumulator builds the accumulator bound to window with the given
-// strip worker count (0 = GOMAXPROCS).
-func (e SSCAQ15) newAccumulator(window, workers int) (*sscaQ15Accumulator, error) {
-	p := famDefaults(e.Params, 1)
-	p.Hop = 1
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	limit := e.N
-	if e.N == 0 {
-		limit = sscaStripCap(p.K, window)
-	} else if e.N < p.K {
-		return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be >= K=%d", e.N, p.K)
-	} else if !fft.IsPow2(e.N) {
-		return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be a power of two", e.N)
-	}
-	front, err := newQ15Front(p, e.InputScale, e.InputPeak, e.Policy, limit, workers)
+	c, err := e.kernel(1)
 	if err != nil {
 		return nil, err
 	}
-	return &sscaQ15Accumulator{front: front, nFixed: e.N}, nil
+	return c.newAccumulator(window), nil
 }
 
 var (
@@ -352,73 +445,205 @@ var (
 	_ scf.WindowEstimator    = SSCAQ15{}
 )
 
-// sscaQ15Accumulator computes the SSCAQ15, for streams and (through
-// EstimateQ15) batches alike: banked unit-hop channelizer rows with the
-// strip stage run by Snapshot. Unlike the float SSCA accumulator it
-// cannot pre-multiply the conjugate factor into running strips (the
-// products would need the not-yet-known common exponent), so it banks
-// the raw rows and keeps the quantised sample prefix the conjugate
-// factor reads.
-type sscaQ15Accumulator struct {
-	front  *q15Front
-	nFixed int
+// q15Window is the window-bound Q15 accumulator: the quantised span its
+// window's np hops read, then, once the span is folded, the window's
+// QSurface and stats.
+type q15Window struct {
+	*q15Kernel
+	gain  float64
+	np    int             // the window's smoothing: FAM-Q15 hops, SSCA-Q15 strip length
+	span  []fixed.Complex // the span's quantised samples so far; cap spanOf(np)
+	total int
+	done  bool          // the span has been folded; surf and stats hold the result
+	surf  *scf.QSurface // allocated at the first span completion
+	stats scf.Stats
 }
-
-// Name implements scf.Accumulator.
-func (s *sscaQ15Accumulator) Name() string { return "ssca-q15" }
 
 // Samples implements scf.Accumulator.
-func (s *sscaQ15Accumulator) Samples() int { return s.front.total }
-
-// stripLen returns the strip length a snapshot would use now, or 0 when
-// too few hops have arrived.
-func (s *sscaQ15Accumulator) stripLen() int {
-	hops := len(s.front.rows)
-	if s.nFixed != 0 {
-		if hops >= s.nFixed {
-			return s.nFixed
-		}
-		return 0
-	}
-	if n := pow2Floor(hops); n >= s.front.p.K {
-		return n
-	}
-	return 0
-}
+func (w *q15Window) Samples() int { return w.total }
 
 // Ready implements scf.Accumulator.
-func (s *sscaQ15Accumulator) Ready() bool { return s.stripLen() != 0 }
+func (w *q15Window) Ready() bool { return w.done || w.smoothing(w.hopsIn(len(w.span))) != 0 }
 
-// Push implements scf.Accumulator. The quantised prefix is retained in
-// full: the conjugate factor reads it back to sample centre, and with N
-// zero the strip length can still grow.
-func (s *sscaQ15Accumulator) Push(samples []complex128) error { return s.front.push(samples) }
-
-// SnapshotQ15 computes the surface in its native Q15-plus-exponent
-// form via sscaQ15Finish, leaving the banked state intact.
-func (s *sscaQ15Accumulator) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
-	q := s.front
-	n := s.stripLen()
-	if n == 0 {
-		need := 2*q.p.K - 1
-		if s.nFixed != 0 {
-			need = s.nFixed + q.p.K - 1
-		}
-		return nil, nil, needSamples("SSCA-Q15", need, q.total)
+// Push implements scf.Accumulator: it quantises the chunk's share of the
+// span, and the push that completes the span folds all np hops. Samples
+// past the span are counted and dropped.
+func (w *q15Window) Push(samples []complex128) error {
+	w.total += len(samples)
+	if w.done {
+		return nil
 	}
-	need := n + q.p.K - 1
-	return sscaQ15Finish(q.p, q.kern, q.channelizer(n), q.xq, q.gain, q.workers, need, q.policy)
+	if w.span == nil {
+		w.span = make([]fixed.Complex, 0, w.spanOf(w.np))
+	}
+	n := len(w.span)
+	take := samples[:min(len(samples), cap(w.span)-n)]
+	w.span = w.span[:n+len(take)]
+	quantise(w.span[n:], take, w.gain)
+	if len(w.span) < cap(w.span) {
+		return nil
+	}
+	if w.surf == nil {
+		w.surf = w.newQSurface()
+	}
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	st, err := w.fold(sc, w.span, w.np, w.gain, w.surf)
+	if err != nil {
+		return err
+	}
+	w.stats, w.done = st, true
+	return nil
 }
 
-// Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
-// into float-SSCA units.
-func (s *sscaQ15Accumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	sf, stats, err := s.SnapshotQ15()
+// early folds, before the span is complete, the smoothing the buffered
+// hops afford into out, in borrowed scratch.
+func (w *q15Window) early(sc *q15Scratch, out *scf.QSurface) (*scf.Stats, error) {
+	np := w.smoothing(w.hopsIn(len(w.span)))
+	if np == 0 {
+		return nil, w.needErr(w.total)
+	}
+	st, err := w.fold(sc, w.span, np, w.gain, out)
+	if err != nil {
+		return nil, err
+	}
+	return q15Stats(st), nil
+}
+
+// SnapshotQ15 returns the surface in its native Q15-plus-exponent form:
+// a copy of the held surface, or, before the span is complete, the
+// buffered hops folded on demand.
+func (w *q15Window) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
+	out := w.newQSurface()
+	if w.done {
+		out.Exp, out.Gain = w.surf.Exp, w.surf.Gain
+		for i, row := range w.surf.Data {
+			copy(out.Data[i], row)
+		}
+		return out, q15Stats(w.stats), nil
+	}
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	stats, err := w.early(sc, out)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sf.Float(), stats, nil
+	return out, stats, nil
+}
+
+// Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
+// into float units, allocating only the float surface and its stats.
+func (w *q15Window) Snapshot() (*scf.Surface, *scf.Stats, error) {
+	if w.done {
+		return w.surf.Float(), q15Stats(w.stats), nil
+	}
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	out := w.scratchSurface(sc)
+	stats, err := w.early(sc, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.Float(), stats, nil
+}
+
+// Reset implements scf.Accumulator: the span buffer and the held surface
+// stay allocated for the next window.
+func (w *q15Window) Reset() {
+	w.span = w.span[:0]
+	w.total = 0
+	w.done = false
+}
+
+// q15Plain is the plain Q15 accumulator: Push channelizes every hop as
+// it completes and banks it (the first N hops only, for the SSCA-Q15
+// with N set), and Snapshot runs the alignment and second stage over the
+// bank.
+type q15Plain struct {
+	*q15Kernel
+	gain float64
+	bank []fixed.Complex // banked downconverted hops, hop-major; never written once banked
+	exps []int           // per-hop BFP exponents
+	// xq is the quantised pending tail, xq[0] sample base. The SSCA-Q15
+	// keeps its whole prefix: the conjugate factor reads it back to
+	// sample centre, and with N zero the strip length can still grow.
+	xq    []fixed.Complex
+	base  int
+	total int
+}
+
+// Samples implements scf.Accumulator.
+func (q *q15Plain) Samples() int { return q.total }
+
+// Ready implements scf.Accumulator.
+func (q *q15Plain) Ready() bool { return q.smoothing(len(q.exps)) != 0 }
+
+// Push implements scf.Accumulator: it quantises the chunk and banks
+// every hop the buffered tail now covers (hop h spans samples
+// [h·Hop, h·Hop+K)).
+func (q *q15Plain) Push(samples []complex128) error {
+	q.total += len(samples)
+	k, hop := q.p.K, q.p.Hop
+	if q.nFixed != 0 {
+		samples = samples[:min(len(samples), max(0, q.spanOf(q.nFixed)-q.base-len(q.xq)))]
+	}
+	n := len(q.xq)
+	q.xq = slices.Grow(q.xq, len(samples))[:n+len(samples)]
+	quantise(q.xq[n:], samples, q.gain)
+	for {
+		h := len(q.exps)
+		start := h * hop
+		if q.base+len(q.xq) < start+k {
+			break
+		}
+		q.bank = slices.Grow(q.bank, k)[:(h+1)*k]
+		exp, err := q.channelize(q.bank[h*k:], q.xq[start-q.base:start-q.base+k], start)
+		if err != nil {
+			return err
+		}
+		q.exps = append(q.exps, exp)
+	}
+	if !q.ssca {
+		// Hops overlap when Hop < K, but a completed hop's samples before
+		// the next hop's start are never read again.
+		q.xq, q.base = scf.TrimBefore(q.xq, q.base, len(q.exps)*hop)
+	}
+	return nil
+}
+
+// SnapshotQ15 computes the surface in its native Q15-plus-exponent form
+// over the first smoothing(hops) banked hops, leaving the bank
+// untouched, so snapshots repeat and the stream continues.
+func (q *q15Plain) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
+	np := q.smoothing(len(q.exps))
+	if np == 0 {
+		return nil, nil, q.needErr(q.total)
+	}
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	out := q.newQSurface()
+	st, err := q.finish(sc, q.bank, q.exps[:np], q.xq, q.gain, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, q15Stats(st), nil
+}
+
+// Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
+// into float units.
+func (q *q15Plain) Snapshot() (*scf.Surface, *scf.Stats, error) {
+	s, stats, err := q.SnapshotQ15()
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Float(), stats, nil
 }
 
 // Reset implements scf.Accumulator.
-func (s *sscaQ15Accumulator) Reset() { s.front.reset() }
+func (q *q15Plain) Reset() {
+	q.bank = q.bank[:0]
+	q.exps = q.exps[:0]
+	q.xq = q.xq[:0]
+	q.base = 0
+	q.total = 0
+}

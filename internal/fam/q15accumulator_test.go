@@ -242,8 +242,8 @@ func TestSSCAQ15AccumulatorBoundedMemory(t *testing.T) {
 	if ok, diff := ref.Equal(q15SnapshotQ15(t, acc)); !ok {
 		t.Errorf("fixed-N snapshot differs from batch on first %d samples: %s", need, diff)
 	}
-	inner := acc.(*sscaQ15Accumulator)
-	if hops := len(inner.front.rows); hops > e.N+97 {
+	inner := acc.(*q15Plain)
+	if hops := len(inner.exps); hops > e.N+97 {
 		t.Errorf("fixed-N banked %d hops; want bounded near N=%d", hops, e.N)
 	}
 }

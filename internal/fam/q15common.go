@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"tiledcfd/internal/fixed"
+	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/montium"
 	"tiledcfd/internal/scf"
 )
@@ -63,17 +64,17 @@ func surfaceGain(smooth int, gain float64) float64 {
 	return 1 / (float64(smooth) * gain * gain)
 }
 
-// q15Channelizer is a snapshot's view of the banked fixed-point
-// channelizer: hops K-point windowed block-floating-point FFTs, each
-// channel downconverted by the Q15 roots table. Storage is hop-major and
-// read-only: hops[n][v] is channel v of hop n, valued DFT_channel/
-// 2^exps[n] (each hop carries its own tracked exponent). The gathers
-// (transpose, transposeWide) renormalise every value to the common
-// exponent emax = max(exps) as they read it, so the bank is never
-// copied or shifted in place.
+// q15Channelizer is a fold's view of the fixed-point channelizer hops:
+// K-point windowed block-floating-point FFTs, each channel downconverted
+// by the Q15 roots table. Storage is hop-major and read-only:
+// bank[n·K+v] is channel v of hop n, valued DFT_channel/2^exps[n] (each
+// hop carries its own tracked exponent). The gathers (transpose,
+// transposeWide) renormalise every value to the common exponent
+// emax = max(exps) as they read it, so the bank is never copied or
+// shifted in place.
 type q15Channelizer struct {
 	k       int
-	hops    [][]fixed.Complex
+	bank    []fixed.Complex
 	exps    []int
 	emax    int
 	aligned int64 // values renormalised (the alignment pass's cycle cost)
@@ -81,17 +82,19 @@ type q15Channelizer struct {
 	macCy   int64 // modeled complex-MAC cycles spent (window + downconversion)
 }
 
-// transpose gathers the listed channels into channel-major series,
-// aligning as it reads: out[v][n] = hops[n][v] >> (emax-exps[n]), with
-// the round-half-up shift of fixed.CRShiftRound (kern.ShiftRound's
-// semantics). Only channels in
-// needed are materialised (out keeps nil rows elsewhere), so pruned runs
-// pay for exactly the channels their rows read. needed must be sorted
-// ascending for cache-friendly reads; duplicates are not allowed.
-func (c *q15Channelizer) transpose(needed []int) [][]fixed.Complex {
-	blocks := len(c.hops)
-	out := make([][]fixed.Complex, c.k)
-	cells := make([]fixed.Complex, len(needed)*blocks)
+// transpose gathers the listed channels into channel-major series in
+// sc, aligning as it reads: out[v][n] = bank[n·K+v] >> (emax-exps[n]),
+// with the round-half-up shift of fixed.CRShiftRound
+// (kern.ShiftRound's semantics). Only channels in needed are
+// materialised (other rows of out are stale and must not be read), so
+// pruned runs pay for exactly the channels their rows read. needed must
+// be sorted ascending for cache-friendly reads; duplicates are not
+// allowed.
+func (c *q15Channelizer) transpose(sc *q15Scratch, needed []int) [][]fixed.Complex {
+	blocks := len(c.exps)
+	sc.rows = freelist.Grow(sc.rows, c.k)
+	sc.cells = freelist.Grow(sc.cells, len(needed)*blocks)
+	out, cells := sc.rows, sc.cells
 	for _, v := range needed {
 		out[v], cells = cells[:blocks:blocks], cells[blocks:]
 	}
@@ -105,7 +108,7 @@ func (c *q15Channelizer) transpose(needed []int) [][]fixed.Complex {
 		for _, v := range needed {
 			row := out[v]
 			for n := n0; n < n1; n++ {
-				row[n] = fixed.CRShiftRound(c.hops[n][v], uint(c.emax-c.exps[n]))
+				row[n] = fixed.CRShiftRound(c.bank[n*c.k+v], uint(c.emax-c.exps[n]))
 			}
 		}
 	}
@@ -118,10 +121,11 @@ func (c *q15Channelizer) transpose(needed []int) [][]fixed.Complex {
 // exact. The FAM second stage runs thousands of dots over a few hundred
 // channel rows, so widening once here amortises the integer-to-float
 // conversion to nothing.
-func (c *q15Channelizer) transposeWide(needed []int) [][]float64 {
-	blocks := len(c.hops)
-	out := make([][]float64, c.k)
-	cells := make([]float64, 2*len(needed)*blocks)
+func (c *q15Channelizer) transposeWide(sc *q15Scratch, needed []int) [][]float64 {
+	blocks := len(c.exps)
+	sc.wideRows = freelist.Grow(sc.wideRows, c.k)
+	sc.wide = freelist.Grow(sc.wide, 2*len(needed)*blocks)
+	out, cells := sc.wideRows, sc.wide
 	for _, v := range needed {
 		out[v], cells = cells[:2*blocks:2*blocks], cells[2*blocks:]
 	}
@@ -131,7 +135,7 @@ func (c *q15Channelizer) transposeWide(needed []int) [][]float64 {
 		for _, v := range needed {
 			row := out[v]
 			for n := n0; n < n1; n++ {
-				h := fixed.CRShiftRound(c.hops[n][v], uint(c.emax-c.exps[n]))
+				h := fixed.CRShiftRound(c.bank[n*c.k+v], uint(c.emax-c.exps[n]))
 				row[2*n] = float64(h.Re)
 				row[2*n+1] = float64(h.Im)
 			}
@@ -171,49 +175,13 @@ func neededChannels(k, m int, rows []int, mirror bool) []int {
 // for a = alphas[i]); the reduction then derives the surface exponent
 // from the computed cells alone, so a pruned QSurface is bit-exact
 // deterministic and converts exactly, but its raw words need not match
-// a full-plane run whose peak lives on an uncomputed row.
+// a full-plane run whose peak lives on an uncomputed row. Its cells are
+// borrowed scratch (q15Scratch.gridFor): every fold writes every cell
+// before reduce reads it.
 type accGrid struct {
 	m      int
 	alphas []int          // nil = dense rows a in [-(m-1), m-1]
 	data   [][]fixed.CAcc // data[rowIndex][f+m-1]
-}
-
-func newAccGrid(m int) *accGrid {
-	n := 2*m - 1
-	data := make([][]fixed.CAcc, n)
-	cells := make([]fixed.CAcc, n*n)
-	for i := range data {
-		data[i], cells = cells[:n], cells[n:]
-	}
-	return &accGrid{m: m, data: data}
-}
-
-// newAccGridFor sizes the grid for p: dense, or pruned to p's candidate
-// row set.
-func newAccGridFor(p scf.Params) *accGrid {
-	alphas := p.SurfaceAlphas()
-	if alphas == nil {
-		return newAccGrid(p.M)
-	}
-	n := 2*p.M - 1
-	data := make([][]fixed.CAcc, len(alphas))
-	cells := make([]fixed.CAcc, len(alphas)*n)
-	for i := range data {
-		data[i], cells = cells[:n], cells[n:]
-	}
-	return &accGrid{m: p.M, alphas: alphas, data: data}
-}
-
-// rowAlphas returns the offsets a of the grid's rows, in row order.
-func (g *accGrid) rowAlphas() []int {
-	if g.alphas != nil {
-		return g.alphas
-	}
-	out := make([]int, 2*g.m-1)
-	for i := range out {
-		out[i] = i - (g.m - 1)
-	}
-	return out
 }
 
 // rowIndex returns the grid row holding offset a, or -1 when the grid
@@ -249,8 +217,8 @@ func (g *accGrid) rowIndex(a int) int {
 // before the single-rounding reduce is therefore bit-identical to
 // accumulating the negative rows directly, at half the dot-product
 // work. (SSCA must not use this: its strips are FFTs of distinct
-// product sequences, not termwise conjugates.) rowAlphas is
-// g.rowAlphas(), which the caller already holds.
+// product sequences, not termwise conjugates.) rowAlphas lists the
+// offsets of the grid's rows, in row order.
 func (g *accGrid) mirrorHermitian(rowAlphas []int) {
 	for i, a := range rowAlphas {
 		if a >= 0 {
@@ -267,18 +235,19 @@ func (g *accGrid) mirrorHermitian(rowAlphas []int) {
 	}
 }
 
-// reduce converts the grid to a QSurface: the peak component picks the
-// smallest right-shift landing it in the top half of the Q15 range
-// (left-shifting weak surfaces up instead), every cell is rounded once at
-// that scale, and the net exponent is folded into QSurface.Exp so that
+// reduce converts the grid into out, a QSurface of the grid's rows: the
+// peak component picks the smallest right-shift landing it in the top
+// half of the Q15 range (left-shifting weak surfaces up instead), every
+// cell is rounded once at that scale, and the net exponent is folded
+// into QSurface.Exp so that
 //
 //	float cell = q15 cell · 2^Exp · gain
 //
 // where the accumulators hold float·2^(30-accExp)/gain (accExp the
 // exponent the caller's products carry, e.g. 2·emax for FAM). The single
 // rounding point keeps the reduction bit-exact regardless of how the
-// accumulators were filled in parallel.
-func (g *accGrid) reduce(accExp int, gain float64) *scf.QSurface {
+// accumulators were filled in parallel. Every cell of out is written.
+func (g *accGrid) reduce(accExp int, gain float64, out *scf.QSurface) {
 	var amax int64
 	for _, row := range g.data {
 		for _, a := range row {
@@ -294,16 +263,13 @@ func (g *accGrid) reduce(accExp int, gain float64) *scf.QSurface {
 			}
 		}
 	}
-	var out *scf.QSurface
-	if g.alphas != nil {
-		out = scf.NewSparseQSurface(g.m, g.alphas)
-	} else {
-		out = scf.NewQSurface(g.m)
-	}
 	out.Gain = gain
 	if amax == 0 {
+		for _, row := range out.Data {
+			clear(row)
+		}
 		out.Exp = accExp - 30
-		return out
+		return
 	}
 	// sh (may be negative) brings amax into [2^14, 2^15): bitlen-15.
 	sh := bits.Len64(uint64(amax)) - 15
@@ -318,7 +284,6 @@ func (g *accGrid) reduce(accExp int, gain float64) *scf.QSurface {
 	// Cell integer c represents acc/2^sh; acc = float·2^(30-accExp)/gain,
 	// and the Q15 value is c/2^15, so float = q15 · 2^(sh+15-30+accExp) · gain.
 	out.Exp = sh + accExp - 15
-	return out
 }
 
 // shiftToQ15 rounds v/2^sh into Q15 with round-half-up and saturation;

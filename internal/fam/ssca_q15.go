@@ -2,9 +2,11 @@ package fam
 
 import (
 	"errors"
+	"fmt"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/fixed"
+	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/montium"
 	"tiledcfd/internal/scf"
 )
@@ -57,96 +59,101 @@ func (e SSCAQ15) MinSamples() int {
 }
 
 // Estimate implements scf.Estimator: the Q15 surface converted exactly
-// into float-SSCA units.
+// into float-SSCA units, every intermediate borrowed as for FAMQ15.
 func (e SSCAQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	q, stats, err := e.EstimateQ15(x)
+	c, err := e.kernel(e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	return q.Float(), stats, nil
+	return c.estimate(x)
 }
 
 // EstimateQ15 computes the surface in its native Q15-plus-exponent form:
-// the accumulator bound to len(x) run over x.
+// the window-bound accumulator's span fold run straight over x.
 func (e SSCAQ15) EstimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
-	acc, err := e.newAccumulator(len(x), e.Workers)
+	c, err := e.kernel(e.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if e.InputPeak == 0 {
-		acc.front.measure(x)
-	}
-	if err := acc.Push(x); err != nil {
-		return nil, nil, err
-	}
-	return acc.SnapshotQ15()
+	return c.estimateQ15(x)
 }
 
-// sscaQ15Finish runs the second stage of the Q15 SSCA on a channelized
-// snapshot: the aligned gather, the per-channel strip FFTs shared across
-// the workers, derotation, the lossless exponent merge into the int64 grid, and the single-rounding
-// surface reduction. xq must hold at least n + K/2 quantised samples
-// (the conjugate factor's span).
-func sscaQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, xq []fixed.Complex, gain float64, workers, need int, policy fft.ScalingPolicy) (*scf.QSurface, *scf.Stats, error) {
-	n := len(ch.hops)
-	emax, aligned := ch.emax, ch.aligned
+// kernel builds the fold kernel with the given strip worker count
+// (0 = GOMAXPROCS).
+func (e SSCAQ15) kernel(workers int) (*q15Kernel, error) {
+	p := famDefaults(e.Params, 1)
+	p.Hop = 1
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if e.N != 0 {
+		if e.N < p.K {
+			return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be >= K=%d", e.N, p.K)
+		}
+		if !fft.IsPow2(e.N) {
+			return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be a power of two", e.N)
+		}
+	}
+	return newQ15Kernel(p, true, e.N, e.InputScale, e.InputPeak, e.Policy, workers)
+}
+
+// sscaFinish runs the second stage of the Q15 SSCA over aligned hops:
+// the aligned gather, the per-channel strip FFTs shared across the
+// workers, derotation, the lossless exponent merge into the int64 grid,
+// and the single-rounding reduction into out. xq must hold at least
+// n + K/2 quantised samples from sample 0 (the conjugate factor's span).
+func (c *q15Kernel) sscaFinish(sc *q15Scratch, ch *q15Channelizer, xq []fixed.Complex, gain float64, out *scf.QSurface) (scf.Stats, error) {
+	p, n := c.p, len(ch.exps)
 	// The conjugate input factor is centre-aligned with the channelizer
 	// window (same group-delay argument as the float path) and shared by
 	// every strip. It is plain quantised input: exponent zero.
 	centre := p.K / 2
-	xc := make([]fixed.Complex, n)
-	for i := range xc {
-		xc[i] = fixed.Conj(xq[i+centre])
+	sc.xc = freelist.Grow(sc.xc, n)
+	for i := range sc.xc {
+		sc.xc[i] = fixed.Conj(xq[i+centre])
 	}
 	m := p.M - 1
-	// The held rows (full plane, or the candidate set under alpha
-	// pruning) determine which channels need strips: residues f+a mod K
-	// per row a — exactly as the float SSCA prunes.
-	rowAlphas := p.SurfaceAlphas()
-	if rowAlphas == nil {
-		rowAlphas = make([]int, 2*m+1)
-		for i := range rowAlphas {
-			rowAlphas[i] = i - m
-		}
-	}
-	needed := neededChannels(p.K, m, rowAlphas, false)
-	planN, err := fft.NewFixedPlan(n)
+	planN, err := fft.FixedPlanFor(n)
 	if err != nil {
-		return nil, nil, err
+		return scf.Stats{}, err
 	}
 	rootsN, err := fft.FixedRoots(n)
 	if err != nil {
-		return nil, nil, err
+		return scf.Stats{}, err
 	}
 	// The channel-major series become the strips in place: the Q15
 	// product against xc, the N-point block-floating-point FFT, and the
 	// per-bin derotation by e^{-j2πq·centre/N} through the Q15 roots.
-	strips := ch.transpose(needed)
-	stripExp := make([]int, p.K)
-	errs := make([]error, len(needed))
-	forEach(len(needed), workers, func(i int) {
-		k := needed[i]
-		kern.MulElems(strips[k], strips[k], xc)
-		stripExp[k], errs[i] = planN.ForwardScaledWith(kern, strips[k], strips[k], policy)
-		kern.MulRoots(strips[k], strips[k], rootsN, 0, centre, n-1)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, nil, err
+	// Only the channels the held rows address get strips.
+	strips := ch.transpose(sc, c.needed)
+	sc.stripExp = freelist.Grow(sc.stripExp, p.K)
+	sc.errs = freelist.Grow(sc.errs, len(c.needed))
+	if c.workers == 1 {
+		// Accumulators: no goroutines, and no closure to allocate.
+		for i := range c.needed {
+			c.strip(sc, planN, rootsN, strips, i)
+		}
+	} else {
+		forEach(len(c.needed), c.workers, func(i int) { c.strip(sc, planN, rootsN, strips, i) })
+	}
+	if err := errors.Join(sc.errs...); err != nil {
+		return scf.Stats{}, err
 	}
 	// Merge the per-strip exponents losslessly: every cell value is
 	// widened to int64 and left-shifted up to the common scale 2^Emin
 	// (strip k's true value is q15·2^(emax+e_k), so the strip with the
 	// smallest exponent defines the finest grid). The surface-level
 	// reduction then rounds once.
+	emax, stripExp := ch.emax, sc.stripExp
 	eMin := 0
-	for i, k := range needed {
+	for i, k := range c.needed {
 		ek := emax + stripExp[k]
 		if i == 0 || ek < eMin {
 			eMin = ek
 		}
 	}
-	grid := newAccGridFor(p)
-	for i, a := range rowAlphas {
+	grid := sc.gridFor(c)
+	for i, a := range c.rowAlphas {
 		row := grid.data[i]
 		for f := -m; f <= m; f++ {
 			k := fft.BinIndex(p.K, f+a)
@@ -160,23 +167,30 @@ func sscaQ15Finish(p scf.Params, kern fixed.Kernels, ch *q15Channelizer, xq []fi
 	}
 	// Cell int64 = float·(n·gain²)·2^(15-Emin); reduce expects
 	// 2^(30-accExp), so accExp = 15+Emin.
-	s := grid.reduce(15+eMin, surfaceGain(n, gain))
+	grid.reduce(15+eMin, surfaceGain(n, gain), out)
 	cells := int64(p.DSCFMults())
-	stats := &scf.Stats{
+	nn := len(c.needed)
+	return scf.Stats{
 		Blocks:    n,
-		FFTMults:  n*fft.ComplexMults(p.K) + len(needed)*fft.ComplexMults(n),
-		DSCFMults: n*p.K + len(needed)*n,
+		FFTMults:  n*fft.ComplexMults(p.K) + nn*fft.ComplexMults(n),
+		DSCFMults: n*p.K + nn*n,
 		Cycles: ch.fftCy +
-			int64(len(needed))*montiumFFTCycles(n) +
-			montium.MACKernelCycles(ch.macCy+2*int64(len(needed))*int64(n)) +
-			montium.ReadDataCycles(int64(need)) +
-			montium.AlignCycles(aligned+cells),
-		Kernel: kern.Name(),
-	}
-	// The batch backend runs the whole pipeline on one modeled tile;
-	// internal/tile schedules fill multi-tile breakdowns.
-	stats.PerTile = []scf.TileCycles{{Tile: 0, Compute: stats.Cycles}}
-	return s, stats, nil
+			int64(nn)*montiumFFTCycles(n) +
+			montium.MACKernelCycles(ch.macCy+2*int64(nn)*int64(n)) +
+			montium.ReadDataCycles(int64(c.spanOf(n))) +
+			montium.AlignCycles(ch.aligned+cells),
+		Kernel: c.kern.Name(),
+	}, nil
+}
+
+// strip turns gathered channel needed[i] into its strip in place: the
+// product against the conjugate factor, the N-point FFT (its exponent
+// into sc.stripExp) and the derotation.
+func (c *q15Kernel) strip(sc *q15Scratch, planN *fft.FixedPlan, rootsN []fixed.Complex, strips [][]fixed.Complex, i int) {
+	k, n := c.needed[i], len(sc.xc)
+	c.kern.MulElems(strips[k], strips[k], sc.xc)
+	sc.stripExp[k], sc.errs[i] = planN.ForwardScaledWith(c.kern, strips[k], strips[k], c.policy)
+	c.kern.MulRoots(strips[k], strips[k], rootsN, 0, c.p.K/2, n-1)
 }
 
 var _ scf.Estimator = SSCAQ15{}

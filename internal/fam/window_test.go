@@ -16,9 +16,8 @@ import (
 // Reset, in any chunking, Snapshot equals Estimate(x[:min(n, W)]) bit for
 // bit with the same stats, and Ready holds exactly when that Estimate
 // succeeds. A window too short for any snapshot gets the plain
-// accumulator, whose snapshot is Estimate(x[:n]). Float FAM and SSCA
-// snapshots must also equal the plain accumulator's fed the same
-// samples, the same way.
+// accumulator, whose snapshot is Estimate(x[:n]). Every snapshot must
+// also equal the plain accumulator's fed the same samples, the same way.
 //
 // The inputs decode as: seed picks the band; estSel%5 picks fam, pruned
 // fam, ssca, fam-q15 or ssca-q15, and estSel/5%3 the FAM hop (K/4, 13 or
@@ -91,51 +90,56 @@ func FuzzWindowAccumulator(f *testing.F) {
 			label := fmt.Sprintf("%s W=%d n=%d", est.Name(), window, n)
 			requireIdentical(t, got, want, label)
 			requireSameStats(t, gotStats, wantStats)
-			if estSel%5 < 3 {
-				// Estimate runs the window accumulator's own span fold;
-				// the plain accumulator, which folds at push time and
-				// checkpoints, is an independent reference.
-				ref, err := est.NewAccumulator()
-				if err != nil {
-					t.Fatal(err)
-				}
-				pushChunks(t, ref, x[:lim], sizes)
-				refSurface, refStats, err := ref.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, got, refSurface, label+" vs plain accumulator")
-				requireSameStats(t, gotStats, refStats)
+			// Estimate runs the window accumulator's own span fold; the
+			// plain accumulator, which folds (float) or channelizes and
+			// banks (Q15) at push time, is an independent reference.
+			ref, err := est.NewAccumulator()
+			if err != nil {
+				t.Fatal(err)
 			}
+			pushChunks(t, ref, x[:lim], sizes)
+			refSurface, refStats, err := ref.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, got, refSurface, label+" vs plain accumulator")
+			requireSameStats(t, gotStats, refStats)
 		}
 	})
 }
 
 // TestWindowAccumulatorKeepsNoCheckpoint: after a whole window, a
-// window-bound FAM, pruned FAM or SSCA accumulator holds its span buffer
-// (exactly span long) and its result, and nothing else: no parity grid,
-// no checkpoint, no K×strips fold. Its snapshot still equals Estimate.
+// window-bound FAM, pruned FAM, SSCA, FAM-Q15 or SSCA-Q15 accumulator
+// holds its span buffer (exactly span long; 4-byte words for the Q15
+// twins, which buffer the quantised span) and its result, and nothing
+// else: no parity grid, no checkpoint, no K×strips fold, no hop bank.
+// Its snapshot still equals Estimate.
 func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 	const window = 2048
 	x := streamBand(t, window, 16)
 	p := scf.Params{K: 64, M: 16} // FAM: 125 hops in the window, 64 read
 	pruned := p
 	pruned.AlphaCandidates = []int{3, 8, 11}
+	// The paper geometry: FAM-Q15 reads 16 of 29 hops; SSCA-Q15 folds
+	// N = 1024 hops, whose bank alone was N·K·4 B = 1 MB.
+	paper := scf.Params{K: 256, M: 64}
 	for _, c := range []struct {
-		name            string
-		est             scf.StreamingEstimator
-		span, heldCells int
+		name                  string
+		est                   scf.StreamingEstimator
+		span, heldCells, word int
 	}{
-		{"fam", FAM{Params: p}, 63*16 + 64, 16 * 31},
-		{"fam-pruned", FAM{Params: pruned}, 63*16 + 64, len(famDefaults(pruned, 0).CandidateRows()) * 31},
-		{"ssca", SSCA{Params: p}, 1024 + 63, 31 * 31},
+		{"fam", FAM{Params: p}, 63*16 + 64, 16 * 31, 16},
+		{"fam-pruned", FAM{Params: pruned}, 63*16 + 64, len(famDefaults(pruned, 0).CandidateRows()) * 31, 16},
+		{"ssca", SSCA{Params: p}, 1024 + 63, 31 * 31, 16},
+		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 15*64 + 256, 127 * 127, 4},
+		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 1024 + 255, 127 * 127, 4},
 	} {
 		acc, err := c.est.(scf.WindowEstimator).NewWindowAccumulator(window)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pushChunks(t, acc, x, []int{500})
-		want := 16 * (c.span + c.heldCells)
+		want := c.word * (c.span + c.heldCells)
 		if got := heldBytes(reflect.ValueOf(acc)); got != want {
 			t.Errorf("%s: holds %d bytes past its geometry, want a %d-sample span plus %d result cells (%d bytes)",
 				c.name, got, c.span, c.heldCells, want)
@@ -153,9 +157,10 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 }
 
 // heldBytes sums the backing arrays an accumulator keeps per channel:
-// every slice, and every *scf.Surface's cells, reachable through its
-// struct fields and embedded structs. The kernels (plans, tables and row
-// sets that describe the geometry, not the stream) are left out.
+// every slice, and every *scf.Surface's or *scf.QSurface's cells,
+// reachable through its struct fields and embedded structs. The kernels
+// (plans, tables and row sets that describe the geometry, not the
+// stream) are left out.
 func heldBytes(v reflect.Value) int {
 	switch v.Kind() {
 	case reflect.Pointer:
@@ -163,12 +168,13 @@ func heldBytes(v reflect.Value) int {
 			return 0
 		}
 		switch v.Type() {
-		case reflect.TypeOf(&famKernel{}), reflect.TypeOf(&sscaKernel{}):
+		case reflect.TypeOf(&famKernel{}), reflect.TypeOf(&sscaKernel{}), reflect.TypeOf(&q15Kernel{}):
 			return 0
-		case reflect.TypeOf(&scf.Surface{}):
+		case reflect.TypeOf(&scf.Surface{}), reflect.TypeOf(&scf.QSurface{}):
 			n, data := 0, v.Elem().FieldByName("Data")
 			for i := 0; i < data.Len(); i++ {
-				n += 16 * data.Index(i).Len() // rows share one backing array
+				row := data.Index(i) // rows share one backing array
+				n += row.Len() * int(row.Type().Elem().Size())
 			}
 			return n
 		}
@@ -187,8 +193,9 @@ func heldBytes(v reflect.Value) int {
 
 // sink keeps benchmark and allocation-test results live.
 var (
-	sinkSurface *scf.Surface
-	sinkStats   *scf.Stats
+	sinkSurface  *scf.Surface
+	sinkQSurface *scf.QSurface
+	sinkStats    *scf.Stats
 )
 
 // TestSSCASnapshotAllocs: an SSCA snapshot allocates no more than the
@@ -227,16 +234,33 @@ func TestSSCASnapshotAllocs(t *testing.T) {
 }
 
 // TestBatchEstimateBytes: at the paper geometry (K=256, M=64), a batch
-// FAM or SSCA estimate allocates at most the surface and stats it
-// returns plus a small constant. The fold's working set (block, sums,
-// K×strips fold) is borrowed from the shared free lists, and the input
-// is never copied.
+// FAM, SSCA, FAM-Q15 or SSCA-Q15 estimate allocates at most the surface
+// and stats it returns plus a small constant: the float surface for
+// Estimate, the QSurface for EstimateQ15. The fold's working set (block,
+// sums, K×strips fold; quantised span, hop bank, gathers, int64 grid and
+// Estimate's QSurface) is borrowed from the shared free lists, and the
+// input is never copied. The Q15 estimators run with a measured peak and
+// with InputPeak.
 func TestBatchEstimateBytes(t *testing.T) {
 	const slack = 16 << 10
 	p := scf.Params{K: 256, M: 64}
+	type estimatorQ15 interface {
+		EstimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error)
+	}
 	for _, n := range []int{2048, 8192} {
 		x := goldenBand(n, 2)
-		for _, est := range []scf.Estimator{FAM{Params: p}, SSCA{Params: p}} {
+		for _, est := range []scf.Estimator{
+			FAM{Params: p}, SSCA{Params: p},
+			FAMQ15{Params: p}, FAMQ15{Params: p, InputPeak: 1.5},
+			SSCAQ15{Params: p}, SSCAQ15{Params: p, InputPeak: 1.5},
+		} {
+			// A Q15 estimate's allocations do not vary from call to call,
+			// and SSCA-Q15 at 8192 samples is slow under the race
+			// detector, so one call each measures it.
+			runs := 10
+			if _, ok := est.(estimatorQ15); ok {
+				runs = 1
+			}
 			estimate := func() {
 				var err error
 				if sinkSurface, sinkStats, err = est.Estimate(x); err != nil {
@@ -244,14 +268,71 @@ func TestBatchEstimateBytes(t *testing.T) {
 				}
 			}
 			estimate() // size the free lists
-			got := bytesPerRun(10, estimate)
+			got := bytesPerRun(runs, estimate)
 			want := bytesPerRun(10, func() {
-				sinkSurface, sinkStats = scf.NewSurfaceFor(famDefaults(p, 0)), &scf.Stats{}
+				sinkSurface, sinkStats = scf.NewSurfaceFor(p), q15Stats(scf.Stats{})
 			})
 			if got > want+slack {
 				t.Errorf("%s over %d samples: Estimate allocates %d bytes per call, want at most the surface plus stats (%d) + %d",
 					est.Name(), n, got, want, slack)
 			}
+			eq, ok := est.(estimatorQ15)
+			if !ok {
+				continue
+			}
+			got = bytesPerRun(runs, func() {
+				var err error
+				if sinkQSurface, sinkStats, err = eq.EstimateQ15(x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			want = bytesPerRun(10, func() {
+				sinkQSurface, sinkStats = scf.NewQSurface(p.M), q15Stats(scf.Stats{})
+			})
+			if got > want+slack {
+				t.Errorf("%s over %d samples: EstimateQ15 allocates %d bytes per call, want at most the QSurface plus stats (%d) + %d",
+					est.Name(), n, got, want, slack)
+			}
+		}
+	}
+}
+
+// TestQ15WindowSteadyCycleAllocsOnlySurface: once the first window has
+// sized its buffers and the fold scratch is on the free list, a
+// window-bound Q15 channel's Push/Snapshot/Reset cycle allocates only
+// the float surface and stats Snapshot returns: the fold that completes
+// the span allocates nothing.
+func TestQ15WindowSteadyCycleAllocsOnlySurface(t *testing.T) {
+	const window = 2048
+	p := scf.Params{K: 64, M: 16}
+	x := streamBand(t, window, 19)
+	for _, est := range []scf.StreamingEstimator{
+		FAMQ15{Params: p, InputPeak: 2},
+		SSCAQ15{Params: p, InputPeak: 2},
+	} {
+		acc, err := est.(scf.WindowEstimator).NewWindowAccumulator(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			for off := 0; off < window; off += 512 {
+				if err := acc.Push(x[off : off+512]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sinkSurface, sinkStats, err = acc.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			acc.Reset()
+		}
+		cycle()
+		got := testing.AllocsPerRun(20, cycle)
+		want := testing.AllocsPerRun(20, func() {
+			sinkSurface, sinkStats = scf.NewSurfaceFor(p), q15Stats(scf.Stats{})
+		})
+		if got > want {
+			t.Errorf("%s: window Push/Snapshot/Reset allocates %v objects per cycle, the float surface plus stats %v",
+				est.Name(), got, want)
 		}
 	}
 }
@@ -272,14 +353,18 @@ func bytesPerRun(runs int, f func()) uint64 {
 // estimates folding at once on several goroutines, each with fold
 // scratch from the shared free lists, still give the serial bits. The
 // FAM hop of 13 makes 128 hops, two blocks, so the odd-hop sums are
-// borrowed too.
+// borrowed too. The batch Q15 estimates also run their second stage on
+// GOMAXPROCS workers sharing one borrowed scratch.
 func TestConcurrentFoldsShareScratch(t *testing.T) {
 	const window, goroutines = 2048, 4
 	x := streamBand(t, window, 18)
 	p := scf.Params{K: 64, M: 16}
 	multi := p
 	multi.Hop = 13
-	ests := []scf.StreamingEstimator{FAM{Params: p}, FAM{Params: multi}, SSCA{Params: p}}
+	ests := []scf.StreamingEstimator{
+		FAM{Params: p}, FAM{Params: multi}, SSCA{Params: p},
+		FAMQ15{Params: p, InputPeak: 2}, SSCAQ15{Params: p, InputPeak: 2},
+	}
 	want := make([]*scf.Surface, len(ests))
 	for i, est := range ests {
 		var err error

@@ -13,9 +13,10 @@ import (
 // only table lookups and butterflies on the hot paths.
 
 var (
-	rootsCache   sync.Map // int -> []complex128
-	planCache    sync.Map // int -> *Plan
-	scratchPools sync.Map // int -> *sync.Pool of *[]complex128
+	rootsCache     sync.Map // int -> []complex128
+	planCache      sync.Map // int -> *Plan
+	fixedPlanCache sync.Map // int -> *FixedPlan
+	scratchPools   sync.Map // int -> *sync.Pool of *[]complex128
 )
 
 // Roots returns the cached roots-of-unity table for size n:
@@ -78,6 +79,22 @@ func PlanFor(n int) (*Plan, error) {
 	}
 	v, _ := planCache.LoadOrStore(n, p)
 	return v.(*Plan), nil
+}
+
+// FixedPlanFor returns the shared fixed-point plan for size n, building it
+// on first use. Like Plan, a FixedPlan is immutable after construction,
+// so the returned plan is safe for concurrent use and gives the same bits
+// as a fresh NewFixedPlan(n).
+func FixedPlanFor(n int) (*FixedPlan, error) {
+	if v, ok := fixedPlanCache.Load(n); ok {
+		return v.(*FixedPlan), nil
+	}
+	p, err := NewFixedPlan(n)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := fixedPlanCache.LoadOrStore(n, p)
+	return v.(*FixedPlan), nil
 }
 
 func poolFor(n int) *sync.Pool {

@@ -3,7 +3,10 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 	"testing"
+
+	"tiledcfd/internal/fixed"
 )
 
 func TestRootsValues(t *testing.T) {
@@ -93,6 +96,74 @@ func TestPlanForCachedAndEquivalent(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("cached and private plans disagree at bin %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestFixedPlanForCachedAndEquivalent: repeat lookups share one plan,
+// concurrent first lookups agree on it, and the cached plan gives the
+// words and exponent of a fresh NewFixedPlan under both scaling policies.
+func TestFixedPlanForCachedAndEquivalent(t *testing.T) {
+	p1, err := FixedPlanFor(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := FixedPlanFor(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Error("FixedPlanFor(64) returned distinct plans on repeat call")
+	}
+	if _, err := FixedPlanFor(12); err == nil {
+		t.Error("FixedPlanFor(12) should fail (not a power of two)")
+	}
+	const n, goroutines = 512, 8
+	plans := make([]*FixedPlan, goroutines)
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := FixedPlanFor(n)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			plans[g] = p
+		}()
+	}
+	wg.Wait()
+	for g, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("concurrent FixedPlanFor(%d): goroutine %d got a distinct plan", n, g)
+		}
+	}
+	fresh, err := NewFixedPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]fixed.Complex, n)
+	for i := range x {
+		x[i] = fixed.CFromFloat(complex(0.4*math.Sin(0.3*float64(i)), 0.3*math.Cos(0.1*float64(i))))
+	}
+	for _, policy := range []ScalingPolicy{ScaleBFP, ScaleUniform} {
+		a, b := make([]fixed.Complex, n), make([]fixed.Complex, n)
+		ea, err := plans[0].ForwardScaled(a, x, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := fresh.ForwardScaled(b, x, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ea != eb {
+			t.Fatalf("%s: cached plan exponent %d, fresh %d", policy, ea, eb)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: cached and fresh plans disagree at bin %d: %v vs %v", policy, i, a[i], b[i])
+			}
 		}
 	}
 }

@@ -47,10 +47,10 @@
 // reset after each snapshot, so a licensed user appearing in the band
 // shows up in the next window's decision, bounded memory for all
 // estimators. Windowed channels bind their accumulator to the window
-// (scf.AccumulatorFor): FAM and SSCA buffer only the span of samples the
-// window's estimate reads, fold it once when it is complete, with fold
-// scratch shared across channels, and then keep only the window's
-// result. With Config.Cumulative the accumulator keeps integrating
+// (scf.AccumulatorFor): FAM, SSCA and their Q15 twins buffer only the
+// span of samples the window's estimate reads, fold it once when it is
+// complete, with fold scratch shared across channels, and then keep only
+// the window's result. With Config.Cumulative the accumulator keeps integrating
 // across snapshots — the variance of the estimate keeps shrinking, the
 // mode used for the streaming-equals-batch golden tests and for one-shot
 // captures fed incrementally.

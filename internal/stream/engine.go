@@ -50,8 +50,8 @@ type Config struct {
 	// SnapshotSamples window and memory stays bounded for all
 	// estimators. Windowed channels of an scf.WindowEstimator (FAM,
 	// SSCA and their Q15 twins) work only on the span of samples the
-	// window's estimate reads; the float ones fold it once, as soon as
-	// it is buffered, and keep only the window's result.
+	// window's estimate reads; they fold it once, as soon as it is
+	// buffered, and keep only the window's result.
 	Cumulative bool
 	// Block selects backpressure over dropping: Push blocks until ring
 	// space frees instead of discarding the overflow. Default false
@@ -156,9 +156,8 @@ type Stats struct {
 	// decisions discarded because the Decisions channel was full.
 	Surfaces, Detections, DecisionsDropped int64
 	// WindowsFailed counts due windows that produced no decision because
-	// the snapshot or the decider failed on their data (for example a
-	// rank-deficient all-zero window under urriza). Every due window is
-	// either a decision (Surfaces) or counted here.
+	// the snapshot or the decider failed on their data. Every due window
+	// is either a decision (Surfaces) or counted here.
 	WindowsFailed int64
 	// QueuedSamples is the momentary ingestion queue depth: samples
 	// accepted into rings but not yet fed to an accumulator, summed over

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -538,9 +539,22 @@ func TestEngineCumulativeKeepsIntegrating(t *testing.T) {
 	}
 }
 
+// silenceFails is a sample-based decider that fails on an all-zero
+// window and otherwise decides as the decider it wraps.
+type silenceFails struct{ detect.Decider }
+
+func (d silenceFails) Decide(s *scf.Surface, samples []complex128) (detect.Decision, error) {
+	for _, v := range samples {
+		if v != 0 {
+			return d.Decider.Decide(s, samples)
+		}
+	}
+	return detect.Decision{}, errors.New("all-zero window")
+}
+
 // TestEngineCountsFailedWindows: a due window whose decision fails is
-// counted in Stats.WindowsFailed instead of vanishing. Under urriza an
-// all-zero window has a singular branch correlation matrix, so after a
+// counted in Stats.WindowsFailed instead of vanishing. The urriza
+// decider here is wrapped to fail on an all-zero window, so after a
 // noise window and an all-zero one the engine has made one decision,
 // Surfaces is 1 and WindowsFailed is 1.
 func TestEngineCountsFailedWindows(t *testing.T) {
@@ -555,7 +569,7 @@ func TestEngineCountsFailedWindows(t *testing.T) {
 		AlphaCandidates: p.AlphaCandidates,
 		SnapshotSamples: window,
 		Block:           true,
-		Decider:         dec,
+		Decider:         silenceFails{dec},
 		MinAbsA:         2,
 	})
 	if err != nil {

@@ -60,7 +60,8 @@ func TestEngineRemoveChannelFlushesWindowBound(t *testing.T) {
 
 // TestWindowAccumulatorSteadyCycleAllocsNothing: once the first window
 // has sized its buffers, a windowed channel's Push+Reset cycle (the
-// engine's accumulator, fed in drain-sized chunks) allocates nothing.
+// engine's accumulator, fed in drain-sized chunks) allocates nothing,
+// the Q15 channels' span folds included.
 func TestWindowAccumulatorSteadyCycleAllocsNothing(t *testing.T) {
 	const window = 8192
 	p := scf.Params{K: 64, M: 16}
@@ -73,6 +74,8 @@ func TestWindowAccumulatorSteadyCycleAllocsNothing(t *testing.T) {
 		{"fam", fam.FAM{Params: p}, nil},
 		{"fam-pruned", fam.FAM{Params: p}, []int{3, 8, 11}},
 		{"ssca", fam.SSCA{Params: p}, nil},
+		{"fam-q15", fam.FAMQ15{Params: p, InputPeak: 4}, nil},
+		{"ssca-q15", fam.SSCAQ15{Params: p, InputPeak: 4}, nil},
 	} {
 		acc, err := accumulatorFor(c.est, c.alphas, window)
 		if err != nil {

@@ -7,6 +7,9 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
+
+	"tiledcfd/internal/stream"
 )
 
 // FuzzFrameDecode drives the server's decoders over arbitrary bytes:
@@ -63,4 +66,85 @@ func sameMeta(a, b Meta) bool {
 		math.Float64bits(a.CenterFreqHz) == math.Float64bits(b.CenterFreqHz) &&
 		math.Float64bits(a.TargetPfa) == math.Float64bits(b.TargetPfa) &&
 		slices.Equal(a.AlphaCandidates, b.AlphaCandidates)
+}
+
+// FuzzControlFrames drives the worker control-frame decoders —
+// readDecision, readChannelStats and readStats — over arbitrary bytes.
+// Nothing may panic. Whatever a decoder accepts must survive decode →
+// append → decode unchanged, consuming exactly the re-encoded bytes, and
+// every strict prefix of that encoding must fail with the truncation
+// error instead of yielding a value. Seeds live in
+// testdata/fuzz/FuzzControlFrames.
+func FuzzControlFrames(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		controlRoundTrip(t, "decision", data, readDecision, appendDecision, sameDecision)
+		controlRoundTrip(t, "channel stats", data, readChannelStats, appendChannelStats, sameChannelStats)
+		controlRoundTrip(t, "stats", data, readStats, appendStats, sameStats)
+	})
+}
+
+// controlRoundTrip checks one decoder and its encoder on data.
+func controlRoundTrip[T any](t *testing.T, name string, data []byte,
+	read func(*byteReader) T, appendT func([]byte, T) []byte, same func(a, b T) bool) {
+	t.Helper()
+	r := &byteReader{p: data}
+	v := read(r)
+	if r.err != nil {
+		return
+	}
+	enc := appendT(nil, v)
+	r = &byteReader{p: enc}
+	v2 := read(r)
+	if r.err != nil || len(r.p) != 0 {
+		t.Fatalf("%s: re-encoded %+v decodes with error %v, %d bytes left", name, v, r.err, len(r.p))
+	}
+	if !same(v, v2) {
+		t.Fatalf("%s: round trip gives %+v, want %+v", name, v2, v)
+	}
+	// Every cut near either end, and a spread of cuts between (a long
+	// string would make checking every prefix quadratic).
+	step := max(1, len(enc)/64)
+	for cut := 0; cut < len(enc); cut++ {
+		if cut >= 64 && cut < len(enc)-64 && cut%step != 0 {
+			continue
+		}
+		r = &byteReader{p: enc[:cut]}
+		read(r)
+		if r.err == nil {
+			t.Fatalf("%s: %d-byte prefix of a %d-byte encoding decodes without error", name, cut, len(enc))
+		}
+	}
+}
+
+// sameDecision compares the fields a decision carries on the wire, the
+// floats by their bits.
+func sameDecision(a, b stream.Decision) bool {
+	if math.Float64bits(a.Statistic) != math.Float64bits(b.Statistic) ||
+		math.Float64bits(a.Threshold) != math.Float64bits(b.Threshold) || !a.At.Equal(b.At) {
+		return false
+	}
+	a.Statistic, a.Threshold, a.At = 0, 0, time.Time{}
+	b.Statistic, b.Threshold, b.At = 0, 0, time.Time{}
+	return a == b
+}
+
+// sameChannelStats compares two channel accountings, their last
+// decisions with sameDecision.
+func sameChannelStats(a, b stream.ChannelStats) bool {
+	if (a.Last == nil) != (b.Last == nil) || a.Last != nil && !sameDecision(*a.Last, *b.Last) {
+		return false
+	}
+	a.Last, b.Last = nil, nil
+	return a == b
+}
+
+// sameStats compares two engine accountings, the floats by their bits.
+func sameStats(a, b stream.Stats) bool {
+	if math.Float64bits(a.SamplesPerSec) != math.Float64bits(b.SamplesPerSec) ||
+		math.Float64bits(a.SurfacesPerSec) != math.Float64bits(b.SurfacesPerSec) {
+		return false
+	}
+	a.SamplesPerSec, a.SurfacesPerSec = 0, 0
+	b.SamplesPerSec, b.SurfacesPerSec = 0, 0
+	return a == b
 }
