@@ -615,6 +615,9 @@ type MonitorStats struct {
 	// WindowsFailed counts due windows that produced no decision because
 	// the estimator snapshot or the detector failed on their data.
 	WindowsFailed int64
+	// SamplesNonFinite counts the samples of blocks Push rejected for
+	// holding a NaN or infinite sample; none of them reached an engine.
+	SamplesNonFinite int64
 	// QueuedSamples is the momentary ingestion backlog: samples pushed
 	// but not yet integrated into estimator state.
 	QueuedSamples int64
@@ -701,10 +704,11 @@ type ShardInfo struct {
 // A Monitor must be Closed when done; Decisions delivers the rolling
 // verdicts until then.
 type Monitor struct {
-	r       *shard.Router
-	out     chan MonitorDecision
-	dropped atomic.Int64 // decisions lost to a full out channel
-	once    sync.Once
+	r         *shard.Router
+	out       chan MonitorDecision
+	dropped   atomic.Int64 // decisions lost to a full out channel
+	nonFinite atomic.Int64 // samples in blocks rejected by checkFinite
+	once      sync.Once
 }
 
 // streamConfig validates the estimator selection and builds the
@@ -827,9 +831,11 @@ func (m *Monitor) RemoveChannel(id string) (MonitorChannelStats, error) {
 // drop mode under overload). A block holding a NaN or infinite sample
 // is rejected whole. Pushes to one channel serialise with each other
 // and with rebalancing, so a handoff never interleaves with a
-// half-delivered block.
+// half-delivered block. A rejected block's samples are counted in
+// Stats.SamplesNonFinite.
 func (m *Monitor) Push(id string, samples []complex128) (int, error) {
 	if err := checkFinite(samples); err != nil {
+		m.nonFinite.Add(int64(len(samples)))
 		return 0, err
 	}
 	return m.r.Push(id, samples)
@@ -870,6 +876,7 @@ func (m *Monitor) Stats() MonitorStats {
 		Detections:         s.Detections,
 		DecisionsDropped:   s.DecisionsDropped + m.dropped.Load(),
 		WindowsFailed:      s.WindowsFailed,
+		SamplesNonFinite:   m.nonFinite.Load(),
 		QueuedSamples:      s.QueuedSamples,
 		PrunedCellsSkipped: s.PrunedCellsSkipped,
 		SamplesPerSec:      s.SamplesPerSec,

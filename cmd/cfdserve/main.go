@@ -637,6 +637,9 @@ func collectMetrics(e *wire.Exposition, mon *tiledcfd.Monitor, srv *wire.Server)
 		"IQ samples accepted by the sensing engines.", float64(st.SamplesIn))
 	e.Metric("cfd_engine_samples_dropped_total", "counter",
 		"IQ samples discarded by full ingestion rings (drop mode).", float64(st.SamplesDropped))
+	e.Metric("cfd_samples_nonfinite_total", "counter",
+		"IQ samples in pushed blocks rejected for holding a NaN or infinite sample.",
+		float64(st.SamplesNonFinite))
 	e.Metric("cfd_engine_samples_per_sec", "gauge",
 		"Lifetime-average ingest rate in samples/sec.", st.SamplesPerSec)
 	e.Metric("cfd_engine_decisions_total", "counter",

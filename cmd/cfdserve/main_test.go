@@ -593,7 +593,8 @@ func TestServeRemoteShardFailover(t *testing.T) {
 
 // TestServeRejectsNonFiniteSamples: a NaN sample arriving over the
 // network ends the connection with an error frame naming it and is
-// counted as a protocol error; nothing reaches the engine.
+// counted as a protocol error; nothing reaches the engine, and the
+// block's samples show on cfd_samples_nonfinite_total.
 func TestServeRejectsNonFiniteSamples(t *testing.T) {
 	mon, err := tiledcfd.NewMonitor(tiledcfd.Config{K: 64, M: 16, Estimator: "fam"},
 		tiledcfd.MonitorOptions{SnapshotSamples: 2048})
@@ -634,7 +635,16 @@ func TestServeRejectsNonFiniteSamples(t *testing.T) {
 	if n := srv.Metrics.ProtocolErrors.Load(); n != 1 {
 		t.Fatalf("ProtocolErrors = %d, want 1", n)
 	}
-	if st := mon.Stats(); st.SamplesIn != 0 {
+	st := mon.Stats()
+	if st.SamplesIn != 0 {
 		t.Fatalf("engine accepted %d samples of a rejected block", st.SamplesIn)
+	}
+	if st.SamplesNonFinite != int64(len(block)) {
+		t.Fatalf("SamplesNonFinite = %d, want the rejected block's %d", st.SamplesNonFinite, len(block))
+	}
+	var e wire.Exposition
+	collectMetrics(&e, mon, srv)
+	if want := fmt.Sprintf("cfd_samples_nonfinite_total %d\n", len(block)); !strings.Contains(e.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }

@@ -35,12 +35,13 @@ import (
 // SSCA's straight into the window's normalised surface. Until Reset the
 // accumulator then holds only its span buffer and that result. The
 // fold's working set — the channel-major block and odd-hop sums of the
-// FAM, the K×strips residue fold of the SSCA — is borrowed from a free
-// list shared by every channel, so serving memory follows the folds
-// running at once, not the channel count. A snapshot taken before the
-// span is complete (a channel's final flush, a short input) folds
-// pow2floor(buffered hops) on demand, as Estimate does on the same
-// samples. Estimate runs the same span fold straight over its input.
+// FAM; the anchor spectra, difference and conjugate arrays and one fold
+// column of the SSCA — is borrowed from a free list shared by every
+// channel, so serving memory follows the folds running at once, not the
+// channel count. A snapshot taken before the span is complete (a
+// channel's final flush, a short input) folds pow2floor(buffered hops)
+// on demand, as Estimate does on the same samples. Estimate runs the
+// same span fold straight over its input.
 //
 // Every path adds each cell's terms in one order — FAM parity sums by
 // absolute hop, SSCA residue rows in hop order — so every path, in every
@@ -49,9 +50,13 @@ import (
 //   - FAM channelizes each block of up to foldBlockHops hops into one
 //     channel-major block and sums each surface cell's channel-pair
 //     products over the block.
-//   - The SSCA sums each strip's products folded modulo K, and one
-//     K-point FFT per fold column turns the fold into the strip bins the
-//     grid reads.
+//   - The SSCA channelizer is a sliding DFT re-anchored by one K-point
+//     FFT every K hops. The span fold slides one channel at a time
+//     through the span and sums its products folded modulo K into one
+//     K-cell column, and one K-point FFT of that column writes the strip
+//     bins the grid reads. The plain accumulator runs the same
+//     per-channel update over the hops each push completes, one anchor
+//     block at a time, into a running channel-major K×strips fold.
 
 // lazyEnd returns the end of hop h's power-of-two batch
 // [pow2floor(h), 2·pow2floor(h)): the checkpoint a plain fold from hop h
@@ -78,7 +83,7 @@ func sscaStripCap(k, window int) int {
 }
 
 // channelizer returns the K-point plan, twiddle table and analysis window
-// (nil when rectangular) of a validated FAM or SSCA geometry.
+// (nil when rectangular) of a validated FAM geometry.
 func channelizer(p scf.Params) (*fft.Plan, []complex128, []float64, error) {
 	var win []float64
 	if p.Window != fft.Rectangular {
@@ -539,9 +544,10 @@ func (f *famAccumulator) Reset() {
 
 // NewAccumulator implements scf.StreamingEstimator. State is bounded by
 // the grid, not the stream: one K-point running fold per addressed
-// strip, plus (with N zero) its copy at the last power-of-two hop count.
-// With N set, samples past the first N hops are discarded; with N zero
-// each snapshot spans the largest power-of-two prefix of the stream.
+// strip, plus (with N zero) its copy at the last power-of-two hop count,
+// and the K channel values the sliding channelizer carries from hop to
+// hop. With N set, samples past the first N hops are discarded; with N
+// zero each snapshot spans the largest power-of-two prefix of the stream.
 func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 	c, err := newSSCAKernel(e)
 	if err != nil {
@@ -571,11 +577,45 @@ var (
 	_ scf.WindowEstimator    = SSCA{}
 )
 
-// sscaKernel is the geometry every SSCA fold runs with. Every sample
-// completes one more position of the unit-hop channelizer: a fold runs
-// its K-point FFT, downconverts the addressed channels and multiplies
-// each by the conjugate centre-aligned input sample, giving strip
-// product p_v[h].
+// cosineTerms holds the analysis windows fft.Window builds in their
+// periodic cosine-sum form w[n] = Σ_{t=-T..T} c_|t|·e^{j2πtn/K}, listed
+// c_0..c_T: rectangular is c_0 = 1 alone, and each cosine of fft.Window
+// contributes half its amplitude at ±t.
+var cosineTerms = map[fft.WindowKind][]float64{
+	fft.Rectangular: {1},
+	fft.Hann:        {0.5, -0.25},
+	fft.Hamming:     {0.54, -0.23},
+	fft.Blackman:    {0.42, -0.25, 0.04},
+}
+
+// maxTaps bounds the taps of one windowed channel: 2T+1 for the widest
+// window in cosineTerms.
+const maxTaps = 5
+
+// taps is one channel's sliding state at hop h: the modulated unwindowed
+// neighbours z_t = e^{-j2πth/K}·Y_h[v-t], t in [-T, T], whose
+// c_|t|-weighted sum is the windowed channel. z_0 comes first, then z_t
+// and z_-t for t = 1..T.
+type taps [maxTaps]complex128
+
+// sscaKernel is the geometry every SSCA fold runs with. Hop h of the
+// unit-hop channelizer reads samples [h, h+K). Channel v at hop h,
+// downconverted with the absolute-time reference, is
+//
+//	Y_h[v] = Σ_{s=h}^{h+K-1} x[s]·e^{-j2πvs/K},
+//
+// a sliding DFT: Y_{h+1}[v] = Y_h[v] + (x[h+K] - x[h])·e^{-j2πvh/K}. An
+// analysis window in cosine-sum form makes the windowed channel
+// Σ_t c_|t|·e^{-j2πth/K}·Y_h[v-t], and each modulated neighbour slides
+// as z_t ← e^{-j2πt/K}·(z_t + (x[h+K] - x[h])·e^{-j2πvh/K}): one shared
+// increment per hop, one rotation per tap beyond the centre, and under
+// the rectangular window (T = 0) one complex multiply-add per channel.
+// At every hop h ≡ 0 (mod K) each modulation is 1, so the taps are
+// exactly bins of the K-point FFT of x[h, h+K): the fold re-anchors
+// there, which bounds the slide's rounding to K hops and makes every
+// value a function of the absolute hop alone, whatever the chunking.
+// Each channel's value multiplies the conjugate centre-aligned input
+// sample, giving strip product p_v[h] = Y_h[v]·conj(x[h+K/2]).
 //
 // Cell (f, a) reads only strip bin q = (N/K)·j, j = (a-f) mod K, of the
 // N-point strip FFT, and that bin equals bin j of the K-point DFT of the
@@ -587,7 +627,7 @@ type sscaKernel struct {
 	p     scf.Params
 	plan  *fft.Plan
 	roots []complex128
-	win   []float64
+	terms []float64 // the window's cosine-sum coefficients c_0..c_T
 
 	rowAlphas []int // surface rows to fill: all of [-m, m], or the candidate set
 	needed    []int // addressed channel indices
@@ -607,11 +647,19 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 			return nil, fmt.Errorf("fam: SSCA strip length N=%d must be a power of two", e.N)
 		}
 	}
-	plan, roots, win, err := channelizer(p)
+	terms, ok := cosineTerms[p.Window]
+	if !ok {
+		return nil, fmt.Errorf("fam: SSCA has no cosine-sum form of window %v", p.Window)
+	}
+	plan, err := fft.PlanFor(p.K)
 	if err != nil {
 		return nil, err
 	}
-	c := &sscaKernel{p: p, plan: plan, roots: roots, win: win, needed: make([]int, 0, p.K)}
+	roots, err := fft.Roots(p.K)
+	if err != nil {
+		return nil, err
+	}
+	c := &sscaKernel{p: p, plan: plan, roots: roots, terms: terms, needed: make([]int, 0, p.K)}
 	m := p.M - 1
 	c.rowAlphas = p.SurfaceAlphas()
 	if c.rowAlphas == nil {
@@ -638,79 +686,120 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 // Name implements scf.Accumulator for both SSCA accumulators.
 func (c *sscaKernel) Name() string { return "ssca" }
 
-// foldHops adds hops [h0, h1) of src (src[0] is sample srcStart; hop h
-// reads samples [h, h+K)) to fold, hop h into residue row h mod K, in
-// hop order. The fold is hop-major, so each hop's writes are contiguous:
-// fold[r·len(needed)+i] sums channel needed[i]'s products. Hops below K
-// open their rows, so the fold needs no clearing. rot holds each
-// channel's downconversion index v·h0 mod K and is advanced to h1. spec
-// is K cells of FFT scratch; winbuf, K more, is read only under an
-// analysis window.
-func (c *sscaKernel) foldHops(fold []complex128, rot []int, spec, winbuf, src []complex128, srcStart, h0, h1 int) error {
-	k, nn := c.p.K, len(c.needed)
-	mask := k - 1
-	roots, needed := c.roots, c.needed
-	for h := h0; h < h1; h++ {
-		block := src[h-srcStart : h-srcStart+k]
-		if c.win != nil {
-			if err := fft.ApplyWindowInto(winbuf, block, c.win); err != nil {
-				return err
-			}
-			block = winbuf
-		}
-		if err := c.plan.Forward(spec, block); err != nil {
-			return err
-		}
-		// The conjugate centre-aligned factor of this strip position.
-		xc := cmplx.Conj(src[h-srcStart+k/2])
-		// The downconversion exponent (h·v) mod K advances by v per unit
-		// hop, so each channel carries a running table index.
-		r := h & mask
-		row := fold[r*nn : (r+1)*nn]
-		if h < k {
-			clear(row)
-		}
-		for i, v := range needed {
-			idx := rot[i]
-			row[i] += spec[v] * roots[idx] * xc
-			rot[i] = (idx + v) & mask
-		}
+// open sets channel v's taps at an anchor hop from the K-point FFT of
+// the hop's samples: there every modulation is 1, so z_t = spec[v-t].
+func (c *sscaKernel) open(z *taps, spec []complex128, v int) {
+	mask := c.p.K - 1
+	z[0] = spec[v]
+	for t := 1; t < len(c.terms); t++ {
+		z[2*t-1], z[2*t] = spec[(v-t)&mask], spec[(v+t)&mask]
 	}
-	return nil
 }
 
-// strips writes the cells of a residue fold of n hops into sf. Each
-// strip's fold column goes through one K-point FFT in col (K cells of
-// scratch); cell (f, a) reads bin j = (a-f) mod K of strip f+a,
-// derotated by (-1)^j and scaled by 1/N.
-func (c *sscaKernel) strips(sf *scf.Surface, fold, col []complex128, n int) error {
-	k, nn := c.p.K, len(c.needed)
-	mask := k - 1
-	m := c.p.M - 1
-	inv := complex(1/float64(n), 0)
-	for i, v := range c.needed {
+// value returns the windowed channel c_0·z_0 + Σ_{t>0} c_t·(z_t + z_-t).
+// Under the rectangular window (c_0 = 1) it is z_0 exactly.
+func (c *sscaKernel) value(z *taps) complex128 {
+	w := c.terms
+	y := complex(w[0]*real(z[0]), w[0]*imag(z[0]))
+	for i, wi := range w[1:] {
+		s := z[2*i+1] + z[2*i+2]
+		y += complex(wi*real(s), wi*imag(s))
+	}
+	return y
+}
+
+// slide advances a channel's taps one hop, e being the hop's increment
+// (x[h+K] - x[h])·e^{-j2πvh/K}: z_t ← e^{-j2πt/K}·(z_t + e).
+func (c *sscaKernel) slide(z *taps, e complex128) {
+	k := c.p.K
+	z[0] += e
+	for t := 1; t < len(c.terms); t++ {
+		z[2*t-1] = c.roots[t] * (z[2*t-1] + e)
+		z[2*t] = c.roots[k-t] * (z[2*t] + e)
+	}
+}
+
+// run carries channel v through hops [r0, r1) of one anchor block,
+// adding hop r's product to col[r]. With r0 = 0 it opens the taps from
+// the block's anchor spectrum spec; otherwise z holds hop r0-1 and
+// slides on from there. At block hop r (absolute hop h), d[r] is
+// x[h+K] - x[h] and xc[r] is conj(x[h+K/2]). Every value is computed by
+// the same operations from the same anchor, however a fold splits the
+// block, so the bits do not depend on the path or the chunking.
+func (c *sscaKernel) run(z *taps, col, spec, d, xc []complex128, v, r0, r1 int) {
+	if r0 == 0 {
+		c.open(z, spec, v)
+		col[0] += c.value(z) * xc[0]
+		r0 = 1
+	}
+	if r0 >= r1 {
+		return
+	}
+	k, mask := c.p.K, c.p.K-1
+	roots := c.roots
+	idx := v * (r0 - 1) & mask // v·(r-1) mod K: the rotation of hop r's increment
+	// Slicing to len(col) lets the compiler drop the bounds checks.
+	col = col[r0:r1]
+	d, x := d[r0-1 : r1-1][:len(col)], xc[r0:r1][:len(col)]
+	// The rectangular and 3-term cases run slide and value inlined, on
+	// taps held in registers: the same operations on the same operands.
+	switch len(c.terms) {
+	case 1:
+		y := z[0]
 		for r := range col {
-			col[r] = fold[r*nn+i]
+			y += d[r] * roots[idx]
+			col[r] += y * x[r]
+			idx = (idx + v) & mask
 		}
-		if err := c.plan.Forward(col, col); err != nil {
-			return err
+		z[0] = y
+	case 2: // Hann, Hamming
+		w0, w1, rp, rm := c.terms[0], c.terms[1], roots[1], roots[k-1]
+		z0, zp, zm := z[0], z[1], z[2]
+		for r := range col {
+			e := d[r] * roots[idx]
+			z0 += e
+			zp = rp * (zp + e)
+			zm = rm * (zm + e)
+			y := complex(w0*real(z0), w0*imag(z0))
+			s := zp + zm
+			y += complex(w1*real(s), w1*imag(s))
+			col[r] += y * x[r]
+			idx = (idx + v) & mask
 		}
-		// Row a reads strip v at column f ≡ v-a (mod K), when |f| <= m;
-		// 2m < K, so there is at most one such column.
-		for ri, a := range c.rowAlphas {
-			f := (v - a) & mask
-			if f > m {
-				if f -= k; f < -m {
-					continue
-				}
+		z[0], z[1], z[2] = z0, zp, zm
+	default:
+		for r := range col {
+			c.slide(z, d[r]*roots[idx])
+			col[r] += c.value(z) * x[r]
+			idx = (idx + v) & mask
+		}
+	}
+}
+
+// strip writes channel v's cells into sf from its residue fold col (K
+// cells, transformed in place by one K-point FFT): cell (f, a) reads bin
+// j = (a-f) mod K of strip f+a, derotated by (-1)^j and scaled by 1/N.
+func (c *sscaKernel) strip(sf *scf.Surface, col []complex128, v, n int) error {
+	if err := c.plan.Forward(col, col); err != nil {
+		return err
+	}
+	k, mask, m := c.p.K, c.p.K-1, c.p.M-1
+	inv := complex(1/float64(n), 0)
+	// Row a reads strip v at column f ≡ v-a (mod K), when |f| <= m; 2m <
+	// K, so there is at most one such column.
+	for ri, a := range c.rowAlphas {
+		f := (v - a) & mask
+		if f > m {
+			if f -= k; f < -m {
+				continue
 			}
-			j := (a - f) & mask
-			cell := col[j]
-			if j&1 == 1 {
-				cell = -cell
-			}
-			sf.Data[ri][f+m] = cell * inv
 		}
+		j := (a - f) & mask
+		cell := col[j]
+		if j&1 == 1 {
+			cell = -cell
+		}
+		sf.Data[ri][f+m] = cell * inv
 	}
 	return nil
 }
@@ -726,31 +815,54 @@ func (c *sscaKernel) stats(n int) *scf.Stats {
 }
 
 // sscaScratch is one running SSCA span fold's working memory, borrowed
-// from sscaScratches for the fold's duration, so no channel keeps any.
+// from sscaScratches for the fold's duration, so no channel keeps any:
+// 3N + K cells, about 52 KB at K=256, N=1024.
 type sscaScratch struct {
-	fold []complex128 // the K×strips residue fold
-	spec []complex128 // K cells of FFT scratch, then K for the window
-	rot  []int
+	anchors []complex128 // the N/K anchor spectra, K cells each
+	diff    []complex128 // x[h+K] - x[h] per hop: what a slide adds
+	xc      []complex128 // conj(x[h+K/2]) per hop: each product's factor
+	col     []complex128 // one channel's K-cell residue fold
 }
 
 var sscaScratches freelist.List[sscaScratch]
 
 // spanFold writes the surface over the first n >= K hops of src (src[0]
-// is sample 0) into sf, folding in borrowed scratch. The SSCA
-// allocates nothing else: the returned surface is the whole cost.
+// is sample 0; n a power of two) into sf, one channel at a time, folding
+// in borrowed scratch. The SSCA allocates nothing else: the returned
+// surface is the whole cost.
 func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	sc := sscaScratches.Get()
 	defer sscaScratches.Put(sc)
 	k := c.p.K
-	sc.fold = freelist.Grow(sc.fold, k*len(c.needed))
-	sc.spec = freelist.Grow(sc.spec, 2*k)
-	sc.rot = freelist.Grow(sc.rot, len(c.needed))
-	clear(sc.rot)
-	spec := sc.spec[:k]
-	if err := c.foldHops(sc.fold, sc.rot, spec, sc.spec[k:], src, 0, 0, n); err != nil {
-		return err
+	sc.anchors = freelist.Grow(sc.anchors, n)
+	sc.diff = freelist.Grow(sc.diff, n)
+	sc.xc = freelist.Grow(sc.xc, n)
+	sc.col = freelist.Grow(sc.col, k)
+	for h0 := 0; h0 < n; h0 += k {
+		if err := c.plan.Forward(sc.anchors[h0:h0+k], src[h0:h0+k]); err != nil {
+			return err
+		}
 	}
-	return c.strips(sf, sc.fold, spec, n)
+	for h := range sc.xc {
+		sc.xc[h] = cmplx.Conj(src[h+k/2])
+	}
+	// No block slides past its last hop (the next one re-anchors), so the
+	// difference at hop n-1, past the span's end, is never read.
+	for h := range n - 1 {
+		sc.diff[h] = src[h+k] - src[h]
+	}
+	col := sc.col
+	for _, v := range c.needed {
+		clear(col)
+		var z taps
+		for h0 := 0; h0 < n; h0 += k {
+			c.run(&z, col, sc.anchors[h0:h0+k], sc.diff[h0:h0+k], sc.xc[h0:h0+k], v, 0, k)
+		}
+		if err := c.strip(sf, col, v, n); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sscaWindow is the window-bound SSCA accumulator: the span its window's
@@ -805,28 +917,37 @@ func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 }
 
 // sscaAccumulator is the plain SSCA accumulator: Push folds every
-// complete hop into the running residue fold (the first nFixed hops only,
-// when N is set).
+// complete hop into the running residue fold (the first nFixed hops
+// only, when N is set), running the span fold's per-channel update over
+// the hops each push completes, so the bits match.
 type sscaAccumulator struct {
 	*sscaKernel
 	nFixed int
-	rot    []int // per needed channel: running downconversion index (v·hops mod K)
-	// fold is the running residue fold over the hops seen so far; with N
-	// zero, ck is its copy at the last power-of-two hop count ckHops >=
-	// K. Both are allocated on the first hop.
+	z      []taps // per needed channel: its taps at the last folded hop
+	// fold is the running residue fold over the hops seen so far,
+	// channel-major: fold[i·K+r] sums channel needed[i]'s products at
+	// hops ≡ r (mod K). With N zero, ck is its copy at the last
+	// power-of-two hop count ckHops >= K. Both are allocated on the first
+	// hop.
 	fold, ck []complex128
 	hops     int
 	ckHops   int
 
+	// buf holds the samples from the last folded hop on: the next slide
+	// subtracts x[hops-1].
 	buf      []complex128
 	bufStart int
 	total    int
 
-	spec []complex128 // K cells of FFT scratch (Snapshot's strip column), then K for the window
+	// K cells each: the block's anchor spectrum (or a snapshot's strip
+	// column), and its differences and conjugates, as the span fold's.
+	spec, diff, xc []complex128
 }
 
 func (c *sscaKernel) newPlain(nFixed int) *sscaAccumulator {
-	return &sscaAccumulator{sscaKernel: c, nFixed: nFixed, rot: make([]int, len(c.needed)), spec: make([]complex128, 2*c.p.K)}
+	k := c.p.K
+	return &sscaAccumulator{sscaKernel: c, nFixed: nFixed, z: make([]taps, len(c.needed)),
+		spec: make([]complex128, k), diff: make([]complex128, k), xc: make([]complex128, k)}
 }
 
 // Samples implements scf.Accumulator.
@@ -846,6 +967,38 @@ func (s *sscaAccumulator) stripLen() int {
 
 // Ready implements scf.Accumulator.
 func (s *sscaAccumulator) Ready() bool { return s.stripLen() != 0 }
+
+// foldHops adds hops [s.hops, h1) of src (src[0] is sample srcStart) to
+// the running fold, one anchor block at a time: a block's first hop runs
+// its K-point FFT, and every needed channel then runs through the
+// block's hops the push completes.
+func (s *sscaAccumulator) foldHops(src []complex128, srcStart, h1 int) error {
+	k, mask := s.p.K, s.p.K-1
+	if s.hops == 0 {
+		clear(s.fold)
+	}
+	for s.hops < h1 {
+		h0 := s.hops &^ mask // the block's anchor hop
+		r0, r1 := s.hops-h0, min(h1-h0, k)
+		o := h0 - srcStart // src[o+r] is sample h0+r; the buffer starts at hop s.hops-1
+		if r0 == 0 {
+			if err := s.plan.Forward(s.spec, src[o:o+k]); err != nil {
+				return err
+			}
+		}
+		for r := max(r0-1, 0); r < r1-1; r++ {
+			s.diff[r] = src[o+r+k] - src[o+r]
+		}
+		for r := r0; r < r1; r++ {
+			s.xc[r] = cmplx.Conj(src[o+r+k/2])
+		}
+		for i, v := range s.needed {
+			s.run(&s.z[i], s.fold[i*k:(i+1)*k], s.spec, s.diff, s.xc, v, r0, r1)
+		}
+		s.hops = h0 + r1
+	}
+	return nil
+}
 
 // Push implements scf.Accumulator.
 func (s *sscaAccumulator) Push(samples []complex128) error {
@@ -870,10 +1023,9 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 				s.ck = make([]complex128, k*len(s.needed))
 			}
 		}
-		if err := s.foldHops(s.fold, s.rot, s.spec[:k], s.spec[k:], s.buf, s.bufStart, s.hops, end); err != nil {
+		if err := s.foldHops(s.buf, s.bufStart, end); err != nil {
 			return err
 		}
-		s.hops = end
 		if s.nFixed == 0 && s.hops >= k && s.hops&(s.hops-1) == 0 {
 			// Power-of-two hop count: checkpoint the fold of exactly the
 			// prefix a batch estimate of this stream would transform.
@@ -890,9 +1042,9 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 		s.bufStart = s.total
 		return nil
 	}
-	// Keep only what the next hop reads (compacting once per push keeps
-	// the cost linear).
-	s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, s.hops)
+	// Keep only what the next hop reads, from the sample its slide
+	// subtracts on (compacting once per push keeps the cost linear).
+	s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, s.hops-1)
 	return nil
 }
 
@@ -912,16 +1064,20 @@ func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 		fold = s.ck
 	}
 	sf := scf.NewSurfaceFor(s.p)
-	if err := s.strips(sf, fold, s.spec[:s.p.K], n); err != nil {
-		return nil, nil, err
+	k := s.p.K
+	for i, v := range s.needed {
+		copy(s.spec, fold[i*k:(i+1)*k])
+		if err := s.strip(sf, s.spec, v, n); err != nil {
+			return nil, nil, err
+		}
 	}
 	return sf, s.stats(n), nil
 }
 
-// Reset implements scf.Accumulator. The fold needs no clearing: the
-// first K hops after a reset overwrite it.
+// Reset implements scf.Accumulator. The fold is cleared by the first
+// hop after a reset, and the channel taps need no clearing: hop 0
+// re-anchors every channel.
 func (s *sscaAccumulator) Reset() {
-	clear(s.rot)
 	s.hops, s.ckHops = 0, 0
 	s.buf = s.buf[:0]
 	s.bufStart = 0

@@ -25,8 +25,8 @@
 //     bin q estimates the SCF at f = k/(2K) - q/(2N), α = k/K + q/N.
 //     Surface cell (f, a) is channel k = f+a, bin q = N·(a-f)/K. The grid
 //     reads only every (N/K)-th bin, and those bins are the K-point DFT
-//     of the strip folded modulo K, so the code keeps a K-length running
-//     fold per strip and runs K-point FFTs at snapshot time.
+//     of the strip folded modulo K, so the code keeps a K-length fold per
+//     strip and runs one K-point FFT per strip.
 //
 // Complexity (complex multiplications, reported in Stats): the direct
 // DSCF spends Blocks·(2M-1)² on products — the paper's "16× the FFT"
@@ -37,9 +37,12 @@
 // on the small (2M-1)² grid. Stats always report this canonical model;
 // the implementation itself shortcuts where the algebra allows (FAM
 // evaluates each cell's bin 0 as an O(P) dot product and mirrors the
-// α < 0 half-plane by exact Hermitian symmetry; SSCA replaces each
-// N-point strip FFT with a modulo-K fold and a K-point FFT) — see the
-// README's model-vs-measured note.
+// α < 0 half-plane by exact Hermitian symmetry; SSCA runs its channelizer
+// as a sliding DFT, one complex multiply-add per addressed strip per hop
+// plus two rotations per hop for each cosine term of a window, with N/K
+// anchoring K-point FFTs in place of N, and replaces each N-point strip
+// FFT with a modulo-K fold and a K-point FFT) — see the README's
+// model-vs-measured note.
 //
 // Every batch estimate here shares its body with the window-bound
 // accumulator: FAM.Estimate, SSCA.Estimate and both Q15 estimators run

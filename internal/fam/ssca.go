@@ -9,10 +9,14 @@ import "tiledcfd/internal/scf"
 // frequency f = k/(2K) - q/(2N) and cycle frequency α = k/K + q/N;
 // surface cell (f, a) reads channel k = f+a at bin q = N·(a-f)/K.
 //
-// The grid reads only every (N/K)-th strip bin, so the implementation
-// folds each strip modulo K and runs a K-point FFT in place of the
-// N-point one (see sscaAccumulator); the estimate is the same up to
-// floating-point summation order.
+// The implementation runs no K-point FFT per sample hop: the unit-hop
+// channelizer is a sliding DFT, one complex multiply-add per channel per
+// hop, re-anchored by one exact K-point FFT every K hops, and an analysis
+// window is applied as its cosine-sum combination of neighbouring
+// channels. The grid reads only every (N/K)-th strip bin, so each strip
+// is folded modulo K and a K-point FFT replaces the N-point one (see
+// sscaKernel). The estimate is the canonical one up to floating-point
+// rounding.
 //
 // The strip length N must be a power of two and a multiple of K so that
 // every grid cell lands exactly on a strip bin; both hold automatically

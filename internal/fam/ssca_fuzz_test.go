@@ -22,7 +22,7 @@ func FuzzSSCAChunking(f *testing.F) {
 	f.Add(uint64(3), []byte{}, uint8(3), uint8(2), uint16(0))
 	f.Fuzz(func(t *testing.T, seed uint64, chunks []byte, nSel, winSel uint8, extra uint16) {
 		const k, m = 32, 8
-		windows := []fft.WindowKind{fft.Rectangular, fft.Hamming, fft.Hann}
+		windows := []fft.WindowKind{fft.Rectangular, fft.Hamming, fft.Hann, fft.Blackman}
 		e := SSCA{Params: scf.Params{K: k, M: m, Window: windows[int(winSel)%len(windows)]}}
 		if s := nSel % 4; s != 0 {
 			e.N = k << (s - 1)

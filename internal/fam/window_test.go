@@ -156,6 +156,52 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSSCAFoldScratchBytes: the SSCA span fold slides one channel at a
+// time, so it borrows the N/K anchor spectra, the N-cell difference and
+// conjugate arrays and one K-cell column: about 52 KB at K=256, N=1024,
+// where a K×strips residue fold was 1 MB. After a full-plane window fold
+// at W=2048 and after a batch Estimate of the same samples, the one
+// free-list entry both borrowed holds at most 64 KB.
+func TestSSCAFoldScratchBytes(t *testing.T) {
+	const window, limit = 2048, 64 << 10
+	// Leave one fresh entry on the list, so it holds what these folds
+	// grew it to and nothing an earlier test did.
+	var drained []*sscaScratch
+	for {
+		sc := sscaScratches.Get()
+		if heldBytes(reflect.ValueOf(sc)) == 0 {
+			sscaScratches.Put(sc)
+			break
+		}
+		drained = append(drained, sc)
+	}
+	t.Cleanup(func() {
+		for _, sc := range drained {
+			sscaScratches.Put(sc)
+		}
+	})
+	held := func(label string) {
+		t.Helper()
+		sc := sscaScratches.Get()
+		defer sscaScratches.Put(sc)
+		if got := heldBytes(reflect.ValueOf(sc)); got == 0 || got > limit {
+			t.Errorf("after %s: the fold scratch holds %d bytes, want 1..%d", label, got, limit)
+		}
+	}
+	x := goldenBand(window, 3)
+	e := SSCA{Params: scf.Params{K: 256, M: 64}}
+	acc, err := e.NewWindowAccumulator(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushChunks(t, acc, x, []int{4096})
+	held("a W=2048 window fold")
+	if _, _, err := e.Estimate(x); err != nil {
+		t.Fatal(err)
+	}
+	held("a batch Estimate")
+}
+
 // heldBytes sums the backing arrays an accumulator keeps per channel:
 // every slice, and every *scf.Surface's or *scf.QSurface's cells,
 // reachable through its struct fields and embedded structs. The kernels
@@ -424,6 +470,8 @@ func BenchmarkWindowPushSnapshot(b *testing.B) {
 	p := scf.Params{K: 256, M: 64}
 	pruned := p
 	pruned.AlphaCandidates = []int{16, 32, 11, 40}
+	hann := p
+	hann.Window = fft.Hann
 	cases := []struct {
 		name   string
 		est    scf.StreamingEstimator
@@ -432,6 +480,8 @@ func BenchmarkWindowPushSnapshot(b *testing.B) {
 		{"fam-full/W=8192", FAM{Params: p}, 8192},
 		{"fam-pruned/W=2048", FAM{Params: pruned}, 2048},
 		{"ssca/W=2048", SSCA{Params: p}, 2048},
+		{"ssca-pruned/W=2048", SSCA{Params: pruned}, 2048},
+		{"ssca-hann/W=2048", SSCA{Params: hann}, 2048},
 	}
 	for _, c := range cases {
 		x := goldenBand(c.window, 1)
