@@ -487,7 +487,9 @@ type MonitorOptions struct {
 	// (default 8192).
 	SnapshotSamples int
 	// RingSamples is the per-channel ingestion buffer's capacity limit;
-	// memory follows the peak backlog (default 4×SnapshotSamples).
+	// memory follows the peak backlog: the first push sizes the buffer,
+	// and it doubles when a push needs the room (default
+	// 4×SnapshotSamples).
 	RingSamples int
 	// Workers bounds each shard engine's drain/decision worker pool
 	// (default one per CPU core), so the service total is
@@ -962,7 +964,9 @@ type ShardWorkerOptions struct {
 	// (default 8192).
 	SnapshotSamples int
 	// RingSamples is the per-channel ingestion buffer's capacity limit;
-	// memory follows the peak backlog (default 4×SnapshotSamples).
+	// memory follows the peak backlog: the first push sizes the buffer,
+	// and it doubles when a push needs the room (default
+	// 4×SnapshotSamples).
 	RingSamples int
 	// Workers bounds the engine's drain/decision worker pool (default
 	// one per CPU core).

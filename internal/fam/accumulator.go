@@ -32,16 +32,18 @@ import (
 // FAM's P hops, N + K - 1 for the SSCA's N-point strips. It buffers that
 // span and nothing past it, and the push that completes the span runs
 // the batch span fold once: the FAM's into the window's a >= 0 sums, the
-// SSCA's straight into the window's normalised surface. Until Reset the
-// accumulator then holds only its span buffer and that result. The
-// fold's working set — the channel-major block and odd-hop sums of the
-// FAM; the anchor spectra, difference and conjugate arrays and one fold
-// column of the SSCA — is borrowed from a free list shared by every
-// channel, so serving memory follows the folds running at once, not the
-// channel count. A snapshot taken before the span is complete (a
-// channel's final flush, a short input) folds pow2floor(buffered hops)
-// on demand, as Estimate does on the same samples. Estimate runs the
-// same span fold straight over its input.
+// SSCA's into the window's normalised surface cells. The span is dead
+// once folded and the result does not exist before, so both live in one
+// buffer of max(span, result cells), allocated once: until Reset the
+// accumulator holds only that buffer. The fold's working set — the
+// channel-major block and the sums of the FAM; the anchor spectra,
+// difference and conjugate arrays and one fold column of the SSCA — is
+// borrowed from a free list shared by every channel, so serving memory
+// follows the folds running at once, not the channel count. A snapshot
+// taken before the span is complete (a channel's final flush, a short
+// input) folds pow2floor(buffered hops) on demand, as Estimate does on
+// the same samples. Estimate runs the same span fold straight over its
+// input.
 //
 // Every path adds each cell's terms in one order — FAM parity sums by
 // absolute hop, SSCA residue rows in hop order — so every path, in every
@@ -103,14 +105,30 @@ func channelizer(p scf.Params) (*fft.Plan, []complex128, []float64, error) {
 	return plan, roots, win, nil
 }
 
-// spanBuffer collects a window-bound accumulator's span: the first span
-// samples since Reset, in a buffer allocated once, span long. Samples
-// past the span are counted and dropped.
+// spanBuffer is a window-bound accumulator's one buffer. It collects
+// the span, the first span samples since Reset; once the span is folded
+// its first resultLen cells hold the window's result. It is allocated
+// once, at max(span, resultLen). Samples past the span are counted and
+// dropped.
 type spanBuffer struct {
-	span  int
-	buf   []complex128
-	done  bool // the span has been folded; the result is held
-	total int
+	span, resultLen int
+	buf             []complex128 // the buffered span, until done
+	done            bool         // the span has been folded; the result is held
+	total           int
+}
+
+// alloc allocates the buffer on its first use.
+func (b *spanBuffer) alloc() {
+	if b.buf == nil {
+		b.buf = make([]complex128, 0, max(b.span, b.resultLen))
+	}
+}
+
+// held returns the buffer's result cells. They overwrite the span, so
+// the fold that fills them must be done reading it.
+func (b *spanBuffer) held() []complex128 {
+	b.alloc()
+	return b.buf[:b.resultLen]
 }
 
 // push counts a chunk and returns the complete span the first time the
@@ -124,9 +142,7 @@ func (b *spanBuffer) push(samples []complex128) []complex128 {
 	if len(b.buf) == 0 && len(samples) >= b.span {
 		return samples[:b.span]
 	}
-	if b.buf == nil {
-		b.buf = make([]complex128, 0, b.span)
-	}
+	b.alloc()
 	b.buf = append(b.buf, samples[:min(len(samples), b.span-len(b.buf))]...)
 	if len(b.buf) == b.span {
 		return b.buf
@@ -137,8 +153,8 @@ func (b *spanBuffer) push(samples []complex128) []complex128 {
 // Samples implements scf.Accumulator.
 func (b *spanBuffer) Samples() int { return b.total }
 
-// Reset implements scf.Accumulator: the buffer and the held result stay
-// allocated for the next window.
+// Reset implements scf.Accumulator: the buffer stays allocated for the
+// next window's span.
 func (b *spanBuffer) Reset() {
 	b.buf = b.buf[:0]
 	b.done = false
@@ -168,7 +184,7 @@ func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if hopCap == 0 {
 		return c.newPlain(), nil
 	}
-	span := spanBuffer{span: (hopCap-1)*c.p.Hop + c.p.K}
+	span := spanBuffer{span: (hopCap-1)*c.p.Hop + c.p.K, resultLen: c.cells()}
 	return &famWindow{famKernel: c, spanBuffer: span, hopCap: hopCap}, nil
 }
 
@@ -247,7 +263,7 @@ const foldBlockHops = 64
 type famScratch struct {
 	blk  []complex128 // a block's channel-major cells, then K each for the FFT and the window
 	odd  []complex128 // the odd-hop sums of a span longer than one block
-	sums []complex128 // the sums of a snapshot folded on demand
+	sums []complex128 // the sums of a span fold
 }
 
 var famScratches freelist.List[famScratch]
@@ -409,12 +425,12 @@ func (c *famKernel) surface(sums []complex128, np int) (*scf.Surface, *scf.Stats
 }
 
 // famWindow is the window-bound FAM accumulator: the span its window's
-// hopCap hops read, then, once the span is folded, the window's sums.
+// hopCap hops read, then, once the span is folded, the window's sums in
+// the same buffer.
 type famWindow struct {
 	*famKernel
 	spanBuffer
 	hopCap int
-	sums   []complex128 // allocated at the first span completion
 }
 
 // Ready implements scf.Accumulator: the estimate needs at least two hops
@@ -422,20 +438,20 @@ type famWindow struct {
 func (w *famWindow) Ready() bool { return w.done || w.hopsIn(len(w.buf)) >= 2 }
 
 // Push implements scf.Accumulator. The push that completes the span
-// folds all hopCap hops.
+// folds all hopCap hops into borrowed sums and then copies them over the
+// span, which the fold no longer reads.
 func (w *famWindow) Push(samples []complex128) error {
 	span := w.push(samples)
 	if span == nil {
 		return nil
 	}
-	if w.sums == nil {
-		w.sums = make([]complex128, w.cells())
-	}
 	sc := famScratches.Get()
 	defer famScratches.Put(sc)
-	if err := w.foldSpan(sc, w.sums, span, w.hopCap); err != nil {
+	sc.sums = freelist.Grow(sc.sums, w.resultLen)
+	if err := w.foldSpan(sc, sc.sums, span, w.hopCap); err != nil {
 		return err
 	}
+	copy(w.held(), sc.sums)
 	w.done = true
 	return nil
 }
@@ -444,7 +460,7 @@ func (w *famWindow) Push(samples []complex128) error {
 // span is complete, pow2floor(buffered hops) folded on demand.
 func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	if w.done {
-		s, stats := w.surface(w.sums, w.hopCap)
+		s, stats := w.surface(w.held(), w.hopCap)
 		return s, stats, nil
 	}
 	np := pow2Floor(w.hopsIn(len(w.buf)))
@@ -569,7 +585,8 @@ func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if e.N != 0 || n == 0 {
 		return c.newPlain(e.N), nil
 	}
-	return &sscaWindow{sscaKernel: c, spanBuffer: spanBuffer{span: n + c.p.K - 1}, n: n}, nil
+	span := spanBuffer{span: n + c.p.K - 1, resultLen: len(c.rowAlphas) * (2*c.p.M - 1)}
+	return &sscaWindow{sscaKernel: c, spanBuffer: span, n: n}, nil
 }
 
 var (
@@ -804,6 +821,17 @@ func (c *sscaKernel) strip(sf *scf.Surface, col []complex128, v, n int) error {
 	return nil
 }
 
+// surfaceOver returns a surface of the kernel's rows whose cells are
+// consecutive 2M-1-cell runs of cells, shared, not copied.
+func (c *sscaKernel) surfaceOver(cells []complex128) *scf.Surface {
+	cols := 2*c.p.M - 1
+	s := &scf.Surface{M: c.p.M, Alphas: c.p.SurfaceAlphas(), Data: make([][]complex128, len(c.rowAlphas))}
+	for i := range s.Data {
+		s.Data[i] = cells[i*cols : (i+1)*cols]
+	}
+	return s
+}
+
 // stats reports the canonical N-point strip model (see doc.go).
 func (c *sscaKernel) stats(n int) *scf.Stats {
 	k, nn := c.p.K, len(c.needed)
@@ -829,7 +857,8 @@ var sscaScratches freelist.List[sscaScratch]
 // spanFold writes the surface over the first n >= K hops of src (src[0]
 // is sample 0; n a power of two) into sf, one channel at a time, folding
 // in borrowed scratch. The SSCA allocates nothing else: the returned
-// surface is the whole cost.
+// surface is the whole cost. src is read only before the first cell is
+// written, so sf's cells may overwrite it.
 func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	sc := sscaScratches.Get()
 	defer sscaScratches.Put(sc)
@@ -866,27 +895,28 @@ func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 }
 
 // sscaWindow is the window-bound SSCA accumulator: the span its window's
-// n hops read, then, once the span is folded, the window's surface.
+// n hops read, then, once the span is folded, the window's surface cells
+// in the same buffer.
 type sscaWindow struct {
 	*sscaKernel
 	spanBuffer
-	n    int // the window's strip length
-	surf *scf.Surface
+	n    int          // the window's strip length
+	surf *scf.Surface // rows over the buffer's held cells
 }
 
 // Ready implements scf.Accumulator: a K-point strip needs 2K-1 samples.
 func (s *sscaWindow) Ready() bool { return s.done || len(s.buf) >= 2*s.p.K-1 }
 
 // Push implements scf.Accumulator. The push that completes the span
-// folds all n hops and writes the normalised cells into the held
-// surface.
+// folds all n hops and writes the normalised cells over it, into the
+// held surface.
 func (s *sscaWindow) Push(samples []complex128) error {
 	span := s.push(samples)
 	if span == nil {
 		return nil
 	}
 	if s.surf == nil {
-		s.surf = scf.NewSurfaceFor(s.p)
+		s.surf = s.surfaceOver(s.held())
 	}
 	if err := s.spanFold(s.surf, span, s.n); err != nil {
 		return err

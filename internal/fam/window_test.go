@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -109,11 +110,11 @@ func FuzzWindowAccumulator(f *testing.F) {
 }
 
 // TestWindowAccumulatorKeepsNoCheckpoint: after a whole window, a
-// window-bound FAM, pruned FAM, SSCA, FAM-Q15 or SSCA-Q15 accumulator
-// holds its span buffer (exactly span long; 4-byte words for the Q15
-// twins, which buffer the quantised span) and its result, and nothing
-// else: no parity grid, no checkpoint, no K×strips fold, no hop bank.
-// Its snapshot still equals Estimate.
+// window-bound FAM, pruned FAM or SSCA accumulator holds one buffer of
+// max(span, result cells), the span and then its result, and a FAM-Q15
+// or SSCA-Q15 accumulator holds its quantised span (4-byte words) and
+// its result. None holds anything else: no parity grid, no checkpoint,
+// no K×strips fold, no hop bank. Its snapshot still equals Estimate.
 func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 	const window = 2048
 	x := streamBand(t, window, 16)
@@ -127,22 +128,26 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 		name                  string
 		est                   scf.StreamingEstimator
 		span, heldCells, word int
+		shared                bool // span and result share one buffer
 	}{
-		{"fam", FAM{Params: p}, 63*16 + 64, 16 * 31, 16},
-		{"fam-pruned", FAM{Params: pruned}, 63*16 + 64, len(famDefaults(pruned, 0).CandidateRows()) * 31, 16},
-		{"ssca", SSCA{Params: p}, 1024 + 63, 31 * 31, 16},
-		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 15*64 + 256, 127 * 127, 4},
-		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 1024 + 255, 127 * 127, 4},
+		{"fam", FAM{Params: p}, 63*16 + 64, 16 * 31, 16, true},
+		{"fam-pruned", FAM{Params: pruned}, 63*16 + 64, len(famDefaults(pruned, 0).CandidateRows()) * 31, 16, true},
+		{"ssca", SSCA{Params: p}, 1024 + 63, 31 * 31, 16, true},
+		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 15*64 + 256, 127 * 127, 4, false},
+		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 1024 + 255, 127 * 127, 4, false},
 	} {
 		acc, err := c.est.(scf.WindowEstimator).NewWindowAccumulator(window)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pushChunks(t, acc, x, []int{500})
-		want := c.word * (c.span + c.heldCells)
+		want, shape := c.word*(c.span+c.heldCells), "plus"
+		if c.shared {
+			want, shape = c.word*max(c.span, c.heldCells), "sharing one buffer with"
+		}
 		if got := heldBytes(reflect.ValueOf(acc)); got != want {
-			t.Errorf("%s: holds %d bytes past its geometry, want a %d-sample span plus %d result cells (%d bytes)",
-				c.name, got, c.span, c.heldCells, want)
+			t.Errorf("%s: holds %d bytes past its geometry, want a %d-sample span %s %d result cells (%d bytes)",
+				c.name, got, c.span, shape, c.heldCells, want)
 		}
 		got, _, err := acc.Snapshot()
 		if err != nil {
@@ -202,39 +207,59 @@ func TestSSCAFoldScratchBytes(t *testing.T) {
 	held("a batch Estimate")
 }
 
-// heldBytes sums the backing arrays an accumulator keeps per channel:
-// every slice, and every *scf.Surface's or *scf.QSurface's cells,
-// reachable through its struct fields and embedded structs. The kernels
-// (plans, tables and row sets that describe the geometry, not the
-// stream) are left out.
+// heldBytes sums the memory an accumulator keeps per channel: the
+// backing array of every slice, and every *scf.Surface's or
+// *scf.QSurface's cells, reachable through its struct fields and
+// embedded structs. Each byte counts once, however many slices or
+// surface rows share it. The kernels (plans, tables and row sets that
+// describe the geometry, not the stream) are left out.
 func heldBytes(v reflect.Value) int {
+	var spans [][2]uintptr // [start, end) of every array reached
+	heldSpans(v, &spans)
+	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
+	n, end := 0, uintptr(0)
+	for _, s := range spans {
+		start := max(s[0], end)
+		if s[1] > start {
+			n += int(s[1] - start)
+			end = s[1]
+		}
+	}
+	return n
+}
+
+// heldSpans appends the address range of every array heldBytes counts.
+func heldSpans(v reflect.Value, spans *[][2]uintptr) {
+	add := func(s reflect.Value, n int) {
+		if n > 0 {
+			p := s.Pointer()
+			*spans = append(*spans, [2]uintptr{p, p + uintptr(n)*s.Type().Elem().Size()})
+		}
+	}
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
-			return 0
+			return
 		}
 		switch v.Type() {
 		case reflect.TypeOf(&famKernel{}), reflect.TypeOf(&sscaKernel{}), reflect.TypeOf(&q15Kernel{}):
-			return 0
+			return
 		case reflect.TypeOf(&scf.Surface{}), reflect.TypeOf(&scf.QSurface{}):
-			n, data := 0, v.Elem().FieldByName("Data")
+			data := v.Elem().FieldByName("Data")
 			for i := 0; i < data.Len(); i++ {
-				row := data.Index(i) // rows share one backing array
-				n += row.Len() * int(row.Type().Elem().Size())
+				row := data.Index(i)
+				add(row, row.Len())
 			}
-			return n
+			return
 		}
-		return heldBytes(v.Elem())
+		heldSpans(v.Elem(), spans)
 	case reflect.Struct:
-		n := 0
 		for i := 0; i < v.NumField(); i++ {
-			n += heldBytes(v.Field(i))
+			heldSpans(v.Field(i), spans)
 		}
-		return n
 	case reflect.Slice:
-		return v.Cap() * int(v.Type().Elem().Size())
+		add(v, v.Cap())
 	}
-	return 0
 }
 
 // sink keeps benchmark and allocation-test results live.

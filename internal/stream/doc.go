@@ -10,13 +10,16 @@
 //
 //   - a ring buffer producers push sampled chunks into. Config.RingSamples
 //     is its capacity limit, not a reservation: a channel starts with no
-//     ring, and Push grows it by doubling (at least 4096 samples,
-//     at most the limit) only when a chunk does not fit. It never shrinks,
-//     so its memory follows the channel's peak backlog, and Push
-//     allocates only when the ring grows; otherwise it copies into it,
+//     ring, the first Push sizes it to its chunk, and a later Push grows
+//     it by doubling (at most to the limit) only when a chunk does not
+//     fit. It never shrinks, so its memory follows the channel's peak
+//     backlog, and Push allocates only when the ring grows; otherwise it
+//     copies into it,
 //   - an scf.Accumulator holding that channel's incremental estimator
 //     state (direct DSCF, FAM, or SSCA — anything implementing
-//     scf.StreamingEstimator), and
+//     scf.StreamingEstimator),
+//   - for a decider that reads raw samples (dg, urriza), one window of
+//     them, allocated at the channel's first sample, and
 //   - drop/decision accounting.
 //
 // A bounded worker pool drains the rings: a channel with pending samples
@@ -50,7 +53,8 @@
 // (scf.AccumulatorFor): FAM, SSCA and their Q15 twins buffer only the
 // span of samples the window's estimate reads, fold it once when it is
 // complete, with fold scratch shared across channels, and then keep only
-// the window's result. With Config.Cumulative the accumulator keeps integrating
+// the window's result (FAM and SSCA write it over the span, in the same
+// buffer). With Config.Cumulative the accumulator keeps integrating
 // across snapshots — the variance of the estimate keeps shrinking, the
 // mode used for the streaming-equals-batch golden tests and for one-shot
 // captures fed incrementally.

@@ -34,9 +34,9 @@ type Config struct {
 	// Default 8192.
 	SnapshotSamples int
 	// RingSamples is the per-channel ingestion ring capacity limit; the
-	// ring's memory follows the channel's peak backlog (it grows by
-	// doubling, up to this limit, only when a push needs the room).
-	// Default 4×SnapshotSamples.
+	// ring's memory follows the channel's peak backlog: the first push
+	// sizes it, and it doubles, up to this limit, only when a push needs
+	// the room. Default 4×SnapshotSamples.
 	RingSamples int
 	// Workers bounds the drain/decision worker pool. Default
 	// runtime.GOMAXPROCS(0).
@@ -535,13 +535,13 @@ func (ch *channel) put(src []complex128) int {
 	return n
 }
 
-// grow reallocates the ring to min(limit, max(2·len, need, drainChunk))
-// samples, moving the unread samples to its front in FIFO order. The ring
-// never shrinks, so its size is the channel's peak backlog rounded up by
-// doubling. ch.mu must be held.
+// grow reallocates the ring to min(limit, max(2·len, need)) samples,
+// moving the unread samples to its front in FIFO order: the first push
+// sizes the ring, and later growth doubles it. The ring never shrinks,
+// so its size is the channel's peak backlog rounded up by doubling.
+// ch.mu must be held.
 func (ch *channel) grow(need int) {
-	n := max(2*len(ch.ring), need, drainChunk)
-	n = min(n, ch.limit)
+	n := min(max(2*len(ch.ring), need), ch.limit)
 	ring := make([]complex128, n)
 	ch.count = ch.take(ring)
 	ch.ring, ch.head = ring, 0
@@ -633,10 +633,15 @@ func (e *Engine) feed(ch *channel, chunk []complex128) {
 		}
 		if ch.dec.NeedsSamples() {
 			// Sample-based deciders (dg, urriza) see the raw samples of
-			// the span since the last decision; the buffer is released
+			// the span since the last decision; the buffer is emptied
 			// once a decision is made, so in cumulative mode the decider
 			// still evaluates only the newest window while the surface
-			// keeps integrating.
+			// keeps integrating. It is allocated at the channel's first
+			// feed, one window long, so a channel that never receives a
+			// sample holds none.
+			if ch.win == nil {
+				ch.win = make([]complex128, 0, e.cfg.SnapshotSamples)
+			}
 			ch.win = append(ch.win, chunk[:n]...)
 		}
 		ch.sinceSnap += n

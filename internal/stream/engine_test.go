@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -645,5 +646,99 @@ func TestEngineYieldsToLaggingConsumer(t *testing.T) {
 	}
 	if n := <-got; n != windows || st.DecisionsDropped != 0 {
 		t.Fatalf("%d of %d decisions arrived, %d dropped", n, windows, st.DecisionsDropped)
+	}
+}
+
+// TestEngineDecisionsAccountedUnderStalls is a property test of decision
+// delivery: several channels fed concurrently in Block mode, a pool of
+// workers, a small Decisions buffer and a consumer that stalls at random.
+// Whatever the interleaving, every decision the engine makes
+// (Stats.Surfaces) either reaches the consumer or is counted in
+// DecisionsDropped, none arrives twice, and each channel's Seqs arrive in
+// increasing order. The consumer's stalls and the producers' chunk sizes
+// come from the seed, so a failing seed replays its schedule.
+func TestEngineDecisionsAccountedUnderStalls(t *testing.T) {
+	const window, windows, nch = 256, 40, 6
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			e, err := New(Config{
+				Estimator:       fam.FAM{Params: scf.Params{K: 32, M: 8}},
+				SnapshotSamples: window,
+				Block:           true,
+				Workers:         3,
+				DecisionBuffer:  4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < nch; i++ {
+				if err := e.AddChannel(fmt.Sprintf("ch%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type key struct {
+				channel string
+				seq     int64
+			}
+			seen := make(map[key]bool)
+			last := make(map[string]int64)
+			var faults []string
+			consumed := make(chan struct{})
+			go func() {
+				defer close(consumed)
+				rng := rand.New(rand.NewPCG(seed, 1))
+				for d := range e.Decisions() {
+					k := key{d.Channel, d.Seq}
+					if seen[k] {
+						faults = append(faults, fmt.Sprintf("%s seq %d arrived twice", d.Channel, d.Seq))
+					}
+					if prev, ok := last[d.Channel]; ok && d.Seq <= prev {
+						faults = append(faults, fmt.Sprintf("%s seq %d arrived after seq %d", d.Channel, d.Seq, prev))
+					}
+					seen[k], last[d.Channel] = true, d.Seq
+					if rng.IntN(8) == 0 {
+						time.Sleep(time.Duration(rng.IntN(300)) * time.Microsecond)
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for i := 0; i < nch; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					id := fmt.Sprintf("ch%d", i)
+					band := noiseBand(t, window*windows, seed*100+uint64(i))
+					rng := rand.New(rand.NewPCG(seed, uint64(2+i)))
+					for off := 0; off < len(band); {
+						n := min(1+rng.IntN(3*window), len(band)-off)
+						if _, err := e.Push(id, band[off:off+n]); err != nil {
+							t.Error(err)
+							return
+						}
+						off += n
+					}
+				}(i)
+			}
+			wg.Wait()
+			if err := e.Flush(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-consumed
+			for _, f := range faults {
+				t.Error(f)
+			}
+			st := e.Stats()
+			if st.Surfaces != nch*windows || st.WindowsFailed != 0 {
+				t.Fatalf("Surfaces %d, WindowsFailed %d, want %d and 0", st.Surfaces, st.WindowsFailed, nch*windows)
+			}
+			if got := int64(len(seen)); got+st.DecisionsDropped != st.Surfaces {
+				t.Fatalf("%d decisions arrived and %d dropped, but %d were made", got, st.DecisionsDropped, st.Surfaces)
+			}
+			t.Logf("%d of %d decisions arrived, %d dropped", len(seen), st.Surfaces, st.DecisionsDropped)
+		})
 	}
 }

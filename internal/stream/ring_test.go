@@ -65,11 +65,12 @@ func FuzzRingFIFO(f *testing.F) {
 }
 
 // TestRingGrowsWhileWrapped pins the growth path the fuzz target must
-// keep reaching: the unread span wraps the end of the ring when a put
-// outgrows it, the ring doubles, and the last growth stops at a limit
-// that is neither a power of two nor a multiple of drainChunk.
+// keep reaching: the first push sizes the ring, the unread span wraps
+// the end of the ring when a put outgrows it, the ring doubles, and the
+// last growth stops at a limit that is neither a power of two nor a
+// multiple of the first push.
 func TestRingGrowsWhileWrapped(t *testing.T) {
-	const limit = 3*drainChunk + 5
+	const limit = 12293
 	ch := &channel{limit: limit}
 	seq := func(from, n int) []complex128 {
 		s := make([]complex128, n)
@@ -79,17 +80,17 @@ func TestRingGrowsWhileWrapped(t *testing.T) {
 		return s
 	}
 	ch.put(seq(0, 3000))
-	if len(ch.ring) != drainChunk {
-		t.Fatalf("first growth to %d, want drainChunk %d", len(ch.ring), drainChunk)
+	if len(ch.ring) != 3000 {
+		t.Fatalf("first growth to %d, want the first push's 3000", len(ch.ring))
 	}
 	ch.take(make([]complex128, 2500))
-	ch.put(seq(3000, 1500)) // writes past the end: the span [2500, 4500) wraps
-	if ch.head+ch.count <= len(ch.ring) {
-		t.Fatalf("head %d + count %d does not wrap ring %d", ch.head, ch.count, len(ch.ring))
+	ch.put(seq(3000, 1500)) // wraps to the front: the span [2500, 4500) wraps
+	if len(ch.ring) != 3000 || ch.head+ch.count <= len(ch.ring) {
+		t.Fatalf("head %d + count %d does not wrap ring %d (want 3000)", ch.head, ch.count, len(ch.ring))
 	}
 	ch.put(seq(4500, 3000))
-	if len(ch.ring) != 2*drainChunk || ch.head != 0 {
-		t.Fatalf("after wrapped growth: len %d head %d, want %d and 0", len(ch.ring), ch.head, 2*drainChunk)
+	if len(ch.ring) != 6000 || ch.head != 0 {
+		t.Fatalf("after wrapped growth: len %d head %d, want 6000 and 0", len(ch.ring), ch.head)
 	}
 	if n := ch.put(seq(7500, 8000)); n != limit-5000 || len(ch.ring) != limit {
 		t.Fatalf("put at the limit accepted %d into ring %d, want %d into %d", n, len(ch.ring), limit-5000, limit)
@@ -128,7 +129,8 @@ func TestRingSteadyCycleAllocsNothing(t *testing.T) {
 
 // TestEngineAddChannelReservesNoRing: RingSamples is a limit, not a
 // reservation. 1024 channels with a 1 Mi-sample limit hold no ring until
-// their first Push, and a Push grows only its own channel's ring.
+// their first Push, and a Push grows only its own channel's ring, to
+// exactly what it pushed.
 func TestEngineAddChannelReservesNoRing(t *testing.T) {
 	e, err := New(Config{
 		Estimator:   scf.Direct{Params: scf.Params{K: 64, M: 16}},
@@ -164,8 +166,8 @@ func TestEngineAddChannelReservesNoRing(t *testing.T) {
 	if _, err := e.Push("ch0", make([]complex128, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if grown, total := ringLens(); grown != 1 || total != drainChunk {
-		t.Fatalf("after one small Push: %d rings of %d samples total, want 1 of %d", grown, total, drainChunk)
+	if grown, total := ringLens(); grown != 1 || total != 100 {
+		t.Fatalf("after one 100-sample Push: %d rings of %d samples total, want 1 of 100", grown, total)
 	}
 }
 
@@ -239,14 +241,14 @@ func TestEngineDropAtLimitAfterGrowth(t *testing.T) {
 	e, g := newGatedEngine(t, limit, false)
 	defer e.Close()
 	defer close(g.gate)
-	// The first push grows the ring to drainChunk; the worker takes all
-	// 100 samples and parks in the accumulator.
+	// The first push sizes the ring to its 100 samples; the worker takes
+	// them all and parks in the accumulator.
 	if n, err := e.Push("c", make([]complex128, 100)); err != nil || n != 100 {
 		t.Fatalf("Push accepted %d, err %v", n, err)
 	}
 	<-g.entered
-	if length, count := ringState(e); length != drainChunk || count != 0 {
-		t.Fatalf("ring length %d count %d, want %d and 0", length, count, drainChunk)
+	if length, count := ringState(e); length != 100 || count != 0 {
+		t.Fatalf("ring length %d count %d, want 100 and 0", length, count)
 	}
 	n, err := e.Push("c", make([]complex128, 2*limit+7))
 	if err != nil || n != limit {
