@@ -496,12 +496,6 @@ type MonitorOptions struct {
 	// Shards×Workers. Distinct from Config.Workers, which controls
 	// intra-estimator parallelism on the batch paths.
 	Workers int
-	// Cumulative keeps estimator state integrating across decisions
-	// instead of resetting per window: each decision covers the stream
-	// so far (FAM and SSCA smooth its largest power-of-two prefix), and
-	// estimator state stays bounded by the surface grid. Windowed
-	// channels fold only the hops their window's estimate reads.
-	Cumulative bool
 	// Backpressure makes Push block when a ring fills instead of
 	// dropping the overflow.
 	Backpressure bool
@@ -566,7 +560,9 @@ type MonitorDecision struct {
 	Shard string
 	// Seq is the 0-based decision index within the channel.
 	Seq int64
-	// Window is the number of samples the decision's surface integrates.
+	// Window is the number of samples the decision's surface integrates:
+	// the samples since the channel's last decision (see
+	// stream.Decision.WindowSamples).
 	Window int
 	// Detected reports whether the statistic exceeded the threshold.
 	Detected bool
@@ -743,7 +739,6 @@ func streamConfig(cfg Config, opts MonitorOptions) (stream.Config, error) {
 		SnapshotSamples: opts.SnapshotSamples,
 		RingSamples:     opts.RingSamples,
 		Workers:         opts.Workers,
-		Cumulative:      opts.Cumulative,
 		Block:           opts.Backpressure,
 		AlphaCandidates: cfg.AlphaCandidates,
 		MinAbsA:         cfg.MinAbsA,
@@ -971,9 +966,6 @@ type ShardWorkerOptions struct {
 	// Workers bounds the engine's drain/decision worker pool (default
 	// one per CPU core).
 	Workers int
-	// Cumulative keeps estimator state integrating across decisions, as
-	// MonitorOptions.Cumulative.
-	Cumulative bool
 	// Backpressure makes pushes block when a ring fills instead of
 	// dropping the overflow.
 	Backpressure bool
@@ -1044,7 +1036,6 @@ func NewShardWorker(cfg Config, opts ShardWorkerOptions) (*ShardWorker, error) {
 		SnapshotSamples: opts.SnapshotSamples,
 		RingSamples:     opts.RingSamples,
 		Workers:         opts.Workers,
-		Cumulative:      opts.Cumulative,
 		Backpressure:    opts.Backpressure,
 	})
 	if err != nil {

@@ -607,15 +607,14 @@ func TestMonitorRebalancesLive(t *testing.T) {
 	}
 }
 
-// TestMonitorCumulativeSSCA: a cumulative ssca Monitor decides every
-// window, and each verdict is the batch one over the stream so far —
-// SSCA.Estimate smooths its largest power-of-two prefix — so the last
-// decision equals Sense over the whole stream.
-func TestMonitorCumulativeSSCA(t *testing.T) {
+// TestMonitorWindowedSSCA: an ssca Monitor decides every window, and
+// each verdict is the batch one over that window alone: Sense over
+// exactly the window's samples.
+func TestMonitorWindowedSSCA(t *testing.T) {
 	const k, window, windows = 64, 1024, 8
 	cfg := Config{K: k, M: 16, Estimator: "ssca"}
 	mon, err := NewMonitor(cfg, MonitorOptions{
-		Channels: []string{"cum"}, SnapshotSamples: window, Backpressure: true, Cumulative: true,
+		Channels: []string{"win"}, SnapshotSamples: window, Backpressure: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -626,7 +625,7 @@ func TestMonitorCumulativeSSCA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < windows; w++ {
-		if _, err := mon.Push("cum", band[w*window:(w+1)*window]); err != nil {
+		if _, err := mon.Push("win", band[w*window:(w+1)*window]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -644,14 +643,13 @@ func TestMonitorCumulativeSSCA(t *testing.T) {
 		t.Fatalf("%d decisions over %d windows, want one per window", len(decs), windows)
 	}
 	for i, d := range decs {
-		n := (i + 1) * window
-		want, err := Sense(band[:n], cfg)
+		want, err := Sense(band[i*window:(i+1)*window], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Window != n || d.Statistic != want.Statistic || d.Threshold != want.Threshold || d.Detected != want.Detected {
-			t.Fatalf("decision %d: window %d statistic %v threshold %v detected %v; batch over %d samples: %v %v %v",
-				i, d.Window, d.Statistic, d.Threshold, d.Detected, n, want.Statistic, want.Threshold, want.Detected)
+		if d.Window != window || d.Statistic != want.Statistic || d.Threshold != want.Threshold || d.Detected != want.Detected {
+			t.Fatalf("decision %d: window %d statistic %v threshold %v detected %v; batch over its window: %v %v %v",
+				i, d.Window, d.Statistic, d.Threshold, d.Detected, want.Statistic, want.Threshold, want.Detected)
 		}
 	}
 }

@@ -949,8 +949,7 @@ func featurePeak(s *scf.Surface) (f, a int) {
 // spends it per decision: push the window's samples through the
 // estimator's accumulator, bound to the window as the engine binds it
 // (scf.AccumulatorFor), snapshot the surface, run the CFAR verdict and
-// the feature-peak extraction, and reset for the next window (the
-// non-cumulative serving mode). On a pruned channel every stage scales
+// the feature-peak extraction, and reset for the next window. On a pruned channel every stage scales
 // with the candidate count — estimation touches only the held rows and
 // the snapshot/decision cost follows the sparse surface — which is the
 // end-to-end latency directed sensing buys in production.

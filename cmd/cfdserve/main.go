@@ -15,7 +15,7 @@
 //	         [-alpha 16,32] [-hop 0] [-window 16384] [-workers 0]
 //	         [-mode block|drop] [-rate 0] [-duration 0] [-report 2s]
 //	         [-http addr] [-seed 1] [-threshold 0] [-cfar-scale 2]
-//	         [-cumulative] [-quiet] [-drain-grace 5s] [-shard-addrs a,b]
+//	         [-quiet] [-drain-grace 5s] [-shard-addrs a,b]
 //	         [-health-interval 2s] [-push-timeout 5s] [-fallback-local]
 //	cfdserve -shard-of addr [-estimator fam] [-k 256] [-window 16384]
 //	         [-alpha 16,32] [-report 2s] [-duration 0] [-quiet]
@@ -102,26 +102,25 @@ type options struct {
 	connect string
 	format  string
 
-	channels   int
-	k, m       int
-	estimator  string
-	alpha      string
-	hop        int
-	window     int
-	ring       int
-	workers    int
-	mode       string
-	rate       int
-	duration   time.Duration
-	report     time.Duration
-	httpAddr   string
-	seed       uint64
-	threshold  float64
-	cfarScale  float64
-	detector   string
-	targetPfa  float64
-	cumulative bool
-	quiet      bool
+	channels  int
+	k, m      int
+	estimator string
+	alpha     string
+	hop       int
+	window    int
+	ring      int
+	workers   int
+	mode      string
+	rate      int
+	duration  time.Duration
+	report    time.Duration
+	httpAddr  string
+	seed      uint64
+	threshold float64
+	cfarScale float64
+	detector  string
+	targetPfa float64
+	quiet     bool
 
 	// notifyListen, when set, receives the bound wire listener address
 	// (tests bind port 0 and need the assignment).
@@ -176,7 +175,6 @@ func main() {
 	flag.Float64Var(&o.cfarScale, "cfar-scale", 2, "CFAR peak-over-floor detection ratio")
 	flag.StringVar(&o.detector, "detector", "", "decision layer: "+strings.Join(tiledcfd.DetectorNames(), ", ")+" (empty = fixed when -threshold > 0, else cfar)")
 	flag.Float64Var(&o.targetPfa, "pfa", 0, "target false-alarm probability for -detector=dg|urriza (0 = 0.05)")
-	flag.BoolVar(&o.cumulative, "cumulative", false, "integrate estimator state across windows instead of per-window reset")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-decision transition logging")
 	flag.Parse()
 
@@ -358,7 +356,6 @@ func run(ctx context.Context, o options, out io.Writer) (*serveStats, error) {
 			SnapshotSamples: o.window,
 			RingSamples:     o.ring,
 			Workers:         o.workers,
-			Cumulative:      o.cumulative,
 			Backpressure:    o.mode == "block",
 			Shards:          o.shards,
 			Remotes:         remotes,
@@ -544,7 +541,6 @@ func runWorker(ctx context.Context, o options, out io.Writer) error {
 			SnapshotSamples: o.window,
 			RingSamples:     o.ring,
 			Workers:         o.workers,
-			Cumulative:      o.cumulative,
 			Backpressure:    o.mode == "block",
 			Listen:          o.shardOf,
 			Logf:            logf,

@@ -16,6 +16,7 @@ var auditedPackages = []string{
 	".",
 	"internal/chaos",
 	"internal/detect",
+	"internal/fam",
 	"internal/fft",
 	"internal/fixed",
 	"internal/freelist",

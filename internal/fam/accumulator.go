@@ -15,16 +15,12 @@ import (
 // accumulator_test.go and window_test.go hold every push pattern to the
 // one-shot bits.
 //
-// The structural obstacle both estimators share is that their smoothing
-// length is a function of the total input length — FAM averages over the
-// largest power of two of channelizer hops, the SSCA strip FFT spans the
-// largest power of two of samples — so a naive running sum over *all*
-// arrived hops would diverge from the estimate whenever the hop count is
-// not a power of two. The plain accumulators (NewAccumulator) keep
-// running sums in arrival order and *checkpoint* them every time the hop
-// count reaches a power of two; Snapshot reads the latest checkpoint,
-// which by construction is the sum over exactly the first
-// pow2floor(hops) hops.
+// Each estimator has one accumulator type, and every estimate, batch or
+// streaming, is one span fold: the samples an estimate reads, folded in
+// one pass. The smoothing length is a function of the input length —
+// FAM averages over the largest power of two of channelizer hops, the
+// SSCA strip FFT spans the largest power of two of samples — so the span
+// is known once the input is.
 //
 // A window-bound accumulator (NewWindowAccumulator, which the windowed
 // stream engine uses) knows its smoothing length up front, so it knows
@@ -42,10 +38,12 @@ import (
 // follows the folds running at once, not the channel count. A snapshot
 // taken before the span is complete (a channel's final flush, a short
 // input) folds pow2floor(buffered hops) on demand, as Estimate does on
-// the same samples. Estimate runs the same span fold straight over its
-// input.
+// the same samples. NewAccumulator returns the same accumulator uncapped
+// (a fixed-N SSCA's is capped at its N + K - 1 samples): it buffers every
+// sample since Reset, and every Snapshot is such an on-demand fold.
+// Estimate runs the same span fold straight over its input.
 //
-// Every path adds each cell's terms in one order — FAM parity sums by
+// The fold adds each cell's terms in one order — FAM parity sums by
 // absolute hop, SSCA residue rows in hop order — so every path, in every
 // chunking, gives the same bits.
 //
@@ -56,14 +54,7 @@ import (
 //     FFT every K hops. The span fold slides one channel at a time
 //     through the span and sums its products folded modulo K into one
 //     K-cell column, and one K-point FFT of that column writes the strip
-//     bins the grid reads. The plain accumulator runs the same
-//     per-channel update over the hops each push completes, one anchor
-//     block at a time, into a running channel-major K×strips fold.
-
-// lazyEnd returns the end of hop h's power-of-two batch
-// [pow2floor(h), 2·pow2floor(h)): the checkpoint a plain fold from hop h
-// stops at.
-func lazyEnd(h int) int { return max(1, 2*pow2Floor(h)) }
+//     bins the grid reads.
 
 // famHopCap returns the FAM hop cap of a window: the power-of-two hop
 // count Estimate smooths over window samples, or 0 when that is fewer
@@ -105,14 +96,15 @@ func channelizer(p scf.Params) (*fft.Plan, []complex128, []float64, error) {
 	return plan, roots, win, nil
 }
 
-// spanBuffer is a window-bound accumulator's one buffer. It collects
-// the span, the first span samples since Reset; once the span is folded
-// its first resultLen cells hold the window's result. It is allocated
-// once, at max(span, resultLen). Samples past the span are counted and
-// dropped.
+// spanBuffer is an accumulator's one buffer. It collects the span, the
+// first span samples since Reset; once the span is folded its first
+// resultLen cells hold the window's result. It is allocated once, at
+// max(span, resultLen), and samples past the span are counted and
+// dropped. An uncapped buffer (span 0) grows to hold every sample since
+// Reset and is never folded in place.
 type spanBuffer struct {
 	span, resultLen int
-	buf             []complex128 // the buffered span, until done
+	buf             []complex128 // the buffered samples, until done
 	done            bool         // the span has been folded; the result is held
 	total           int
 }
@@ -136,6 +128,10 @@ func (b *spanBuffer) held() []complex128 {
 // nothing is buffered is returned as is, uncopied.
 func (b *spanBuffer) push(samples []complex128) []complex128 {
 	b.total += len(samples)
+	if b.span == 0 {
+		b.buf = append(b.buf, samples...)
+		return nil
+	}
 	if b.done {
 		return nil
 	}
@@ -161,31 +157,28 @@ func (b *spanBuffer) Reset() {
 	b.total = 0
 }
 
-// NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
-// accumulators fold on the caller's goroutine (streaming parallelism
-// lives across channels, in the stream engine's worker pool).
-func (e FAM) NewAccumulator() (scf.Accumulator, error) {
-	c, err := newFAMKernel(e.Params, 1)
-	if err != nil {
-		return nil, err
-	}
-	return c.newPlain(), nil
-}
+// NewAccumulator implements scf.StreamingEstimator: the accumulator of
+// NewWindowAccumulator uncapped. It buffers every sample since Reset, so
+// its memory grows with them, and each Snapshot folds pow2floor(hops)
+// of them. Workers is ignored: accumulators fold on the caller's
+// goroutine (streaming parallelism lives across channels, in the stream
+// engine's worker pool).
+func (e FAM) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
 // span the window's famHopCap hops read and folds it once, as soon as it
-// is complete.
+// is complete. A window shorter than two hops gets the uncapped
+// accumulator.
 func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	c, err := newFAMKernel(e.Params, 1)
 	if err != nil {
 		return nil, err
 	}
-	hopCap := famHopCap(c.p, window)
-	if hopCap == 0 {
-		return c.newPlain(), nil
+	w := &famWindow{famKernel: c, hopCap: famHopCap(c.p, window)}
+	if w.hopCap != 0 {
+		w.spanBuffer = spanBuffer{span: (w.hopCap-1)*c.p.Hop + c.p.K, resultLen: c.cells()}
 	}
-	span := spanBuffer{span: (hopCap-1)*c.p.Hop + c.p.K, resultLen: c.cells()}
-	return &famWindow{famKernel: c, spanBuffer: span, hopCap: hopCap}, nil
+	return w, nil
 }
 
 var (
@@ -239,7 +232,7 @@ func newFAMKernel(params scf.Params, workers int) (*famKernel, error) {
 	return &famKernel{p: p, workers: workers, plan: plan, roots: roots, win: win, rowSet: rowSet}, nil
 }
 
-// Name implements scf.Accumulator for both FAM accumulators.
+// Name implements scf.Accumulator for the FAM accumulator.
 func (c *famKernel) Name() string { return "fam" }
 
 // cells returns the number of sums a fold keeps per parity.
@@ -269,19 +262,19 @@ type famScratch struct {
 var famScratches freelist.List[famScratch]
 
 // fold channelizes hops [h0, h1), at most foldBlockHops of them, from
-// src (src[0] is sample srcStart) into a channel-major block and adds
-// every cell's products to its parity sums, rows shared across the
-// workers. odd may be nil when last is set and the sums start at zero.
-// Each cell is written by one worker only, so every worker count gives
-// the same bits.
-func (c *famKernel) fold(sc *famScratch, src []complex128, srcStart, h0, h1 int, even, odd []complex128, last bool) error {
+// src (src[0] is sample 0) into a channel-major block and adds every
+// cell's products to its parity sums, rows shared across the workers.
+// h0 is even. odd may be nil when last is set and the sums start at
+// zero. Each cell is written by one worker only, so every worker count
+// gives the same bits.
+func (c *famKernel) fold(sc *famScratch, src []complex128, h0, h1 int, even, odd []complex128, last bool) error {
 	k, hop, nb := c.p.K, c.p.Hop, h1-h0
 	sc.blk = freelist.Grow(sc.blk, k*(nb+2))
 	blk, spec, winbuf := sc.blk[:k*nb], sc.blk[k*nb:k*(nb+1)], sc.blk[k*(nb+1):]
 	mask := k - 1
 	for n := 0; n < nb; n++ {
 		start := (h0 + n) * hop
-		block := src[start-srcStart : start-srcStart+k]
+		block := src[start : start+k]
 		if c.win != nil {
 			if err := fft.ApplyWindowInto(winbuf, block, c.win); err != nil {
 				return err
@@ -301,24 +294,23 @@ func (c *famKernel) fold(sc *famScratch, src []complex128, srcStart, h0, h1 int,
 			idx = (idx + step) & mask
 		}
 	}
-	oddStart := h0&1 == 1
 	if c.workers == 1 {
 		// Accumulators: no goroutines, and no closure to allocate.
 		for i := range c.rowSet {
-			c.foldRow(i, blk, nb, even, odd, oddStart, last)
+			c.foldRow(i, blk, nb, even, odd, last)
 		}
 		return nil
 	}
-	forEach(len(c.rowSet), c.workers, func(i int) { c.foldRow(i, blk, nb, even, odd, oddStart, last) })
+	forEach(len(c.rowSet), c.workers, func(i int) { c.foldRow(i, blk, nb, even, odd, last) })
 	return nil
 }
 
 // foldRow adds one block's products to row i's parity sums: cell (f, a)
 // gains x_{f+a}(n)·conj(x_{f-a}(n)) for each of the block's nb hops, even
-// hops into even and odd hops into odd, each in arrival order. oddStart
-// says the block's first hop is odd; last stores the two sums added in
-// even. The loop allocates nothing.
-func (c *famKernel) foldRow(i int, blk []complex128, nb int, even, odd []complex128, oddStart, last bool) {
+// hops into even and odd hops into odd, each in arrival order. The
+// block's first hop is even (blocks start foldBlockHops apart); last
+// stores the two sums added in even. The loop allocates nothing.
+func (c *famKernel) foldRow(i int, blk []complex128, nb int, even, odd []complex128, last bool) {
 	a, m := c.rowSet[i], c.p.M-1
 	// K is a power of two (Params.Validate), so the f±a bin wrap-around is
 	// a masked increment instead of a per-cell modulo.
@@ -340,10 +332,6 @@ func (c *famKernel) foldRow(i int, blk []complex128, nb int, even, odd []complex
 			s1 = c1[fi]
 		}
 		n := 0
-		if oddStart {
-			s1 += cp[0] * cmplx.Conj(cq[0])
-			n = 1
-		}
 		for ; n+1 < len(cp); n += 2 {
 			s0 += cp[n] * cmplx.Conj(cq[n])
 			s1 += cp[n+1] * cmplx.Conj(cq[n+1])
@@ -375,7 +363,7 @@ func (c *famKernel) foldSpan(sc *famScratch, sums, src []complex128, np int) err
 	}
 	for h0 := 0; h0 < np; h0 += foldBlockHops {
 		h1 := min(np, h0+foldBlockHops)
-		if err := c.fold(sc, src, 0, h0, h1, sums, odd, h1 == np); err != nil {
+		if err := c.fold(sc, src, h0, h1, sums, odd, h1 == np); err != nil {
 			return err
 		}
 	}
@@ -424,9 +412,9 @@ func (c *famKernel) surface(sums []complex128, np int) (*scf.Surface, *scf.Stats
 	return s, stats
 }
 
-// famWindow is the window-bound FAM accumulator: the span its window's
-// hopCap hops read, then, once the span is folded, the window's sums in
-// the same buffer.
+// famWindow is the FAM accumulator: the span its window's hopCap hops
+// read, then, once the span is folded, the window's sums in the same
+// buffer. Uncapped (hopCap 0), it buffers every sample since Reset.
 type famWindow struct {
 	*famKernel
 	spanBuffer
@@ -457,7 +445,8 @@ func (w *famWindow) Push(samples []complex128) error {
 }
 
 // Snapshot implements scf.Accumulator: the held sums, or, before the
-// span is complete, pow2floor(buffered hops) folded on demand.
+// span is complete or when uncapped, pow2floor(buffered hops) folded on
+// demand.
 func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	if w.done {
 		s, stats := w.surface(w.held(), w.hopCap)
@@ -470,123 +459,31 @@ func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	return w.estimate(w.buf, np)
 }
 
-// famAccumulator is the plain FAM accumulator. Push folds every complete
-// hop into the parity sums acc0 (even hops) and acc1 (odd), splitting
-// its blocks at the power-of-two hop counts where it checkpoints
-// acc0+acc1 into ck.
-type famAccumulator struct {
-	*famKernel
-	acc0, acc1, ck []complex128
-	hops, ckHops   int
+// NewAccumulator implements scf.StreamingEstimator: the accumulator of
+// NewWindowAccumulator uncapped. It buffers every sample since Reset, so
+// its memory grows with them, and each Snapshot folds the strip length
+// they afford. With N set it is capped at the N+K-1 samples the fixed-N
+// estimate reads, and later samples are dropped.
+func (e SSCA) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
-	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
-	bufStart int
-	total    int
-}
-
-func (c *famKernel) newPlain() *famAccumulator {
-	n := c.cells()
-	return &famAccumulator{famKernel: c, acc0: make([]complex128, n), acc1: make([]complex128, n), ck: make([]complex128, n)}
-}
-
-// Samples implements scf.Accumulator.
-func (f *famAccumulator) Samples() int { return f.total }
-
-// Ready implements scf.Accumulator: the estimate needs at least two hops
-// of smoothing.
-func (f *famAccumulator) Ready() bool { return f.ckHops >= 2 }
-
-// Push implements scf.Accumulator.
-func (f *famAccumulator) Push(samples []complex128) error {
-	f.total += len(samples)
-	// Fold straight from the chunk when nothing is buffered.
-	src, srcStart := samples, f.bufStart+len(f.buf)
-	if len(f.buf) > 0 {
-		f.buf = append(f.buf, samples...)
-		src, srcStart = f.buf, f.bufStart
-	}
-	avail := f.hopsIn(srcStart + len(src))
-	for {
-		end := min(avail, lazyEnd(f.hops), f.hops+foldBlockHops)
-		if end <= f.hops {
-			break
-		}
-		sc := famScratches.Get()
-		err := f.fold(sc, src, srcStart, f.hops, end, f.acc0, f.acc1, false)
-		famScratches.Put(sc)
-		if err != nil {
-			return err
-		}
-		f.hops = end
-		if f.hops&(f.hops-1) == 0 {
-			// Power-of-two hop count: checkpoint the prefix sums, adding
-			// the parities as a span fold's last block does.
-			for i := range f.ck {
-				f.ck[i] = f.acc0[i] + f.acc1[i]
-			}
-			f.ckHops = f.hops
-		}
-	}
-	// Keep only what the next hop reads (compacting once per push keeps
-	// the cost linear in the chunk).
-	if len(f.buf) > 0 {
-		f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, f.hops*f.p.Hop)
-		return nil
-	}
-	cut := min(max(0, f.hops*f.p.Hop-srcStart), len(src))
-	f.buf, f.bufStart = append(f.buf, src[cut:]...), srcStart+cut
-	return nil
-}
-
-// Snapshot implements scf.Accumulator: the checkpoint at
-// P = pow2floor(hops).
-func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	if f.ckHops < 2 {
-		return nil, nil, needSamples("FAM", f.p.K+f.p.Hop, f.total)
-	}
-	s, stats := f.surface(f.ck, f.ckHops)
-	return s, stats, nil
-}
-
-// Reset implements scf.Accumulator.
-func (f *famAccumulator) Reset() {
-	clear(f.acc0)
-	clear(f.acc1)
-	f.hops, f.ckHops = 0, 0
-	f.buf = f.buf[:0]
-	f.bufStart = 0
-	f.total = 0
-}
-
-// NewAccumulator implements scf.StreamingEstimator. State is bounded by
-// the grid, not the stream: one K-point running fold per addressed
-// strip, plus (with N zero) its copy at the last power-of-two hop count,
-// and the K channel values the sliding channelizer carries from hop to
-// hop. With N set, samples past the first N hops are discarded; with N
-// zero each snapshot spans the largest power-of-two prefix of the stream.
-func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
-	c, err := newSSCAKernel(e)
-	if err != nil {
-		return nil, err
-	}
-	return c.newPlain(e.N), nil
-}
-
-// NewWindowAccumulator implements scf.WindowEstimator: with N zero it
-// buffers the span of the window's strip length (sscaStripCap) and folds
-// it once, as soon as it is complete. With N set, the plain accumulator
-// already meets the contract.
+// NewWindowAccumulator implements scf.WindowEstimator: it buffers the
+// span of the window's strip length (N, or sscaStripCap with N zero) and
+// folds it once, as soon as it is complete. With N zero, a window shorter
+// than 2K-1 samples gets the uncapped accumulator.
 func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	c, err := newSSCAKernel(e)
 	if err != nil {
 		return nil, err
 	}
-	n := sscaStripCap(c.p.K, window)
-	if e.N != 0 || n == 0 {
-		return c.newPlain(e.N), nil
+	n := c.nFixed
+	if n == 0 {
+		n = sscaStripCap(c.p.K, window)
 	}
-	span := spanBuffer{span: n + c.p.K - 1, resultLen: len(c.rowAlphas) * (2*c.p.M - 1)}
-	return &sscaWindow{sscaKernel: c, spanBuffer: span, n: n}, nil
+	s := &sscaWindow{sscaKernel: c, n: n}
+	if n != 0 {
+		s.spanBuffer = spanBuffer{span: n + c.p.K - 1, resultLen: len(c.rowAlphas) * (2*c.p.M - 1)}
+	}
+	return s, nil
 }
 
 var (
@@ -641,10 +538,11 @@ type taps [maxTaps]complex128
 // derotation e^{-j2π·q·(K/2)/N} is (-1)^j. So a fold keeps only the
 // residue fold, and one K-point FFT per strip turns it into cells.
 type sscaKernel struct {
-	p     scf.Params
-	plan  *fft.Plan
-	roots []complex128
-	terms []float64 // the window's cosine-sum coefficients c_0..c_T
+	p      scf.Params
+	nFixed int // N; 0 derives the strip length from the input
+	plan   *fft.Plan
+	roots  []complex128
+	terms  []float64 // the window's cosine-sum coefficients c_0..c_T
 
 	rowAlphas []int // surface rows to fill: all of [-m, m], or the candidate set
 	needed    []int // addressed channel indices
@@ -676,7 +574,7 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &sscaKernel{p: p, plan: plan, roots: roots, terms: terms, needed: make([]int, 0, p.K)}
+	c := &sscaKernel{p: p, nFixed: e.N, plan: plan, roots: roots, terms: terms, needed: make([]int, 0, p.K)}
 	m := p.M - 1
 	c.rowAlphas = p.SurfaceAlphas()
 	if c.rowAlphas == nil {
@@ -700,8 +598,12 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 	return c, nil
 }
 
-// Name implements scf.Accumulator for both SSCA accumulators.
+// Name implements scf.Accumulator for the SSCA accumulator.
 func (c *sscaKernel) Name() string { return "ssca" }
+
+// need returns the fewest samples an estimate reads: N+K-1, or, with N
+// zero, the 2K-1 of a K-point strip.
+func (c *sscaKernel) need() int { return max(c.nFixed, c.p.K) + c.p.K - 1 }
 
 // open sets channel v's taps at an anchor hop from the K-point FFT of
 // the hop's samples: there every modulation is 1, so z_t = spec[v-t].
@@ -736,28 +638,22 @@ func (c *sscaKernel) slide(z *taps, e complex128) {
 	}
 }
 
-// run carries channel v through hops [r0, r1) of one anchor block,
-// adding hop r's product to col[r]. With r0 = 0 it opens the taps from
-// the block's anchor spectrum spec; otherwise z holds hop r0-1 and
-// slides on from there. At block hop r (absolute hop h), d[r] is
-// x[h+K] - x[h] and xc[r] is conj(x[h+K/2]). Every value is computed by
-// the same operations from the same anchor, however a fold splits the
-// block, so the bits do not depend on the path or the chunking.
-func (c *sscaKernel) run(z *taps, col, spec, d, xc []complex128, v, r0, r1 int) {
-	if r0 == 0 {
-		c.open(z, spec, v)
-		col[0] += c.value(z) * xc[0]
-		r0 = 1
-	}
-	if r0 >= r1 {
-		return
-	}
+// run carries channel v through the K hops of one anchor block, adding
+// hop r's product to col[r]: it opens the taps from the block's anchor
+// spectrum spec and slides them through the block. At block hop r
+// (absolute hop h), d[r] is x[h+K] - x[h] and xc[r] is conj(x[h+K/2]).
+// Every value is a function of the block's anchor and samples alone, so
+// the bits do not depend on the chunking.
+func (c *sscaKernel) run(col, spec, d, xc []complex128, v int) {
+	var z taps
+	c.open(&z, spec, v)
+	col[0] += c.value(&z) * xc[0]
 	k, mask := c.p.K, c.p.K-1
 	roots := c.roots
-	idx := v * (r0 - 1) & mask // v·(r-1) mod K: the rotation of hop r's increment
+	idx := 0 // v·(r-1) mod K: the rotation of hop r's increment
 	// Slicing to len(col) lets the compiler drop the bounds checks.
-	col = col[r0:r1]
-	d, x := d[r0-1 : r1-1][:len(col)], xc[r0:r1][:len(col)]
+	col = col[1:k]
+	d, x := d[:k-1][:len(col)], xc[1:k][:len(col)]
 	// The rectangular and 3-term cases run slide and value inlined, on
 	// taps held in registers: the same operations on the same operands.
 	switch len(c.terms) {
@@ -768,7 +664,6 @@ func (c *sscaKernel) run(z *taps, col, spec, d, xc []complex128, v, r0, r1 int) 
 			col[r] += y * x[r]
 			idx = (idx + v) & mask
 		}
-		z[0] = y
 	case 2: // Hann, Hamming
 		w0, w1, rp, rm := c.terms[0], c.terms[1], roots[1], roots[k-1]
 		z0, zp, zm := z[0], z[1], z[2]
@@ -783,11 +678,10 @@ func (c *sscaKernel) run(z *taps, col, spec, d, xc []complex128, v, r0, r1 int) 
 			col[r] += y * x[r]
 			idx = (idx + v) & mask
 		}
-		z[0], z[1], z[2] = z0, zp, zm
 	default:
 		for r := range col {
-			c.slide(z, d[r]*roots[idx])
-			col[r] += c.value(z) * x[r]
+			c.slide(&z, d[r]*roots[idx])
+			col[r] += c.value(&z) * x[r]
 			idx = (idx + v) & mask
 		}
 	}
@@ -883,9 +777,8 @@ func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	col := sc.col
 	for _, v := range c.needed {
 		clear(col)
-		var z taps
 		for h0 := 0; h0 < n; h0 += k {
-			c.run(&z, col, sc.anchors[h0:h0+k], sc.diff[h0:h0+k], sc.xc[h0:h0+k], v, 0, k)
+			c.run(col, sc.anchors[h0:h0+k], sc.diff[h0:h0+k], sc.xc[h0:h0+k], v)
 		}
 		if err := c.strip(sf, col, v, n); err != nil {
 			return err
@@ -894,9 +787,9 @@ func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	return nil
 }
 
-// sscaWindow is the window-bound SSCA accumulator: the span its window's
-// n hops read, then, once the span is folded, the window's surface cells
-// in the same buffer.
+// sscaWindow is the SSCA accumulator: the span its window's n hops read,
+// then, once the span is folded, the window's surface cells in the same
+// buffer. Uncapped (n 0), it buffers every sample since Reset.
 type sscaWindow struct {
 	*sscaKernel
 	spanBuffer
@@ -904,8 +797,9 @@ type sscaWindow struct {
 	surf *scf.Surface // rows over the buffer's held cells
 }
 
-// Ready implements scf.Accumulator: a K-point strip needs 2K-1 samples.
-func (s *sscaWindow) Ready() bool { return s.done || len(s.buf) >= 2*s.p.K-1 }
+// Ready implements scf.Accumulator: a K-point strip needs 2K-1 samples,
+// and a fixed-N one its whole span.
+func (s *sscaWindow) Ready() bool { return s.done || len(s.buf) >= s.need() }
 
 // Push implements scf.Accumulator. The push that completes the span
 // folds all n hops and writes the normalised cells over it, into the
@@ -926,11 +820,11 @@ func (s *sscaWindow) Push(samples []complex128) error {
 }
 
 // Snapshot implements scf.Accumulator: a copy of the held surface, or,
-// before the span is complete, the strip length the buffered samples
-// afford folded on demand.
+// before the span is complete or when uncapped, the strip length the
+// buffered samples afford folded on demand.
 func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	if !s.Ready() {
-		return nil, nil, needSamples("SSCA", 2*s.p.K-1, s.total)
+		return nil, nil, needSamples("SSCA", s.need(), s.total)
 	}
 	sf := scf.NewSurfaceFor(s.p)
 	if s.done {
@@ -944,172 +838,4 @@ func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 		return nil, nil, err
 	}
 	return sf, s.stats(n), nil
-}
-
-// sscaAccumulator is the plain SSCA accumulator: Push folds every
-// complete hop into the running residue fold (the first nFixed hops
-// only, when N is set), running the span fold's per-channel update over
-// the hops each push completes, so the bits match.
-type sscaAccumulator struct {
-	*sscaKernel
-	nFixed int
-	z      []taps // per needed channel: its taps at the last folded hop
-	// fold is the running residue fold over the hops seen so far,
-	// channel-major: fold[i·K+r] sums channel needed[i]'s products at
-	// hops ≡ r (mod K). With N zero, ck is its copy at the last
-	// power-of-two hop count ckHops >= K. Both are allocated on the first
-	// hop.
-	fold, ck []complex128
-	hops     int
-	ckHops   int
-
-	// buf holds the samples from the last folded hop on: the next slide
-	// subtracts x[hops-1].
-	buf      []complex128
-	bufStart int
-	total    int
-
-	// K cells each: the block's anchor spectrum (or a snapshot's strip
-	// column), and its differences and conjugates, as the span fold's.
-	spec, diff, xc []complex128
-}
-
-func (c *sscaKernel) newPlain(nFixed int) *sscaAccumulator {
-	k := c.p.K
-	return &sscaAccumulator{sscaKernel: c, nFixed: nFixed, z: make([]taps, len(c.needed)),
-		spec: make([]complex128, k), diff: make([]complex128, k), xc: make([]complex128, k)}
-}
-
-// Samples implements scf.Accumulator.
-func (s *sscaAccumulator) Samples() int { return s.total }
-
-// stripLen returns the strip length a snapshot would use now, or 0 when
-// too few hops have arrived.
-func (s *sscaAccumulator) stripLen() int {
-	if s.nFixed == 0 {
-		return s.ckHops
-	}
-	if s.hops >= s.nFixed {
-		return s.nFixed
-	}
-	return 0
-}
-
-// Ready implements scf.Accumulator.
-func (s *sscaAccumulator) Ready() bool { return s.stripLen() != 0 }
-
-// foldHops adds hops [s.hops, h1) of src (src[0] is sample srcStart) to
-// the running fold, one anchor block at a time: a block's first hop runs
-// its K-point FFT, and every needed channel then runs through the
-// block's hops the push completes.
-func (s *sscaAccumulator) foldHops(src []complex128, srcStart, h1 int) error {
-	k, mask := s.p.K, s.p.K-1
-	if s.hops == 0 {
-		clear(s.fold)
-	}
-	for s.hops < h1 {
-		h0 := s.hops &^ mask // the block's anchor hop
-		r0, r1 := s.hops-h0, min(h1-h0, k)
-		o := h0 - srcStart // src[o+r] is sample h0+r; the buffer starts at hop s.hops-1
-		if r0 == 0 {
-			if err := s.plan.Forward(s.spec, src[o:o+k]); err != nil {
-				return err
-			}
-		}
-		for r := max(r0-1, 0); r < r1-1; r++ {
-			s.diff[r] = src[o+r+k] - src[o+r]
-		}
-		for r := r0; r < r1; r++ {
-			s.xc[r] = cmplx.Conj(src[o+r+k/2])
-		}
-		for i, v := range s.needed {
-			s.run(&s.z[i], s.fold[i*k:(i+1)*k], s.spec, s.diff, s.xc, v, r0, r1)
-		}
-		s.hops = h0 + r1
-	}
-	return nil
-}
-
-// Push implements scf.Accumulator.
-func (s *sscaAccumulator) Push(samples []complex128) error {
-	s.total += len(samples)
-	k := s.p.K
-	s.buf = append(s.buf, samples...)
-	for {
-		// Fold the hops the buffer completes, up to N or (N zero) the
-		// next power-of-two checkpoint.
-		end := s.bufStart + len(s.buf) - k + 1
-		if s.nFixed != 0 {
-			end = min(end, s.nFixed)
-		} else {
-			end = min(end, max(k, lazyEnd(s.hops)))
-		}
-		if end <= s.hops {
-			break
-		}
-		if s.fold == nil {
-			s.fold = make([]complex128, k*len(s.needed))
-			if s.nFixed == 0 {
-				s.ck = make([]complex128, k*len(s.needed))
-			}
-		}
-		if err := s.foldHops(s.buf, s.bufStart, end); err != nil {
-			return err
-		}
-		if s.nFixed == 0 && s.hops >= k && s.hops&(s.hops-1) == 0 {
-			// Power-of-two hop count: checkpoint the fold of exactly the
-			// prefix a batch estimate of this stream would transform.
-			copy(s.ck, s.fold)
-			s.ckHops = s.hops
-		}
-	}
-	if s.nFixed != 0 && s.hops >= s.nFixed {
-		// The fold is complete; later samples can only be discarded (the
-		// fixed-N estimate spans the first N hops). Drop everything so
-		// memory stays flat; bufStart advances to the absolute index of
-		// the next sample to arrive.
-		s.buf = s.buf[:0]
-		s.bufStart = s.total
-		return nil
-	}
-	// Keep only what the next hop reads, from the sample its slide
-	// subtracts on (compacting once per push keeps the cost linear).
-	s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, s.hops-1)
-	return nil
-}
-
-// Snapshot implements scf.Accumulator, allocating only the surface and
-// its stats.
-func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	n := s.stripLen()
-	if n == 0 {
-		need := 2*s.p.K - 1
-		if s.nFixed != 0 {
-			need = s.nFixed + s.p.K - 1
-		}
-		return nil, nil, needSamples("SSCA", need, s.total)
-	}
-	fold := s.fold
-	if s.ck != nil {
-		fold = s.ck
-	}
-	sf := scf.NewSurfaceFor(s.p)
-	k := s.p.K
-	for i, v := range s.needed {
-		copy(s.spec, fold[i*k:(i+1)*k])
-		if err := s.strip(sf, s.spec, v, n); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sf, s.stats(n), nil
-}
-
-// Reset implements scf.Accumulator. The fold is cleared by the first
-// hop after a reset, and the channel taps need no clearing: hop 0
-// re-anchors every channel.
-func (s *sscaAccumulator) Reset() {
-	s.hops, s.ckHops = 0, 0
-	s.buf = s.buf[:0]
-	s.bufStart = 0
-	s.total = 0
 }

@@ -79,8 +79,7 @@ func TestFAMAccumulatorMatchesBatch(t *testing.T) {
 		{"ragged-hops", FAM{Params: scf.Params{K: 64, M: 16}}, 64 + 44*16 + 7, []int{13, 57}},
 		{"custom-hop", FAM{Params: scf.Params{K: 64, M: 16, Hop: 32}}, 64 + 21*32, []int{200}},
 		{"hamming", FAM{Params: scf.Params{K: 64, M: 8, Window: fft.Hamming}}, 64 + 17*16, []int{31}},
-		// K+Hop, then 3·Hop: pushes end on odd hop counts, so folds
-		// start on odd hops.
+		// K+Hop, then 3·Hop: pushes end on odd hop counts.
 		{"odd-start-blocks", FAM{Params: scf.Params{K: 64, M: 16}}, 64 + 44*16 + 7, []int{64 + 16, 3 * 16}},
 	}
 	for _, tc := range cases {
@@ -188,7 +187,8 @@ func TestSSCAAccumulatorMatchesBatch(t *testing.T) {
 }
 
 // TestSSCAAccumulatorFixedNBounded: with N fixed, pushing far past the
-// strip length neither grows state nor changes the snapshot.
+// strip length neither grows state nor changes the snapshot: the
+// accumulator holds its one buffer of max(N+K-1 samples, result cells).
 func TestSSCAAccumulatorFixedNBounded(t *testing.T) {
 	e := SSCA{Params: scf.Params{K: 64, M: 16}, N: 128}
 	need := 128 + 63
@@ -207,47 +207,20 @@ func TestSSCAAccumulatorFixedNBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, got, want, "overfed fixed-N snapshot")
-	sa := acc.(*sscaAccumulator)
-	if want := 64 * len(sa.needed); len(sa.fold) != want || cap(sa.fold) != want || sa.ck != nil {
-		t.Fatalf("fold holds %d cells (cap %d, checkpoint %d), want exactly K·strips = %d and no checkpoint",
-			len(sa.fold), cap(sa.fold), len(sa.ck), want)
+	if acc.Samples() != len(x) {
+		t.Fatalf("Samples() = %d, want %d", acc.Samples(), len(x))
+	}
+	const cells = 31 * 31 // 2M-1 rows of 2M-1 cells
+	if got, want := heldBytes(reflect.ValueOf(acc)), 16*max(need, cells); got != want {
+		t.Fatalf("holds %d bytes, want one buffer of max(%d-sample span, %d result cells) = %d bytes",
+			got, need, cells, want)
 	}
 }
 
-// TestSSCAAccumulatorDerivedNBounded: with N derived from the stream,
-// the state is the running fold plus one checkpoint — 2·K cells per
-// strip however long the stream — and snapshots still match batch.
-func TestSSCAAccumulatorDerivedNBounded(t *testing.T) {
-	const k, window = 64, 512
-	e := SSCA{Params: scf.Params{K: k, M: 16}}
-	x := streamBand(t, 16*window, 14)
-	acc, err := e.NewAccumulator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := acc.(*sscaAccumulator)
-	for w := 0; w < 16; w++ {
-		pushChunks(t, acc, x[w*window:(w+1)*window], []int{window})
-		if want := 2 * k * len(sa.needed); len(sa.fold)+len(sa.ck) != want ||
-			cap(sa.fold)+cap(sa.ck) != want {
-			t.Fatalf("after %d windows: fold %d + checkpoint %d cells, want exactly 2·K·strips = %d",
-				w+1, len(sa.fold), len(sa.ck), want)
-		}
-	}
-	got, _, err := acc.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := e.Estimate(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, got, want, "long-stream snapshot")
-}
-
-// TestSSCAAccumulatorPushAllocs: once the first hop has allocated the
-// fold, steady-state Push allocates nothing, windowed or not, with N
-// derived (checkpoint copies included) or fixed.
+// TestSSCAAccumulatorPushAllocs: once a stream has sized the buffer,
+// Push allocates nothing, windowed or not, with N derived or fixed: after
+// Reset the uncapped accumulator refills the buffer the last stream
+// grew, and the fixed-N one buffers into its span.
 func TestSSCAAccumulatorPushAllocs(t *testing.T) {
 	x := streamBand(t, 64*1024, 15)
 	for _, e := range []SSCA{
@@ -259,10 +232,9 @@ func TestSSCAAccumulatorPushAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := acc.Push(x[:256]); err != nil {
-			t.Fatal(err)
-		}
-		off := 256
+		pushChunks(t, acc, x, []int{4096})
+		acc.Reset()
+		off := 0
 		if allocs := testing.AllocsPerRun(100, func() {
 			if err := acc.Push(x[off : off+97]); err != nil {
 				t.Fatal(err)

@@ -44,14 +44,17 @@
 // FFT with a modulo-K fold and a K-point FFT) — see the README's
 // model-vs-measured note.
 //
-// Every batch estimate here shares its body with the window-bound
-// accumulator: FAM.Estimate, SSCA.Estimate and both Q15 estimators run
-// its span fold straight over the input (see accumulator.go and
-// q15accumulator.go), with the fold's working set borrowed from shared
-// free lists, so batch and streaming agree bit for bit and an estimate
-// allocates little more than the surface it returns. The plain
-// accumulators (NewAccumulator), which fold or bank at push time, are
-// the independent reference the span fold is tested against.
+// Every estimator here has one accumulator type, and every batch
+// estimate shares its body with it: FAM.Estimate, SSCA.Estimate and both
+// Q15 estimators run the accumulator's span fold straight over the input
+// (see accumulator.go and q15accumulator.go), with the fold's working set
+// borrowed from shared free lists, so batch and streaming agree bit for
+// bit and an estimate allocates little more than the surface it returns.
+// NewWindowAccumulator caps the accumulator at the span its window's
+// estimate reads and folds the span once it is complete; NewAccumulator
+// returns it uncapped (capped at N+K-1 for a fixed-N SSCA), buffering
+// every sample since Reset and folding them at Snapshot. The golden,
+// digest and chunking tests pin the bits of the fold itself.
 //
 // Estimates agree with the direct method at grid points up to the
 // smoothing window: cross-check tests assert all three estimators locate

@@ -41,19 +41,14 @@ import (
 // quantised span and that surface. A snapshot taken before the span is
 // complete (a channel's final flush, a short input) folds the smoothing
 // the buffered hops afford on demand, as EstimateQ15 does on the same
-// samples. Batch Estimate and EstimateQ15 run the same span fold
-// straight over their input, every intermediate borrowed.
-//
-// The plain accumulators (NewAccumulator) instead channelize each hop as
-// it completes and bank the rows, running the alignment and second stage
-// over the bank at Snapshot, which reads it without modifying it. Banked
-// rows cost 4·K bytes per hop: bounded by N for SSCAQ15 with N set,
-// stream-proportional otherwise (long-running monitors should set N or
-// Reset between windows, as with the float SSCA). They are the
-// independent reference for the span fold: a hop's block-floating-point
-// FFT does not depend on when it runs, and alignment, the second stage
-// and the single-rounding reduce read the hops in one order, so both
-// give the same bits in every chunking.
+// samples. NewAccumulator returns the same accumulator uncapped (an
+// SSCA-Q15 with N set is capped at its N + K - 1 samples): it buffers
+// every quantised sample since Reset, and every Snapshot is such an
+// on-demand fold. Batch Estimate and EstimateQ15 run the same span fold
+// straight over their input, every intermediate borrowed. A hop's
+// block-floating-point FFT does not depend on when it runs, and
+// alignment, the second stage and the single-rounding reduce read the
+// hops in one order, so every chunking gives the same bits.
 
 // q15Kernel is the geometry, tables and front end every Q15 fold runs
 // with: the fixed-gain quantiser, the K-point channelizer and the grid
@@ -275,9 +270,11 @@ func (c *q15Kernel) scratchSurface(sc *q15Scratch) *scf.QSurface {
 }
 
 // fold sets out to the surface over the first np hops of the quantised
-// xq (xq[0] is sample 0), channelizing them into a bank borrowed from sc,
-// and returns its stats. np is the fold's smoothing, which the caller
-// picks.
+// xq (xq[0] is sample 0) and returns its stats: it channelizes the hops
+// into a bank borrowed from sc, aligns their exponents, runs the
+// estimator's second stage into scratch borrowed from sc and reduces it
+// into out. np is the fold's smoothing, which the caller picks; the
+// SSCA's conjugate factor reads xq too.
 func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, np int, gain float64, out *scf.QSurface) (scf.Stats, error) {
 	k, hop := c.p.K, c.p.Hop
 	sc.bank = freelist.Grow(sc.bank, np*k)
@@ -290,29 +287,20 @@ func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, np int, gain float6
 		}
 		sc.exps[h] = exp
 	}
-	return c.finish(sc, sc.bank, sc.exps, xq, gain, out)
-}
-
-// finish aligns the hops in bank (one per exponent in exps), runs the
-// estimator's second stage into scratch borrowed from sc and reduces it
-// into out. xq is the quantised input from sample 0, which the SSCA's
-// conjugate factor reads.
-func (c *q15Kernel) finish(sc *q15Scratch, bank []fixed.Complex, exps []int, xq []fixed.Complex, gain float64, out *scf.QSurface) (scf.Stats, error) {
-	k, np := c.p.K, len(exps)
 	ch := q15Channelizer{
 		k:     k,
-		bank:  bank[:np*k],
-		exps:  exps,
+		bank:  sc.bank,
+		exps:  sc.exps,
 		fftCy: int64(np) * montiumFFTCycles(k),
 		macCy: int64(np) * int64(k),
 	}
 	if c.win != nil {
 		ch.macCy *= 2
 	}
-	for _, e := range exps {
+	for _, e := range ch.exps {
 		ch.emax = max(ch.emax, e)
 	}
-	for _, e := range exps {
+	for _, e := range ch.exps {
 		if e != ch.emax {
 			ch.aligned += int64(k)
 		}
@@ -380,28 +368,30 @@ func (c *q15Kernel) estimateInto(sc *q15Scratch, x []complex128, out *scf.QSurfa
 	return q15Stats(st), nil
 }
 
-// newAccumulator returns the window-bound accumulator of window samples
-// (window 0: the plain one), or the plain one when the window affords no
-// estimate.
+// newAccumulator returns the accumulator capped at the span of window
+// samples' smoothing (an SSCA-Q15 with N set: at N hops' span), or
+// uncapped when the window affords no estimate.
 func (c *q15Kernel) newAccumulator(window int) scf.Accumulator {
-	if np := c.smoothing(c.hopsIn(window)); np != 0 {
-		return &q15Window{q15Kernel: c, gain: c.gainFor(c.peak), np: np}
+	np := c.nFixed
+	if np == 0 {
+		np = c.smoothing(c.hopsIn(window))
 	}
-	return &q15Plain{q15Kernel: c, gain: c.gainFor(c.peak)}
+	return &q15Window{q15Kernel: c, gain: c.gainFor(c.peak), np: np}
 }
 
-// NewAccumulator implements scf.StreamingEstimator. It requires
-// InputPeak > 0 (see the file comment: batch quantisation conditions
-// against the measured peak, which a stream cannot know; set the same
-// InputPeak on the batch estimator to compare the two bit for bit).
-// Workers is ignored: snapshots run serially on the caller's
-// goroutine. Memory grows by 4·K bytes per channelizer hop plus the
-// K-sample window overlap.
+// NewAccumulator implements scf.StreamingEstimator: the accumulator of
+// NewWindowAccumulator uncapped. It requires InputPeak > 0 (see the file
+// comment: batch quantisation conditions against the measured peak,
+// which a stream cannot know; set the same InputPeak on the batch
+// estimator to compare the two bit for bit). Workers is ignored:
+// snapshots run serially on the caller's goroutine. Memory grows by 4
+// bytes per sample pushed since Reset.
 func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
 // quantised span the window's famHopCap hops read and folds it once, as
-// soon as it is complete.
+// soon as it is complete. A window shorter than two hops gets the
+// uncapped accumulator.
 func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err := requireInputPeak(e.InputPeak, "FAM-Q15"); err != nil {
 		return nil, err
@@ -419,16 +409,16 @@ var (
 )
 
 // NewAccumulator implements scf.StreamingEstimator, with the same
-// InputPeak requirement as FAMQ15.NewAccumulator. With N set the banked
-// state is bounded (N hops of 4·K bytes plus the N+K-1 samples they and
-// the conjugate factor read; later samples are dropped); with N zero it
-// grows with the stream and each snapshot spans the largest power-of-two
-// hop prefix.
+// InputPeak requirement as FAMQ15.NewAccumulator: the accumulator of
+// NewWindowAccumulator uncapped, growing by 4 bytes per sample pushed
+// since Reset. With N set it is capped at the N+K-1 samples the fixed-N
+// estimate reads, and later samples are dropped.
 func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
 // quantised span of the window's strip length (N, or sscaStripCap with N
-// zero) and folds it once, as soon as it is complete.
+// zero) and folds it once, as soon as it is complete. With N zero, a
+// window shorter than 2K-1 samples gets the uncapped accumulator.
 func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err := requireInputPeak(e.InputPeak, "SSCA-Q15"); err != nil {
 		return nil, err
@@ -445,14 +435,14 @@ var (
 	_ scf.WindowEstimator    = SSCAQ15{}
 )
 
-// q15Window is the window-bound Q15 accumulator: the quantised span its
-// window's np hops read, then, once the span is folded, the window's
-// QSurface and stats.
+// q15Window is the Q15 accumulator: the quantised span its window's np
+// hops read, then, once the span is folded, the window's QSurface and
+// stats. Uncapped (np 0), it buffers every sample since Reset.
 type q15Window struct {
 	*q15Kernel
 	gain  float64
 	np    int             // the window's smoothing: FAM-Q15 hops, SSCA-Q15 strip length
-	span  []fixed.Complex // the span's quantised samples so far; cap spanOf(np)
+	span  []fixed.Complex // the quantised samples so far; cap spanOf(np) when capped
 	total int
 	done  bool          // the span has been folded; surf and stats hold the result
 	surf  *scf.QSurface // allocated at the first span completion
@@ -467,20 +457,24 @@ func (w *q15Window) Ready() bool { return w.done || w.smoothing(w.hopsIn(len(w.s
 
 // Push implements scf.Accumulator: it quantises the chunk's share of the
 // span, and the push that completes the span folds all np hops. Samples
-// past the span are counted and dropped.
+// past the span are counted and dropped. Uncapped, it quantises the
+// whole chunk.
 func (w *q15Window) Push(samples []complex128) error {
 	w.total += len(samples)
 	if w.done {
 		return nil
 	}
-	if w.span == nil {
-		w.span = make([]fixed.Complex, 0, w.spanOf(w.np))
+	take := samples
+	if w.np != 0 {
+		if w.span == nil {
+			w.span = make([]fixed.Complex, 0, w.spanOf(w.np))
+		}
+		take = samples[:min(len(samples), cap(w.span)-len(w.span))]
 	}
 	n := len(w.span)
-	take := samples[:min(len(samples), cap(w.span)-n)]
-	w.span = w.span[:n+len(take)]
+	w.span = slices.Grow(w.span, len(take))[:n+len(take)]
 	quantise(w.span[n:], take, w.gain)
-	if len(w.span) < cap(w.span) {
+	if w.np == 0 || len(w.span) < cap(w.span) {
 		return nil
 	}
 	if w.surf == nil {
@@ -511,8 +505,8 @@ func (w *q15Window) early(sc *q15Scratch, out *scf.QSurface) (*scf.Stats, error)
 }
 
 // SnapshotQ15 returns the surface in its native Q15-plus-exponent form:
-// a copy of the held surface, or, before the span is complete, the
-// buffered hops folded on demand.
+// a copy of the held surface, or, before the span is complete or when
+// uncapped, the buffered hops folded on demand.
 func (w *q15Window) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
 	out := w.newQSurface()
 	if w.done {
@@ -553,97 +547,4 @@ func (w *q15Window) Reset() {
 	w.span = w.span[:0]
 	w.total = 0
 	w.done = false
-}
-
-// q15Plain is the plain Q15 accumulator: Push channelizes every hop as
-// it completes and banks it (the first N hops only, for the SSCA-Q15
-// with N set), and Snapshot runs the alignment and second stage over the
-// bank.
-type q15Plain struct {
-	*q15Kernel
-	gain float64
-	bank []fixed.Complex // banked downconverted hops, hop-major; never written once banked
-	exps []int           // per-hop BFP exponents
-	// xq is the quantised pending tail, xq[0] sample base. The SSCA-Q15
-	// keeps its whole prefix: the conjugate factor reads it back to
-	// sample centre, and with N zero the strip length can still grow.
-	xq    []fixed.Complex
-	base  int
-	total int
-}
-
-// Samples implements scf.Accumulator.
-func (q *q15Plain) Samples() int { return q.total }
-
-// Ready implements scf.Accumulator.
-func (q *q15Plain) Ready() bool { return q.smoothing(len(q.exps)) != 0 }
-
-// Push implements scf.Accumulator: it quantises the chunk and banks
-// every hop the buffered tail now covers (hop h spans samples
-// [h·Hop, h·Hop+K)).
-func (q *q15Plain) Push(samples []complex128) error {
-	q.total += len(samples)
-	k, hop := q.p.K, q.p.Hop
-	if q.nFixed != 0 {
-		samples = samples[:min(len(samples), max(0, q.spanOf(q.nFixed)-q.base-len(q.xq)))]
-	}
-	n := len(q.xq)
-	q.xq = slices.Grow(q.xq, len(samples))[:n+len(samples)]
-	quantise(q.xq[n:], samples, q.gain)
-	for {
-		h := len(q.exps)
-		start := h * hop
-		if q.base+len(q.xq) < start+k {
-			break
-		}
-		q.bank = slices.Grow(q.bank, k)[:(h+1)*k]
-		exp, err := q.channelize(q.bank[h*k:], q.xq[start-q.base:start-q.base+k], start)
-		if err != nil {
-			return err
-		}
-		q.exps = append(q.exps, exp)
-	}
-	if !q.ssca {
-		// Hops overlap when Hop < K, but a completed hop's samples before
-		// the next hop's start are never read again.
-		q.xq, q.base = scf.TrimBefore(q.xq, q.base, len(q.exps)*hop)
-	}
-	return nil
-}
-
-// SnapshotQ15 computes the surface in its native Q15-plus-exponent form
-// over the first smoothing(hops) banked hops, leaving the bank
-// untouched, so snapshots repeat and the stream continues.
-func (q *q15Plain) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
-	np := q.smoothing(len(q.exps))
-	if np == 0 {
-		return nil, nil, q.needErr(q.total)
-	}
-	sc := q15Scratches.Get()
-	defer q15Scratches.Put(sc)
-	out := q.newQSurface()
-	st, err := q.finish(sc, q.bank, q.exps[:np], q.xq, q.gain, out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, q15Stats(st), nil
-}
-
-// Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
-// into float units.
-func (q *q15Plain) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	s, stats, err := q.SnapshotQ15()
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Float(), stats, nil
-}
-
-// Reset implements scf.Accumulator.
-func (q *q15Plain) Reset() {
-	q.bank = q.bank[:0]
-	q.exps = q.exps[:0]
-	q.xq = q.xq[:0]
-	q.base = 0
-	q.total = 0
 }

@@ -218,11 +218,11 @@ func TestQ15AccumulatorRequiresInputPeak(t *testing.T) {
 	}
 }
 
-// TestSSCAQ15AccumulatorBoundedMemory checks the fixed-N contract: once
-// the N hops and their conjugate span are banked, further pushes only
-// advance the sample counter, and the snapshot stays pinned to the
-// first N+K-1 samples — matching batch on that prefix, not on the whole
-// stream.
+// TestSSCAQ15AccumulatorBoundedMemory checks the fixed-N contract: the
+// accumulator is capped at the N+K-1 samples the estimate reads, so once
+// they are buffered further pushes only advance the sample counter, and
+// the snapshot stays pinned to that prefix — matching batch on it, not
+// on the whole stream.
 func TestSSCAQ15AccumulatorBoundedMemory(t *testing.T) {
 	band := q15TestBand(t, 1500, 24)
 	e := SSCAQ15{Params: scf.Params{K: 64, M: 16}, N: 128, InputPeak: 1.5}
@@ -242,8 +242,7 @@ func TestSSCAQ15AccumulatorBoundedMemory(t *testing.T) {
 	if ok, diff := ref.Equal(q15SnapshotQ15(t, acc)); !ok {
 		t.Errorf("fixed-N snapshot differs from batch on first %d samples: %s", need, diff)
 	}
-	inner := acc.(*q15Plain)
-	if hops := len(inner.exps); hops > e.N+97 {
-		t.Errorf("fixed-N banked %d hops; want bounded near N=%d", hops, e.N)
+	if inner := acc.(*q15Window); len(inner.span) != need || cap(inner.span) != need {
+		t.Errorf("fixed-N buffers %d samples (cap %d), want exactly N+K-1 = %d", len(inner.span), cap(inner.span), need)
 	}
 }

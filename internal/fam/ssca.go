@@ -57,12 +57,12 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	n, need := e.N, e.N+c.p.K-1
-	if n == 0 {
-		n, need = sscaStripCap(c.p.K, len(x)), 2*c.p.K-1
+	if len(x) < c.need() {
+		return nil, nil, needSamples("SSCA", c.need(), len(x))
 	}
-	if n == 0 || len(x) < need {
-		return nil, nil, needSamples("SSCA", need, len(x))
+	n := c.nFixed
+	if n == 0 {
+		n = sscaStripCap(c.p.K, len(x))
 	}
 	sf := scf.NewSurfaceFor(c.p)
 	if err := c.spanFold(sf, x, n); err != nil {

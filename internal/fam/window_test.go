@@ -16,9 +16,10 @@ import (
 // scf.WindowEstimator contract. After n samples pushed since the last
 // Reset, in any chunking, Snapshot equals Estimate(x[:min(n, W)]) bit for
 // bit with the same stats, and Ready holds exactly when that Estimate
-// succeeds. A window too short for any snapshot gets the plain
+// succeeds. A window too short for any snapshot gets the uncapped
 // accumulator, whose snapshot is Estimate(x[:n]). Every snapshot must
-// also equal the plain accumulator's fed the same samples, the same way.
+// also equal the uncapped accumulator's (NewAccumulator) fed the same
+// samples, the same way.
 //
 // The inputs decode as: seed picks the band; estSel%5 picks fam, pruned
 // fam, ssca, fam-q15 or ssca-q15, and estSel/5%3 the FAM hop (K/4, 13 or
@@ -91,9 +92,11 @@ func FuzzWindowAccumulator(f *testing.F) {
 			label := fmt.Sprintf("%s W=%d n=%d", est.Name(), window, n)
 			requireIdentical(t, got, want, label)
 			requireSameStats(t, gotStats, wantStats)
-			// Estimate runs the window accumulator's own span fold; the
-			// plain accumulator, which folds (float) or channelizes and
-			// banks (Q15) at push time, is an independent reference.
+			// The uncapped accumulator folds at Snapshot what a capped one
+			// folded at the push that completed its span. It is not an
+			// independent reference: Estimate and both accumulators run
+			// one span fold, whose bits the goldens and digest tests pin.
+			// It holds the capped result to the on-demand fold.
 			ref, err := est.NewAccumulator()
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +106,7 @@ func FuzzWindowAccumulator(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, got, refSurface, label+" vs plain accumulator")
+			requireIdentical(t, got, refSurface, label+" vs uncapped accumulator")
 			requireSameStats(t, gotStats, refStats)
 		}
 	})
@@ -485,9 +488,10 @@ func TestConcurrentFoldsShareScratch(t *testing.T) {
 }
 
 // BenchmarkWindowPushSnapshot times one serving window's Push and
-// Snapshot at the paper geometry (K=256, M=64), through the plain
-// accumulator (fold every hop, keep a checkpoint) and the window-bound
-// one (fold only the hops the snapshot reads). Samples arrive in
+// Snapshot at the paper geometry (K=256, M=64), through the uncapped
+// accumulator (buffer the whole window, fold at Snapshot) and the
+// window-bound one (buffer only the span the snapshot reads, fold it
+// when it completes). Samples arrive in
 // 4096-sample chunks, the stream engine's drain size. Run with
 //
 //	go test -run '^$' -bench WindowPushSnapshot -benchmem ./internal/fam
@@ -511,7 +515,7 @@ func BenchmarkWindowPushSnapshot(b *testing.B) {
 	for _, c := range cases {
 		x := goldenBand(c.window, 1)
 		for _, bound := range []bool{false, true} {
-			name := c.name + "/plain"
+			name := c.name + "/uncapped"
 			if bound {
 				name = c.name + "/window"
 			}

@@ -48,8 +48,8 @@ type Accumulator interface {
 }
 
 // StreamingEstimator is an Estimator that can also maintain incremental
-// state. All three estimators of this reproduction (Direct, fam.FAM,
-// fam.SSCA) implement it.
+// state. Direct, fam.FAM, fam.SSCA and their Q15 twins fam.FAMQ15 and
+// fam.SSCAQ15 implement it.
 type StreamingEstimator interface {
 	Estimator
 	// NewAccumulator returns fresh incremental state for this estimator's
@@ -64,8 +64,10 @@ type StreamingEstimator interface {
 // the last Reset, in any chunking, Snapshot equals
 // Estimate(x[:min(n, window)]) bit for bit, and Ready is true exactly
 // when that Estimate succeeds. A window too short for any snapshot gets
-// the plain NewAccumulator, which keeps accumulating past it.
-// fam.FAM, fam.SSCA and their Q15 twins implement it.
+// an uncapped accumulator, as NewAccumulator's, which keeps accumulating
+// past it: its Snapshot is Estimate over every sample since Reset.
+// fam.FAM, fam.SSCA and their Q15 twins implement it, with one
+// accumulator type each, capped at the span the window's estimate reads.
 type WindowEstimator interface {
 	NewWindowAccumulator(window int) (Accumulator, error)
 }
@@ -173,52 +175,31 @@ func (d *directAccumulator) Ready() bool { return d.blocks >= 1 }
 // Push implements Accumulator.
 func (d *directAccumulator) Push(samples []complex128) error {
 	d.total += len(samples)
-	if len(d.buf) == 0 {
-		// Fast path: with no pending tail, every completable block lies
-		// entirely inside the caller's chunk, so process it in place and
-		// buffer only the leftover suffix — skipping the whole-chunk copy
-		// the general path pays. (An empty buffer implies bufStart is at or
-		// before the next block start: TrimBefore never discards samples a
-		// future block still reads.)
-		chunkStart := d.bufStart
-		end := chunkStart + len(samples)
-		for {
-			start := d.blocks * d.p.Hop // absolute start of the next block
-			if start < chunkStart || start+d.p.K > end {
-				break
-			}
-			off := start - chunkStart
-			if err := d.processBlock(samples[off:off+d.p.K], start); err != nil {
-				return err
-			}
-		}
-		// Keep what the next (incomplete) block has already received.
-		from := d.blocks * d.p.Hop
-		if from < chunkStart {
-			from = chunkStart
-		}
-		if from > end {
-			from = end
-		}
-		d.buf = append(d.buf[:0], samples[from-chunkStart:]...)
-		d.bufStart = from
-		return nil
+	// Read the chunk in place when nothing is buffered, so a push that
+	// only completes blocks copies nothing but its leftover tail. The
+	// buffer never starts past the next block's start, so src holds every
+	// block the push completes.
+	src, srcStart := samples, d.bufStart+len(d.buf)
+	if len(d.buf) > 0 {
+		d.buf = append(d.buf, samples...)
+		src, srcStart = d.buf, d.bufStart
 	}
-	d.buf = append(d.buf, samples...)
 	for {
 		start := d.blocks * d.p.Hop // absolute start of the next block
-		if d.bufStart+len(d.buf) < start+d.p.K {
-			// Drop the prefix no future block reads: everything before
-			// the next block start (compacting once per push keeps the
-			// cost linear in the chunk, not quadratic).
-			d.buf, d.bufStart = TrimBefore(d.buf, d.bufStart, start)
-			return nil
+		if start+d.p.K > srcStart+len(src) {
+			break
 		}
-		off := start - d.bufStart
-		if err := d.processBlock(d.buf[off:off+d.p.K], start); err != nil {
+		off := start - srcStart
+		if err := d.processBlock(src[off:off+d.p.K], start); err != nil {
 			return err
 		}
 	}
+	// Keep only what the next block reads, from its start on (a gap
+	// before it, with Hop > K, is dropped): one compaction per push keeps
+	// the cost linear in the chunk.
+	cut := min(max(0, d.blocks*d.p.Hop-srcStart), len(src))
+	d.buf, d.bufStart = append(d.buf[:0], src[cut:]...), srcStart+cut
+	return nil
 }
 
 // processBlock folds one complete analysis block (absolute sample index
@@ -274,23 +255,6 @@ func (d *directAccumulator) Snapshot() (*Surface, *Stats, error) {
 		DSCFMults: d.blocks * d.dscfMults,
 	}
 	return out, stats, nil
-}
-
-// TrimBefore drops buffered samples before absolute index keepFrom,
-// compacting the buffer in place: the shared pending-tail maintenance of
-// every streaming accumulator (this package's direct one and the fam
-// package's). buf[0] has absolute index bufStart on entry; the updated
-// slice and start index are returned.
-func TrimBefore[T any](buf []T, bufStart, keepFrom int) ([]T, int) {
-	cut := keepFrom - bufStart
-	if cut <= 0 {
-		return buf, bufStart
-	}
-	if cut > len(buf) {
-		cut = len(buf)
-	}
-	n := copy(buf, buf[cut:])
-	return buf[:n], bufStart + cut
 }
 
 // Reset implements Accumulator.

@@ -44,18 +44,18 @@
 // until the pool frees ring space (the mode batch jobs and benchmarks
 // use, where every sample must be processed).
 //
-// # Windowed vs cumulative estimation
+// # Windowed estimation
 //
-// By default every decision covers its own window: the accumulator is
-// reset after each snapshot, so a licensed user appearing in the band
-// shows up in the next window's decision, bounded memory for all
-// estimators. Windowed channels bind their accumulator to the window
+// Every decision covers its own window, as the paper's detector
+// integrates a fixed observation per decision: the accumulator is reset
+// after each snapshot, so a licensed user appearing in the band shows up
+// in the next window's decision, and memory stays bounded for all
+// estimators. Channels bind their accumulator to the window
 // (scf.AccumulatorFor): FAM, SSCA and their Q15 twins buffer only the
 // span of samples the window's estimate reads, fold it once when it is
 // complete, with fold scratch shared across channels, and then keep only
 // the window's result (FAM and SSCA write it over the span, in the same
-// buffer). With Config.Cumulative the accumulator keeps integrating
-// across snapshots — the variance of the estimate keeps shrinking, the
-// mode used for the streaming-equals-batch golden tests and for one-shot
-// captures fed incrementally.
+// buffer). A window too short for the estimator keeps accumulating
+// across boundaries, and the decision comes at the first boundary where
+// the accumulator is Ready, over every sample since the last decision.
 package stream

@@ -26,12 +26,17 @@ const maxDrainSpins = 16
 
 // Config configures an Engine.
 type Config struct {
-	// Estimator produces each channel's incremental state. All three
-	// estimators (scf.Direct, fam.FAM, fam.SSCA) qualify. Required.
+	// Estimator produces each channel's incremental state: any
+	// scf.StreamingEstimator (scf.Direct, fam.FAM, fam.SSCA and their Q15
+	// twins). Required.
 	Estimator scf.StreamingEstimator
 	// SnapshotSamples is the per-channel decision cadence: a surface is
-	// snapshotted and a decision emitted every SnapshotSamples samples.
-	// Default 8192.
+	// snapshotted and a decision emitted every SnapshotSamples samples,
+	// and the accumulator is then reset, so every decision covers its own
+	// window. Channels of an scf.WindowEstimator (FAM, SSCA and their Q15
+	// twins) work only on the span of samples the window's estimate
+	// reads; they fold it once, as soon as it is buffered, and keep only
+	// the window's result. Default 8192.
 	SnapshotSamples int
 	// RingSamples is the per-channel ingestion ring capacity limit; the
 	// ring's memory follows the channel's peak backlog: the first push
@@ -44,15 +49,6 @@ type Config struct {
 	// MaxChannels bounds the channel count (and sizes the work queue so
 	// scheduling never blocks). Default 1024.
 	MaxChannels int
-	// Cumulative keeps accumulator state across snapshots (the estimate
-	// keeps integrating). Default false: windowed — the accumulator is
-	// reset after each decision, so every decision covers its own
-	// SnapshotSamples window and memory stays bounded for all
-	// estimators. Windowed channels of an scf.WindowEstimator (FAM,
-	// SSCA and their Q15 twins) work only on the span of samples the
-	// window's estimate reads; they fold it once, as soon as it is
-	// buffered, and keep only the window's result.
-	Cumulative bool
 	// Block selects backpressure over dropping: Push blocks until ring
 	// space frees instead of discarding the overflow. Default false
 	// (drop-newest, counted in the stats).
@@ -101,24 +97,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// window is the length accumulators are bound to: SnapshotSamples in
-// windowed mode, 0 (unbounded) when Cumulative.
-func (c Config) window() int {
-	if c.Cumulative {
-		return 0
-	}
-	return c.SnapshotSamples
-}
-
 // Decision is one periodic verdict for one channel.
 type Decision struct {
 	// Channel names the channel the decision belongs to.
 	Channel string
 	// Seq is the 0-based decision index within the channel.
 	Seq int64
-	// WindowSamples is the number of samples the underlying surface
-	// integrates (one window in windowed mode, the whole stream so far
-	// in cumulative mode).
+	// WindowSamples is the number of samples since the channel's last
+	// decision, which the underlying surface integrates: SnapshotSamples,
+	// a multiple of it when the estimator needed more than one window to
+	// become Ready, or less for a final flush at RemoveChannel.
 	WindowSamples int
 	// TotalSamples is the cumulative sample count the channel has
 	// processed when the decision was made.
@@ -263,7 +251,7 @@ func New(cfg Config) (*Engine, error) {
 			cfg.RingSamples, cfg.SnapshotSamples)
 	}
 	// Surface estimator misconfiguration now rather than at AddChannel.
-	if _, err := accumulatorFor(cfg.Estimator, cfg.AlphaCandidates, cfg.window()); err != nil {
+	if _, err := accumulatorFor(cfg.Estimator, cfg.AlphaCandidates, cfg.SnapshotSamples); err != nil {
 		return nil, err
 	}
 	dec, err := deciderFor(cfg)
@@ -287,8 +275,8 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // accumulatorFor builds a fresh accumulator, restricted to the given
-// alpha-candidate set when one is supplied and bound to window (0 =
-// unbounded; see scf.AccumulatorFor). Estimators that cannot prune
+// alpha-candidate set when one is supplied and bound to window (see
+// scf.AccumulatorFor). Estimators that cannot prune
 // (no scf.CandidateEstimator implementation) are rejected rather than
 // silently computing the full plane.
 func accumulatorFor(est scf.StreamingEstimator, alphas []int, window int) (scf.Accumulator, error) {
@@ -343,7 +331,7 @@ func (e *Engine) AddChannelDecider(id string, alphas []int, dec detect.Decider) 
 	if alphas == nil {
 		alphas = e.cfg.AlphaCandidates
 	}
-	acc, err := accumulatorFor(e.cfg.Estimator, alphas, e.cfg.window())
+	acc, err := accumulatorFor(e.cfg.Estimator, alphas, e.cfg.SnapshotSamples)
 	if err != nil {
 		return err
 	}
@@ -634,11 +622,9 @@ func (e *Engine) feed(ch *channel, chunk []complex128) {
 		if ch.dec.NeedsSamples() {
 			// Sample-based deciders (dg, urriza) see the raw samples of
 			// the span since the last decision; the buffer is emptied
-			// once a decision is made, so in cumulative mode the decider
-			// still evaluates only the newest window while the surface
-			// keeps integrating. It is allocated at the channel's first
-			// feed, one window long, so a channel that never receives a
-			// sample holds none.
+			// once a decision is made. It is allocated at the channel's
+			// first feed, one window long, so a channel that never
+			// receives a sample holds none.
 			if ch.win == nil {
 				ch.win = make([]complex128, 0, e.cfg.SnapshotSamples)
 			}
@@ -651,13 +637,11 @@ func (e *Engine) feed(ch *channel, chunk []complex128) {
 			ch.sinceSnap = 0
 			// A window whose estimator needs more smoothing than
 			// SnapshotSamples provides simply keeps accumulating; the
-			// decision comes at the next boundary.
+			// decision comes at the first boundary where it is Ready.
 			if ch.acc.Ready() {
 				e.decide(ch)
 				ch.win = ch.win[:0]
-				if !e.cfg.Cumulative {
-					ch.acc.Reset()
-				}
+				ch.acc.Reset()
 			}
 		}
 	}

@@ -483,60 +483,74 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestEngineCumulativeKeepsIntegrating: in cumulative mode each decision
-// covers the whole stream so far, matching the batch estimate over the
-// growing prefix.
-func TestEngineCumulativeKeepsIntegrating(t *testing.T) {
-	const window = 1024
-	est := fam.FAM{Params: scf.Params{K: 64, M: 16}}
-	e, err := New(Config{
-		Estimator:       est,
-		SnapshotSamples: window,
-		Block:           true,
-		Cumulative:      true,
-		Decider:         fixedDecider(t),
-		MinAbsA:         2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	band := bpskBand(t, 4*window, 8.0/64, 6, 77)
-	if err := e.AddChannel("cum"); err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 4; w++ {
-		if _, err := e.Push("cum", band[w*window:(w+1)*window]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var decs []Decision
-	for d := range e.Decisions() {
-		decs = append(decs, d)
-	}
-	if len(decs) != 4 {
-		t.Fatalf("%d decisions, want 4", len(decs))
-	}
-	for w, d := range decs {
-		if d.WindowSamples != (w+1)*window {
-			t.Fatalf("decision %d integrates %d samples, want %d", w, d.WindowSamples, (w+1)*window)
-		}
-		surface, _, err := est.Estimate(band[:(w+1)*window])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := detect.CFDStatistic(surface, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Statistic != want {
-			t.Fatalf("decision %d statistic %v != batch prefix %v", w, d.Statistic, want)
-		}
+// TestEngineShortWindowWaitsForReady: a window shorter than the
+// estimator's minimum keeps accumulating across boundaries. The first
+// decision comes at the first boundary where the accumulator is Ready,
+// covers every sample since the last decision, and its statistic equals
+// batch Estimate plus CFDStatistic over exactly those samples. The next
+// decision starts fresh and does the same over the samples after it.
+func TestEngineShortWindowWaitsForReady(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		est           scf.StreamingEstimator
+		window, ready int
+	}{
+		// Two hops need K+Hop = 80 samples: Ready at the second
+		// boundary, 96 samples (three hops, of which Estimate reads two).
+		{"fam", fam.FAM{Params: scf.Params{K: 64, M: 16, Hop: 16}}, 48, 96},
+		// A K-point strip needs 2K-1 = 127 samples: Ready at 200.
+		{"ssca", fam.SSCA{Params: scf.Params{K: 64, M: 16}}, 100, 200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := New(Config{
+				Estimator:       c.est,
+				SnapshotSamples: c.window,
+				Block:           true,
+				Decider:         fixedDecider(t),
+				MinAbsA:         2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const decisions = 2
+			band := bpskBand(t, decisions*c.ready, 8.0/64, 6, 91)
+			if err := e.AddChannel("short"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Push("short", band); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var decs []Decision
+			for d := range e.Decisions() {
+				decs = append(decs, d)
+			}
+			if len(decs) != decisions {
+				t.Fatalf("%d decisions over %d samples, want %d", len(decs), len(band), decisions)
+			}
+			for i, d := range decs {
+				if d.WindowSamples != c.ready || d.TotalSamples != int64((i+1)*c.ready) {
+					t.Fatalf("decision %d: window %d samples at total %d, want %d at %d",
+						i, d.WindowSamples, d.TotalSamples, c.ready, (i+1)*c.ready)
+				}
+				surface, _, err := c.est.Estimate(band[i*c.ready : (i+1)*c.ready])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := detect.CFDStatistic(surface, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Statistic != want {
+					t.Fatalf("decision %d statistic %v != batch over its %d samples %v", i, d.Statistic, c.ready, want)
+				}
+			}
+		})
 	}
 }
 
