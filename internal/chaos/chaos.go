@@ -34,7 +34,6 @@ type Controller struct {
 
 	blackhole  atomic.Bool // accepted-but-silent: writes swallowed, reads block
 	dropWrites atomic.Bool // one-way partition: this side's writes vanish
-	dropReads  atomic.Bool // one-way partition: peer's writes never arrive
 
 	truncateNext atomic.Int64 // >=0: truncate the next write to N bytes, then reset
 	resetNext    atomic.Bool  // reset the connection on the next read or write
@@ -70,10 +69,6 @@ func (c *Controller) Blackhole(on bool) { c.blackhole.Store(on) }
 // DropWrites installs a one-way partition: this side's writes report
 // success and vanish while the peer's traffic still arrives.
 func (c *Controller) DropWrites(on bool) { c.dropWrites.Store(on) }
-
-// DropReads installs the opposite one-way partition: reads block as if
-// the peer went quiet, while this side's writes still go through.
-func (c *Controller) DropReads(on bool) { c.dropReads.Store(on) }
 
 // TruncateNextWrite arms a byte-truncation fault: the next write sends
 // only its first n bytes to the peer and then resets the connection —
@@ -159,11 +154,11 @@ func (cn *Conn) Read(p []byte) (int, error) {
 	if cn.ctl.resetNext.CompareAndSwap(true, false) {
 		return cn.reset()
 	}
-	// While blackholed or read-partitioned the peer has gone silent:
-	// block until the fault lifts or the connection dies. The underlying
+	// While blackholed the peer has gone silent: block until the fault
+	// lifts or the connection dies. The underlying
 	// Read is not issued, so bytes sent during the fault are delivered
 	// (late) once it lifts — exactly a stalled link, not a lossy one.
-	for cn.ctl.blackhole.Load() || cn.ctl.dropReads.Load() {
+	for cn.ctl.blackhole.Load() {
 		select {
 		case <-cn.closed:
 			return 0, net.ErrClosed

@@ -22,26 +22,23 @@ import (
 // SSCA strip FFT spans the largest power of two of samples — so the span
 // is known once the input is.
 //
-// A window-bound accumulator (NewWindowAccumulator, which the windowed
+// An accumulator buffers samples and folds nothing until Snapshot, which
+// runs Estimate's fold over the buffer into the surface it returns. A
+// window-bound accumulator (NewWindowAccumulator, which the windowed
 // stream engine uses) knows its smoothing length up front, so it knows
 // the span its window's estimate reads: (P-1)·Hop + K samples for the
 // FAM's P hops, N + K - 1 for the SSCA's N-point strips. It buffers that
-// span and nothing past it, and the push that completes the span runs
-// the batch span fold once: the FAM's into the window's a >= 0 sums, the
-// SSCA's into the window's normalised surface cells. The span is dead
-// once folded and the result does not exist before, so both live in one
-// buffer of max(span, result cells), allocated once: until Reset the
-// accumulator holds only that buffer. The fold's working set — the
-// channel-major block and the sums of the FAM; the anchor spectra,
-// difference and conjugate arrays and one fold column of the SSCA — is
-// borrowed from a free list shared by every channel, so serving memory
-// follows the folds running at once, not the channel count. A snapshot
-// taken before the span is complete (a channel's final flush, a short
-// input) folds pow2floor(buffered hops) on demand, as Estimate does on
-// the same samples. NewAccumulator returns the same accumulator uncapped
-// (a fixed-N SSCA's is capped at its N + K - 1 samples): it buffers every
-// sample since Reset, and every Snapshot is such an on-demand fold.
-// Estimate runs the same span fold straight over its input.
+// span, allocated once, and counts and drops the samples past it, so
+// until Reset it holds exactly its span and no result. NewAccumulator
+// returns the same accumulator uncapped (a fixed-N SSCA's is capped at
+// its N + K - 1 samples): it buffers every sample since Reset. Either
+// way Snapshot is Estimate over the buffer, so after n samples in any
+// chunking a window-bound snapshot equals Estimate(x[:min(n, W)]) bit
+// for bit. The fold's working set — the channel-major block and the
+// sums of the FAM; the anchor spectra, difference and conjugate arrays
+// and one fold column of the SSCA — is borrowed from a free list shared
+// by every channel, so serving memory follows the folds running at
+// once, not the channel count.
 //
 // The fold adds each cell's terms in one order — FAM parity sums by
 // absolute hop, SSCA residue rows in hop order — so every path, in every
@@ -96,53 +93,27 @@ func channelizer(p scf.Params) (*fft.Plan, []complex128, []float64, error) {
 	return plan, roots, win, nil
 }
 
-// spanBuffer is an accumulator's one buffer. It collects the span, the
-// first span samples since Reset; once the span is folded its first
-// resultLen cells hold the window's result. It is allocated once, at
-// max(span, resultLen), and samples past the span are counted and
-// dropped. An uncapped buffer (span 0) grows to hold every sample since
-// Reset and is never folded in place.
+// spanBuffer is an accumulator's one buffer: the span, the first span
+// samples since Reset. It is allocated once, at the span, and samples
+// past the span are counted and dropped. An uncapped buffer (span 0)
+// grows to hold every sample since Reset.
 type spanBuffer struct {
-	span, resultLen int
-	buf             []complex128 // the buffered samples, until done
-	done            bool         // the span has been folded; the result is held
-	total           int
+	span  int
+	buf   []complex128
+	total int
 }
 
-// alloc allocates the buffer on its first use.
-func (b *spanBuffer) alloc() {
-	if b.buf == nil {
-		b.buf = make([]complex128, 0, max(b.span, b.resultLen))
-	}
-}
-
-// held returns the buffer's result cells. They overwrite the span, so
-// the fold that fills them must be done reading it.
-func (b *spanBuffer) held() []complex128 {
-	b.alloc()
-	return b.buf[:b.resultLen]
-}
-
-// push counts a chunk and returns the complete span the first time the
-// chunk completes it, or nil. A chunk that holds the whole span while
-// nothing is buffered is returned as is, uncopied.
-func (b *spanBuffer) push(samples []complex128) []complex128 {
+// Push implements scf.Accumulator: it buffers the chunk's share of the
+// span.
+func (b *spanBuffer) Push(samples []complex128) error {
 	b.total += len(samples)
-	if b.span == 0 {
-		b.buf = append(b.buf, samples...)
-		return nil
+	if b.span != 0 {
+		if b.buf == nil {
+			b.buf = make([]complex128, 0, b.span)
+		}
+		samples = samples[:min(len(samples), b.span-len(b.buf))]
 	}
-	if b.done {
-		return nil
-	}
-	if len(b.buf) == 0 && len(samples) >= b.span {
-		return samples[:b.span]
-	}
-	b.alloc()
-	b.buf = append(b.buf, samples[:min(len(samples), b.span-len(b.buf))]...)
-	if len(b.buf) == b.span {
-		return b.buf
-	}
+	b.buf = append(b.buf, samples...)
 	return nil
 }
 
@@ -153,7 +124,6 @@ func (b *spanBuffer) Samples() int { return b.total }
 // next window's span.
 func (b *spanBuffer) Reset() {
 	b.buf = b.buf[:0]
-	b.done = false
 	b.total = 0
 }
 
@@ -166,17 +136,16 @@ func (b *spanBuffer) Reset() {
 func (e FAM) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// span the window's famHopCap hops read and folds it once, as soon as it
-// is complete. A window shorter than two hops gets the uncapped
-// accumulator.
+// span the window's famHopCap hops read, and Snapshot folds it. A window
+// shorter than two hops gets the uncapped accumulator.
 func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	c, err := newFAMKernel(e.Params, 1)
 	if err != nil {
 		return nil, err
 	}
-	w := &famWindow{famKernel: c, hopCap: famHopCap(c.p, window)}
-	if w.hopCap != 0 {
-		w.spanBuffer = spanBuffer{span: (w.hopCap-1)*c.p.Hop + c.p.K, resultLen: c.cells()}
+	w := &famWindow{famKernel: c}
+	if np := famHopCap(c.p, window); np != 0 {
+		w.span = (np-1)*c.p.Hop + c.p.K
 	}
 	return w, nil
 }
@@ -370,14 +339,18 @@ func (c *famKernel) foldSpan(sc *famScratch, sums, src []complex128, np int) err
 	return nil
 }
 
-// estimate returns the surface over the first np hops of src (src[0] is
-// sample 0), folded in borrowed scratch: what Estimate returns, and what
-// a window snapshot taken before its span is complete returns.
-func (c *famKernel) estimate(src []complex128, np int) (*scf.Surface, *scf.Stats, error) {
+// estimate returns the surface over the famHopCap hops of x (x[0] is
+// sample 0), folded in borrowed scratch: what Estimate and Snapshot
+// return.
+func (c *famKernel) estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
+	np := famHopCap(c.p, len(x))
+	if np == 0 {
+		return nil, nil, needSamples("FAM", c.p.K+c.p.Hop, len(x))
+	}
 	sc := famScratches.Get()
 	defer famScratches.Put(sc)
 	sc.sums = freelist.Grow(sc.sums, c.cells())
-	if err := c.foldSpan(sc, sc.sums, src, np); err != nil {
+	if err := c.foldSpan(sc, sc.sums, x, np); err != nil {
 		return nil, nil, err
 	}
 	s, stats := c.surface(sc.sums, np)
@@ -412,52 +385,20 @@ func (c *famKernel) surface(sums []complex128, np int) (*scf.Surface, *scf.Stats
 	return s, stats
 }
 
-// famWindow is the FAM accumulator: the span its window's hopCap hops
-// read, then, once the span is folded, the window's sums in the same
-// buffer. Uncapped (hopCap 0), it buffers every sample since Reset.
+// famWindow is the FAM accumulator: the span its window's famHopCap hops
+// read, or, uncapped, every sample since Reset.
 type famWindow struct {
 	*famKernel
 	spanBuffer
-	hopCap int
 }
 
 // Ready implements scf.Accumulator: the estimate needs at least two hops
 // of smoothing.
-func (w *famWindow) Ready() bool { return w.done || w.hopsIn(len(w.buf)) >= 2 }
+func (w *famWindow) Ready() bool { return w.hopsIn(len(w.buf)) >= 2 }
 
-// Push implements scf.Accumulator. The push that completes the span
-// folds all hopCap hops into borrowed sums and then copies them over the
-// span, which the fold no longer reads.
-func (w *famWindow) Push(samples []complex128) error {
-	span := w.push(samples)
-	if span == nil {
-		return nil
-	}
-	sc := famScratches.Get()
-	defer famScratches.Put(sc)
-	sc.sums = freelist.Grow(sc.sums, w.resultLen)
-	if err := w.foldSpan(sc, sc.sums, span, w.hopCap); err != nil {
-		return err
-	}
-	copy(w.held(), sc.sums)
-	w.done = true
-	return nil
-}
-
-// Snapshot implements scf.Accumulator: the held sums, or, before the
-// span is complete or when uncapped, pow2floor(buffered hops) folded on
-// demand.
-func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	if w.done {
-		s, stats := w.surface(w.held(), w.hopCap)
-		return s, stats, nil
-	}
-	np := pow2Floor(w.hopsIn(len(w.buf)))
-	if np < 2 {
-		return nil, nil, needSamples("FAM", w.p.K+w.p.Hop, w.total)
-	}
-	return w.estimate(w.buf, np)
-}
+// Snapshot implements scf.Accumulator: pow2floor(buffered hops), the
+// window's famHopCap once its span is complete, folded on demand.
+func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) { return w.estimate(w.buf) }
 
 // NewAccumulator implements scf.StreamingEstimator: the accumulator of
 // NewWindowAccumulator uncapped. It buffers every sample since Reset, so
@@ -467,9 +408,9 @@ func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
 func (e SSCA) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// span of the window's strip length (N, or sscaStripCap with N zero) and
-// folds it once, as soon as it is complete. With N zero, a window shorter
-// than 2K-1 samples gets the uncapped accumulator.
+// span of the window's strip length (N, or sscaStripCap with N zero), and
+// Snapshot folds it. With N zero, a window shorter than 2K-1 samples gets
+// the uncapped accumulator.
 func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	c, err := newSSCAKernel(e)
 	if err != nil {
@@ -479,9 +420,9 @@ func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if n == 0 {
 		n = sscaStripCap(c.p.K, window)
 	}
-	s := &sscaWindow{sscaKernel: c, n: n}
+	s := &sscaWindow{sscaKernel: c}
 	if n != 0 {
-		s.spanBuffer = spanBuffer{span: n + c.p.K - 1, resultLen: len(c.rowAlphas) * (2*c.p.M - 1)}
+		s.span = n + c.p.K - 1
 	}
 	return s, nil
 }
@@ -715,17 +656,6 @@ func (c *sscaKernel) strip(sf *scf.Surface, col []complex128, v, n int) error {
 	return nil
 }
 
-// surfaceOver returns a surface of the kernel's rows whose cells are
-// consecutive 2M-1-cell runs of cells, shared, not copied.
-func (c *sscaKernel) surfaceOver(cells []complex128) *scf.Surface {
-	cols := 2*c.p.M - 1
-	s := &scf.Surface{M: c.p.M, Alphas: c.p.SurfaceAlphas(), Data: make([][]complex128, len(c.rowAlphas))}
-	for i := range s.Data {
-		s.Data[i] = cells[i*cols : (i+1)*cols]
-	}
-	return s
-}
-
 // stats reports the canonical N-point strip model (see doc.go).
 func (c *sscaKernel) stats(n int) *scf.Stats {
 	k, nn := c.p.K, len(c.needed)
@@ -748,11 +678,27 @@ type sscaScratch struct {
 
 var sscaScratches freelist.List[sscaScratch]
 
+// estimate returns the surface over the strip length x affords (N, or
+// sscaStripCap with N zero) and its stats: what Estimate and Snapshot
+// return. The surface and stats are all it allocates.
+func (c *sscaKernel) estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
+	if len(x) < c.need() {
+		return nil, nil, needSamples("SSCA", c.need(), len(x))
+	}
+	n := c.nFixed
+	if n == 0 {
+		n = sscaStripCap(c.p.K, len(x))
+	}
+	sf := scf.NewSurfaceFor(c.p)
+	if err := c.spanFold(sf, x, n); err != nil {
+		return nil, nil, err
+	}
+	return sf, c.stats(n), nil
+}
+
 // spanFold writes the surface over the first n >= K hops of src (src[0]
 // is sample 0; n a power of two) into sf, one channel at a time, folding
-// in borrowed scratch. The SSCA allocates nothing else: the returned
-// surface is the whole cost. src is read only before the first cell is
-// written, so sf's cells may overwrite it.
+// in borrowed scratch.
 func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	sc := sscaScratches.Get()
 	defer sscaScratches.Put(sc)
@@ -787,55 +733,18 @@ func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	return nil
 }
 
-// sscaWindow is the SSCA accumulator: the span its window's n hops read,
-// then, once the span is folded, the window's surface cells in the same
-// buffer. Uncapped (n 0), it buffers every sample since Reset.
+// sscaWindow is the SSCA accumulator: the span its window's strip
+// length reads, or, uncapped, every sample since Reset.
 type sscaWindow struct {
 	*sscaKernel
 	spanBuffer
-	n    int          // the window's strip length
-	surf *scf.Surface // rows over the buffer's held cells
 }
 
 // Ready implements scf.Accumulator: a K-point strip needs 2K-1 samples,
 // and a fixed-N one its whole span.
-func (s *sscaWindow) Ready() bool { return s.done || len(s.buf) >= s.need() }
+func (s *sscaWindow) Ready() bool { return len(s.buf) >= s.need() }
 
-// Push implements scf.Accumulator. The push that completes the span
-// folds all n hops and writes the normalised cells over it, into the
-// held surface.
-func (s *sscaWindow) Push(samples []complex128) error {
-	span := s.push(samples)
-	if span == nil {
-		return nil
-	}
-	if s.surf == nil {
-		s.surf = s.surfaceOver(s.held())
-	}
-	if err := s.spanFold(s.surf, span, s.n); err != nil {
-		return err
-	}
-	s.done = true
-	return nil
-}
-
-// Snapshot implements scf.Accumulator: a copy of the held surface, or,
-// before the span is complete or when uncapped, the strip length the
-// buffered samples afford folded on demand.
-func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	if !s.Ready() {
-		return nil, nil, needSamples("SSCA", s.need(), s.total)
-	}
-	sf := scf.NewSurfaceFor(s.p)
-	if s.done {
-		for i, row := range s.surf.Data {
-			copy(sf.Data[i], row)
-		}
-		return sf, s.stats(s.n), nil
-	}
-	n := sscaStripCap(s.p.K, len(s.buf))
-	if err := s.spanFold(sf, s.buf, n); err != nil {
-		return nil, nil, err
-	}
-	return sf, s.stats(n), nil
-}
+// Snapshot implements scf.Accumulator: the strip length the buffered
+// samples afford, the window's once its span is complete, folded on
+// demand into the surface it returns.
+func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) { return s.estimate(s.buf) }

@@ -188,7 +188,7 @@ func TestSSCAAccumulatorMatchesBatch(t *testing.T) {
 
 // TestSSCAAccumulatorFixedNBounded: with N fixed, pushing far past the
 // strip length neither grows state nor changes the snapshot: the
-// accumulator holds its one buffer of max(N+K-1 samples, result cells).
+// accumulator holds its N+K-1-sample span and nothing else.
 func TestSSCAAccumulatorFixedNBounded(t *testing.T) {
 	e := SSCA{Params: scf.Params{K: 64, M: 16}, N: 128}
 	need := 128 + 63
@@ -210,10 +210,8 @@ func TestSSCAAccumulatorFixedNBounded(t *testing.T) {
 	if acc.Samples() != len(x) {
 		t.Fatalf("Samples() = %d, want %d", acc.Samples(), len(x))
 	}
-	const cells = 31 * 31 // 2M-1 rows of 2M-1 cells
-	if got, want := heldBytes(reflect.ValueOf(acc)), 16*max(need, cells); got != want {
-		t.Fatalf("holds %d bytes, want one buffer of max(%d-sample span, %d result cells) = %d bytes",
-			got, need, cells, want)
+	if got, want := heldBytes(reflect.ValueOf(acc)), 16*need; got != want {
+		t.Fatalf("holds %d bytes, want its %d-sample span (%d bytes)", got, need, want)
 	}
 }
 

@@ -50,11 +50,13 @@
 // (see accumulator.go and q15accumulator.go), with the fold's working set
 // borrowed from shared free lists, so batch and streaming agree bit for
 // bit and an estimate allocates little more than the surface it returns.
-// NewWindowAccumulator caps the accumulator at the span its window's
-// estimate reads and folds the span once it is complete; NewAccumulator
-// returns it uncapped (capped at N+K-1 for a fixed-N SSCA), buffering
-// every sample since Reset and folding them at Snapshot. The golden,
-// digest and chunking tests pin the bits of the fold itself.
+// An accumulator only buffers; Snapshot runs Estimate's fold over the
+// buffer into the surface it returns, and nothing is kept between
+// pushes but the buffer. NewAccumulator buffers every sample since Reset
+// (capped at N+K-1 for a fixed-N SSCA); NewWindowAccumulator caps the
+// buffer at the span its window's estimate reads, so after n samples in
+// any chunking its Snapshot is Estimate(x[:min(n, W)]) bit for bit. The
+// golden, digest and chunking tests pin the bits of the fold itself.
 //
 // Estimates agree with the direct method at grid points up to the
 // smoothing window: cross-check tests assert all three estimators locate

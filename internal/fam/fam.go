@@ -56,11 +56,7 @@ func (e FAM) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	np := famHopCap(c.p, len(x))
-	if np == 0 {
-		return nil, nil, needSamples("FAM", c.p.K+c.p.Hop, len(x))
-	}
-	return c.estimate(x, np)
+	return c.estimate(x)
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

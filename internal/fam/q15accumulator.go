@@ -29,26 +29,24 @@ import (
 // product). Alignment and the second stage therefore run once the last
 // hop's exponent is known.
 //
-// A window-bound accumulator (NewWindowAccumulator, which the windowed
-// stream engine uses) knows its smoothing up front, so it knows the span
-// its window's estimate reads: (P-1)·Hop + K samples for the FAM-Q15's P
-// hops, N + K - 1 for the SSCA-Q15's N-point strips. It buffers that span
-// quantised, at 4 bytes a sample, and nothing past it. The push that
-// completes the span runs the span fold once: it channelizes every hop
-// into a bank borrowed from a free list shared by every channel, aligns
-// the exponents, runs the second stage into borrowed scratch, and keeps
-// only the resulting QSurface. Until Reset the accumulator holds its
-// quantised span and that surface. A snapshot taken before the span is
-// complete (a channel's final flush, a short input) folds the smoothing
-// the buffered hops afford on demand, as EstimateQ15 does on the same
-// samples. NewAccumulator returns the same accumulator uncapped (an
-// SSCA-Q15 with N set is capped at its N + K - 1 samples): it buffers
-// every quantised sample since Reset, and every Snapshot is such an
-// on-demand fold. Batch Estimate and EstimateQ15 run the same span fold
-// straight over their input, every intermediate borrowed. A hop's
-// block-floating-point FFT does not depend on when it runs, and
-// alignment, the second stage and the single-rounding reduce read the
-// hops in one order, so every chunking gives the same bits.
+// An accumulator quantises and buffers samples and folds nothing until
+// Snapshot. A window-bound accumulator (NewWindowAccumulator, which the
+// windowed stream engine uses) knows its smoothing up front, so it knows
+// the span its window's estimate reads: (P-1)·Hop + K samples for the
+// FAM-Q15's P hops, N + K - 1 for the SSCA-Q15's N-point strips. It
+// buffers that span quantised, at 4 bytes a sample, and nothing past it,
+// so until Reset it holds exactly its quantised span and no result.
+// NewAccumulator returns the same accumulator uncapped (an SSCA-Q15 with
+// N set is capped at its N + K - 1 samples): it buffers every quantised
+// sample since Reset. Snapshot folds the smoothing the buffered hops
+// afford, the window's once its span is complete: it channelizes every
+// hop into a bank borrowed from a free list shared by every channel,
+// aligns the exponents, runs the second stage into borrowed scratch and
+// reduces it into the surface it returns. Batch Estimate and EstimateQ15
+// run the same span fold straight over their input, every intermediate
+// borrowed. A hop's block-floating-point FFT does not depend on when it
+// runs, and alignment, the second stage and the single-rounding reduce
+// read the hops in one order, so every chunking gives the same bits.
 
 // q15Kernel is the geometry, tables and front end every Q15 fold runs
 // with: the fixed-gain quantiser, the K-point channelizer and the grid
@@ -269,13 +267,17 @@ func (c *q15Kernel) scratchSurface(sc *q15Scratch) *scf.QSurface {
 	return sc.surf
 }
 
-// fold sets out to the surface over the first np hops of the quantised
-// xq (xq[0] is sample 0) and returns its stats: it channelizes the hops
-// into a bank borrowed from sc, aligns their exponents, runs the
-// estimator's second stage into scratch borrowed from sc and reduces it
-// into out. np is the fold's smoothing, which the caller picks; the
-// SSCA's conjugate factor reads xq too.
-func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, np int, gain float64, out *scf.QSurface) (scf.Stats, error) {
+// fold sets out to the surface over the smoothing the quantised xq
+// affords (xq[0] is sample 0) and returns its stats, or the too-short
+// error: it channelizes the hops into a bank borrowed from sc, aligns
+// their exponents, runs the estimator's second stage into scratch
+// borrowed from sc and reduces it into out. The SSCA's conjugate factor
+// reads xq too.
+func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, gain float64, out *scf.QSurface) (*scf.Stats, error) {
+	np := c.smoothing(c.hopsIn(len(xq)))
+	if np == 0 {
+		return nil, c.needErr(len(xq))
+	}
 	k, hop := c.p.K, c.p.Hop
 	sc.bank = freelist.Grow(sc.bank, np*k)
 	sc.exps = freelist.Grow(sc.exps, np)
@@ -283,7 +285,7 @@ func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, np int, gain float6
 		start := h * hop
 		exp, err := c.channelize(sc.bank[h*k:(h+1)*k], xq[start:start+k], start)
 		if err != nil {
-			return scf.Stats{}, err
+			return nil, err
 		}
 		sc.exps[h] = exp
 	}
@@ -305,10 +307,14 @@ func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, np int, gain float6
 			ch.aligned += int64(k)
 		}
 	}
-	if c.ssca {
-		return c.sscaFinish(sc, &ch, xq, gain, out)
+	if !c.ssca {
+		return q15Stats(c.famFinish(sc, &ch, gain, out)), nil
 	}
-	return c.famFinish(sc, &ch, gain, out), nil
+	st, err := c.sscaFinish(sc, &ch, xq, gain, out)
+	if err != nil {
+		return nil, err
+	}
+	return q15Stats(st), nil
 }
 
 // q15Stats returns st with its whole cost charged to tile 0: the batch
@@ -361,11 +367,7 @@ func (c *q15Kernel) estimateInto(sc *q15Scratch, x []complex128, out *scf.QSurfa
 	gain := c.gainFor(peak)
 	sc.xq = freelist.Grow(sc.xq, len(span))
 	quantise(sc.xq, span, gain)
-	st, err := c.fold(sc, sc.xq, np, gain, out)
-	if err != nil {
-		return nil, err
-	}
-	return q15Stats(st), nil
+	return c.fold(sc, sc.xq, gain, out)
 }
 
 // newAccumulator returns the accumulator capped at the span of window
@@ -389,9 +391,8 @@ func (c *q15Kernel) newAccumulator(window int) scf.Accumulator {
 func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// quantised span the window's famHopCap hops read and folds it once, as
-// soon as it is complete. A window shorter than two hops gets the
-// uncapped accumulator.
+// quantised span the window's famHopCap hops read, and Snapshot folds
+// it. A window shorter than two hops gets the uncapped accumulator.
 func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err := requireInputPeak(e.InputPeak, "FAM-Q15"); err != nil {
 		return nil, err
@@ -417,8 +418,8 @@ func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowA
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
 // quantised span of the window's strip length (N, or sscaStripCap with N
-// zero) and folds it once, as soon as it is complete. With N zero, a
-// window shorter than 2K-1 samples gets the uncapped accumulator.
+// zero), and Snapshot folds it. With N zero, a window shorter than 2K-1
+// samples gets the uncapped accumulator.
 func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	if err := requireInputPeak(e.InputPeak, "SSCA-Q15"); err != nil {
 		return nil, err
@@ -436,115 +437,69 @@ var (
 )
 
 // q15Window is the Q15 accumulator: the quantised span its window's np
-// hops read, then, once the span is folded, the window's QSurface and
-// stats. Uncapped (np 0), it buffers every sample since Reset.
+// hops read, or, uncapped (np 0), every sample since Reset.
 type q15Window struct {
 	*q15Kernel
 	gain  float64
 	np    int             // the window's smoothing: FAM-Q15 hops, SSCA-Q15 strip length
 	span  []fixed.Complex // the quantised samples so far; cap spanOf(np) when capped
 	total int
-	done  bool          // the span has been folded; surf and stats hold the result
-	surf  *scf.QSurface // allocated at the first span completion
-	stats scf.Stats
 }
 
 // Samples implements scf.Accumulator.
 func (w *q15Window) Samples() int { return w.total }
 
 // Ready implements scf.Accumulator.
-func (w *q15Window) Ready() bool { return w.done || w.smoothing(w.hopsIn(len(w.span))) != 0 }
+func (w *q15Window) Ready() bool { return w.smoothing(w.hopsIn(len(w.span))) != 0 }
 
 // Push implements scf.Accumulator: it quantises the chunk's share of the
-// span, and the push that completes the span folds all np hops. Samples
-// past the span are counted and dropped. Uncapped, it quantises the
-// whole chunk.
+// span; samples past the span are counted and dropped. Uncapped, it
+// quantises the whole chunk.
 func (w *q15Window) Push(samples []complex128) error {
 	w.total += len(samples)
-	if w.done {
-		return nil
-	}
-	take := samples
 	if w.np != 0 {
 		if w.span == nil {
 			w.span = make([]fixed.Complex, 0, w.spanOf(w.np))
 		}
-		take = samples[:min(len(samples), cap(w.span)-len(w.span))]
+		samples = samples[:min(len(samples), cap(w.span)-len(w.span))]
 	}
 	n := len(w.span)
-	w.span = slices.Grow(w.span, len(take))[:n+len(take)]
-	quantise(w.span[n:], take, w.gain)
-	if w.np == 0 || len(w.span) < cap(w.span) {
-		return nil
-	}
-	if w.surf == nil {
-		w.surf = w.newQSurface()
-	}
-	sc := q15Scratches.Get()
-	defer q15Scratches.Put(sc)
-	st, err := w.fold(sc, w.span, w.np, w.gain, w.surf)
-	if err != nil {
-		return err
-	}
-	w.stats, w.done = st, true
+	w.span = slices.Grow(w.span, len(samples))[:n+len(samples)]
+	quantise(w.span[n:], samples, w.gain)
 	return nil
 }
 
-// early folds, before the span is complete, the smoothing the buffered
-// hops afford into out, in borrowed scratch.
-func (w *q15Window) early(sc *q15Scratch, out *scf.QSurface) (*scf.Stats, error) {
-	np := w.smoothing(w.hopsIn(len(w.span)))
-	if np == 0 {
-		return nil, w.needErr(w.total)
-	}
-	st, err := w.fold(sc, w.span, np, w.gain, out)
-	if err != nil {
-		return nil, err
-	}
-	return q15Stats(st), nil
-}
-
 // SnapshotQ15 returns the surface in its native Q15-plus-exponent form:
-// a copy of the held surface, or, before the span is complete or when
-// uncapped, the buffered hops folded on demand.
+// the smoothing the buffered hops afford, the window's np once its span
+// is complete, folded on demand.
 func (w *q15Window) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
-	out := w.newQSurface()
-	if w.done {
-		out.Exp, out.Gain = w.surf.Exp, w.surf.Gain
-		for i, row := range w.surf.Data {
-			copy(out.Data[i], row)
-		}
-		return out, q15Stats(w.stats), nil
-	}
 	sc := q15Scratches.Get()
 	defer q15Scratches.Put(sc)
-	stats, err := w.early(sc, out)
+	out := w.newQSurface()
+	stats, err := w.fold(sc, w.span, w.gain, out)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, stats, nil
 }
 
-// Snapshot implements scf.Accumulator: SnapshotQ15 converted exactly
-// into float units, allocating only the float surface and its stats.
+// Snapshot implements scf.Accumulator: SnapshotQ15 folded into a
+// borrowed QSurface and converted exactly into float units, allocating
+// only the float surface and its stats.
 func (w *q15Window) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	if w.done {
-		return w.surf.Float(), q15Stats(w.stats), nil
-	}
 	sc := q15Scratches.Get()
 	defer q15Scratches.Put(sc)
 	out := w.scratchSurface(sc)
-	stats, err := w.early(sc, out)
+	stats, err := w.fold(sc, w.span, w.gain, out)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out.Float(), stats, nil
 }
 
-// Reset implements scf.Accumulator: the span buffer and the held surface
-// stay allocated for the next window.
+// Reset implements scf.Accumulator: the span buffer stays allocated for
+// the next window.
 func (w *q15Window) Reset() {
 	w.span = w.span[:0]
 	w.total = 0
-	w.done = false
 }

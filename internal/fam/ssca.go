@@ -57,18 +57,7 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(x) < c.need() {
-		return nil, nil, needSamples("SSCA", c.need(), len(x))
-	}
-	n := c.nFixed
-	if n == 0 {
-		n = sscaStripCap(c.p.K, len(x))
-	}
-	sf := scf.NewSurfaceFor(c.p)
-	if err := c.spanFold(sf, x, n); err != nil {
-		return nil, nil, err
-	}
-	return sf, c.stats(n), nil
+	return c.estimate(x)
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

@@ -19,7 +19,10 @@ import (
 // succeeds. A window too short for any snapshot gets the uncapped
 // accumulator, whose snapshot is Estimate(x[:n]). Every snapshot must
 // also equal the uncapped accumulator's (NewAccumulator) fed the same
-// samples, the same way.
+// samples, the same way. A second Snapshot before the Reset gives the
+// same bits, also when the samples past a complete span arrive between
+// the two (they are dropped), and after the Reset a partial refill
+// snapshots as Estimate on the refill.
 //
 // The inputs decode as: seed picks the band; estSel%5 picks fam, pruned
 // fam, ssca, fam-q15 or ssca-q15, and estSel/5%3 the FAM hop (K/4, 13 or
@@ -31,6 +34,11 @@ func FuzzWindowAccumulator(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint16(600), uint16(1201), uint16(400), []byte{0, 16, 89})
 	f.Add(uint64(2), uint8(1), uint8(1), uint16(2047), uint16(3000), uint16(2048), []byte{40})
 	f.Add(uint64(3), uint8(2), uint8(2), uint16(2047), uint16(1500), uint16(4096), []byte{})
+	// A whole window with its overflow, then a partial refill.
+	f.Add(uint64(4), uint8(3), uint8(0), uint16(1023), uint16(1030), uint16(700), []byte{99, 7})
+	f.Add(uint64(5), uint8(4), uint8(1), uint16(1500), uint16(1600), uint16(1000), []byte{255})
+	f.Add(uint64(6), uint8(2), uint8(0), uint16(2047), uint16(2100), uint16(1800), []byte{127, 3})
+	f.Add(uint64(7), uint8(6), uint8(2), uint16(700), uint16(900), uint16(300), []byte{12})
 	f.Fuzz(func(t *testing.T, seed uint64, estSel, winSel uint8, w, n1, n2 uint16, chunks []byte) {
 		const k, m = 32, 8
 		windows := []fft.WindowKind{fft.Rectangular, fft.Hamming, fft.Hann}
@@ -92,11 +100,11 @@ func FuzzWindowAccumulator(f *testing.F) {
 			label := fmt.Sprintf("%s W=%d n=%d", est.Name(), window, n)
 			requireIdentical(t, got, want, label)
 			requireSameStats(t, gotStats, wantStats)
-			// The uncapped accumulator folds at Snapshot what a capped one
-			// folded at the push that completed its span. It is not an
-			// independent reference: Estimate and both accumulators run
-			// one span fold, whose bits the goldens and digest tests pin.
-			// It holds the capped result to the on-demand fold.
+			// The uncapped accumulator buffers the same lim samples with no
+			// cap. It is not an independent reference: Estimate and both
+			// accumulators run one span fold, whose bits the goldens and
+			// digest tests pin. It holds the capped buffer to the uncapped
+			// one.
 			ref, err := est.NewAccumulator()
 			if err != nil {
 				t.Fatal(err)
@@ -108,53 +116,69 @@ func FuzzWindowAccumulator(f *testing.F) {
 			}
 			requireIdentical(t, got, refSurface, label+" vs uncapped accumulator")
 			requireSameStats(t, gotStats, refStats)
+			// Snapshot folds the buffer and keeps nothing: a second one
+			// gives the same bits. Once the span is complete, the rest of
+			// the band, pushed in between, is past it and dropped.
+			if lim == window && shortErr == nil {
+				pushChunks(t, acc, x[n:], sizes)
+			}
+			again, againStats, err := acc.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, again, got, label+" second snapshot")
+			requireSameStats(t, againStats, gotStats)
 		}
 	})
 }
 
 // TestWindowAccumulatorKeepsNoCheckpoint: after a whole window, a
-// window-bound FAM, pruned FAM or SSCA accumulator holds one buffer of
-// max(span, result cells), the span and then its result, and a FAM-Q15
-// or SSCA-Q15 accumulator holds its quantised span (4-byte words) and
-// its result. None holds anything else: no parity grid, no checkpoint,
-// no K×strips fold, no hop bank. Its snapshot still equals Estimate.
+// window-bound FAM, pruned FAM or SSCA accumulator holds exactly its
+// span, and a FAM-Q15 or SSCA-Q15 accumulator its quantised span
+// (4-byte words). None holds anything else: no result, no parity grid,
+// no checkpoint, no K×strips fold, no hop bank. At the paper geometry
+// (K=256, M=64) the result is larger than the span, so a result kept
+// between pushes would show. Its snapshot still equals Estimate.
 func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
-	const window = 2048
-	x := streamBand(t, window, 16)
-	p := scf.Params{K: 64, M: 16} // FAM: 125 hops in the window, 64 read
+	p := scf.Params{K: 64, M: 16} // FAM: 125 hops in a 2048 window, 64 read
 	pruned := p
 	pruned.AlphaCandidates = []int{3, 8, 11}
 	// The paper geometry: FAM-Q15 reads 16 of 29 hops; SSCA-Q15 folds
-	// N = 1024 hops, whose bank alone was N·K·4 B = 1 MB.
+	// N = 1024 hops, whose bank alone was N·K·4 B = 1 MB. The float SSCA
+	// at W=2048 reads a 1279-sample (20 KB) span for a 127×127-cell
+	// (258 KB) surface, and the FAM at W=8192 a 4288-sample span (64 of
+	// 125 hops, 67 KB) for 64×127 cells of sums (130 KB).
 	paper := scf.Params{K: 256, M: 64}
 	for _, c := range []struct {
-		name                  string
-		est                   scf.StreamingEstimator
-		span, heldCells, word int
-		shared                bool // span and result share one buffer
+		name         string
+		est          scf.StreamingEstimator
+		window, span int
+		word         int
 	}{
-		{"fam", FAM{Params: p}, 63*16 + 64, 16 * 31, 16, true},
-		{"fam-pruned", FAM{Params: pruned}, 63*16 + 64, len(famDefaults(pruned, 0).CandidateRows()) * 31, 16, true},
-		{"ssca", SSCA{Params: p}, 1024 + 63, 31 * 31, 16, true},
-		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 15*64 + 256, 127 * 127, 4, false},
-		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 1024 + 255, 127 * 127, 4, false},
+		{"fam", FAM{Params: p}, 2048, 63*16 + 64, 16},
+		{"fam-pruned", FAM{Params: pruned}, 2048, 63*16 + 64, 16},
+		{"ssca", SSCA{Params: p}, 2048, 1024 + 63, 16},
+		{"fam-paper", FAM{Params: paper}, 8192, 63*64 + 256, 16},
+		{"ssca-paper", SSCA{Params: paper}, 2048, 1024 + 255, 16},
+		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 2048, 15*64 + 256, 4},
+		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 2048, 1024 + 255, 4},
 	} {
-		acc, err := c.est.(scf.WindowEstimator).NewWindowAccumulator(window)
+		x := streamBand(t, c.window, 16)
+		acc, err := c.est.(scf.WindowEstimator).NewWindowAccumulator(c.window)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pushChunks(t, acc, x, []int{500})
-		want, shape := c.word*(c.span+c.heldCells), "plus"
-		if c.shared {
-			want, shape = c.word*max(c.span, c.heldCells), "sharing one buffer with"
-		}
-		if got := heldBytes(reflect.ValueOf(acc)); got != want {
-			t.Errorf("%s: holds %d bytes past its geometry, want a %d-sample span %s %d result cells (%d bytes)",
-				c.name, got, c.span, shape, c.heldCells, want)
+		if got, want := heldBytes(reflect.ValueOf(acc)), c.word*c.span; got != want {
+			t.Errorf("%s W=%d: holds %d bytes past its geometry, want its %d-sample span alone (%d bytes)",
+				c.name, c.window, got, c.span, want)
 		}
 		got, _, err := acc.Snapshot()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := heldBytes(reflect.ValueOf(acc)); got != c.word*c.span {
+			t.Errorf("%s W=%d: holds %d bytes after Snapshot, want its %d-byte span", c.name, c.window, got, c.word*c.span)
 		}
 		wantSurface, _, err := c.est.Estimate(x)
 		if err != nil {
@@ -167,9 +191,10 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 // TestSSCAFoldScratchBytes: the SSCA span fold slides one channel at a
 // time, so it borrows the N/K anchor spectra, the N-cell difference and
 // conjugate arrays and one K-cell column: about 52 KB at K=256, N=1024,
-// where a K×strips residue fold was 1 MB. After a full-plane window fold
-// at W=2048 and after a batch Estimate of the same samples, the one
-// free-list entry both borrowed holds at most 64 KB.
+// where a K×strips residue fold was 1 MB. After a full-plane window
+// snapshot at W=2048, which runs the fold, and after a batch Estimate of
+// the same samples, the one free-list entry both borrowed holds at most
+// 64 KB.
 func TestSSCAFoldScratchBytes(t *testing.T) {
 	const window, limit = 2048, 64 << 10
 	// Leave one fresh entry on the list, so it holds what these folds
@@ -203,7 +228,10 @@ func TestSSCAFoldScratchBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pushChunks(t, acc, x, []int{4096})
-	held("a W=2048 window fold")
+	if _, _, err := acc.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	held("a W=2048 window snapshot")
 	if _, _, err := e.Estimate(x); err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +402,8 @@ func TestBatchEstimateBytes(t *testing.T) {
 // TestQ15WindowSteadyCycleAllocsOnlySurface: once the first window has
 // sized its buffers and the fold scratch is on the free list, a
 // window-bound Q15 channel's Push/Snapshot/Reset cycle allocates only
-// the float surface and stats Snapshot returns: the fold that completes
-// the span allocates nothing.
+// the float surface and stats Snapshot returns: the fold Snapshot runs
+// allocates nothing else.
 func TestQ15WindowSteadyCycleAllocsOnlySurface(t *testing.T) {
 	const window = 2048
 	p := scf.Params{K: 64, M: 16}
@@ -490,9 +518,9 @@ func TestConcurrentFoldsShareScratch(t *testing.T) {
 // BenchmarkWindowPushSnapshot times one serving window's Push and
 // Snapshot at the paper geometry (K=256, M=64), through the uncapped
 // accumulator (buffer the whole window, fold at Snapshot) and the
-// window-bound one (buffer only the span the snapshot reads, fold it
-// when it completes). Samples arrive in
-// 4096-sample chunks, the stream engine's drain size. Run with
+// window-bound one (buffer only the span the snapshot reads, fold it at
+// Snapshot). Samples arrive in 4096-sample chunks, the stream engine's
+// drain size. Run with
 //
 //	go test -run '^$' -bench WindowPushSnapshot -benchmem ./internal/fam
 func BenchmarkWindowPushSnapshot(b *testing.B) {

@@ -21,21 +21,6 @@ func DFT(x []complex128) []complex128 {
 	return out
 }
 
-// IDFT computes the inverse discrete Fourier transform (1/n normalised) of
-// x by direct evaluation.
-func IDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for v := 0; v < n; v++ {
-			sum += x[v] * cmplx.Exp(complex(0, 2*math.Pi*float64(k)*float64(v)/float64(n)))
-		}
-		out[k] = sum / complex(float64(n), 0)
-	}
-	return out
-}
-
 // Bin returns the spectrum entry for a possibly negative bin index v,
 // interpreting the length-n spectrum X as periodic: Bin(X, -1) is X[n-1].
 // The DSCF addresses bins f±a with f,a spanning negative values; this

@@ -19,14 +19,6 @@ func (a *CAcc) AddProdConj(x, y Complex) {
 	a.Im += int64(x.Im)*int64(y.Re) - int64(x.Re)*int64(y.Im)
 }
 
-// AddProd accumulates x*y at full Q30 precision — exact int64
-// arithmetic, no rounding and no saturation until the caller narrows
-// the sum.
-func (a *CAcc) AddProd(x, y Complex) {
-	a.Re += int64(x.Re)*int64(y.Re) - int64(x.Im)*int64(y.Im)
-	a.Im += int64(x.Re)*int64(y.Im) + int64(x.Im)*int64(y.Re)
-}
-
 // Complex returns the accumulator contents rounded to Q15 after an
 // arithmetic right shift by sh additional bits (sh = 0 converts straight
 // from Q30). The shift implements the 1/N normalisation of expression 3

@@ -40,9 +40,6 @@ func CSub(a, b Complex) Complex {
 	return Complex{Re: Sub(a.Re, b.Re), Im: Sub(a.Im, b.Im)}
 }
 
-// CNeg returns -a with per-component saturation.
-func CNeg(a Complex) Complex { return Complex{Re: Neg(a.Re), Im: Neg(a.Im)} }
-
 // CMul returns the complex product a*b.
 //
 // The four partial products are computed at full Q30 precision and the

@@ -42,7 +42,11 @@
 // gracefully under overload instead of stalling the radio front end.
 // With Config.Block set, Push instead applies backpressure: it blocks
 // until the pool frees ring space (the mode batch jobs and benchmarks
-// use, where every sample must be processed).
+// use, where every sample must be processed). Decisions overflow the
+// same way: in drop mode a full Decisions buffer drops the newest
+// decision and counts it (Stats.DecisionsDropped); with Block set the
+// worker waits for the consumer, which stalls that channel's drain and,
+// through its ring, its producer. Close frees a waiting worker.
 //
 // # Windowed estimation
 //
@@ -52,10 +56,10 @@
 // in the next window's decision, and memory stays bounded for all
 // estimators. Channels bind their accumulator to the window
 // (scf.AccumulatorFor): FAM, SSCA and their Q15 twins buffer only the
-// span of samples the window's estimate reads, fold it once when it is
-// complete, with fold scratch shared across channels, and then keep only
-// the window's result (FAM and SSCA write it over the span, in the same
-// buffer). A window too short for the estimator keeps accumulating
+// span of samples the window's estimate reads and fold it at the
+// window's snapshot, with fold scratch shared across channels, into the
+// surface the decision reads, so between pushes a channel holds its
+// span and no result. A window too short for the estimator keeps accumulating
 // across boundaries, and the decision comes at the first boundary where
 // the accumulator is Ready, over every sample since the last decision.
 package stream

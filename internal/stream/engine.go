@@ -34,9 +34,10 @@ type Config struct {
 	// snapshotted and a decision emitted every SnapshotSamples samples,
 	// and the accumulator is then reset, so every decision covers its own
 	// window. Channels of an scf.WindowEstimator (FAM, SSCA and their Q15
-	// twins) work only on the span of samples the window's estimate
-	// reads; they fold it once, as soon as it is buffered, and keep only
-	// the window's result. Default 8192.
+	// twins) buffer only the span of samples the window's estimate reads
+	// and fold it at the window's end, into the surface the decision
+	// reads; between pushes a channel holds its span and no result.
+	// Default 8192.
 	SnapshotSamples int
 	// RingSamples is the per-channel ingestion ring capacity limit; the
 	// ring's memory follows the channel's peak backlog: the first push
@@ -50,8 +51,10 @@ type Config struct {
 	// scheduling never blocks). Default 1024.
 	MaxChannels int
 	// Block selects backpressure over dropping: Push blocks until ring
-	// space frees instead of discarding the overflow. Default false
-	// (drop-newest, counted in the stats).
+	// space frees instead of discarding the overflow, and a worker waits
+	// for room in the Decisions buffer instead of dropping a decision.
+	// Default false (drop-newest samples and decisions, counted in the
+	// stats).
 	Block bool
 	// AlphaCandidates, when non-empty, restricts every channel's
 	// estimation to the listed non-negative cycle-frequency offsets (plus
@@ -67,10 +70,12 @@ type Config struct {
 	// with detect.NewDecider; individual channels can override it via
 	// AddChannelDecider). Default: "cfar" with its default scale.
 	Decider detect.Decider
-	// DecisionBuffer is the capacity of the Decisions channel. A slow
-	// consumer never stalls sensing: overflowing decisions are dropped
-	// and counted (the latest is always available via ChannelStats).
-	// Default 256.
+	// DecisionBuffer is the capacity of the Decisions channel. In drop
+	// mode a slow consumer never stalls sensing: overflowing decisions
+	// are dropped and counted (the latest is always available via
+	// ChannelStats). With Block set, a full buffer stalls the worker
+	// until the consumer reads or Close, which in turn backpressures
+	// Push; RemoveChannel waits for room within its timeout. Default 256.
 	DecisionBuffer int
 }
 
@@ -365,7 +370,9 @@ func (e *Engine) AddChannelDecider(id string, alphas []int, dec detect.Decider) 
 // RemoveChannel is the ownership-handoff primitive for shard
 // rebalancing: every sample pushed before the call ends up in exactly
 // one emitted decision window (or, when the residue is too short for
-// the estimator, in no window at all — never in two). Callers must stop
+// the estimator, in no window at all — never in two). With Config.Block
+// the final decision waits for room in the Decisions buffer within the
+// timeout, and is dropped and counted past it. Callers must stop
 // pushing to the channel before calling; a Push racing RemoveChannel
 // fails with an unknown-channel error once removal begins.
 func (e *Engine) RemoveChannel(id string, timeout time.Duration) (ChannelStats, error) {
@@ -405,7 +412,7 @@ func (e *Engine) RemoveChannel(id string, timeout time.Duration) (ChannelStats, 
 	// data for a snapshot becomes the channel's last (shorter) decision
 	// window, so its samples are not silently lost at handoff.
 	if !ch.dead && ch.sinceSnap > 0 && ch.acc.Ready() {
-		e.decide(ch)
+		e.flush(ch, deadline)
 		ch.sinceSnap = 0
 	}
 	cs := ChannelStats{
@@ -420,6 +427,26 @@ func (e *Engine) RemoveChannel(id string, timeout time.Duration) (ChannelStats, 
 		cs.Err = *msg
 	}
 	return cs, nil
+}
+
+// flush decides a removed channel's partial window unless Close has
+// begun. It joins the worker group meanwhile, so Close cannot close
+// Decisions under its send. With Block set the decision waits for room
+// until the deadline, and is dropped and counted past it.
+func (e *Engine) flush(ch *channel, deadline time.Time) {
+	e.mu.RLock()
+	closed := e.closed
+	if !closed {
+		e.wg.Add(1)
+	}
+	e.mu.RUnlock()
+	if closed {
+		return
+	}
+	defer e.wg.Done()
+	expire := time.NewTimer(time.Until(deadline))
+	defer expire.Stop()
+	e.decide(ch, expire.C)
 }
 
 // Push appends samples to a channel's ring in arrival order and returns
@@ -639,7 +666,7 @@ func (e *Engine) feed(ch *channel, chunk []complex128) {
 			// SnapshotSamples provides simply keeps accumulating; the
 			// decision comes at the first boundary where it is Ready.
 			if ch.acc.Ready() {
-				e.decide(ch)
+				e.decide(ch, nil)
 				ch.win = ch.win[:0]
 				ch.acc.Reset()
 			}
@@ -647,8 +674,10 @@ func (e *Engine) feed(ch *channel, chunk []complex128) {
 	}
 }
 
-// decide snapshots the channel's surface and applies the decision layer.
-func (e *Engine) decide(ch *channel) {
+// decide snapshots the channel's surface, applies the decision layer and
+// emits the decision; expire bounds a Block-mode wait (nil: until room
+// or Close).
+func (e *Engine) decide(ch *channel, expire <-chan time.Time) {
 	s, _, err := ch.acc.Snapshot()
 	if err != nil {
 		// Ready() gated this; failure here is data-dependent and rare —
@@ -693,23 +722,41 @@ func (e *Engine) decide(ch *channel) {
 		e.detections.Add(1)
 	}
 	ch.last.Store(&d)
-	// A consumer that falls behind is usually runnable but not running:
-	// the workers and the feeders hold every P. Past half a buffer, and
-	// once more before dropping, yield so it can drain. A yield is not a
-	// wait, so a consumer that stops reading still never stalls sensing.
+	e.emit(d, expire)
+}
+
+// emit sends a decision on the Decisions channel. A consumer that falls
+// behind is usually runnable but not running: the workers and the
+// feeders hold every P, so past half a buffer emit yields so it can
+// drain. On a full buffer, with Block set emit waits for room, Close or
+// expire; otherwise it yields once more and, still full, drops the
+// decision: a yield is not a wait, so a consumer that stops reading
+// never stalls sensing. A decision that finds no room is counted.
+func (e *Engine) emit(d Decision, expire <-chan time.Time) {
 	select {
 	case e.out <- d:
 		if 2*len(e.out) > cap(e.out) {
 			runtime.Gosched()
 		}
+		return
 	default:
+	}
+	if e.cfg.Block {
+		select {
+		case e.out <- d:
+			return
+		case <-e.done:
+		case <-expire:
+		}
+	} else {
 		runtime.Gosched()
 		select {
 		case e.out <- d:
+			return
 		default:
-			e.decisionsDropped.Add(1)
 		}
 	}
+	e.decisionsDropped.Add(1)
 }
 
 // maxFeatureMinA locates the largest-magnitude cell over the held rows
@@ -735,9 +782,13 @@ func maxFeatureMinA(s *scf.Surface, minAbsA int) (f, a int) {
 }
 
 // Decisions returns the stream of periodic verdicts. The channel is
-// closed by Close. Slow consumers never stall sensing: overflow
-// decisions are dropped and counted, and the latest decision per channel
-// is always available via ChannelStats.
+// closed by Close. In drop mode slow consumers never stall sensing:
+// overflow decisions are dropped and counted, and the latest decision
+// per channel is always available via ChannelStats. With Config.Block
+// every decision is delivered: a full buffer stalls the worker, and
+// through it the channel's Push, until the consumer reads; only Close,
+// or a RemoveChannel timeout for that channel's final decision, drops
+// one (counted). A Block-mode engine must therefore have a reader.
 func (e *Engine) Decisions() <-chan Decision { return e.out }
 
 // isClosed reports whether Close has begun.

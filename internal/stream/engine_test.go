@@ -664,95 +664,240 @@ func TestEngineYieldsToLaggingConsumer(t *testing.T) {
 }
 
 // TestEngineDecisionsAccountedUnderStalls is a property test of decision
-// delivery: several channels fed concurrently in Block mode, a pool of
+// delivery in Block mode: several channels fed concurrently, a pool of
 // workers, a small Decisions buffer and a consumer that stalls at random.
 // Whatever the interleaving, every decision the engine makes
-// (Stats.Surfaces) either reaches the consumer or is counted in
-// DecisionsDropped, none arrives twice, and each channel's Seqs arrive in
-// increasing order. The consumer's stalls and the producers' chunk sizes
-// come from the seed, so a failing seed replays its schedule.
+// (Stats.Surfaces) reaches the consumer, none is dropped, none arrives
+// twice, and each channel's Seqs arrive in increasing order. The
+// consumer's stalls and the producers' chunk sizes come from the seed,
+// so a failing seed replays its schedule.
 func TestEngineDecisionsAccountedUnderStalls(t *testing.T) {
-	const window, windows, nch = 256, 40, 6
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			e, err := New(Config{
-				Estimator:       fam.FAM{Params: scf.Params{K: 32, M: 8}},
-				SnapshotSamples: window,
-				Block:           true,
-				Workers:         3,
-				DecisionBuffer:  4,
-			})
-			if err != nil {
-				t.Fatal(err)
+			arrived, st := runStalledConsumer(t, seed, true)
+			if arrived != st.Surfaces || st.DecisionsDropped != 0 {
+				t.Fatalf("%d of %d decisions arrived, %d dropped; Block mode drops none", arrived, st.Surfaces, st.DecisionsDropped)
 			}
-			defer e.Close()
-			for i := 0; i < nch; i++ {
-				if err := e.AddChannel(fmt.Sprintf("ch%d", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			type key struct {
-				channel string
-				seq     int64
-			}
-			seen := make(map[key]bool)
-			last := make(map[string]int64)
-			var faults []string
-			consumed := make(chan struct{})
-			go func() {
-				defer close(consumed)
-				rng := rand.New(rand.NewPCG(seed, 1))
-				for d := range e.Decisions() {
-					k := key{d.Channel, d.Seq}
-					if seen[k] {
-						faults = append(faults, fmt.Sprintf("%s seq %d arrived twice", d.Channel, d.Seq))
-					}
-					if prev, ok := last[d.Channel]; ok && d.Seq <= prev {
-						faults = append(faults, fmt.Sprintf("%s seq %d arrived after seq %d", d.Channel, d.Seq, prev))
-					}
-					seen[k], last[d.Channel] = true, d.Seq
-					if rng.IntN(8) == 0 {
-						time.Sleep(time.Duration(rng.IntN(300)) * time.Microsecond)
-					}
-				}
-			}()
-			var wg sync.WaitGroup
-			for i := 0; i < nch; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					id := fmt.Sprintf("ch%d", i)
-					band := noiseBand(t, window*windows, seed*100+uint64(i))
-					rng := rand.New(rand.NewPCG(seed, uint64(2+i)))
-					for off := 0; off < len(band); {
-						n := min(1+rng.IntN(3*window), len(band)-off)
-						if _, err := e.Push(id, band[off:off+n]); err != nil {
-							t.Error(err)
-							return
-						}
-						off += n
-					}
-				}(i)
-			}
-			wg.Wait()
-			if err := e.Flush(30 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			<-consumed
-			for _, f := range faults {
-				t.Error(f)
-			}
-			st := e.Stats()
-			if st.Surfaces != nch*windows || st.WindowsFailed != 0 {
-				t.Fatalf("Surfaces %d, WindowsFailed %d, want %d and 0", st.Surfaces, st.WindowsFailed, nch*windows)
-			}
-			if got := int64(len(seen)); got+st.DecisionsDropped != st.Surfaces {
-				t.Fatalf("%d decisions arrived and %d dropped, but %d were made", got, st.DecisionsDropped, st.Surfaces)
-			}
-			t.Logf("%d of %d decisions arrived, %d dropped", len(seen), st.Surfaces, st.DecisionsDropped)
 		})
+	}
+}
+
+// TestEngineDropModeDecisionsAccountedUnderStalls is the same property
+// in drop mode, where a full Decisions buffer never stalls a worker:
+// every decision made either reaches the consumer or is counted in
+// DecisionsDropped.
+func TestEngineDropModeDecisionsAccountedUnderStalls(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			arrived, st := runStalledConsumer(t, seed, false)
+			if arrived+st.DecisionsDropped != st.Surfaces {
+				t.Fatalf("%d decisions arrived and %d dropped, but %d were made", arrived, st.DecisionsDropped, st.Surfaces)
+			}
+			t.Logf("%d of %d decisions arrived, %d dropped", arrived, st.Surfaces, st.DecisionsDropped)
+		})
+	}
+}
+
+// runStalledConsumer feeds 6 channels of 40 windows each concurrently
+// into a 3-worker engine with a 4-decision buffer, read by a consumer
+// that stalls at random, and returns how many decisions arrived and the
+// engine's final stats. In drop mode the rings hold a channel's whole
+// feed, so that no sample is dropped and every window is decided in
+// both modes.
+func runStalledConsumer(t *testing.T, seed uint64, block bool) (int64, Stats) {
+	t.Helper()
+	const window, windows, nch = 256, 40, 6
+	ring := 0 // the default, 4 windows: Block mode backpressures the feeders
+	if !block {
+		ring = window * windows
+	}
+	e, err := New(Config{
+		Estimator:       fam.FAM{Params: scf.Params{K: 32, M: 8}},
+		SnapshotSamples: window,
+		RingSamples:     ring,
+		Block:           block,
+		Workers:         3,
+		DecisionBuffer:  4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < nch; i++ {
+		if err := e.AddChannel(fmt.Sprintf("ch%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type key struct {
+		channel string
+		seq     int64
+	}
+	seen := make(map[key]bool)
+	last := make(map[string]int64)
+	var faults []string
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		rng := rand.New(rand.NewPCG(seed, 1))
+		for d := range e.Decisions() {
+			k := key{d.Channel, d.Seq}
+			if seen[k] {
+				faults = append(faults, fmt.Sprintf("%s seq %d arrived twice", d.Channel, d.Seq))
+			}
+			if prev, ok := last[d.Channel]; ok && d.Seq <= prev {
+				faults = append(faults, fmt.Sprintf("%s seq %d arrived after seq %d", d.Channel, d.Seq, prev))
+			}
+			seen[k], last[d.Channel] = true, d.Seq
+			if rng.IntN(8) == 0 {
+				time.Sleep(time.Duration(rng.IntN(300)) * time.Microsecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < nch; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id := fmt.Sprintf("ch%d", i)
+			band := noiseBand(t, window*windows, seed*100+uint64(i))
+			rng := rand.New(rand.NewPCG(seed, uint64(2+i)))
+			for off := 0; off < len(band); {
+				n := min(1+rng.IntN(3*window), len(band)-off)
+				if _, err := e.Push(id, band[off:off+n]); err != nil {
+					t.Error(err)
+					return
+				}
+				off += n
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := e.Flush(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-consumed
+	for _, f := range faults {
+		t.Error(f)
+	}
+	st := e.Stats()
+	if st.Surfaces != nch*windows || st.WindowsFailed != 0 || st.SamplesDropped != 0 {
+		t.Fatalf("Surfaces %d, WindowsFailed %d, SamplesDropped %d, want %d, 0 and 0",
+			st.Surfaces, st.WindowsFailed, st.SamplesDropped, nch*windows)
+	}
+	return int64(len(seen)), st
+}
+
+// TestEngineCloseFreesBlockedWorker: in Block mode a worker whose
+// decision finds the Decisions buffer full waits for room. With no
+// consumer, Close must wake it: Close returns, the buffered decision is
+// still delivered, and the waiting one is counted as dropped.
+func TestEngineCloseFreesBlockedWorker(t *testing.T) {
+	const window = 256
+	e, err := New(Config{
+		Estimator:       fam.FAM{Params: scf.Params{K: 32, M: 8}},
+		SnapshotSamples: window,
+		Block:           true,
+		Workers:         1,
+		DecisionBuffer:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddChannel("ch"); err != nil {
+		t.Fatal(err)
+	}
+	// Two windows: the first decision fills the buffer, the second waits.
+	if _, err := e.Push("ch", noiseBand(t, 2*window, 1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().Surfaces < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker made %d of 2 decisions", e.Stats().Surfaces)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if e.Flush(20*time.Millisecond) == nil {
+		t.Fatal("Flush succeeded while the worker waits on a full Decisions buffer")
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not free the worker waiting on a full Decisions buffer")
+	}
+	n := 0
+	for range e.Decisions() {
+		n++
+	}
+	if st := e.Stats(); n != 1 || st.DecisionsDropped != 1 {
+		t.Fatalf("%d decisions delivered and %d dropped, want 1 and 1", n, st.DecisionsDropped)
+	}
+}
+
+// TestEngineRemoveChannelWaitsForConsumer: in Block mode RemoveChannel's
+// final decision waits for room in the Decisions buffer, within the
+// call's timeout. A consumer that reads in time gets it; past the
+// timeout it is dropped and counted, and RemoveChannel still returns.
+func TestEngineRemoveChannelWaitsForConsumer(t *testing.T) {
+	const window = 256
+	e, err := New(Config{
+		Estimator:       fam.FAM{Params: scf.Params{K: 32, M: 8}},
+		SnapshotSamples: window,
+		Block:           true,
+		Workers:         1,
+		DecisionBuffer:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// fill leaves one whole window's decision in the buffer and a
+	// 200-sample residue, enough for a final FAM decision, in ch.
+	fill := func(ch string) {
+		t.Helper()
+		if err := e.AddChannel(ch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Push(ch, noiseBand(t, window+200, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fill("read")
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		<-e.Decisions()
+	}()
+	cs, err := e.RemoveChannel("read", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := <-e.Decisions(); cs.Snapshots != 2 || d.Channel != "read" || d.Seq != 1 || e.Stats().DecisionsDropped != 0 {
+		t.Fatalf("Snapshots %d, final decision %s seq %d, %d dropped; want 2, read seq 1 and 0",
+			cs.Snapshots, d.Channel, d.Seq, e.Stats().DecisionsDropped)
+	}
+
+	fill("unread")
+	start := time.Now()
+	cs, err = e.RemoveChannel("unread", 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Snapshots != 2 || e.Stats().DecisionsDropped != 1 {
+		t.Fatalf("Snapshots %d, %d dropped; want 2 and 1", cs.Snapshots, e.Stats().DecisionsDropped)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("RemoveChannel returned after %v, past its 50ms timeout", waited)
 	}
 }

@@ -143,15 +143,6 @@ func (g *Graph) Stages() int {
 	return max + 1
 }
 
-// StageCycles returns the summed compute cycles per stage.
-func (g *Graph) StageCycles() []int64 {
-	out := make([]int64, g.Stages())
-	for _, t := range g.Tasks {
-		out[t.Stage] += t.Cycles
-	}
-	return out
-}
-
 // inEdges returns, per task ID, the indices into g.Edges of its incoming
 // edges.
 func (g *Graph) inEdges() [][]int {

@@ -167,9 +167,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // forwardDecisions drains the worker engine's decision stream and
 // broadcasts each decision to every subscribed connection. It is not on
-// the server WaitGroup: it exits when the engine's stream closes or the
-// server shuts down, whichever comes first — the engine's lifetime is
-// the caller's, not the server's.
+// the server WaitGroup: it exits when the engine's stream closes — the
+// engine's lifetime is the caller's, not the server's. Once the server
+// shuts down it drains without forwarding, so a Block-mode engine's
+// workers and the remove-on-close flushes never wait on a server that
+// is gone.
 func (s *Server) forwardDecisions() {
 	var buf []byte
 	for {
@@ -193,6 +195,8 @@ func (s *Server) forwardDecisions() {
 				}
 			}
 		case <-s.done:
+			for range s.cfg.Engine.Decisions() {
+			}
 			return
 		}
 	}
