@@ -92,13 +92,3 @@ func (c CFAR) Examine(s *scf.Surface) (CFARDecision, error) {
 		FeatureA: peakA,
 	}, nil
 }
-
-// ExamineSamples computes the DSCF of x with the given parameters and
-// applies the CFAR decision.
-func (c CFAR) ExamineSamples(x []complex128, p scf.Params) (CFARDecision, error) {
-	s, _, err := scf.Compute(x, p)
-	if err != nil {
-		return CFARDecision{}, err
-	}
-	return c.Examine(s)
-}

@@ -30,7 +30,7 @@ func TestCFARPrunedSurface(t *testing.T) {
 	full := scf.Params{K: k, M: m, Blocks: blocks}
 	x := prunedTestBand(t, k*blocks)
 	cfar := CFAR{MinAbsA: 2, Scale: 2}
-	fullDec, err := cfar.ExamineSamples(x, full)
+	fullDec, err := cfar.Examine(computeSurface(t, x, full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCFARPrunedSurface(t *testing.T) {
 	// Feature row 8 plus reference strips where no feature lives, so
 	// the floor median stays at noise level.
 	pruned.AlphaCandidates = []int{8, 5, 11, 14}
-	dec, err := cfar.ExamineSamples(x, pruned)
+	dec, err := cfar.Examine(computeSurface(t, x, pruned))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCFARPrunedTooFewRows(t *testing.T) {
 	p := scf.Params{K: k, M: m, Blocks: blocks, AlphaCandidates: []int{8, 5}}
 	x := prunedTestBand(t, k*blocks)
 	cfar := CFAR{MinAbsA: 2, Scale: 2}
-	if _, err := cfar.ExamineSamples(x, p); err == nil {
+	if _, err := cfar.Examine(computeSurface(t, x, p)); err == nil {
 		t.Fatal("CFAR accepted a candidate set with too few reference rows")
 	}
 }

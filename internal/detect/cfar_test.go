@@ -15,7 +15,7 @@ func TestCFARDetectsUserRejectsNoise(t *testing.T) {
 
 	rng := sig.NewRand(91)
 	noise := sig.Samples(&sig.WGN{Sigma: 0.3, Real: true, Rng: rng}, k*blocks)
-	dec, err := cfar.ExamineSamples(noise, params)
+	dec, err := cfar.Examine(computeSurface(t, noise, params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCFARDetectsUserRejectsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err = cfar.ExamineSamples(y, params)
+	dec, err = cfar.Examine(computeSurface(t, y, params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCFARNoiseLevelInvariance(t *testing.T) {
 	for _, sigma := range []float64{0.05, 0.5} {
 		rng := sig.NewRand(92) // same seed: same shaped noise, scaled
 		noise := sig.Samples(&sig.WGN{Sigma: sigma, Real: true, Rng: rng}, k*blocks)
-		dec, err := cfar.ExamineSamples(noise, params)
+		dec, err := cfar.Examine(computeSurface(t, noise, params))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestCFARDefaults(t *testing.T) {
 	const k, m, blocks = 64, 16, 8
 	rng := sig.NewRand(93)
 	noise := sig.Samples(&sig.WGN{Sigma: 0.3, Real: true, Rng: rng}, k*blocks)
-	dec, err := (CFAR{}).ExamineSamples(noise, scf.Params{K: k, M: m, Blocks: blocks})
+	dec, err := (CFAR{}).Examine(computeSurface(t, noise, scf.Params{K: k, M: m, Blocks: blocks}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,14 @@ func TestCFARErrors(t *testing.T) {
 	if _, err := (CFAR{MinAbsA: 1}).Examine(tiny); err == nil {
 		t.Error("too few off-peak rows should fail")
 	}
-	if _, err := (CFAR{}).ExamineSamples(make([]complex128, 4), scf.Params{K: 64, M: 16}); err == nil {
-		t.Error("short samples should fail")
+}
+
+// computeSurface is the DSCF of x with params p.
+func computeSurface(t *testing.T, x []complex128, p scf.Params) *scf.Surface {
+	t.Helper()
+	s, _, err := scf.Compute(x, p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
 }

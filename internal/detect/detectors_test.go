@@ -187,27 +187,33 @@ func TestCFDDetectorDefaultsMinAbsA(t *testing.T) {
 }
 
 func TestROCMonotoneEndpoints(t *testing.T) {
+	// Sweep the threshold through the H0 quantiles CalibrateThreshold
+	// returns and score each with PdAtThreshold on the same trials.
 	const blocks = 8
 	sc := bpskScenario(blocks, 3, 0)
 	d := CFDDetector{Params: cfdParams(blocks), MinAbsA: 2}
-	roc, err := ROC(d, sc, 30, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roc) != 30 {
-		t.Fatalf("ROC points %d", len(roc))
-	}
-	// Pfa must be non-increasing along the sweep and Pd must not be
-	// smaller than Pfa on average (better than chance).
 	var pdSum, pfaSum float64
-	for i := 1; i < len(roc); i++ {
-		if roc[i].Pfa > roc[i-1].Pfa {
-			t.Fatalf("Pfa not monotone at %d", i)
+	prevTh, prevPd, prevPfa := math.Inf(-1), 2.0, 2.0
+	for i := 9; i >= 1; i-- {
+		th, err := CalibrateThreshold(d, sc, 30, float64(i)/10, 11)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, pt := range roc {
-		pdSum += pt.Pd
-		pfaSum += pt.Pfa
+		pd, pfa, err := PdAtThreshold(d, sc, 30, th, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Pfa and Pd must be non-increasing as the threshold rises, and
+		// Pd must not be smaller than Pfa on average (better than chance).
+		if th < prevTh {
+			t.Fatalf("threshold fell at pfa=%v: %v -> %v", float64(i)/10, prevTh, th)
+		}
+		if pfa > prevPfa || pd > prevPd {
+			t.Fatalf("Pfa/Pd not monotone at threshold %v: (%v, %v) -> (%v, %v)", th, prevPfa, prevPd, pfa, pd)
+		}
+		prevTh, prevPd, prevPfa = th, pd, pfa
+		pdSum += pd
+		pfaSum += pfa
 	}
 	if pdSum <= pfaSum {
 		t.Fatalf("ROC not better than chance: Pd sum %v vs Pfa sum %v", pdSum, pfaSum)
@@ -226,9 +232,6 @@ func TestMonteCarloErrors(t *testing.T) {
 	if _, err := CalibrateThreshold(d, sc, 10, 0, 1); err == nil {
 		t.Error("pfa=0 should fail")
 	}
-	if _, err := ROC(d, sc, 1, 1); err == nil {
-		t.Error("ROC with 1 trial should fail")
-	}
 	bad := EnergyDetector{AssumedNoisePower: 0}
 	if _, _, err := PdAtThreshold(bad, sc, 2, 1, 1); err == nil {
 		t.Error("detector error should propagate")
@@ -236,26 +239,30 @@ func TestMonteCarloErrors(t *testing.T) {
 	if _, err := CalibrateThreshold(bad, sc, 4, 0.1, 1); err == nil {
 		t.Error("detector error should propagate in calibration")
 	}
-	if _, err := ROC(bad, sc, 2, 1); err == nil {
-		t.Error("detector error should propagate in ROC")
-	}
 }
 
 func TestPdVsSNRSweep(t *testing.T) {
+	// The E13 sweep: calibrate the threshold at Pfa 0.1 for each SNR, then
+	// measure Pd at it on fresh trials.
 	const blocks = 8
 	d := CFDDetector{Params: cfdParams(blocks), MinAbsA: 2}
-	mk := func(snr float64) Scenario { return bpskScenario(blocks, snr, 0) }
-	pts, err := PdVsSNR(d, mk, []float64{-6, 6}, 30, 0.1, 13)
-	if err != nil {
-		t.Fatal(err)
+	var pds []float64
+	for i, snr := range []float64{-6, 6} {
+		sc := bpskScenario(blocks, snr, 0)
+		th, err := CalibrateThreshold(d, sc, 30, 0.1, 13+uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, _, err := PdAtThreshold(d, sc, 30, th, 13+uint64(i)+1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pds = append(pds, pd)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("sweep points %d", len(pts))
+	if pds[1] < pds[0] {
+		t.Fatalf("Pd should improve with SNR: %v -> %v", pds[0], pds[1])
 	}
-	if pts[1].Pd < pts[0].Pd {
-		t.Fatalf("Pd should improve with SNR: %v -> %v", pts[0].Pd, pts[1].Pd)
-	}
-	if pts[1].Pd < 0.9 {
-		t.Fatalf("Pd at +6 dB = %v, want high", pts[1].Pd)
+	if pds[1] < 0.9 {
+		t.Fatalf("Pd at +6 dB = %v, want high", pds[1])
 	}
 }

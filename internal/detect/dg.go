@@ -162,19 +162,6 @@ func (d DG) Statistic(x []complex128) (float64, error) {
 	return d.statistic(x, true)
 }
 
-// Decide evaluates the detector against its closed-form threshold.
-func (d DG) Decide(x []complex128) (Decision, error) {
-	th, err := d.Threshold()
-	if err != nil {
-		return Decision{}, err
-	}
-	stat, err := d.Statistic(x)
-	if err != nil {
-		return Decision{}, err
-	}
-	return Decision{Detector: d.Name(), Statistic: stat, Threshold: th, Detected: stat > th}, nil
-}
-
 // dgScratch is one decision's working memory, recycled through
 // dgScratches so a steady stream of decisions allocates nothing.
 type dgScratch struct {

@@ -118,18 +118,22 @@ func TestDGDegenerateWindows(t *testing.T) {
 		{"off-grid", []float64{0.1234, -0.3}},
 	} {
 		d := DG{Cycles: tc.cycles}
+		th, err := d.Threshold()
+		if err != nil {
+			t.Fatal(err)
+		}
 		zero := make([]complex128, 2048)
-		dec, err := d.Decide(zero)
-		if err != nil || dec.Statistic != 0 || dec.Detected {
-			t.Errorf("%s all-zero window: %+v, %v; want statistic 0, not detected", tc.name, dec, err)
+		stat, err := d.Statistic(zero)
+		if err != nil || stat != 0 || stat > th {
+			t.Errorf("%s all-zero window: statistic %v (threshold %v), %v; want statistic 0, not detected", tc.name, stat, th, err)
 		}
 		dc := make([]complex128, 2048)
 		for i := range dc {
 			dc[i] = complex(0.3, -2)
 		}
-		dec, err = d.Decide(dc)
-		if err != nil || math.IsNaN(dec.Statistic) || dec.Statistic < 0 || dec.Statistic > 1 || dec.Detected {
-			t.Errorf("%s constant window: %+v, %v; want a finite statistic in [0, 1], not detected", tc.name, dec, err)
+		stat, err = d.Statistic(dc)
+		if err != nil || math.IsNaN(stat) || stat < 0 || stat > 1 || stat > th {
+			t.Errorf("%s constant window: statistic %v (threshold %v), %v; want a finite statistic in [0, 1], not detected", tc.name, stat, th, err)
 		}
 	}
 }
@@ -152,18 +156,22 @@ func TestUrrizaDegenerateWindows(t *testing.T) {
 		{"off-grid", []float64{0.1234, -0.3}},
 	} {
 		u := Urriza{Cycles: tc.cycles}
+		th, err := u.Threshold()
+		if err != nil {
+			t.Fatal(err)
+		}
 		zero := make([]complex128, 2048)
-		dec, err := u.Decide(zero)
-		if err != nil || dec.Statistic != 0 || dec.Detected {
-			t.Errorf("%s all-zero window: %+v, %v; want statistic 0, not detected", tc.name, dec, err)
+		stat, err := u.Statistic(zero)
+		if err != nil || stat != 0 || stat > th {
+			t.Errorf("%s all-zero window: statistic %v (threshold %v), %v; want statistic 0, not detected", tc.name, stat, th, err)
 		}
 		dc := make([]complex128, 2048)
 		for i := range dc {
 			dc[i] = complex(0.3, -2)
 		}
-		dec, err = u.Decide(dc)
-		if err != nil || math.IsNaN(dec.Statistic) || math.IsInf(dec.Statistic, 0) || dec.Statistic < 0 || dec.Detected {
-			t.Errorf("%s constant window: %+v, %v; want a finite statistic, not detected", tc.name, dec, err)
+		stat, err = u.Statistic(dc)
+		if err != nil || math.IsNaN(stat) || math.IsInf(stat, 0) || stat < 0 || stat > th {
+			t.Errorf("%s constant window: statistic %v (threshold %v), %v; want a finite statistic, not detected", tc.name, stat, th, err)
 		}
 	}
 }

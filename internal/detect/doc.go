@@ -25,6 +25,7 @@
 // tiled-SoC pipeline uses, so the decision operates on the hardware's own
 // DSCF output.
 //
-// Monte-Carlo helpers estimate detection probability at calibrated false
-// alarm rates and produce the Pd-vs-SNR sweeps of experiment E13.
+// Monte-Carlo helpers calibrate a threshold at a target false-alarm rate
+// (CalibrateThreshold) and measure Pd and Pfa at it (PdAtThreshold); the
+// Pd-vs-SNR sweep of experiment E13 (cmd/paper) runs the pair per SNR.
 package detect

@@ -67,74 +67,3 @@ func CalibrateThreshold(d Detector, sc Scenario, trials int, pfa float64, seed u
 	}
 	return stats[idx], nil
 }
-
-// ROCPoint is one operating point of a receiver operating characteristic.
-type ROCPoint struct {
-	Threshold float64 // decision threshold this point was scored at
-	Pfa, Pd   float64 // measured false-alarm and detection fractions
-}
-
-// ROC estimates the full receiver operating characteristic by scoring
-// `trials` trials of each hypothesis and sweeping the threshold through
-// every observed H0 statistic.
-func ROC(d Detector, sc Scenario, trials int, seed uint64) ([]ROCPoint, error) {
-	if trials < 2 {
-		return nil, fmt.Errorf("detect: ROC needs >= 2 trials, got %d", trials)
-	}
-	rng := sig.NewRand(seed)
-	h0 := make([]float64, trials)
-	h1 := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		s0, err := d.Statistic(sc(rng, false))
-		if err != nil {
-			return nil, err
-		}
-		s1, err := d.Statistic(sc(rng, true))
-		if err != nil {
-			return nil, err
-		}
-		h0[i] = s0
-		h1[i] = s1
-	}
-	sort.Float64s(h0)
-	var out []ROCPoint
-	for i, th := range h0 {
-		pfa := float64(trials-i-1) / float64(trials) // strictly above th
-		pd := 0.0
-		for _, s := range h1 {
-			if s > th {
-				pd++
-			}
-		}
-		out = append(out, ROCPoint{Threshold: th, Pfa: pfa, Pd: pd / float64(trials)})
-	}
-	return out, nil
-}
-
-// SweepPoint is one row of a Pd-vs-SNR sweep.
-type SweepPoint struct {
-	SNRdB float64 // operating signal-to-noise ratio
-	Pd    float64 // measured detection probability at that SNR
-	Pfa   float64 // measured false-alarm probability at the calibrated threshold
-}
-
-// PdVsSNR runs, for each SNR, a threshold calibration at the requested
-// false-alarm rate followed by a Pd estimate — the experiment E13 sweep.
-// makeScenario builds the scenario for one SNR.
-func PdVsSNR(d Detector, makeScenario func(snrDB float64) Scenario, snrs []float64,
-	trials int, pfa float64, seed uint64) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for i, snr := range snrs {
-		sc := makeScenario(snr)
-		th, err := CalibrateThreshold(d, sc, trials, pfa, seed+uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		pd, pfaHat, err := PdAtThreshold(d, sc, trials, th, seed+uint64(i)+1000)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{SNRdB: snr, Pd: pd, Pfa: pfaHat})
-	}
-	return out, nil
-}

@@ -125,19 +125,6 @@ func (u Urriza) Statistic(x []complex128) (float64, error) {
 	return u.statistic(x)
 }
 
-// Decide evaluates the detector against its closed-form threshold.
-func (u Urriza) Decide(x []complex128) (Decision, error) {
-	th, err := u.Threshold()
-	if err != nil {
-		return Decision{}, err
-	}
-	stat, err := u.Statistic(x)
-	if err != nil {
-		return Decision{}, err
-	}
-	return Decision{Detector: u.Name(), Statistic: stat, Threshold: th, Detected: stat > th}, nil
-}
-
 // urrizaScratch is one decision's working memory, recycled through
 // urrizaScratches so a steady stream of decisions allocates nothing.
 type urrizaScratch struct {

@@ -40,13 +40,6 @@ type FAM struct {
 // Name implements scf.Estimator.
 func (FAM) Name() string { return "fam" }
 
-// MinSamples returns the shortest input Estimate accepts for the
-// configured geometry: two channelizer hops.
-func (e FAM) MinSamples() int {
-	p := famDefaults(e.Params, 0)
-	return p.K + p.Hop
-}
-
 // Estimate implements scf.Estimator: the span fold of the window-bound
 // accumulator run straight over x, in scratch borrowed for the call, so
 // batch and windowed streaming estimates are one code path and an

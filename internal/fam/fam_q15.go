@@ -58,13 +58,6 @@ type FAMQ15 struct {
 // Name implements scf.Estimator.
 func (FAMQ15) Name() string { return "fam-q15" }
 
-// MinSamples returns the shortest input Estimate accepts for the
-// configured geometry: two channelizer hops.
-func (e FAMQ15) MinSamples() int {
-	p := famDefaults(e.Params, 0)
-	return p.K + p.Hop
-}
-
 // Estimate implements scf.Estimator: the Q15 surface converted exactly
 // into float-FAM units. Every intermediate, the QSurface included, is
 // borrowed, so an estimate allocates little more than the float surface

@@ -113,9 +113,6 @@ func TestFAMErrors(t *testing.T) {
 	if _, _, err := e.Estimate(make([]complex128, 70)); err == nil {
 		t.Error("input shorter than two hops should fail")
 	}
-	if got, want := e.MinSamples(), 64+16; got != want {
-		t.Errorf("MinSamples = %d, want %d", got, want)
-	}
 	bad := FAM{Params: scf.Params{K: 63, M: 16}}
 	if _, _, err := bad.Estimate(make([]complex128, 1024)); err == nil {
 		t.Error("non-power-of-two K should fail")

@@ -36,6 +36,11 @@ func channelize(x []complex128, k, hop, blocks int, win []float64) ([][]complex1
 	if err != nil {
 		return nil, err
 	}
+	plan, err := fft.PlanFor(k)
+	if err != nil {
+		return nil, err
+	}
+	spec := make([]complex128, k)
 	out := make([][]complex128, k)
 	for v := range out {
 		out[v] = make([]complex128, blocks)
@@ -46,8 +51,7 @@ func channelize(x []complex128, k, hop, blocks int, win []float64) ([][]complex1
 		for i, w := range win {
 			block[i] *= complex(w, 0)
 		}
-		spec, err := fft.FFT(block)
-		if err != nil {
+		if err := plan.Forward(spec, block); err != nil {
 			return nil, err
 		}
 		for v := range out {
@@ -222,8 +226,12 @@ func TestSSCAFoldIdentity(t *testing.T) {
 		for i := range p {
 			p[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		full, err := fft.FFT(p)
+		full := make([]complex128, tc.n)
+		planN, err := fft.PlanFor(tc.n)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := planN.Forward(full, p); err != nil {
 			t.Fatal(err)
 		}
 		rootsN, err := fft.Roots(tc.n)
@@ -234,8 +242,12 @@ func TestSSCAFoldIdentity(t *testing.T) {
 		for i, v := range p {
 			fold[i%tc.k] += v
 		}
-		short, err := fft.FFT(fold)
+		short := make([]complex128, tc.k)
+		planK, err := fft.PlanFor(tc.k)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := planK.Forward(short, fold); err != nil {
 			t.Fatal(err)
 		}
 		for j := range short {

@@ -36,17 +36,6 @@ type SSCA struct {
 // Name implements scf.Estimator.
 func (SSCA) Name() string { return "ssca" }
 
-// MinSamples returns the shortest input Estimate accepts for the
-// configured geometry: a K-length strip needs 2K-1 samples.
-func (e SSCA) MinSamples() int {
-	p := famDefaults(e.Params, 1)
-	n := e.N
-	if n < p.K {
-		n = p.K
-	}
-	return n + p.K - 1
-}
-
 // Estimate implements scf.Estimator: the span fold of the window-bound
 // accumulator run straight over x, in scratch borrowed for the call, so
 // batch and windowed streaming estimates are one code path and an

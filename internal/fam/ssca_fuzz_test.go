@@ -24,10 +24,12 @@ func FuzzSSCAChunking(f *testing.F) {
 		const k, m = 32, 8
 		windows := []fft.WindowKind{fft.Rectangular, fft.Hamming, fft.Hann, fft.Blackman}
 		e := SSCA{Params: scf.Params{K: k, M: m, Window: windows[int(winSel)%len(windows)]}}
+		strip := k // the shortest input holds one strip of max(N, K) samples plus K-1
 		if s := nSel % 4; s != 0 {
 			e.N = k << (s - 1)
+			strip = e.N
 		}
-		x := streamBand(t, e.MinSamples()+int(extra)%1024, seed)
+		x := streamBand(t, strip+k-1+int(extra)%1024, seed)
 		sizes := []int{len(x)}
 		if len(chunks) > 0 {
 			sizes = sizes[:0]

@@ -47,17 +47,6 @@ type SSCAQ15 struct {
 // Name implements scf.Estimator.
 func (SSCAQ15) Name() string { return "ssca-q15" }
 
-// MinSamples returns the shortest input Estimate accepts for the
-// configured geometry: a K-length strip needs 2K-1 samples.
-func (e SSCAQ15) MinSamples() int {
-	p := famDefaults(e.Params, 1)
-	n := e.N
-	if n < p.K {
-		n = p.K
-	}
-	return n + p.K - 1
-}
-
 // Estimate implements scf.Estimator: the Q15 surface converted exactly
 // into float-SSCA units, every intermediate borrowed as for FAMQ15.
 func (e SSCAQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {

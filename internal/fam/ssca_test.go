@@ -68,9 +68,6 @@ func TestSSCAErrors(t *testing.T) {
 	if _, _, err := e.Estimate(make([]complex128, 100)); err == nil {
 		t.Error("input shorter than K+K-1 should fail")
 	}
-	if got, want := e.MinSamples(), 64+63; got != want {
-		t.Errorf("MinSamples = %d, want %d", got, want)
-	}
 	if _, _, err := (SSCA{Params: scf.Params{K: 64, M: 16}, N: 192}).Estimate(make([]complex128, 1024)); err == nil {
 		t.Error("non-power-of-two N should fail")
 	}

@@ -44,7 +44,7 @@ func (p ScalingPolicy) String() string {
 // the rounding adders of the pre-shift and of the butterfly itself.
 const bfpSafeMax = 13000
 
-// ForwardScaled computes the forward transform of src into dst under the
+// ForwardScaledWith computes the forward transform of src into dst under the
 // given scaling policy and returns the tracked exponent:
 //
 //	DFT(src) = dst · 2^exp  (elementwise)
@@ -56,18 +56,10 @@ const bfpSafeMax = 13000
 // exponents and their precision intact — the dynamic-range behaviour the
 // paper's section 4.1 argues 16-bit words need. dst and src may alias.
 //
-// The butterfly stages run on the process-wide fixed.Active() kernels;
-// every Kernels implementation produces identical output words and
-// exponent (see ForwardScaledWith).
-func (p *FixedPlan) ForwardScaled(dst, src []fixed.Complex, policy ScalingPolicy) (int, error) {
-	return p.ForwardScaledWith(fixed.Active(), dst, src, policy)
-}
-
-// ForwardScaledWith is ForwardScaled on an explicit kernel
-// implementation instead of the process-wide selection. The output
-// words and exponent are identical for every fixed.Kernels
-// implementation — the differential tests in this package run scalar
-// and SWAR side by side through this entry point.
+// The butterfly stages run on kern. The output words and exponent are
+// identical for every fixed.Kernels implementation: the differential
+// tests in this package run scalar and SWAR side by side through this
+// entry point.
 //
 // Both policies drive the same per-stage kernel loop: ScaleUniform runs
 // scaled butterflies (fixed.BFly semantics, bit-identical to Forward),
@@ -77,7 +69,7 @@ func (p *FixedPlan) ForwardScaled(dst, src []fixed.Complex, policy ScalingPolicy
 // stage's shift, so BFP costs no separate scan passes after the first.
 func (p *FixedPlan) ForwardScaledWith(kern fixed.Kernels, dst, src []fixed.Complex, policy ScalingPolicy) (int, error) {
 	if len(src) != p.n || len(dst) != p.n {
-		return 0, fmt.Errorf("fft: fixed ForwardScaled length %d/%d, plan size %d", len(dst), len(src), p.n)
+		return 0, fmt.Errorf("fft: fixed ForwardScaledWith length %d/%d, plan size %d", len(dst), len(src), p.n)
 	}
 	if policy != ScaleBFP && policy != ScaleUniform {
 		return 0, fmt.Errorf("fft: unknown scaling policy %d", int(policy))
@@ -109,17 +101,11 @@ func (p *FixedPlan) ForwardScaledWith(kern fixed.Kernels, dst, src []fixed.Compl
 	return exp, nil
 }
 
-// ForwardScaledBatch transforms every block in place under one policy
-// and returns the per-block exponents. It resolves the kernel selection
-// and reuses the plan tables across the whole batch: many channelizer
-// hops or demodulate strips through one plan invocation.
-func (p *FixedPlan) ForwardScaledBatch(blocks [][]fixed.Complex, policy ScalingPolicy) ([]int, error) {
-	return p.ForwardScaledBatchWith(fixed.Active(), blocks, policy)
-}
-
-// ForwardScaledBatchWith is ForwardScaledBatch on an explicit kernel
-// implementation. Each block is transformed in place; block i's tracked
-// exponent lands in element i of the returned slice.
+// ForwardScaledBatchWith transforms every block in place under one
+// policy on kern and returns the per-block exponents: block i's tracked
+// exponent lands in element i. The plan tables serve the whole batch, so
+// many channelizer hops or demodulate strips run through one plan
+// invocation.
 func (p *FixedPlan) ForwardScaledBatchWith(kern fixed.Kernels, blocks [][]fixed.Complex, policy ScalingPolicy) ([]int, error) {
 	exps := make([]int, len(blocks))
 	for i, b := range blocks {

@@ -114,7 +114,7 @@ func TestForwardScaledBFPExponentBounds(t *testing.T) {
 		}
 		for name, src := range bfpPropertyInputs(n) {
 			dst := make([]fixed.Complex, n)
-			exp, err := p.ForwardScaled(dst, src, ScaleBFP)
+			exp, err := p.ForwardScaledWith(fixed.Active(), dst, src, ScaleBFP)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,12 +147,12 @@ func TestForwardScaledBatchMatchesSingle(t *testing.T) {
 			single = append(single, append([]fixed.Complex(nil), src...))
 			names = append(names, name)
 		}
-		exps, err := p.ForwardScaledBatch(batch, policy)
+		exps, err := p.ForwardScaledBatchWith(fixed.Active(), batch, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for bi := range single {
-			e, err := p.ForwardScaled(single[bi], single[bi], policy)
+			e, err := p.ForwardScaledWith(fixed.Active(), single[bi], single[bi], policy)
 			if err != nil {
 				t.Fatal(err)
 			}

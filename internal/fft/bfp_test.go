@@ -34,7 +34,7 @@ func TestForwardScaledUniformMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]fixed.Complex, n)
-	exp, err := p.ForwardScaled(got, x, ScaleUniform)
+	exp, err := p.ForwardScaledWith(fixed.Active(), got, x, ScaleUniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,12 @@ func TestForwardScaledBFPTracksDFT(t *testing.T) {
 			return e
 		}
 		bfp := make([]fixed.Complex, n)
-		expB, err := p.ForwardScaled(bfp, x, ScaleBFP)
+		expB, err := p.ForwardScaledWith(fixed.Active(), bfp, x, ScaleBFP)
 		if err != nil {
 			t.Fatal(err)
 		}
 		uni := make([]fixed.Complex, n)
-		expU, err := p.ForwardScaled(uni, x, ScaleUniform)
+		expU, err := p.ForwardScaledWith(fixed.Active(), uni, x, ScaleUniform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestForwardScaledBFPNoOverflow(t *testing.T) {
 		x[i] = fixed.Complex{Re: fixed.MaxQ15, Im: fixed.MinQ15}
 	}
 	got := make([]fixed.Complex, n)
-	exp, err := p.ForwardScaled(got, x, ScaleBFP)
+	exp, err := p.ForwardScaledWith(fixed.Active(), got, x, ScaleBFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestForwardScaledDeterminism(t *testing.T) {
 	x := bfpInput(n, 0.7)
 	a := make([]fixed.Complex, n)
 	b := make([]fixed.Complex, n)
-	expA, err := p.ForwardScaled(a, x, ScaleBFP)
+	expA, err := p.ForwardScaledWith(fixed.Active(), a, x, ScaleBFP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expB, err := p.ForwardScaled(b, x, ScaleBFP)
+	expB, err := p.ForwardScaledWith(fixed.Active(), b, x, ScaleBFP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,11 +149,11 @@ func TestFixedPlanForCachedAndEquivalent(t *testing.T) {
 	}
 	for _, policy := range []ScalingPolicy{ScaleBFP, ScaleUniform} {
 		a, b := make([]fixed.Complex, n), make([]fixed.Complex, n)
-		ea, err := plans[0].ForwardScaled(a, x, policy)
+		ea, err := plans[0].ForwardScaledWith(fixed.Active(), a, x, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eb, err := fresh.ForwardScaled(b, x, policy)
+		eb, err := fresh.ForwardScaledWith(fixed.Active(), b, x, policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,19 +21,6 @@ func DFT(x []complex128) []complex128 {
 	return out
 }
 
-// Bin returns the spectrum entry for a possibly negative bin index v,
-// interpreting the length-n spectrum X as periodic: Bin(X, -1) is X[n-1].
-// The DSCF addresses bins f±a with f,a spanning negative values; this
-// helper centralises the wrap-around.
-func Bin(x []complex128, v int) complex128 {
-	n := len(x)
-	v %= n
-	if v < 0 {
-		v += n
-	}
-	return x[v]
-}
-
 // BinIndex maps a possibly negative bin index to its position in a
 // length-n spectrum slice.
 func BinIndex(n, v int) int {

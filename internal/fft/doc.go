@@ -23,8 +23,9 @@
 //     estimator hot paths index (Roots(n)[p mod n] = e^{-j2πp/n} for any
 //     integer p, reduced exactly in integer arithmetic) instead of calling
 //     cmplx.Exp per sample. RootIdx reduces negative exponents.
-//   - PlanFor(n) returns the shared immutable Plan for size n; FFT and
-//     IFFT route through it. Plans are safe for concurrent use.
+//   - PlanFor(n) returns the shared immutable Plan for size n; the
+//     estimators' float transforms route through it. Plans are safe for
+//     concurrent use.
 //   - GetScratch/PutScratch pool length-n work buffers, keeping repeated
 //     estimator calls at zero steady-state scratch allocation.
 //

@@ -50,10 +50,7 @@ func FixedTwiddles(span int) []fixed.Complex {
 	return w
 }
 
-// Size returns the transform length of the plan.
-func (p *FixedPlan) Size() int { return p.n }
-
-// Stages returns the number of butterfly stages, log2(Size()).
+// Stages returns the number of butterfly stages, log2 of the transform length.
 func (p *FixedPlan) Stages() int { return len(p.tw) }
 
 // StageTwiddles returns the twiddle table of stage s (span 2<<s). The
@@ -89,9 +86,3 @@ func (p *FixedPlan) Forward(dst, src []fixed.Complex) error {
 	}
 	return nil
 }
-
-// ForwardButterflies returns the total number of butterfly operations the
-// plan executes: (n/2)·log2(n). The Montium executes one butterfly per
-// clock cycle, which together with per-stage setup yields the paper's
-// 1040-cycle count for n = 256.
-func (p *FixedPlan) ForwardButterflies() int { return p.n / 2 * len(p.tw) }

@@ -45,11 +45,8 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// Size returns the transform length of the plan.
-func (p *Plan) Size() int { return p.n }
-
 // Forward computes the unnormalised forward DFT of src into dst. dst and
-// src must both have length Size(); they may alias each other.
+// src must both have the plan's length; they may alias each other.
 //
 // The decimation-in-time pass is restructured for speed without changing
 // the arithmetic: the bit-reversal is fused into the input gather when
@@ -218,35 +215,6 @@ func (p *Plan) Inverse(dst, src []complex128) error {
 		dst[i] = cmplx.Conj(v) * inv
 	}
 	return nil
-}
-
-// FFT is a convenience wrapper computing the forward transform of x into a
-// new slice through the shared plan cache. The length of x must be a power
-// of two.
-func FFT(x []complex128) ([]complex128, error) {
-	p, err := PlanFor(len(x))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, len(x))
-	if err := p.Forward(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IFFT is a convenience wrapper computing the inverse transform of x into
-// a new slice through the shared plan cache.
-func IFFT(x []complex128) ([]complex128, error) {
-	p, err := PlanFor(len(x))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, len(x))
-	if err := p.Inverse(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ComplexMults returns the number of complex multiplications of a radix-2

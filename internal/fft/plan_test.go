@@ -57,10 +57,7 @@ func TestForwardMatchesDFT(t *testing.T) {
 			// Deterministic but non-trivial test data.
 			x[i] = complex(math.Sin(float64(3*i+1)), math.Cos(float64(7*i+2)))
 		}
-		got, err := FFT(x)
-		if err != nil {
-			t.Fatalf("FFT(%d): %v", n, err)
-		}
+		got := forward(t, x)
 		want := DFT(x)
 		approxEqualSlices(t, got, want, 1e-9*float64(n), "fft vs dft")
 	}
@@ -69,10 +66,7 @@ func TestForwardMatchesDFT(t *testing.T) {
 func TestImpulseHasFlatSpectrum(t *testing.T) {
 	x := make([]complex128, 32)
 	x[0] = 1
-	X, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	X := forward(t, x)
 	for v, b := range X {
 		if cmplx.Abs(b-1) > 1e-12 {
 			t.Fatalf("impulse spectrum bin %d = %v, want 1", v, b)
@@ -86,10 +80,7 @@ func TestToneLandsInSingleBin(t *testing.T) {
 	for k := range x {
 		x[k] = cmplx.Exp(complex(0, 2*math.Pi*bin*float64(k)/n))
 	}
-	X, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	X := forward(t, x)
 	for v := range X {
 		want := 0.0
 		if v == bin {
@@ -107,12 +98,12 @@ func TestInverseRoundTrip(t *testing.T) {
 	for i := range x {
 		x[i] = complex(math.Sin(float64(i)*0.7), math.Cos(float64(i)*1.3))
 	}
-	X, err := FFT(x)
+	p, err := PlanFor(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := IFFT(X)
-	if err != nil {
+	back := make([]complex128, n)
+	if err := p.Inverse(back, forward(t, x)); err != nil {
 		t.Fatal(err)
 	}
 	approxEqualSlices(t, back, x, 1e-10, "ifft(fft(x))")
@@ -158,10 +149,7 @@ func TestParseval(t *testing.T) {
 	for i := range x {
 		x[i] = complex(math.Sin(0.1*float64(i)), math.Sin(0.37*float64(i)+1))
 	}
-	X, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	X := forward(t, x)
 	var et, ef float64
 	for i := range x {
 		et += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -187,17 +175,10 @@ func TestComplexMults(t *testing.T) {
 }
 
 func TestBinWraparound(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	if Bin(x, -1) != 3 {
-		t.Errorf("Bin(-1) = %v", Bin(x, -1))
+	if BinIndex(4, -1) != 3 || BinIndex(4, 4) != 0 || BinIndex(4, -5) != 3 {
+		t.Errorf("BinIndex(4, -1/4/-5) = %d/%d/%d, want 3/0/3", BinIndex(4, -1), BinIndex(4, 4), BinIndex(4, -5))
 	}
-	if Bin(x, 4) != 0 {
-		t.Errorf("Bin(4) = %v", Bin(x, 4))
-	}
-	if Bin(x, -5) != 3 {
-		t.Errorf("Bin(-5) = %v", Bin(x, -5))
-	}
-	if BinIndex(4, -1) != 3 || BinIndex(4, 5) != 1 || BinIndex(4, 0) != 0 {
+	if BinIndex(4, 5) != 1 || BinIndex(4, 0) != 0 {
 		t.Error("BinIndex wraparound broken")
 	}
 }
@@ -281,4 +262,19 @@ func TestQuickShiftTheorem(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// forward is the unnormalised forward DFT of x through the shared plan
+// cache.
+func forward(t *testing.T, x []complex128) []complex128 {
+	t.Helper()
+	p, err := PlanFor(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]complex128, len(x))
+	if err := p.Forward(out, x); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

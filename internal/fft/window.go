@@ -68,23 +68,9 @@ func Window(kind WindowKind, n int) ([]float64, error) {
 	return w, nil
 }
 
-// ApplyWindow multiplies x elementwise by the window coefficients,
-// returning a new slice. Lengths must match.
-func ApplyWindow(x []complex128, w []float64) ([]complex128, error) {
-	if len(x) != len(w) {
-		return nil, fmt.Errorf("fft: window length %d != signal length %d", len(w), len(x))
-	}
-	out := make([]complex128, len(x))
-	if err := ApplyWindowInto(out, x, w); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ApplyWindowInto multiplies x elementwise by the window coefficients into
 // dst (which may alias x), allocating nothing. All lengths must match.
-// This is the hot-path form: estimators call it per block with a pooled
-// dst.
+// Estimators call it per block with a pooled dst.
 func ApplyWindowInto(dst, x []complex128, w []float64) error {
 	if len(x) != len(w) || len(dst) != len(x) {
 		return fmt.Errorf("fft: window length %d != signal length %d/%d", len(w), len(x), len(dst))

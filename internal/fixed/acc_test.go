@@ -127,12 +127,6 @@ func TestSliceHelpers(t *testing.T) {
 	if real(back[0]) != 0.5 {
 		t.Fatalf("ToFloatSlice: %v", back)
 	}
-	if got := MaxAbsComponent(fx); got != int(MaxQ15) {
-		t.Fatalf("MaxAbsComponent = %d", got)
-	}
-	if got := MaxAbsComponent(nil); got != 0 {
-		t.Fatalf("MaxAbsComponent(nil) = %d", got)
-	}
 }
 
 func TestScaleSliceFloat(t *testing.T) {

@@ -1,7 +1,5 @@
 package fixed
 
-import "math/cmplx"
-
 // Complex is a complex number with Q15 real and imaginary parts, the
 // natural datum of the Montium complex ALU.
 type Complex struct {
@@ -20,10 +18,6 @@ func (c Complex) Complex128() complex128 {
 	return complex(c.Re.Float(), c.Im.Float())
 }
 
-// Abs returns |c| as a float64 (used by detectors and reports, not by the
-// 16-bit datapath itself).
-func (c Complex) Abs() float64 { return cmplx.Abs(c.Complex128()) }
-
 // IsZero reports whether both parts are exactly zero.
 func (c Complex) IsZero() bool { return c.Re == 0 && c.Im == 0 }
 
@@ -33,11 +27,6 @@ func Conj(c Complex) Complex { return Complex{Re: c.Re, Im: Neg(c.Im)} }
 // CAdd returns a+b with per-component saturation.
 func CAdd(a, b Complex) Complex {
 	return Complex{Re: Add(a.Re, b.Re), Im: Add(a.Im, b.Im)}
-}
-
-// CSub returns a-b with per-component saturation.
-func CSub(a, b Complex) Complex {
-	return Complex{Re: Sub(a.Re, b.Re), Im: Sub(a.Im, b.Im)}
 }
 
 // CMul returns the complex product a*b.
@@ -68,11 +57,6 @@ func CMulConj(a, b Complex) Complex {
 func CScale(c Complex, s Q15) Complex {
 	return Complex{Re: Mul(c.Re, s), Im: Mul(c.Im, s)}
 }
-
-// CHalf returns c/2 (truncating arithmetic shift on both parts, no
-// rounding and no saturation — halving cannot overflow), the per-stage
-// FFT scaling step.
-func CHalf(c Complex) Complex { return Complex{Re: Half(c.Re), Im: Half(c.Im)} }
 
 // roundQ30 converts a Q30 intermediate to Q15 with round-half-up and
 // saturation.
@@ -146,7 +130,7 @@ func roundQ30half(v int64) Q15 {
 //
 // The twiddle product and the sum/difference are formed at Q30 and one
 // round-saturate step produces each output component. It is the stage
-// primitive of the block-floating-point FFT (fft.FixedPlan.ForwardScaled
+// primitive of the block-floating-point FFT (fft.FixedPlan.ForwardScaledWith
 // with fft.ScaleBFP), which pre-shifts the whole block only when its
 // magnitude demands it and tracks the shifts in an exponent instead of
 // unconditionally halving every stage.

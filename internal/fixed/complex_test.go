@@ -38,10 +38,6 @@ func TestCAddCSub(t *testing.T) {
 	if s.Re != MaxQ15 || s.Im != MinQ15 {
 		t.Fatalf("CAdd saturation: %+v", s)
 	}
-	d := CSub(a, b)
-	if d.Re != 20000 || d.Im != -20000 {
-		t.Fatalf("CSub: %+v", d)
-	}
 }
 
 func TestCMulAgainstFloat(t *testing.T) {
@@ -91,10 +87,6 @@ func TestCMulConjIdentity(t *testing.T) {
 
 func TestCScaleAndCHalf(t *testing.T) {
 	c := Complex{Re: 8000, Im: -8000}
-	h := CHalf(c)
-	if h.Re != 4000 || h.Im != -4000 {
-		t.Fatalf("CHalf = %+v", h)
-	}
 	s := CScale(c, HalfQ15)
 	if s.Re != 4000 || s.Im != -4000 {
 		t.Fatalf("CScale(half) = %+v", s)
@@ -263,7 +255,7 @@ func TestQuickCMulMagnitudeBound(t *testing.T) {
 		a := Complex{Q15(ar), Q15(ai)}
 		b := Complex{Q15(br), Q15(bi)}
 		p := CMul(a, b)
-		return p.Abs() <= a.Abs()*b.Abs()+4.0/scale
+		return cmplx.Abs(p.Complex128()) <= cmplx.Abs(a.Complex128())*cmplx.Abs(b.Complex128())+4.0/scale
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

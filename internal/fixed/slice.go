@@ -19,22 +19,6 @@ func ToFloatSlice(x []Complex) []complex128 {
 	return out
 }
 
-// MaxAbsComponent returns the largest absolute value, in Q15 counts, of
-// any real or imaginary component in x. It is the measurement used by
-// block-scaling policies.
-func MaxAbsComponent(x []Complex) int {
-	m := 0
-	for _, v := range x {
-		if a := absInt(int(v.Re)); a > m {
-			m = a
-		}
-		if a := absInt(int(v.Im)); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // ScaleSliceFloat scales a float64 complex slice so that the largest
 // component magnitude equals target (0 < target <= 1), returning the scale
 // factor applied. A zero slice is returned unchanged with scale 1. Used to
@@ -57,13 +41,6 @@ func ScaleSliceFloat(x []complex128, target float64) float64 {
 		x[i] *= complex(s, 0)
 	}
 	return s
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func absFloat(v float64) float64 {

@@ -119,15 +119,6 @@ func (c *Core) Sections() []string {
 	return out
 }
 
-// ResetCycles clears the clock and ledger but keeps memory contents and
-// configuration; used between integration steps when only per-step counts
-// are wanted.
-func (c *Core) ResetCycles() {
-	c.cycles = 0
-	c.ledger = make(map[string]int64)
-	c.MACs, c.Butterflies, c.Moves = 0, 0, 0
-}
-
 // MemoryTraffic sums reads and writes over all ten memories.
 func (c *Core) MemoryTraffic() (reads, writes int64) {
 	for _, m := range c.Mem {

@@ -197,10 +197,6 @@ func TestCoreLedger(t *testing.T) {
 	if len(secs) != 2 || secs[0] != "alpha" {
 		t.Fatalf("sections %v", secs)
 	}
-	c.ResetCycles()
-	if c.Cycles() != 0 || len(c.Sections()) != 0 {
-		t.Fatal("ResetCycles incomplete")
-	}
 }
 
 func TestCoreString(t *testing.T) {

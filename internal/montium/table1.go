@@ -26,7 +26,7 @@ func (t Table1) Total() int64 {
 }
 
 // Table1 extracts the ledger into the paper's table. Call after running
-// exactly one integration step (or ResetCycles between steps).
+// exactly one integration step.
 func (c *Core) Table1() Table1 {
 	return Table1{
 		MultiplyAccumulate: c.CyclesIn(SectionMAC),

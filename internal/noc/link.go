@@ -28,9 +28,6 @@ func newLink(name string, depth int, abort <-chan struct{}) *Link {
 	return &Link{name: name, ch: make(chan fixed.Complex, depth), abort: abort}
 }
 
-// Name returns the link's identifier.
-func (l *Link) Name() string { return l.name }
-
 // Send transmits one value. It fails if the link is broken or the fabric
 // aborted.
 func (l *Link) Send(v fixed.Complex) error {

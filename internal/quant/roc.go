@@ -23,7 +23,7 @@ type ROCConfig struct {
 	// Samples is the window length per trial (default 4096).
 	Samples int
 	// Trials is the Monte-Carlo count per hypothesis per curve
-	// (default 200).
+	// (default 200; at least 2).
 	Trials int
 	// Estimators names the surface estimators swept (default direct,
 	// fam). Sample-based detectors (dg, urriza) decide on the raw window
@@ -181,6 +181,9 @@ type rocStatistic func(x []complex128, s *scf.Surface) (float64, error)
 // Pfa, only the thresholds do.
 func RunROC(cfg ROCConfig) (*ROCReport, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Trials < 2 {
+		return nil, fmt.Errorf("quant: ROC needs >= 2 trials per hypothesis, got %d", cfg.Trials)
+	}
 	rep := &ROCReport{
 		K: cfg.K, Samples: cfg.Samples, Trials: cfg.Trials,
 		Confidence: cfg.Confidence, SNRsDB: cfg.SNRsDB,

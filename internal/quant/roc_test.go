@@ -55,6 +55,35 @@ func TestRunROCStructure(t *testing.T) {
 				}
 			}
 		}
+		// A higher threshold can only lower the measured Pfa and every
+		// Pd, Pd does not fall as the SNR rises, and at the top SNR the
+		// curve beats chance (Pd > Pfa).
+		for i, p := range c.Points {
+			if top := p.Pd[len(p.Pd)-1]; top <= p.MeasuredPfa {
+				t.Fatalf("%s/%s point %d: Pd %v not above Pfa %v", c.Estimator, c.Detector, i, top, p.MeasuredPfa)
+			}
+			for j := 1; j < len(p.Pd); j++ {
+				if p.Pd[j] < p.Pd[j-1] {
+					t.Fatalf("%s/%s point %d: Pd %v falls as the SNR rises", c.Estimator, c.Detector, i, p.Pd)
+				}
+			}
+			if i == 0 {
+				continue
+			}
+			lo, hi := c.Points[i-1], p
+			if lo.Threshold > hi.Threshold {
+				lo, hi = hi, lo
+			}
+			if hi.MeasuredPfa > lo.MeasuredPfa {
+				t.Fatalf("%s/%s: Pfa %v at threshold %v above %v at %v", c.Estimator, c.Detector,
+					hi.MeasuredPfa, hi.Threshold, lo.MeasuredPfa, lo.Threshold)
+			}
+			for j := range hi.Pd {
+				if hi.Pd[j] > lo.Pd[j] {
+					t.Fatalf("%s/%s: Pd rises with the threshold at SNR index %d", c.Estimator, c.Detector, j)
+				}
+			}
+		}
 		// Lower target Pfa (stricter) must mean a higher threshold; cfar
 		// points are ordered by growing scale, so thresholds rise there.
 		if c.Detector == "dg" {
@@ -122,6 +151,25 @@ func TestRunROCUnknownNames(t *testing.T) {
 	cfg.Modulations = []string{"fm"}
 	if _, err := RunROC(cfg); err == nil {
 		t.Error("unknown modulation accepted")
+	}
+}
+
+// TestRunROCRejectsBadRuns: fewer than two trials per hypothesis is an
+// error, and so is a detector that fails on a window (here one shorter
+// than the estimation geometry); neither yields a report.
+func TestRunROCRejectsBadRuns(t *testing.T) {
+	cfg := smallROC()
+	cfg.Trials = 1
+	if _, err := RunROC(cfg); err == nil {
+		t.Error("one trial accepted")
+	}
+	for _, det := range []string{"dg", "cfar"} {
+		cfg = smallROC()
+		cfg.Detectors = []string{det}
+		cfg.Samples = 8
+		if rep, err := RunROC(cfg); err == nil {
+			t.Errorf("%s: detector error on an 8-sample window not returned (%d curves)", det, len(rep.Curves))
+		}
 	}
 }
 

@@ -172,7 +172,3 @@ func (p Params) DSCFMults() int {
 	}
 	return p.P() * p.F()
 }
-
-// QuarterNSquared returns the paper's idealised ¼K² complex-multiplication
-// count for comparison with DSCFMults.
-func (p Params) QuarterNSquared() int { return p.K * p.K / 4 }

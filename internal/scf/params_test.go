@@ -27,9 +27,6 @@ func TestParamsPaperGrid(t *testing.T) {
 	if p.DSCFMults() != 16129 {
 		t.Fatalf("DSCFMults = %d, want 127²=16129", p.DSCFMults())
 	}
-	if p.QuarterNSquared() != 16384 {
-		t.Fatalf("QuarterNSquared = %d, want 16384", p.QuarterNSquared())
-	}
 }
 
 func TestParamsValidation(t *testing.T) {

@@ -33,8 +33,8 @@ type QSurface struct {
 	// via Float, but its raw words need not match a full-plane run's
 	// (whose peak may live on a row the pruned run never computes).
 	Alphas []int
-	// Data holds the Q15 cells, one row per held offset, indexed
-	// Data[rowIndex][f+M-1].
+	// Data holds the Q15 cells, one row per held offset (see Alphas),
+	// indexed Data[row][f+M-1].
 	Data [][]fixed.Complex
 }
 
@@ -63,38 +63,12 @@ func NewSparseQSurface(m int, alphas []int) *QSurface {
 	return &QSurface{M: m, Gain: 1, Alphas: held, Data: data}
 }
 
-// rowIndex returns the Data index of row a, or -1 when absent.
-func (s *QSurface) rowIndex(a int) int {
-	if s.Alphas == nil {
-		if a < -(s.M-1) || a > s.M-1 {
-			return -1
-		}
-		return a + s.M - 1
-	}
-	for i, v := range s.Alphas {
-		if v == a {
-			return i
-		}
-	}
-	return -1
-}
-
 // alphaOf returns the offset a of Data row i.
 func (s *QSurface) alphaOf(i int) int {
 	if s.Alphas == nil {
 		return i - (s.M - 1)
 	}
 	return s.Alphas[i]
-}
-
-// At returns the raw Q15 cell S_f^a; it panics on a row the surface
-// does not hold (programming error).
-func (s *QSurface) At(f, a int) fixed.Complex {
-	i := s.rowIndex(a)
-	if i < 0 {
-		panic(fmt.Sprintf("scf: QSurface.At(%d,%d) outside ±%d or pruned away", f, a, s.M-1))
-	}
-	return s.Data[i][f+s.M-1]
 }
 
 // Float converts the surface into float-path units: every cell becomes

@@ -2,7 +2,6 @@ package scf
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -135,11 +134,6 @@ func (s *Surface) AlphaValues() []int {
 
 // Extent returns the grid side length 2M-1.
 func (s *Surface) Extent() int { return 2*s.M - 1 }
-
-// InRange reports whether (f, a) lies on the grid.
-func (s *Surface) InRange(f, a int) bool {
-	return f >= -(s.M-1) && f <= s.M-1 && a >= -(s.M-1) && a <= s.M-1
-}
 
 // At returns S_f^a. It panics if (f, a) is off the grid or on a row a
 // pruned surface does not hold (programming error).
@@ -298,34 +292,4 @@ func (s *Surface) TotalEnergy() float64 {
 		}
 	}
 	return e
-}
-
-// Coherence returns the spectral autocoherence
-// |S_f^a| / sqrt(S0(f+a)·S0(f-a)) where S0 is the PSD row, a normalised
-// feature strength in [0, ~1] that is independent of absolute signal
-// level. Cells whose normaliser underflows return 0. The small floor eps
-// guards empty bands.
-func (s *Surface) Coherence(f, a int, eps float64) float64 {
-	num := cmplx.Abs(s.At(f, a))
-	m := s.M - 1
-	// S0 at f±a; those bins may fall outside the f grid — clamp into range
-	// (the PSD row only spans the grid); detectors use interior cells.
-	fp, fm := f+a, f-a
-	if fp > m {
-		fp = m
-	}
-	if fp < -m {
-		fp = -m
-	}
-	if fm > m {
-		fm = m
-	}
-	if fm < -m {
-		fm = -m
-	}
-	d := math.Sqrt(cmplx.Abs(s.At(fp, 0))*cmplx.Abs(s.At(fm, 0))) + eps
-	if d == 0 {
-		return 0
-	}
-	return num / d
 }

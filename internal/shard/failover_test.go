@@ -48,7 +48,13 @@ func (s engineSink) Push(id string, samples []complex128) (int, error) {
 // wraps the listener for fault injection.
 func startWorker(t *testing.T, addr string, ctl *chaos.Controller) *testWorker {
 	t.Helper()
-	eng, err := stream.New(testConfig(1).Engine)
+	return startWorkerEngine(t, addr, ctl, testConfig(1).Engine)
+}
+
+// startWorkerEngine is startWorker with the worker engine's config.
+func startWorkerEngine(t *testing.T, addr string, ctl *chaos.Controller, cfg stream.Config) *testWorker {
+	t.Helper()
+	eng, err := stream.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +203,51 @@ func TestRemoteShardEndToEnd(t *testing.T) {
 	if cs.SamplesIn != windows*testWindow || cs.Snapshots != windows {
 		t.Fatalf("removed channel final stats %+v", cs)
 	}
+}
+
+// TestRemoteDecisionDropsReachStats: decisions a remote shard's sink
+// drops because its persistent stream is full are counted in the
+// router's DecisionsDropped, so every decision the worker made is
+// either delivered or counted. The router lock is held while the worker
+// decides, which stalls the forwarder and lets the sink's buffer fill.
+func TestRemoteDecisionDropsReachStats(t *testing.T) {
+	const window = 256
+	cfg := testConfig(1).Engine
+	cfg.SnapshotSamples = window
+	w := startWorkerEngine(t, "", nil, cfg)
+	defer w.kill()
+	r, err := New(remoteConfig([]*testWorker{w}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	dt := tallyDecisions(r)
+	id := addChannels(t, r, 1)[0]
+	r.mu.RLock()
+	sink := r.shards["r0"].g.rs
+	r.mu.RUnlock()
+
+	const windows = remoteDecisionBuffer + 512
+	x := band(t, windows*window, 7)
+	r.mu.Lock()
+	for k := 0; k < windows; k++ {
+		if _, err := sink.Push(id, x[k*window:(k+1)*window]); err != nil {
+			r.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for sink.outDropped.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	r.mu.Unlock()
+	if sink.outDropped.Load() == 0 {
+		t.Fatal("the sink dropped nothing with its forwarder stalled")
+	}
+	waitFor(t, 20*time.Second, "every decision delivered or counted", func() bool {
+		st := r.Stats()
+		return st.Surfaces == windows && dt.sum()+st.DecisionsDropped == windows
+	})
 }
 
 // TestFailoverCarriesCounters is the tentpole acceptance test: kill a

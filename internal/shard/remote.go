@@ -64,6 +64,13 @@ type RemoteSink struct {
 	lastStats stream.Stats
 	base      stream.Stats
 
+	// pumping holds the connections whose pump still runs; their
+	// subscriber-buffer drops are read live. A pump banks its
+	// connection's final count in clientDropped as it exits, so the
+	// total survives reconnects and never moves backwards.
+	pumping       map[*wire.Client]struct{}
+	clientDropped int64
+
 	out        chan stream.Decision
 	outDropped atomic.Int64
 	pumps      sync.WaitGroup
@@ -81,6 +88,7 @@ func NewRemoteSink(addr string, pushTimeout time.Duration) *RemoteSink {
 		pushTimeout: pushTimeout,
 		streams:     make(map[string]*wire.ChannelStream),
 		want:        make(map[string][]int),
+		pumping:     make(map[*wire.Client]struct{}),
 		out:         make(chan stream.Decision, remoteDecisionBuffer),
 	}
 }
@@ -114,9 +122,6 @@ func (rs *RemoteSink) openMeta(id string, alphas []int) wire.Meta {
 		TargetPfa:       rs.targetPfa,
 	}
 }
-
-// Addr returns the worker's dial address.
-func (rs *RemoteSink) Addr() string { return rs.addr }
 
 // Connected reports whether the sink currently holds a live connection.
 func (rs *RemoteSink) Connected() bool {
@@ -173,15 +178,23 @@ func (rs *RemoteSink) Redial() error {
 	}
 	rs.cli = cli
 	rs.dials.Add(1)
+	rs.pumping[cli] = struct{}{}
 	rs.pumps.Add(1)
 	go rs.pump(cli)
 	return nil
 }
 
 // pump forwards one connection's subscribed decisions onto the sink's
-// persistent stream; it exits when that connection dies.
+// persistent stream; it exits when that connection dies, banking the
+// connection's final subscriber-drop count.
 func (rs *RemoteSink) pump(cli *wire.Client) {
 	defer rs.pumps.Done()
+	defer func() {
+		rs.mu.Lock()
+		delete(rs.pumping, cli)
+		rs.clientDropped += cli.DecisionsDropped()
+		rs.mu.Unlock()
+	}()
 	for d := range cli.Decisions() {
 		select {
 		case rs.out <- d:
@@ -304,28 +317,35 @@ func (rs *RemoteSink) ChannelStats(id string) (stream.ChannelStats, bool) {
 
 // Stats returns the worker's engine accounting, summed across worker
 // incarnations; while the link is down it serves the last snapshot
-// fetched, so aggregates do not dip during an outage.
+// fetched, so aggregates do not dip during an outage. DecisionsDropped
+// also counts the decisions lost on this side of the link: those the
+// sink's persistent stream and each connection's subscriber buffer
+// had no room for.
 func (rs *RemoteSink) Stats() stream.Stats {
-	cli, err := rs.client()
-	if err == nil {
+	var fresh *stream.Stats
+	if cli, err := rs.client(); err == nil {
 		if st, serr := cli.EngineStats(rs.pushTimeout); serr == nil {
-			rs.mu.Lock()
-			if st.SamplesIn < rs.lastStats.SamplesIn || st.Surfaces < rs.lastStats.Surfaces {
-				// Counter regression: the worker process restarted and its
-				// engine began from zero. Bank the dead incarnation's last
-				// reading. (A restart that outruns the old counters before
-				// the first fetch is indistinguishable and not banked.)
-				rs.base = sumStats(rs.base, rs.lastStats)
-			}
-			rs.lastStats = st
-			out := sumStats(rs.base, st)
-			rs.mu.Unlock()
-			return out
+			fresh = &st
 		}
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return sumStats(rs.base, rs.lastStats)
+	if fresh != nil {
+		if fresh.SamplesIn < rs.lastStats.SamplesIn || fresh.Surfaces < rs.lastStats.Surfaces {
+			// Counter regression: the worker process restarted and its
+			// engine began from zero. Bank the dead incarnation's last
+			// reading. (A restart that outruns the old counters before
+			// the first fetch is indistinguishable and not banked.)
+			rs.base = sumStats(rs.base, rs.lastStats)
+		}
+		rs.lastStats = *fresh
+	}
+	out := sumStats(rs.base, rs.lastStats)
+	out.DecisionsDropped += rs.outDropped.Load() + rs.clientDropped
+	for cli := range rs.pumping {
+		out.DecisionsDropped += cli.DecisionsDropped()
+	}
+	return out
 }
 
 // sumStats adds base's lifetime counters onto cur, keeping cur's
@@ -352,12 +372,8 @@ func (rs *RemoteSink) Flush(timeout time.Duration) error {
 
 // Decisions is the sink's persistent decision stream: the same channel
 // across reconnects, closed only by Close. Decisions overflowing its
-// buffer are dropped and counted.
+// buffer are dropped and counted in Stats.
 func (rs *RemoteSink) Decisions() <-chan stream.Decision { return rs.out }
-
-// DecisionsDropped counts decisions dropped off the persistent stream's
-// buffer.
-func (rs *RemoteSink) DecisionsDropped() int64 { return rs.outDropped.Load() }
 
 // Close tears the connection down and closes the decision stream.
 // Idempotent.

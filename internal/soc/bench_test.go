@@ -42,22 +42,3 @@ func BenchmarkPlatformRunSyncBlock(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBankScaling times a 4-instance bank (16 cores) sensing four
-// bands concurrently — the executed form of the section 5 scaling unit.
-func BenchmarkBankScaling(b *testing.B) {
-	bands := make([][]fixed.Complex, 4)
-	for i := range bands {
-		bands[i] = socSamples(uint64(20+i), 256)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank, err := NewBank(Config{K: 256, M: 64, Q: 4, Blocks: 1}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bank.Run(bands); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

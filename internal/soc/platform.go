@@ -132,14 +132,8 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (p *Platform) Config() Config { return p.cfg }
-
 // Fabric exposes the NoC (for traffic inspection and fault injection).
 func (p *Platform) Fabric() *noc.Fabric { return p.fabric }
-
-// Cores exposes the tiles (read-only use intended).
-func (p *Platform) Cores() []*montium.Core { return p.cores }
 
 // EnableTrace attaches a span recorder to every tile (sources "tile0",
 // "tile1", ...). Call before Run/RunSync; spans are flushed when the run

@@ -8,6 +8,7 @@ import (
 	"tiledcfd/internal/montium"
 	"tiledcfd/internal/scf"
 	"tiledcfd/internal/sig"
+	"tiledcfd/internal/trace"
 )
 
 func socSamples(seed uint64, n int) []fixed.Complex {
@@ -282,5 +283,28 @@ func TestReportContents(t *testing.T) {
 	// Two blocks: total cycles = 2x the per-block total.
 	if tr.Cycles != 2*tr.Table1.Total() {
 		t.Fatalf("cycles %d != 2x block total %d", tr.Cycles, tr.Table1.Total())
+	}
+}
+
+func TestPlatformTrace(t *testing.T) {
+	p, err := New(Config{K: 64, M: 16, Q: 2, Blocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec trace.Recorder
+	p.EnableTrace(&rec)
+	_, report, err := p.Run(socSamples(61, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trace totals match the report per tile.
+	for q, tr := range report.Tiles {
+		name := "tile" + string(rune('0'+q))
+		if got := rec.TotalIn(name, ""); got != tr.Cycles {
+			t.Errorf("%s trace total %d, report %d", name, got, tr.Cycles)
+		}
+	}
+	if rec.Len() == 0 {
+		t.Fatal("no spans recorded")
 	}
 }

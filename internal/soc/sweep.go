@@ -27,7 +27,7 @@ type SweepPoint struct {
 //
 // This is the ablation complementing the paper's section 5: *within* one
 // platform, only the MAC loop scales with Q — the paper's linear-scaling
-// claim is about replicating whole platforms, which the Bank type models.
+// claim is about replicating whole platforms, one per sensed band.
 func SweepCores(k, m int, qs []int, x []fixed.Complex) ([]SweepPoint, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("soc: empty core-count sweep")

@@ -857,15 +857,6 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Channels returns the channel ids in registration order.
-func (e *Engine) Channels() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, len(e.order))
-	copy(out, e.order)
-	return out
-}
-
 // Stats returns engine-wide accounting.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()

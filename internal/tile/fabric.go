@@ -70,10 +70,3 @@ func (f Fabric) Validate() error {
 	}
 	return nil
 }
-
-// TransferCycles returns the modeled cost of one cross-tile transfer of
-// words 16-bit words (montium.TransferCycles with this fabric's link
-// parameters).
-func (f Fabric) TransferCycles(words int64) int64 {
-	return montium.TransferCycles(words, f.LinkLatency, f.LinkWordsPerCycle)
-}
