@@ -619,6 +619,11 @@ type MonitorStats struct {
 	// QueuedSamples is the momentary ingestion backlog: samples pushed
 	// but not yet integrated into estimator state.
 	QueuedSamples int64
+	// HeldBytes is the memory the channels of the local engines hold:
+	// ingestion rings, sample windows of sample-based detectors and
+	// estimator buffers. Remote shards are not included; a ShardWorker
+	// reports its own engine's.
+	HeldBytes int64
 	// PrunedCellsSkipped counts surface cells never computed because of
 	// alpha-candidate pruning, summed over all snapshots. Zero when no
 	// channel prunes.
@@ -875,6 +880,7 @@ func (m *Monitor) Stats() MonitorStats {
 		WindowsFailed:      s.WindowsFailed,
 		SamplesNonFinite:   m.nonFinite.Load(),
 		QueuedSamples:      s.QueuedSamples,
+		HeldBytes:          s.HeldBytes,
 		PrunedCellsSkipped: s.PrunedCellsSkipped,
 		SamplesPerSec:      s.SamplesPerSec,
 		Shards:             s.Shards,
@@ -1079,6 +1085,7 @@ func (w *ShardWorker) Stats() MonitorStats {
 		DecisionsDropped:   s.DecisionsDropped,
 		WindowsFailed:      s.WindowsFailed,
 		QueuedSamples:      s.QueuedSamples,
+		HeldBytes:          s.HeldBytes,
 		PrunedCellsSkipped: s.PrunedCellsSkipped,
 		SamplesPerSec:      s.SamplesPerSec,
 		SurfacesPerSec:     s.SurfacesPerSec,

@@ -477,6 +477,9 @@ func TestMonitorStreamsDecisions(t *testing.T) {
 	if st.Channels != 2 || st.Surfaces != 6 || st.SamplesDropped != 0 {
 		t.Fatalf("stats %+v, want 2 channels / 6 surfaces / 0 dropped", st)
 	}
+	if st.HeldBytes < 2*16*window {
+		t.Fatalf("HeldBytes %d, want at least the two window-long rings (%d)", st.HeldBytes, 2*16*window)
+	}
 	cs1, ok := mon.ChannelStats("uhf-1")
 	if !ok || cs1.Detections != 1 || cs1.Snapshots != 3 {
 		t.Fatalf("uhf-1 stats %+v, want 1 detection in 3 windows", cs1)

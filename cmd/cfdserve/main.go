@@ -649,6 +649,9 @@ func collectMetrics(e *wire.Exposition, mon *tiledcfd.Monitor, srv *wire.Server)
 		float64(st.WindowsFailed))
 	e.Metric("cfd_engine_channels", "gauge",
 		"Registered channels.", float64(st.Channels))
+	e.Metric("cfd_engine_held_bytes", "gauge",
+		"Bytes the local engines' channels hold: rings, detector sample windows and estimator buffers.",
+		float64(st.HeldBytes))
 	e.Metric("cfd_pruned_cells_skipped_total", "counter",
 		"Surface cells never computed thanks to alpha-candidate pruning.",
 		float64(st.PrunedCellsSkipped))

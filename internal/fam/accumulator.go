@@ -120,6 +120,10 @@ func (b *spanBuffer) Push(samples []complex128) error {
 // Samples implements scf.Accumulator.
 func (b *spanBuffer) Samples() int { return b.total }
 
+// HeldBytes returns the bytes the buffer holds: its capacity, 16 B a
+// sample. The stream engine counts it into a channel's held memory.
+func (b *spanBuffer) HeldBytes() int { return 16 * cap(b.buf) }
+
 // Reset implements scf.Accumulator: the buffer stays allocated for the
 // next window's span.
 func (b *spanBuffer) Reset() {
@@ -526,15 +530,19 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 	}
 	// Only the channels the held rows address get strips: the residues
 	// f+a mod K per row a — the full [-2m, 2m] band, or the candidate
-	// strips under alpha pruning.
+	// strips under alpha pruning. rowAlphas ascends, so walking the union
+	// of the rows' [a-m, a+m] once, in ascending order, meets each
+	// residue first where a row-by-row scan over f would.
 	seen := make([]bool, p.K)
+	next := c.rowAlphas[0] - m // the lowest f+a not yet walked
 	for _, a := range c.rowAlphas {
-		for f := -m; f <= m; f++ {
-			if k := fft.BinIndex(p.K, f+a); !seen[k] {
+		for v := max(next, a-m); v <= a+m; v++ {
+			if k := v & (p.K - 1); !seen[k] {
 				seen[k] = true
 				c.needed = append(c.needed, k)
 			}
 		}
+		next = a + m + 1
 	}
 	return c, nil
 }

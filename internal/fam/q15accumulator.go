@@ -449,6 +449,11 @@ type q15Window struct {
 // Samples implements scf.Accumulator.
 func (w *q15Window) Samples() int { return w.total }
 
+// HeldBytes returns the bytes the accumulator holds: its quantised
+// span's capacity, 4 B (two Q15 words) a sample. The stream engine
+// counts it into a channel's held memory.
+func (w *q15Window) HeldBytes() int { return 4 * cap(w.span) }
+
 // Ready implements scf.Accumulator.
 func (w *q15Window) Ready() bool { return w.smoothing(w.hopsIn(len(w.span))) != 0 }
 

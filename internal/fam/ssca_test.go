@@ -2,6 +2,8 @@ package fam
 
 import (
 	"math/cmplx"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tiledcfd/internal/fft"
@@ -83,5 +85,51 @@ func TestSSCAErrors(t *testing.T) {
 	}
 	if _, err := short.NewAccumulator(); err == nil || err.Error() != want {
 		t.Errorf("NewAccumulator with N < K: error %v, want %q", err, want)
+	}
+}
+
+// TestSSCANeededStripsMatchRowScan: the strip set newSSCAKernel builds
+// by walking the union of the rows' [a-m, a+m] equals, element for
+// element and in order, the residues (f+a) mod K a row-by-row scan over
+// every f first meets. The random geometries cover every power-of-two K
+// from 4 to 512, full planes and candidate sets (with the rows'
+// intervals overlapping, touching and apart), and m = K/4, the largest
+// Params.Validate allows, where f+a = ±2m share a residue.
+func TestSSCANeededStripsMatchRowScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	for trial := 0; trial < 400; trial++ {
+		k := 4 << rng.IntN(8)
+		m := k / 4
+		if trial%3 != 0 {
+			m = rng.IntN(k/4 + 1)
+		}
+		p := scf.Params{K: k, M: m + 1}
+		if trial%2 == 1 && m > 0 {
+			for a := 0; a <= m; a++ {
+				if rng.IntN(4) == 0 {
+					p.AlphaCandidates = append(p.AlphaCandidates, a)
+				}
+			}
+			rng.Shuffle(len(p.AlphaCandidates), func(i, j int) {
+				p.AlphaCandidates[i], p.AlphaCandidates[j] = p.AlphaCandidates[j], p.AlphaCandidates[i]
+			})
+		}
+		c, err := newSSCAKernel(SSCA{Params: p})
+		if err != nil {
+			t.Fatalf("K=%d M=%d candidates %v: %v", k, p.M, p.AlphaCandidates, err)
+		}
+		var want []int
+		seen := make([]bool, k)
+		for _, a := range c.rowAlphas {
+			for f := -m; f <= m; f++ {
+				if v := fft.BinIndex(k, f+a); !seen[v] {
+					seen[v] = true
+					want = append(want, v)
+				}
+			}
+		}
+		if !slices.Equal(c.needed, want) {
+			t.Fatalf("K=%d M=%d candidates %v: needed %v, row scan %v", k, p.M, p.AlphaCandidates, c.needed, want)
+		}
 	}
 }

@@ -138,7 +138,9 @@ func FuzzWindowAccumulator(f *testing.F) {
 // (4-byte words). None holds anything else: no result, no parity grid,
 // no checkpoint, no K×strips fold, no hop bank. At the paper geometry
 // (K=256, M=64) the result is larger than the span, so a result kept
-// between pushes would show. Its snapshot still equals Estimate.
+// between pushes would show. Its snapshot still equals Estimate, and
+// its HeldBytes method, which the stream engine reads, agrees with the
+// reflective count after the window and after Reset.
 func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 	p := scf.Params{K: 64, M: 16} // FAM: 125 hops in a 2048 window, 64 read
 	pruned := p
@@ -185,6 +187,20 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, got, wantSurface, c.name)
+		// The count the stream engine reads agrees with the reflective one,
+		// after the window and after Reset, which keeps the buffer.
+		counter, ok := acc.(interface{ HeldBytes() int })
+		if !ok {
+			t.Fatalf("%s: the window accumulator has no HeldBytes method", c.name)
+		}
+		for _, stage := range []string{"a whole window", "Reset"} {
+			if stage == "Reset" {
+				acc.Reset()
+			}
+			if got, want := counter.HeldBytes(), heldBytes(reflect.ValueOf(acc)); got != want {
+				t.Errorf("%s W=%d after %s: HeldBytes() = %d, reflection finds %d", c.name, c.window, stage, got, want)
+			}
+		}
 	}
 }
 

@@ -169,6 +169,14 @@ func (d *directAccumulator) Name() string { return "direct" }
 // Samples implements Accumulator.
 func (d *directAccumulator) Samples() int { return d.total }
 
+// HeldBytes returns the bytes the accumulator holds: its running sum's
+// cells, its sample buffer and its block scratch. The stream engine
+// counts it into a channel's held memory.
+func (d *directAccumulator) HeldBytes() int {
+	cells := len(d.sum.Data) * (2*d.p.M - 1)
+	return 16 * (cells + cap(d.buf) + cap(d.spec) + cap(d.specc) + cap(d.winbuf))
+}
+
 // Ready implements Accumulator: one complete block suffices.
 func (d *directAccumulator) Ready() bool { return d.blocks >= 1 }
 

@@ -117,6 +117,10 @@ type Stats struct {
 	// QueuedSamples is the momentary ingestion depth summed over live
 	// shards.
 	QueuedSamples int64
+	// HeldBytes is the memory the local shards' channels hold (see
+	// stream.ChannelStats.HeldBytes). A remote shard's stats frame does
+	// not carry it, so remote shards add 0; a worker reports its own.
+	HeldBytes int64
 	// PrunedCellsSkipped aggregates the surface cells never computed
 	// because of alpha-candidate pruning, across all shards (local and
 	// remote).
@@ -1007,6 +1011,7 @@ func (r *Router) Stats() Stats {
 		if !s.down.Load() {
 			st.QueuedSamples += es.QueuedSamples
 		}
+		st.HeldBytes += es.HeldBytes
 		if s.g != nil {
 			st.Retries += s.g.retries.Load()
 			st.DeadlineExceeded += s.g.deadlineExceeded.Load()

@@ -47,7 +47,8 @@ func addChannels(t *testing.T, r *Router, n int) []string {
 }
 
 // TestRouterPartitionsAcrossShards: channels spread over every shard,
-// per-shard and aggregate stats agree, ownership is deterministic.
+// per-shard and aggregate stats (held bytes included) agree, ownership
+// is deterministic.
 func TestRouterPartitionsAcrossShards(t *testing.T) {
 	r, err := New(testConfig(4))
 	if err != nil {
@@ -67,7 +68,7 @@ func TestRouterPartitionsAcrossShards(t *testing.T) {
 	if len(ss) != 4 {
 		t.Fatalf("%d shards, want 4", len(ss))
 	}
-	totalCh, totalIn, totalSurf := 0, int64(0), int64(0)
+	totalCh, totalIn, totalSurf, totalHeld := 0, int64(0), int64(0), int64(0)
 	for _, s := range ss {
 		if s.Channels == 0 {
 			t.Fatalf("shard %s owns no channels — rendezvous spread failed", s.Name)
@@ -75,6 +76,7 @@ func TestRouterPartitionsAcrossShards(t *testing.T) {
 		totalCh += s.Channels
 		totalIn += s.Stats.SamplesIn
 		totalSurf += s.Stats.Surfaces
+		totalHeld += s.Stats.HeldBytes
 	}
 	if totalCh != len(ids) {
 		t.Fatalf("shards own %d channels, want %d", totalCh, len(ids))
@@ -86,6 +88,11 @@ func TestRouterPartitionsAcrossShards(t *testing.T) {
 	}
 	if st.Surfaces != totalSurf || st.Surfaces != int64(len(ids)) {
 		t.Fatalf("aggregate Surfaces %d (shards sum %d), want %d", st.Surfaces, totalSurf, len(ids))
+	}
+	// Every channel holds at least its one-window ring.
+	if st.HeldBytes != totalHeld || st.HeldBytes < int64(len(ids))*16*testWindow {
+		t.Fatalf("aggregate HeldBytes %d (shards sum %d), want the sum and >= %d",
+			st.HeldBytes, totalHeld, len(ids)*16*testWindow)
 	}
 	// Ownership is a pure function of (shard set, id): a second router
 	// with the same config maps identically.

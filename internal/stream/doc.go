@@ -14,20 +14,28 @@
 //     it by doubling (at most to the limit) only when a chunk does not
 //     fit. It never shrinks, so its memory follows the channel's peak
 //     backlog, and Push allocates only when the ring grows; otherwise it
-//     copies into it,
+//     copies into it. Samples a worker is feeding stay in the ring, and
+//     count against the limit, until the feed completes,
 //   - an scf.Accumulator holding that channel's incremental estimator
 //     state (direct DSCF, FAM, or SSCA — anything implementing
 //     scf.StreamingEstimator),
 //   - for a decider that reads raw samples (dg, urriza), one window of
 //     them, allocated at the channel's first sample, and
-//   - drop/decision accounting.
+//   - drop/decision accounting, and a count of the bytes the channel
+//     holds (ChannelStats.HeldBytes).
 //
 // A bounded worker pool drains the rings: a channel with pending samples
 // is enqueued at most once on the work queue, a worker claims it, feeds
 // the ring contents into the accumulator in arrival order, and — every
 // Config.SnapshotSamples samples — takes a surface snapshot and applies
 // the decision layer from internal/detect (Config.Decider, or the
-// self-calibrating CFAR by default). Because
+// self-calibrating CFAR by default). A worker has no buffer of its own:
+// it takes the oldest contiguous unread segment of the ring under the
+// channel's lock, feeds it to the accumulator in place with the lock
+// released, and only then frees it and wakes a blocked producer. This
+// is safe because a producer writes only into free space, and a ring
+// that grows meanwhile copies the unread span, the segment included,
+// and leaves the old array intact. Because
 // one channel is drained by at most one worker at a time, accumulator
 // access is serialised without per-sample locking, and because
 // accumulator snapshots are bit-identical to the batch estimators

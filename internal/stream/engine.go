@@ -14,9 +14,10 @@ import (
 // ErrClosed is returned by Push and AddChannel after Close.
 var ErrClosed = fmt.Errorf("stream: engine closed")
 
-// drainChunk is the number of samples a worker moves from a ring to the
-// accumulator per lock acquisition: large enough to amortise locking,
-// small enough to keep decision latency and worker-local scratch modest.
+// drainChunk is the most samples a worker feeds from a ring to the
+// accumulator per segment: large enough to amortise locking, small
+// enough to keep decision latency modest and to free ring room to a
+// blocked producer often.
 const drainChunk = 4096
 
 // maxDrainSpins bounds how many chunks one dispatch drains before the
@@ -42,7 +43,10 @@ type Config struct {
 	// RingSamples is the per-channel ingestion ring capacity limit; the
 	// ring's memory follows the channel's peak backlog: the first push
 	// sizes it, and it doubles, up to this limit, only when a push needs
-	// the room. Default 4×SnapshotSamples.
+	// the room. Workers feed the accumulator straight from the ring, so
+	// the limit bounds every sample the channel holds before its
+	// accumulator, the segment a worker is feeding included. Default
+	// 4×SnapshotSamples.
 	RingSamples int
 	// Workers bounds the drain/decision worker pool. Default
 	// runtime.GOMAXPROCS(0).
@@ -153,9 +157,13 @@ type Stats struct {
 	// is either a decision (Surfaces) or counted here.
 	WindowsFailed int64
 	// QueuedSamples is the momentary ingestion queue depth: samples
-	// accepted into rings but not yet fed to an accumulator, summed over
-	// all channels.
+	// accepted into rings whose feed to an accumulator has not finished,
+	// the segments workers are feeding included, summed over all
+	// channels.
 	QueuedSamples int64
+	// HeldBytes is the memory the channels hold, summed over them (see
+	// ChannelStats.HeldBytes).
+	HeldBytes int64
 	// PrunedCellsSkipped counts surface cells never computed because of
 	// alpha-candidate pruning, summed over all snapshots: each pruned
 	// snapshot contributes (extent - heldRows) × extent cells. Zero when
@@ -185,6 +193,16 @@ type ChannelStats struct {
 	// Err is the non-empty failure message of a dead channel (an
 	// accumulator push error; these indicate configuration bugs).
 	Err string
+	// HeldBytes is the memory the channel holds: 16 B per ring slot,
+	// 16 B per sample of window capacity for a decider that reads raw
+	// samples, and the accumulator's buffers as its HeldBytes() int
+	// method reports them — the window accumulators of internal/fam and
+	// scf.Direct's have one. An accumulator without the method, such as
+	// one a caller decorates, counts 0. Fold scratch shared across
+	// channels and the estimator's plans and tables are not counted. The
+	// window's and accumulator's part is refreshed after each fed
+	// segment, so it reads 0 before the channel's first.
+	HeldBytes int64
 }
 
 // Engine is the multi-channel streaming sensing engine. See the package
@@ -221,7 +239,7 @@ type channel struct {
 	ring   []complex128
 	limit  int // capacity len(ring) may grow to (Config.RingSamples)
 	head   int // index of the oldest unread sample
-	count  int // unread samples in the ring
+	count  int // unread samples in the ring, the segment being fed included
 	queued bool
 
 	// Fields below the ring are touched only by the worker currently
@@ -237,6 +255,7 @@ type channel struct {
 
 	samplesIn, dropped    atomic.Int64
 	snapshots, detections atomic.Int64
+	held                  atomic.Int64 // bytes of win and acc, as of the last feed
 	last                  atomic.Pointer[Decision]
 	err                   atomic.Pointer[string]
 }
@@ -415,18 +434,7 @@ func (e *Engine) RemoveChannel(id string, timeout time.Duration) (ChannelStats, 
 		e.flush(ch, deadline)
 		ch.sinceSnap = 0
 	}
-	cs := ChannelStats{
-		ID:             ch.id,
-		SamplesIn:      ch.samplesIn.Load(),
-		SamplesDropped: ch.dropped.Load(),
-		Snapshots:      ch.snapshots.Load(),
-		Detections:     ch.detections.Load(),
-		Last:           ch.last.Load(),
-	}
-	if msg := ch.err.Load(); msg != nil {
-		cs.Err = *msg
-	}
-	return cs, nil
+	return ch.stats(), nil
 }
 
 // flush decides a removed channel's partial window unless Close has
@@ -551,10 +559,11 @@ func (ch *channel) put(src []complex128) int {
 }
 
 // grow reallocates the ring to min(limit, max(2·len, need)) samples,
-// moving the unread samples to its front in FIFO order: the first push
-// sizes the ring, and later growth doubles it. The ring never shrinks,
-// so its size is the channel's peak backlog rounded up by doubling.
-// ch.mu must be held.
+// moving the unread samples, a segment a worker is feeding included, to
+// its front in FIFO order: the first push sizes the ring, and later
+// growth doubles it. The old array is left as it was, so a segment
+// being fed from it stays valid. The ring never shrinks, so its size is
+// the channel's peak backlog rounded up by doubling. ch.mu must be held.
 func (ch *channel) grow(need int) {
 	n := min(max(2*len(ch.ring), need), ch.limit)
 	ring := make([]complex128, n)
@@ -582,39 +591,60 @@ func (ch *channel) take(dst []complex128) int {
 	return n
 }
 
+// segment returns up to most of the oldest unread samples, in place in
+// the ring, stopping at the ring's end. They stay unread until
+// release, so a put never writes over them, and a grow meanwhile copies
+// them with the rest of the unread span and leaves them where they are.
+// ch.mu must be held.
+func (ch *channel) segment(most int) []complex128 {
+	n := min(ch.count, most, len(ch.ring)-ch.head)
+	return ch.ring[ch.head : ch.head+n]
+}
+
+// release marks the n > 0 oldest unread samples read. ch.mu must be
+// held.
+func (ch *channel) release(n int) {
+	ch.head = (ch.head + n) % len(ch.ring)
+	ch.count -= n
+}
+
 // worker is one member of the bounded drain/decision pool.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	chunk := make([]complex128, drainChunk)
 	for {
 		select {
 		case <-e.done:
 			return
 		case ch := <-e.work:
-			e.drain(ch, chunk)
+			e.drain(ch)
 		}
 	}
 }
 
 // drain feeds a claimed channel's ring contents into its accumulator
 // until the ring empties (clearing the queued flag) or the fairness
-// budget runs out (requeueing the channel).
-func (e *Engine) drain(ch *channel, chunk []complex128) {
+// budget runs out (requeueing the channel). Each segment is fed in place
+// with the lock released and freed only once fed, so it counts against
+// the ring's limit until then.
+func (e *Engine) drain(ch *channel) {
 	for spins := 0; ; spins++ {
 		ch.mu.Lock()
-		n := ch.take(chunk)
-		if n == 0 {
+		seg := ch.segment(drainChunk)
+		if len(seg) == 0 {
 			ch.queued = false
 			ch.mu.Unlock()
 			return
 		}
+		ch.mu.Unlock()
+		if !ch.dead {
+			e.feed(ch, seg)
+		}
+		ch.mu.Lock()
+		ch.release(len(seg))
 		if e.cfg.Block {
 			ch.cond.Broadcast()
 		}
 		ch.mu.Unlock()
-		if !ch.dead {
-			e.feed(ch, chunk[:n])
-		}
 		if e.isClosed() {
 			return
 		}
@@ -629,10 +659,11 @@ func (e *Engine) drain(ch *channel, chunk []complex128) {
 	}
 }
 
-// feed pushes one drained chunk into the accumulator, splitting it at
+// feed pushes one ring segment into the accumulator, splitting it at
 // decision-window boundaries so every window covers exactly
 // SnapshotSamples samples.
 func (e *Engine) feed(ch *channel, chunk []complex128) {
+	defer ch.noteHeld()
 	for len(chunk) > 0 {
 		n := e.cfg.SnapshotSamples - ch.sinceSnap
 		if n > len(chunk) {
@@ -672,6 +703,20 @@ func (e *Engine) feed(ch *channel, chunk []complex128) {
 			}
 		}
 	}
+}
+
+// heldCounter is implemented by the accumulators that report the bytes
+// they hold.
+type heldCounter interface{ HeldBytes() int }
+
+// noteHeld refreshes the channel's count of the bytes its window and
+// accumulator hold. Only the goroutine that owns acc and win calls it.
+func (ch *channel) noteHeld() {
+	n := 16 * cap(ch.win)
+	if hc, ok := ch.acc.(heldCounter); ok {
+		n += hc.HeldBytes()
+	}
+	ch.held.Store(int64(n))
 }
 
 // decide snapshots the channel's surface, applies the decision layer and
@@ -861,11 +906,12 @@ func (e *Engine) Close() error {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	n := len(e.channels)
-	var queued int64
+	var queued, held int64
 	for _, ch := range e.channels {
 		ch.mu.Lock()
 		queued += int64(ch.count)
 		ch.mu.Unlock()
+		held += ch.heldBytes()
 	}
 	e.mu.RUnlock()
 	elapsed := time.Since(e.start)
@@ -878,6 +924,7 @@ func (e *Engine) Stats() Stats {
 		DecisionsDropped:   e.decisionsDropped.Load(),
 		WindowsFailed:      e.windowsFailed.Load(),
 		QueuedSamples:      queued,
+		HeldBytes:          held,
 		PrunedCellsSkipped: e.prunedCellsSkipped.Load(),
 		Elapsed:            elapsed,
 	}
@@ -897,6 +944,11 @@ func (e *Engine) ChannelStats(id string) (ChannelStats, bool) {
 	if ch == nil {
 		return ChannelStats{}, false
 	}
+	return ch.stats(), true
+}
+
+// stats returns the channel's accounting.
+func (ch *channel) stats() ChannelStats {
 	cs := ChannelStats{
 		ID:             ch.id,
 		SamplesIn:      ch.samplesIn.Load(),
@@ -904,9 +956,19 @@ func (e *Engine) ChannelStats(id string) (ChannelStats, bool) {
 		Snapshots:      ch.snapshots.Load(),
 		Detections:     ch.detections.Load(),
 		Last:           ch.last.Load(),
+		HeldBytes:      ch.heldBytes(),
 	}
 	if msg := ch.err.Load(); msg != nil {
 		cs.Err = *msg
 	}
-	return cs, true
+	return cs
+}
+
+// heldBytes returns the bytes the channel holds: its ring, and its
+// window and accumulator as of the last feed.
+func (ch *channel) heldBytes() int64 {
+	ch.mu.Lock()
+	ring := len(ch.ring)
+	ch.mu.Unlock()
+	return 16*int64(ring) + ch.held.Load()
 }

@@ -9,24 +9,38 @@ import (
 	"tiledcfd/internal/scf"
 )
 
-// FuzzRingFIFO drives a channel's put/take with arbitrary chunk sizes
-// under an arbitrary limit and checks the ring against a plain-slice
-// FIFO model: the same samples come out in the same order, count matches
-// the model's length, put never accepts past the limit, and the ring
-// never grows beyond it. Each op is three bytes: bit 0 of the first
-// picks put or take, the other two give the chunk size modulo 2·limit+1.
+// FuzzRingFIFO drives a channel's put/take and its in-place drain
+// (segment, then release) with arbitrary chunk sizes under an arbitrary
+// limit and checks the ring against a plain-slice FIFO model: the same
+// samples come out in the same order, count matches the model's length,
+// put never accepts past the limit, and the ring never grows beyond it.
+// Each op is three bytes: bit 0 of the first picks put or a read, the
+// other two give the chunk size modulo 2·limit+1. A read with bit 1 set
+// takes out a segment of at most that size, or releases the one out; a
+// plain read releases any segment out first, then takes. While a
+// segment is out it counts against the limit, puts may grow the ring
+// under it, and after every op it must still hold the model's head.
 // The committed corpus (testdata/fuzz/FuzzRingFIFO) covers growth while
-// the unread span wraps, limits below drainChunk, and limits that are
-// neither a power of two nor a multiple of drainChunk.
+// the unread span wraps, limits below drainChunk, limits that are
+// neither a power of two nor a multiple of drainChunk, and segments held
+// across growth, across a wrap and at the limit.
 func FuzzRingFIFO(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lim uint16, ops []byte) {
 		limit := 1 + int(lim)
 		ch := &channel{limit: limit}
-		var model []complex128
+		var model, seg []complex128
 		next := 0.0
+		release := func() {
+			if len(seg) > 0 {
+				ch.release(len(seg))
+				model = model[len(seg):]
+				seg = nil
+			}
+		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			size := (int(ops[1])<<8 | int(ops[2])) % (2*limit + 1)
-			if ops[0]&1 == 0 {
+			switch {
+			case ops[0]&1 == 0:
 				src := make([]complex128, size)
 				for i := range src {
 					src[i] = complex(next, -next)
@@ -41,7 +55,19 @@ func FuzzRingFIFO(f *testing.F) {
 				// Unaccepted samples never reappear; keep the sequence
 				// dense so order errors show as value mismatches.
 				next -= float64(size - want)
-			} else {
+			case ops[0]&2 != 0 && seg != nil:
+				release()
+			case ops[0]&2 != 0:
+				seg = ch.segment(size)
+				if want := min(size, len(model), len(ch.ring)-ch.head); len(seg) != want {
+					t.Fatalf("segment(%d) with %d queued, head %d of ring %d returned %d, want %d",
+						size, len(model), ch.head, len(ch.ring), len(seg), want)
+				}
+				if len(seg) == 0 {
+					seg = nil
+				}
+			default:
+				release()
 				dst := make([]complex128, size)
 				n := ch.take(dst)
 				if want := min(size, len(model)); n != want {
@@ -53,6 +79,11 @@ func FuzzRingFIFO(f *testing.F) {
 					}
 				}
 				model = model[n:]
+			}
+			for i, v := range seg {
+				if v != model[i] {
+					t.Fatalf("segment sample %d = %v, want %v", i, v, model[i])
+				}
 			}
 			if ch.count != len(model) {
 				t.Fatalf("count %d, model holds %d", ch.count, len(model))
@@ -199,17 +230,30 @@ func (a gatedAccumulator) Push(x []complex128) error {
 	return a.Accumulator.Push(x)
 }
 
-// newGatedEngine starts a one-worker engine over a gatedEstimator with
-// one channel "c" and the given ring limit.
-func newGatedEngine(t *testing.T, limit int, block bool) (*Engine, gatedEstimator) {
-	t.Helper()
-	g := gatedEstimator{
+// newGate returns a gatedEstimator over scf.Direct whose accumulators
+// park in every Push until its gate is closed.
+func newGate() gatedEstimator {
+	return gatedEstimator{
 		Direct:  scf.Direct{Params: scf.Params{K: 64, M: 16}},
 		entered: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
+}
+
+// newGatedEngine starts a one-worker engine over a gatedEstimator with
+// one channel "c" and the given ring limit.
+func newGatedEngine(t *testing.T, limit int, block bool) (*Engine, gatedEstimator) {
+	t.Helper()
+	g := newGate()
+	return startEngine(t, g, limit, block), g
+}
+
+// startEngine starts a one-worker engine over est with one channel "c",
+// the given ring limit and 1024-sample windows.
+func startEngine(t *testing.T, est scf.StreamingEstimator, limit int, block bool) *Engine {
+	t.Helper()
 	e, err := New(Config{
-		Estimator:       g,
+		Estimator:       est,
 		SnapshotSamples: 1024,
 		RingSamples:     limit,
 		Workers:         1,
@@ -221,7 +265,7 @@ func newGatedEngine(t *testing.T, limit int, block bool) (*Engine, gatedEstimato
 	if err := e.AddChannel("c"); err != nil {
 		t.Fatal(err)
 	}
-	return e, g
+	return e
 }
 
 // ringState reads channel c's ring length and unread count.
@@ -235,24 +279,26 @@ func ringState(e *Engine) (length, count int) {
 }
 
 // TestEngineDropAtLimitAfterGrowth: a burst that fills a grown ring
-// still drops, and counts, exactly what exceeds RingSamples.
+// still drops, and counts, exactly what exceeds RingSamples, and the
+// segment a worker is feeding counts against the limit.
 func TestEngineDropAtLimitAfterGrowth(t *testing.T) {
 	const limit = 5000
 	e, g := newGatedEngine(t, limit, false)
 	defer e.Close()
 	defer close(g.gate)
-	// The first push sizes the ring to its 100 samples; the worker takes
-	// them all and parks in the accumulator.
+	// The first push sizes the ring to its 100 samples; the worker feeds
+	// them in place and parks in the accumulator, so they stay in the
+	// ring.
 	if n, err := e.Push("c", make([]complex128, 100)); err != nil || n != 100 {
 		t.Fatalf("Push accepted %d, err %v", n, err)
 	}
 	<-g.entered
-	if length, count := ringState(e); length != 100 || count != 0 {
-		t.Fatalf("ring length %d count %d, want 100 and 0", length, count)
+	if length, count := ringState(e); length != 100 || count != 100 {
+		t.Fatalf("ring length %d count %d, want 100 and 100", length, count)
 	}
 	n, err := e.Push("c", make([]complex128, 2*limit+7))
-	if err != nil || n != limit {
-		t.Fatalf("burst accepted %d, err %v, want exactly %d", n, err, limit)
+	if err != nil || n != limit-100 {
+		t.Fatalf("burst accepted %d, err %v, want exactly %d", n, err, limit-100)
 	}
 	if length, count := ringState(e); length != limit || count != limit {
 		t.Fatalf("ring length %d count %d, want both %d", length, count, limit)
@@ -261,8 +307,8 @@ func TestEngineDropAtLimitAfterGrowth(t *testing.T) {
 		t.Fatalf("Push into a full ring accepted %d, err %v", n, err)
 	}
 	cs, _ := e.ChannelStats("c")
-	if cs.SamplesIn != 100+limit || cs.SamplesDropped != limit+7+3 {
-		t.Fatalf("in %d dropped %d, want %d and %d", cs.SamplesIn, cs.SamplesDropped, 100+limit, limit+7+3)
+	if cs.SamplesIn != limit || cs.SamplesDropped != limit+107+3 {
+		t.Fatalf("in %d dropped %d, want %d and %d", cs.SamplesIn, cs.SamplesDropped, limit, limit+107+3)
 	}
 }
 
@@ -286,8 +332,8 @@ func TestEngineBlockAtLimitAfterGrowth(t *testing.T) {
 		done <- n
 	}()
 	<-g.entered
-	// The worker holds one drained chunk; the producer refills the ring
-	// to its limit and must then wait.
+	// The worker parks feeding its segment in place; the producer fills
+	// the ring, that segment included, to its limit and must then wait.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, count := ringState(e); count == limit {
@@ -316,5 +362,111 @@ func TestEngineBlockAtLimitAfterGrowth(t *testing.T) {
 	cs, _ := e.ChannelStats("c")
 	if cs.SamplesIn != total || cs.SamplesDropped != 0 || cs.Snapshots != total/1024 {
 		t.Fatalf("in %d dropped %d snapshots %d, want %d, 0, %d", cs.SamplesIn, cs.SamplesDropped, cs.Snapshots, total, total/1024)
+	}
+}
+
+// recordingEstimator is a gatedEstimator whose accumulators also record,
+// once past the gate, every sample pushed into them.
+type recordingEstimator struct {
+	gatedEstimator
+	rec *recorder
+}
+
+type recorder struct {
+	mu  sync.Mutex
+	got []complex128
+}
+
+func (r recordingEstimator) NewAccumulator() (scf.Accumulator, error) {
+	acc, err := r.gatedEstimator.NewAccumulator()
+	return recordingAccumulator{acc, r.rec}, err
+}
+
+type recordingAccumulator struct {
+	scf.Accumulator
+	rec *recorder
+}
+
+// Push parks at the gate first, so what it records is the chunk as it
+// reads after anything that happened to the ring meanwhile.
+func (a recordingAccumulator) Push(x []complex128) error {
+	err := a.Accumulator.Push(x)
+	a.rec.mu.Lock()
+	a.rec.got = append(a.rec.got, x...)
+	a.rec.mu.Unlock()
+	return err
+}
+
+// TestRingGrowsDuringFeed: a worker feeds a segment straight from the
+// ring and parks in the accumulator; a burst then grows the ring under
+// it. Every sample still reaches the accumulator exactly once, in
+// order, bit for bit, in drop mode (the burst fits) and in Block mode
+// (the burst is three limits long and waits for the drain).
+func TestRingGrowsDuringFeed(t *testing.T) {
+	const limit = 5000
+	seq := func(from, n int) []complex128 {
+		s := make([]complex128, n)
+		for i := range s {
+			s[i] = complex(float64(from+i), -float64(from+i))
+		}
+		return s
+	}
+	for _, block := range []bool{false, true} {
+		t.Run(map[bool]string{false: "drop", true: "block"}[block], func(t *testing.T) {
+			rec := &recorder{}
+			g := newGate()
+			release := sync.OnceFunc(func() { close(g.gate) })
+			defer release()
+			e := startEngine(t, recordingEstimator{g, rec}, limit, block)
+			defer e.Close()
+			if _, err := e.Push("c", seq(0, 100)); err != nil {
+				t.Fatal(err)
+			}
+			<-g.entered // the worker holds the first 100 samples in place
+			burst := 3000
+			if block {
+				burst = 3 * limit
+			}
+			done := make(chan int, 1)
+			go func() {
+				n, err := e.Push("c", seq(100, burst))
+				if err != nil {
+					t.Error(err)
+				}
+				done <- n
+			}()
+			// The ring grows under the parked segment: to 3100 samples in
+			// drop mode, to the limit in Block mode.
+			want := min(100+burst, limit)
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if length, count := ringState(e); length == want && count == want {
+					break
+				}
+				if time.Now().After(deadline) {
+					length, count := ringState(e)
+					t.Fatalf("ring length %d count %d, want both %d", length, count, want)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			release()
+			if n := <-done; n != burst {
+				t.Fatalf("burst accepted %d, want %d", n, burst)
+			}
+			if err := e.Flush(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			all := seq(0, 100+burst)
+			if len(rec.got) != len(all) {
+				t.Fatalf("accumulator got %d samples, want %d", len(rec.got), len(all))
+			}
+			for i, v := range rec.got {
+				if v != all[i] {
+					t.Fatalf("accumulator sample %d = %v, want %v", i, v, all[i])
+				}
+			}
+		})
 	}
 }

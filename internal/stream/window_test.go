@@ -95,3 +95,61 @@ func TestWindowAccumulatorSteadyCycleAllocsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineHeldBytes: at the stream-ssca geometry (SSCA, K=256, M=64,
+// W=2048) a channel holds its ring and the accumulator's 1279-sample
+// span, 16·len(ring) + 20,464 B, after a window; a channel with the
+// sample-based dg decider also holds its 2048-sample window buffer. The
+// engine's HeldBytes is the sum of its channels'.
+func TestEngineHeldBytes(t *testing.T) {
+	const window, span = 2048, 1024 + 255
+	p := scf.Params{K: 256, M: 64}
+	e, err := New(Config{Estimator: fam.SSCA{Params: p}, SnapshotSamples: window, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	dgp := p
+	dgp.AlphaCandidates = []int{16, 32}
+	dg, err := detect.NewDecider("dg", detect.DeciderParams{Scf: dgp, MinAbsA: 2, TargetPfa: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	winBytes := map[string]int{"cfar-0": 0, "cfar-1": 0, "dg": 16 * window}
+	for id := range winBytes {
+		var dec detect.Decider
+		if id == "dg" {
+			dec = dg
+		}
+		if err := e.AddChannelDecider(id, nil, dec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Push(id, bpskBand(t, window, 8.0/256, 6, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for id, win := range winBytes {
+		e.mu.RLock()
+		ch := e.channels[id]
+		e.mu.RUnlock()
+		ch.mu.Lock()
+		ring := len(ch.ring)
+		ch.mu.Unlock()
+		cs, _ := e.ChannelStats(id)
+		if cs.Snapshots != 1 {
+			t.Fatalf("%s: %d decisions, want 1", id, cs.Snapshots)
+		}
+		if want := int64(16*ring + win + 16*span); cs.HeldBytes != want {
+			t.Errorf("%s: holds %d B, want 16·%d (ring) + %d (window) + %d (span) = %d",
+				id, cs.HeldBytes, ring, win, 16*span, want)
+		}
+		sum += cs.HeldBytes
+	}
+	if st := e.Stats(); st.HeldBytes != sum {
+		t.Fatalf("Stats.HeldBytes %d, channels sum to %d", st.HeldBytes, sum)
+	}
+}

@@ -2,9 +2,9 @@ package tile
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
+	"tiledcfd/internal/montium"
 	"tiledcfd/internal/scf"
 )
 
@@ -153,7 +153,7 @@ func NewSchedule(g *Graph, fab Fabric, strategy string) (*Schedule, error) {
 				if !ok {
 					// First consumer on this tile: schedule the transfer.
 					words := groupWords[r]
-					ser := serialCycles(words, fab.LinkWordsPerCycle)
+					ser := montium.TransferCycles(words, 0, fab.LinkWordsPerCycle)
 					start := maxInt64(finish[e.From], portFree[from], portFree[tile])
 					end := start + ser
 					portFree[from], portFree[tile] = end, end
@@ -191,7 +191,7 @@ func NewSchedule(g *Graph, fab Fabric, strategy string) (*Schedule, error) {
 	}
 	for t := range s.PerTile {
 		u := &s.PerTile[t]
-		u.IOCycles = serialCycles(u.SendWords+u.RecvWords, fab.LinkWordsPerCycle)
+		u.IOCycles = montium.TransferCycles(u.SendWords+u.RecvWords, 0, fab.LinkWordsPerCycle)
 		busy := u.ComputeCycles
 		if u.IOCycles > busy {
 			busy = u.IOCycles
@@ -204,14 +204,6 @@ func NewSchedule(g *Graph, fab Fabric, strategy string) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// serialCycles is the port time words occupy at the given bandwidth.
-func serialCycles(words int64, wordsPerCycle float64) int64 {
-	if words <= 0 {
-		return 0
-	}
-	return int64(math.Ceil(float64(words) / wordsPerCycle))
 }
 
 func maxInt64(vs ...int64) int64 {
