@@ -596,38 +596,30 @@ func toMonitorDecision(d stream.Decision, shard string) MonitorDecision {
 	}
 }
 
+// The accounting records every layer embeds, declared in internal/stream.
+type (
+	// Counters are an engine's monotone counts; a Monitor sums them over
+	// every shard it has had.
+	Counters = stream.Counters
+	// Gauges are an engine's momentary ingestion backlog and held memory;
+	// a Monitor sums them over its live shards, remote workers included.
+	Gauges = stream.Gauges
+	// ChannelCounters are one channel's monotone counts, summed over
+	// every shard that owned the channel.
+	ChannelCounters = stream.ChannelCounters
+)
+
 // MonitorStats is session-wide Monitor accounting: live shards plus the
 // banked counters of every drained shard, so totals never move
 // backwards on rebalancing.
 type MonitorStats struct {
 	// Channels is the number of registered channels.
 	Channels int
-	// SamplesIn counts samples accepted; SamplesDropped counts samples
-	// discarded because an ingestion ring was full.
-	SamplesIn, SamplesDropped int64
-	// Surfaces counts estimator snapshots (= decisions made); Detections
-	// the subset declaring the band occupied; DecisionsDropped the
-	// decisions lost to a full or unread Decisions channel (the latest
-	// per channel always remains available via ChannelStats).
-	Surfaces, Detections, DecisionsDropped int64
-	// WindowsFailed counts due windows that produced no decision because
-	// the estimator snapshot or the detector failed on their data.
-	WindowsFailed int64
+	Counters
+	Gauges
 	// SamplesNonFinite counts the samples of blocks Push rejected for
 	// holding a NaN or infinite sample; none of them reached an engine.
 	SamplesNonFinite int64
-	// QueuedSamples is the momentary ingestion backlog: samples pushed
-	// but not yet integrated into estimator state.
-	QueuedSamples int64
-	// HeldBytes is the memory the channels of the local engines hold:
-	// ingestion rings, sample windows of sample-based detectors and
-	// estimator buffers. Remote shards are not included; a ShardWorker
-	// reports its own engine's.
-	HeldBytes int64
-	// PrunedCellsSkipped counts surface cells never computed because of
-	// alpha-candidate pruning, summed over all snapshots. Zero when no
-	// channel prunes.
-	PrunedCellsSkipped int64
 	// SamplesPerSec and SurfacesPerSec are lifetime-average throughput
 	// rates.
 	SamplesPerSec, SurfacesPerSec float64
@@ -655,13 +647,9 @@ type MonitorChannelStats struct {
 	ID string
 	// Shard names the channel's current owner.
 	Shard string
-	// SamplesIn counts samples accepted; SamplesDropped those discarded
-	// because the channel's ingestion ring was full or its owner was
-	// unreachable.
-	SamplesIn, SamplesDropped int64
-	// Snapshots counts the channel's decisions; Detections the subset
-	// declaring the band occupied.
-	Snapshots, Detections int64
+	// ChannelCounters' SamplesDropped also counts samples shed because
+	// the channel's owner was unreachable.
+	ChannelCounters
 	// Handoffs counts the ownership moves this channel has been through.
 	Handoffs int64
 	// Last is the most recent decision, nil before the first.
@@ -682,9 +670,10 @@ type ShardInfo struct {
 	State string
 	// Channels is the number of channels the shard currently owns.
 	Channels int
-	// SamplesIn, Surfaces and Detections are the shard engine's lifetime
-	// counters; QueuedSamples its momentary ingestion backlog.
-	SamplesIn, Surfaces, Detections, QueuedSamples int64
+	// Counters and Gauges are the shard engine's own; for a down remote
+	// they are the last reading before the outage.
+	Counters
+	Gauges
 }
 
 // Monitor is a long-running streaming sensing session: the incremental
@@ -851,13 +840,10 @@ func (m *Monitor) Decisions() <-chan MonitorDecision { return m.out }
 // toMonitorChannelStats converts the router's channel record.
 func toMonitorChannelStats(cs shard.ChannelStats) MonitorChannelStats {
 	out := MonitorChannelStats{
-		ID:             cs.ID,
-		Shard:          cs.Shard,
-		SamplesIn:      cs.SamplesIn,
-		SamplesDropped: cs.SamplesDropped,
-		Snapshots:      cs.Snapshots,
-		Detections:     cs.Detections,
-		Handoffs:       cs.Handoffs,
+		ID:              cs.ID,
+		Shard:           cs.Shard,
+		ChannelCounters: cs.ChannelCounters,
+		Handoffs:        cs.Handoffs,
 	}
 	if cs.Last != nil {
 		last := toMonitorDecision(*cs.Last, cs.Shard)
@@ -871,26 +857,20 @@ func toMonitorChannelStats(cs shard.ChannelStats) MonitorChannelStats {
 func (m *Monitor) Stats() MonitorStats {
 	s := m.r.Stats()
 	out := MonitorStats{
-		Channels:           s.Channels,
-		SamplesIn:          s.SamplesIn,
-		SamplesDropped:     s.SamplesDropped,
-		Surfaces:           s.Surfaces,
-		Detections:         s.Detections,
-		DecisionsDropped:   s.DecisionsDropped + m.dropped.Load(),
-		WindowsFailed:      s.WindowsFailed,
-		SamplesNonFinite:   m.nonFinite.Load(),
-		QueuedSamples:      s.QueuedSamples,
-		HeldBytes:          s.HeldBytes,
-		PrunedCellsSkipped: s.PrunedCellsSkipped,
-		SamplesPerSec:      s.SamplesPerSec,
-		Shards:             s.Shards,
-		Handoffs:           s.Handoffs,
-		Retries:            s.Retries,
-		DeadlineExceeded:   s.DeadlineExceeded,
-		Failovers:          s.Failovers,
-		ShedSamples:        s.ShedSamples,
-		OpenCircuits:       s.OpenCircuits,
+		Channels:         s.Channels,
+		Counters:         s.Counters,
+		Gauges:           s.Gauges,
+		SamplesNonFinite: m.nonFinite.Load(),
+		SamplesPerSec:    s.SamplesPerSec,
+		Shards:           s.Shards,
+		Handoffs:         s.Handoffs,
+		Retries:          s.Retries,
+		DeadlineExceeded: s.DeadlineExceeded,
+		Failovers:        s.Failovers,
+		ShedSamples:      s.ShedSamples,
+		OpenCircuits:     s.OpenCircuits,
 	}
+	out.DecisionsDropped += m.dropped.Load()
 	if sec := s.Elapsed.Seconds(); sec > 0 {
 		out.SurfacesPerSec = float64(s.Surfaces) / sec
 	}
@@ -920,15 +900,13 @@ func (m *Monitor) Shards() []ShardInfo {
 	out := make([]ShardInfo, len(ss))
 	for i, s := range ss {
 		out[i] = ShardInfo{
-			Name:          s.Name,
-			Remote:        s.Remote,
-			Addr:          s.Addr,
-			State:         s.State,
-			Channels:      s.Channels,
-			SamplesIn:     s.Stats.SamplesIn,
-			Surfaces:      s.Stats.Surfaces,
-			Detections:    s.Stats.Detections,
-			QueuedSamples: s.Stats.QueuedSamples,
+			Name:     s.Name,
+			Remote:   s.Remote,
+			Addr:     s.Addr,
+			State:    s.State,
+			Channels: s.Channels,
+			Counters: s.Stats.Counters,
+			Gauges:   s.Stats.Gauges,
 		}
 	}
 	return out
@@ -992,6 +970,7 @@ type ShardWorkerOptions struct {
 // restart; the router carries the counters across incarnations.
 type ShardWorker struct {
 	eng  *stream.Engine
+	sink *shardWorkerSink
 	srv  *wire.Server
 	addr net.Addr
 	once sync.Once
@@ -1001,11 +980,12 @@ type ShardWorker struct {
 // keeps the worker's Config so an open frame naming a detector can build
 // the per-channel decider with the worker's own geometry and knobs.
 type shardWorkerSink struct {
-	eng *stream.Engine
-	cfg Config
+	eng       *stream.Engine
+	cfg       Config
+	nonFinite atomic.Int64 // samples in blocks rejected by checkFinite
 }
 
-func (s shardWorkerSink) OpenChannel(meta wire.Meta) error {
+func (s *shardWorkerSink) OpenChannel(meta wire.Meta) error {
 	if meta.Detector == "" {
 		return s.eng.AddChannelCandidates(meta.ID, meta.AlphaCandidates)
 	}
@@ -1028,8 +1008,9 @@ func (s shardWorkerSink) OpenChannel(meta wire.Meta) error {
 	return s.eng.AddChannelDecider(meta.ID, meta.AlphaCandidates, dec)
 }
 
-func (s shardWorkerSink) Push(id string, samples []complex128) (int, error) {
+func (s *shardWorkerSink) Push(id string, samples []complex128) (int, error) {
 	if err := checkFinite(samples); err != nil {
+		s.nonFinite.Add(int64(len(samples)))
 		return 0, err
 	}
 	return s.eng.Push(id, samples)
@@ -1051,8 +1032,9 @@ func NewShardWorker(cfg Config, opts ShardWorkerOptions) (*ShardWorker, error) {
 	if err != nil {
 		return nil, err
 	}
+	sink := &shardWorkerSink{eng: eng, cfg: cfg}
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Sink:          shardWorkerSink{eng: eng, cfg: cfg},
+		Sink:          sink,
 		Engine:        eng,
 		RemoveOnClose: true,
 		Logf:          opts.Logf,
@@ -1067,28 +1049,23 @@ func NewShardWorker(cfg Config, opts ShardWorkerOptions) (*ShardWorker, error) {
 		eng.Close()
 		return nil, err
 	}
-	return &ShardWorker{eng: eng, srv: srv, addr: addr}, nil
+	return &ShardWorker{eng: eng, sink: sink, srv: srv, addr: addr}, nil
 }
 
 // Addr is the bound listen address the parent router should dial.
 func (w *ShardWorker) Addr() net.Addr { return w.addr }
 
-// Stats returns the hosted engine's accounting.
+// Stats returns the hosted engine's accounting, plus the samples of
+// pushed blocks rejected for holding a NaN or infinite sample.
 func (w *ShardWorker) Stats() MonitorStats {
 	s := w.eng.Stats()
 	return MonitorStats{
-		Channels:           s.Channels,
-		SamplesIn:          s.SamplesIn,
-		SamplesDropped:     s.SamplesDropped,
-		Surfaces:           s.Surfaces,
-		Detections:         s.Detections,
-		DecisionsDropped:   s.DecisionsDropped,
-		WindowsFailed:      s.WindowsFailed,
-		QueuedSamples:      s.QueuedSamples,
-		HeldBytes:          s.HeldBytes,
-		PrunedCellsSkipped: s.PrunedCellsSkipped,
-		SamplesPerSec:      s.SamplesPerSec,
-		SurfacesPerSec:     s.SurfacesPerSec,
+		Channels:         s.Channels,
+		Counters:         s.Counters,
+		Gauges:           s.Gauges,
+		SamplesNonFinite: w.sink.nonFinite.Load(),
+		SamplesPerSec:    s.SamplesPerSec,
+		SurfacesPerSec:   s.SurfacesPerSec,
 	}
 }
 

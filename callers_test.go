@@ -31,8 +31,7 @@ var testOnlyKept = map[string]string{
 	// in later changes, a few tests at a time; this list only shrinks.
 	"dead, deletion deferred": `chaos.Controller.SetLatency chaos.Controller.DropWrites
 		chaos.Controller.TruncateNextWrite core.OccupancyRatio detect.EstimateSignal
-		detect.EnergyThresholdForPfa detect.Scanner.Scan detect.FreeChannels
-		detect.BestFreeChannel dg.CountDiagonals dg.Mapped.ProcessorSet fft.Plan.Inverse
+		detect.EnergyThresholdForPfa dg.CountDiagonals dg.Mapped.ProcessorSet fft.Plan.Inverse
 		fft.RealComplexMults fixed.GuardBitsNeeded fixed.MulNoRound fixed.Half
 		mapping.RegisterChain.InitialValue mapping.RegisterChain.InjectedValue
 		mapping.TotalInitialLoads mapping.CompareDedicatedFFT montium.Core.RunEnergy

@@ -18,7 +18,7 @@
 //	         [-quiet] [-drain-grace 5s] [-shard-addrs a,b]
 //	         [-health-interval 2s] [-push-timeout 5s] [-fallback-local]
 //	cfdserve -shard-of addr [-estimator fam] [-k 256] [-window 16384]
-//	         [-alpha 16,32] [-report 2s] [-duration 0] [-quiet]
+//	         [-alpha 16,32] [-http addr] [-report 2s] [-duration 0] [-quiet]
 //	cfdserve -connect addr [-channels 4] [-format cf32_le|ci16_le]
 //	         [-alpha 16,32] [-rate 0] [-duration 0] [-seed 1] [-k 256]
 //	         [-quiet]
@@ -45,13 +45,15 @@
 //
 // -shard-addrs spreads the fleet across processes: each address names a
 // worker started with `cfdserve -shard-of addr`, which hosts one bare
-// engine behind the wire protocol's worker mode. The router wraps every
-// remote in a robustness layer — per-push deadlines (-push-timeout),
-// retries with jittered exponential backoff, a per-shard circuit
-// breaker, and a heartbeat every -health-interval. A worker that dies
-// is failed over: its channels re-home onto the surviving shards (or a
-// local fallback engine with -fallback-local) with counters carried, and
-// /healthz reports the degraded set until the circuit closes again.
+// engine behind the wire protocol's worker mode (and, given -http,
+// serves its own /healthz, /stats and engine /metrics lines). The
+// router wraps every remote in a robustness layer — per-push deadlines
+// (-push-timeout), retries with jittered exponential backoff, a
+// per-shard circuit breaker, and a heartbeat every -health-interval. A
+// worker that dies is failed over: its channels re-home onto the
+// surviving shards (or a local fallback engine with -fallback-local)
+// with counters carried, and /healthz reports the degraded set until
+// the circuit closes again.
 //
 // -connect turns cfdserve into a wire-protocol feeder instead: it dials
 // a serving instance, opens -channels channels and streams the synthetic
@@ -428,16 +430,11 @@ func run(ctx context.Context, o options, out io.Writer) (*serveStats, error) {
 		}
 	}()
 
-	if o.httpAddr != "" {
-		hs, err := statusServer(o.httpAddr, mon, srv)
-		if err != nil {
-			return nil, err
-		}
-		if o.notifyHTTP != nil {
-			o.notifyHTTP(hs.addr)
-		}
-		defer hs.srv.Shutdown(context.Background()) //nolint:errcheck // best-effort shutdown
+	stopStatus, err := serveStatus(o, mon, srv)
+	if err != nil {
+		return nil, err
 	}
+	defer stopStatus()
 
 	ticker := time.NewTicker(o.report)
 	defer ticker.Stop()
@@ -550,6 +547,11 @@ func runWorker(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 	defer w.Close()
+	stopStatus, err := serveStatus(o, w, nil)
+	if err != nil {
+		return err
+	}
+	defer stopStatus()
 	fmt.Fprintf(out, "shard worker listening on %s\n", w.Addr())
 	if o.notifyListen != nil {
 		o.notifyListen(w.Addr())
@@ -617,62 +619,87 @@ func report(out io.Writer, mon *tiledcfd.Monitor, feeders []*feeder,
 	return st, now
 }
 
-// statusSnapshot is the /stats JSON schema.
+// statusSnapshot is the /stats JSON schema. A shard worker fills only
+// Stats: it has no shards or channels of its own to report.
 type statusSnapshot struct {
 	Stats    tiledcfd.MonitorStats          `json:"stats"`
-	Shards   []tiledcfd.ShardInfo           `json:"shards"`
-	Channels []tiledcfd.MonitorChannelStats `json:"channels"`
+	Shards   []tiledcfd.ShardInfo           `json:"shards,omitempty"`
+	Channels []tiledcfd.MonitorChannelStats `json:"channels,omitempty"`
 }
 
-// collectMetrics fills one Prometheus exposition scrape: engine-level
-// counters, per-shard gauges, and (when serving the wire protocol) the
-// ingest listener's counters.
-func collectMetrics(e *wire.Exposition, mon *tiledcfd.Monitor, srv *wire.Server) {
-	st := mon.Stats()
-	e.Metric("cfd_engine_samples_in_total", "counter",
-		"IQ samples accepted by the sensing engines.", float64(st.SamplesIn))
-	e.Metric("cfd_engine_samples_dropped_total", "counter",
-		"IQ samples discarded by full ingestion rings (drop mode).", float64(st.SamplesDropped))
-	e.Metric("cfd_samples_nonfinite_total", "counter",
-		"IQ samples in pushed blocks rejected for holding a NaN or infinite sample.",
-		float64(st.SamplesNonFinite))
-	e.Metric("cfd_engine_samples_per_sec", "gauge",
-		"Lifetime-average ingest rate in samples/sec.", st.SamplesPerSec)
-	e.Metric("cfd_engine_decisions_total", "counter",
-		"Decision windows produced across all shards.", float64(st.Surfaces))
-	e.Metric("cfd_engine_detections_total", "counter",
-		"Decision windows declaring the band occupied.", float64(st.Detections))
-	e.Metric("cfd_engine_decisions_dropped_total", "counter",
-		"Decisions lost to a full or unread decision stream.", float64(st.DecisionsDropped))
-	e.Metric("cfd_windows_failed_total", "counter",
-		"Due decision windows that produced no decision because the estimator or detector failed on their data.",
-		float64(st.WindowsFailed))
-	e.Metric("cfd_engine_channels", "gauge",
-		"Registered channels.", float64(st.Channels))
-	e.Metric("cfd_engine_held_bytes", "gauge",
-		"Bytes the local engines' channels hold: rings, detector sample windows and estimator buffers.",
-		float64(st.HeldBytes))
-	e.Metric("cfd_pruned_cells_skipped_total", "counter",
-		"Surface cells never computed thanks to alpha-candidate pruning.",
-		float64(st.PrunedCellsSkipped))
+// statusSource is what the status server reports on: a *tiledcfd.Monitor,
+// or a *tiledcfd.ShardWorker, which has no shards, channels or circuits.
+type statusSource interface {
+	Stats() tiledcfd.MonitorStats
+}
+
+// engineMetrics are the engine-level lines of /metrics, each read from a
+// MonitorStats, that a serving daemon and a shard worker both expose.
+var engineMetrics = []struct {
+	name, typ, help string
+	get             func(tiledcfd.MonitorStats) float64
+}{
+	{"cfd_engine_samples_in_total", "counter", "IQ samples accepted by the sensing engines.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.SamplesIn) }},
+	{"cfd_engine_samples_dropped_total", "counter", "IQ samples discarded by full ingestion rings (drop mode).",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.SamplesDropped) }},
+	{"cfd_samples_nonfinite_total", "counter", "IQ samples in pushed blocks rejected for holding a NaN or infinite sample.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.SamplesNonFinite) }},
+	{"cfd_engine_samples_per_sec", "gauge", "Lifetime-average ingest rate in samples/sec.",
+		func(s tiledcfd.MonitorStats) float64 { return s.SamplesPerSec }},
+	{"cfd_engine_decisions_total", "counter", "Decision windows produced across all shards.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.Surfaces) }},
+	{"cfd_engine_detections_total", "counter", "Decision windows declaring the band occupied.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.Detections) }},
+	{"cfd_engine_decisions_dropped_total", "counter", "Decisions lost to a full or unread decision stream.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.DecisionsDropped) }},
+	{"cfd_windows_failed_total", "counter", "Due decision windows that produced no decision because the estimator or detector failed on their data.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.WindowsFailed) }},
+	{"cfd_engine_channels", "gauge", "Registered channels.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.Channels) }},
+	{"cfd_engine_held_bytes", "gauge", "Bytes the live engines' channels hold, remote shards included: rings, detector sample windows and estimator buffers.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.HeldBytes) }},
+	{"cfd_pruned_cells_skipped_total", "counter", "Surface cells never computed thanks to alpha-candidate pruning.",
+		func(s tiledcfd.MonitorStats) float64 { return float64(s.PrunedCellsSkipped) }},
+}
+
+// collectMetrics fills one Prometheus exposition scrape: the engine
+// lines, then for a Monitor the router's and per-shard lines, and (when
+// serving the wire protocol) the ingest listener's counters.
+func collectMetrics(e *wire.Exposition, src statusSource, srv *wire.Server) {
+	st := src.Stats()
+	for _, m := range engineMetrics {
+		e.Metric(m.name, m.typ, m.help, m.get(st))
+	}
+	if mon, ok := src.(*tiledcfd.Monitor); ok {
+		collectRouterMetrics(e, st, mon)
+	}
+	if srv != nil {
+		srv.Collect(e)
+	}
+}
+
+// collectRouterMetrics adds a Monitor's shard-fleet lines.
+func collectRouterMetrics(e *wire.Exposition, st tiledcfd.MonitorStats, mon *tiledcfd.Monitor) {
 	e.Metric("cfd_engine_shards", "gauge",
 		"Live shard engines.", float64(st.Shards))
 	e.Metric("cfd_engine_handoffs_total", "counter",
 		"Channel ownership moves across rebalances.", float64(st.Handoffs))
-	for _, s := range mon.Shards() {
+	shards := mon.Shards()
+	for _, s := range shards {
 		e.Metric("cfd_shard_queue_depth", "gauge",
 			"Momentary ingestion backlog per shard in samples.",
 			float64(s.QueuedSamples), "shard", s.Name)
 	}
-	for _, s := range mon.Shards() {
+	for _, s := range shards {
 		e.Metric("cfd_shard_samples_in_total", "counter",
 			"IQ samples accepted per shard.", float64(s.SamplesIn), "shard", s.Name)
 	}
-	for _, s := range mon.Shards() {
+	for _, s := range shards {
 		e.Metric("cfd_shard_decisions_total", "counter",
 			"Decision windows produced per shard.", float64(s.Surfaces), "shard", s.Name)
 	}
-	for _, s := range mon.Shards() {
+	for _, s := range shards {
 		e.Metric("cfd_shard_channels", "gauge",
 			"Channels owned per shard.", float64(s.Channels), "shard", s.Name)
 	}
@@ -684,16 +711,13 @@ func collectMetrics(e *wire.Exposition, mon *tiledcfd.Monitor, srv *wire.Server)
 		"Remote shards failed over after their circuit opened.", float64(st.Failovers))
 	e.Metric("cfd_shard_shed_samples_total", "counter",
 		"Samples shed because no healthy shard could take them.", float64(st.ShedSamples))
-	for _, s := range mon.Shards() {
+	for _, s := range shards {
 		if !s.Remote {
 			continue
 		}
 		e.Metric("cfd_shard_circuit_state", "gauge",
 			"Remote shard breaker position: 0 closed, 1 half-open, 2 open.",
 			float64(circuitStateValue(s.State)), "shard", s.Name)
-	}
-	if srv != nil {
-		srv.Collect(e)
 	}
 }
 
@@ -708,45 +732,49 @@ func circuitStateValue(state string) int {
 	return 0
 }
 
-// statusHTTP is a started status server and its bound address.
-type statusHTTP struct {
-	srv  *http.Server
-	addr net.Addr
-}
-
-// statusServer starts the embedded HTTP endpoint: /healthz, /stats
-// (JSON) and /metrics (Prometheus text exposition).
-func statusServer(addr string, mon *tiledcfd.Monitor, wsrv *wire.Server) (*statusHTTP, error) {
+// serveStatus starts the embedded HTTP endpoint on o.httpAddr, when
+// set: /healthz, /stats (JSON) and /metrics (Prometheus text
+// exposition) over src. It returns the server's shutdown.
+func serveStatus(o options, src statusSource, wsrv *wire.Server) (func(), error) {
+	if o.httpAddr == "" {
+		return func() {}, nil
+	}
+	mon, _ := src.(*tiledcfd.Monitor)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Degraded = at least one remote shard's circuit is not closed:
 		// traffic still flows (re-homed or shed with accounting) but the
 		// fleet is short, so load balancers should prefer a healthy peer.
-		if open := mon.OpenCircuits(); len(open) > 0 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck // best-effort status
-				"status":        "degraded",
-				"open_circuits": open,
-			})
-			return
+		if mon != nil {
+			if open := mon.OpenCircuits(); len(open) > 0 {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck // best-effort status
+					"status":        "degraded",
+					"open_circuits": open,
+				})
+				return
+			}
 		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		snap := statusSnapshot{Stats: mon.Stats(), Shards: mon.Shards()}
-		for _, id := range mon.Channels() {
-			if cs, ok := mon.ChannelStats(id); ok {
-				snap.Channels = append(snap.Channels, cs)
+		snap := statusSnapshot{Stats: src.Stats()}
+		if mon != nil {
+			snap.Shards = mon.Shards()
+			for _, id := range mon.Channels() {
+				if cs, ok := mon.ChannelStats(id); ok {
+					snap.Channels = append(snap.Channels, cs)
+				}
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(snap) //nolint:errcheck // best-effort status
 	})
 	mux.Handle("/metrics", wire.Handler(func(e *wire.Exposition) {
-		collectMetrics(e, mon, wsrv)
+		collectMetrics(e, src, wsrv)
 	}))
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", o.httpAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -756,7 +784,10 @@ func statusServer(addr string, mon *tiledcfd.Monitor, wsrv *wire.Server) (*statu
 			log.Printf("status server: %v", err)
 		}
 	}()
-	return &statusHTTP{srv: srv, addr: ln.Addr()}, nil
+	if o.notifyHTTP != nil {
+		o.notifyHTTP(ln.Addr())
+	}
+	return func() { srv.Shutdown(context.Background()) }, nil //nolint:errcheck // best-effort shutdown
 }
 
 // runClient is -connect mode: a wire-protocol load generator streaming

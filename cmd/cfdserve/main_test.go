@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tiledcfd"
+	"tiledcfd/internal/sig"
 	"tiledcfd/internal/wire"
 )
 
@@ -646,5 +647,137 @@ func TestServeRejectsNonFiniteSamples(t *testing.T) {
 	collectMetrics(&e, mon, srv)
 	if want := fmt.Sprintf("cfd_samples_nonfinite_total %d\n", len(block)); !strings.Contains(e.String(), want) {
 		t.Fatalf("/metrics lacks %q", want)
+	}
+}
+
+// TestWorkerServesStatusEndpoints: a -shard-of worker started with
+// -http serves /healthz, /stats and the engine lines of /metrics, and
+// its cfd_engine_held_bytes shows the memory a fed channel holds.
+func TestWorkerServesStatusEndpoints(t *testing.T) {
+	listenCh := make(chan net.Addr, 1)
+	httpCh := make(chan net.Addr, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	wo := options{
+		shardOf:  "127.0.0.1:0",
+		httpAddr: "127.0.0.1:0",
+		k:        64, m: 16,
+		estimator:    "fam",
+		window:       2048,
+		mode:         "block",
+		report:       time.Second,
+		quiet:        true,
+		notifyListen: func(a net.Addr) { listenCh <- a },
+		notifyHTTP:   func(a net.Addr) { httpCh <- a },
+	}
+	go func() { done <- runWorker(ctx, wo, io.Discard) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+	var wireAddr, httpAddr net.Addr
+	for wireAddr == nil || httpAddr == nil {
+		select {
+		case wireAddr = <-listenCh:
+		case httpAddr = <-httpCh:
+		case <-time.After(5 * time.Second):
+			t.Fatal("worker never bound both listeners")
+		}
+	}
+	base := "http://" + httpAddr.String()
+	if code, body := healthzStatus(t, httpAddr.String()); code != http.StatusOK {
+		t.Fatalf("/healthz = %d %q, want 200", code, body)
+	}
+
+	c, err := wire.Dial(wireAddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cs, err := c.Open(wire.Meta{ID: "ch", Format: wire.FormatCF64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Send(sig.Samples(&sig.WGN{Sigma: 0.3, Real: true, Rng: sig.NewRand(1)}, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		metrics := scrape(t, base+"/metrics")
+		if metricValue(t, metrics, "cfd_engine_samples_in_total") == 3000 &&
+			metricValue(t, metrics, "cfd_engine_held_bytes") > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker /metrics never showed the fed channel:\n%s", metrics)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(scrape(t, base+"/stats")), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var st tiledcfd.MonitorStats
+	if err := json.Unmarshal(snap["stats"], &st); err != nil {
+		t.Fatalf("/stats lacks a stats object: %v", err)
+	}
+	if st.Channels != 1 || st.SamplesIn != 3000 || st.HeldBytes <= 0 {
+		t.Fatalf("worker /stats = %+v, want 1 channel, 3000 samples and held bytes", st)
+	}
+}
+
+// TestStatusKeysKept: every key /stats served for its stats, shards[]
+// and channels[] objects before the accounting records were embedded is
+// still served (encoding/json flattens embedded structs).
+func TestStatusKeysKept(t *testing.T) {
+	want := map[string][]string{
+		"stats": {"Channels", "SamplesIn", "SamplesDropped", "Surfaces", "Detections",
+			"DecisionsDropped", "WindowsFailed", "SamplesNonFinite", "QueuedSamples", "HeldBytes",
+			"PrunedCellsSkipped", "SamplesPerSec", "SurfacesPerSec", "Shards", "Handoffs", "Retries",
+			"DeadlineExceeded", "Failovers", "ShedSamples", "OpenCircuits"},
+		"shards": {"Name", "Remote", "Addr", "State", "Channels", "SamplesIn", "Surfaces",
+			"Detections", "QueuedSamples"},
+		"channels": {"ID", "Shard", "SamplesIn", "SamplesDropped", "Snapshots", "Detections",
+			"Handoffs", "Last"},
+	}
+	mon, err := tiledcfd.NewMonitor(tiledcfd.Config{K: 64, M: 16, Estimator: "fam"},
+		tiledcfd.MonitorOptions{SnapshotSamples: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	if err := mon.AddChannel("ch"); err != nil {
+		t.Fatal(err)
+	}
+	httpCh := make(chan net.Addr, 1)
+	stop, err := serveStatus(options{httpAddr: "127.0.0.1:0", notifyHTTP: func(a net.Addr) { httpCh <- a }}, mon, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var snap struct {
+		Stats    map[string]any   `json:"stats"`
+		Shards   []map[string]any `json:"shards"`
+		Channels []map[string]any `json:"channels"`
+	}
+	if err := json.Unmarshal([]byte(scrape(t, "http://"+(<-httpCh).String()+"/stats")), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Shards) == 0 || len(snap.Channels) == 0 {
+		t.Fatalf("/stats has %d shards and %d channels, want some of each", len(snap.Shards), len(snap.Channels))
+	}
+	got := map[string]map[string]any{"stats": snap.Stats, "shards": snap.Shards[0], "channels": snap.Channels[0]}
+	for obj, keys := range want {
+		var missing []string
+		for _, k := range keys {
+			if _, ok := got[obj][k]; !ok {
+				missing = append(missing, k)
+			}
+		}
+		if len(missing) > 0 {
+			t.Errorf("/stats %s lost keys %v", obj, missing)
+		}
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tiledcfd/internal/stream"
+	"tiledcfd/internal/wire"
 )
 
 // TestNonFiniteSamplesRejected: a NaN or infinite sample in either part,
@@ -90,5 +92,39 @@ func TestNonFiniteSamplesRejected(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardWorkerCountsNonFiniteSamples: a block holding a NaN, pushed
+// over the wire straight at a ShardWorker, is rejected whole. Its
+// samples show in Stats().SamplesNonFinite and none reach the engine.
+func TestShardWorkerCountsNonFiniteSamples(t *testing.T) {
+	w, err := NewShardWorker(Config{K: 64, M: 16, Estimator: "fam"},
+		ShardWorkerOptions{SnapshotSamples: 2048, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c, err := wire.Dial(w.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cs, err := c.Open(wire.Meta{ID: "ch", Format: wire.FormatCF64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make([]complex128, 300)
+	block[7] = complex(math.NaN(), 0)
+	if err := cs.Send(block); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Stats().SamplesNonFinite == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := w.Stats(); st.SamplesNonFinite != int64(len(block)) || st.SamplesIn != 0 {
+		t.Fatalf("SamplesNonFinite = %d, SamplesIn = %d; want %d rejected and none accepted",
+			st.SamplesNonFinite, st.SamplesIn, len(block))
 	}
 }

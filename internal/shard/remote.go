@@ -62,7 +62,7 @@ type RemoteSink struct {
 	// dead incarnation's last reading is banked so shard-level aggregates
 	// never move backwards either.
 	lastStats stream.Stats
-	base      stream.Stats
+	base      stream.Counters
 
 	// pumping holds the connections whose pump still runs; their
 	// subscriber-buffer drops are read live. A pump banks its
@@ -336,29 +336,17 @@ func (rs *RemoteSink) Stats() stream.Stats {
 			// engine began from zero. Bank the dead incarnation's last
 			// reading. (A restart that outruns the old counters before
 			// the first fetch is indistinguishable and not banked.)
-			rs.base = sumStats(rs.base, rs.lastStats)
+			rs.base.Add(rs.lastStats.Counters)
 		}
 		rs.lastStats = *fresh
 	}
-	out := sumStats(rs.base, rs.lastStats)
+	out := rs.lastStats
+	out.Counters.Add(rs.base)
 	out.DecisionsDropped += rs.outDropped.Load() + rs.clientDropped
 	for cli := range rs.pumping {
 		out.DecisionsDropped += cli.DecisionsDropped()
 	}
 	return out
-}
-
-// sumStats adds base's lifetime counters onto cur, keeping cur's
-// momentary fields (Channels, QueuedSamples, rates) as they are.
-func sumStats(base, cur stream.Stats) stream.Stats {
-	cur.SamplesIn += base.SamplesIn
-	cur.SamplesDropped += base.SamplesDropped
-	cur.Surfaces += base.Surfaces
-	cur.Detections += base.Detections
-	cur.DecisionsDropped += base.DecisionsDropped
-	cur.WindowsFailed += base.WindowsFailed
-	cur.PrunedCellsSkipped += base.PrunedCellsSkipped
-	return cur
 }
 
 // Flush asks the worker to drain its rings and make due decisions.

@@ -81,8 +81,8 @@ type ShardStats struct {
 	// Channels is the number of channels the shard currently owns.
 	Channels int
 	// Stats is the shard engine's accounting (lifetime counters plus
-	// the momentary QueuedSamples ingestion depth). For a down remote it
-	// is the last snapshot fetched before the outage.
+	// momentary gauges). For a down remote it is the last snapshot
+	// fetched before the outage.
 	Stats stream.Stats
 }
 
@@ -91,10 +91,9 @@ type ShardStats struct {
 type ChannelStats struct {
 	// ID names the channel; Shard its current owner.
 	ID, Shard string
-	// SamplesIn, SamplesDropped, Snapshots and Detections sum the
-	// channel's counters across all owners. SamplesDropped includes
-	// samples shed because the owner was unreachable.
-	SamplesIn, SamplesDropped, Snapshots, Detections int64
+	// ChannelCounters sum the channel's counters across all owners;
+	// SamplesDropped includes samples shed while the owner was unreachable.
+	stream.ChannelCounters
 	// Handoffs counts ownership moves the channel has been through.
 	Handoffs int64
 	// Last is the most recent decision on the current owner (nil before
@@ -111,20 +110,12 @@ type Stats struct {
 	// Shards and Channels count the live topology (down remotes are not
 	// in Shards; see OpenCircuits).
 	Shards, Channels int
-	// SamplesIn, SamplesDropped, Surfaces, Detections, DecisionsDropped
-	// and WindowsFailed aggregate the engine counters.
-	SamplesIn, SamplesDropped, Surfaces, Detections, DecisionsDropped, WindowsFailed int64
-	// QueuedSamples is the momentary ingestion depth summed over live
-	// shards.
-	QueuedSamples int64
-	// HeldBytes is the memory the local shards' channels hold (see
-	// stream.ChannelStats.HeldBytes). A remote shard's stats frame does
-	// not carry it, so remote shards add 0; a worker reports its own.
-	HeldBytes int64
-	// PrunedCellsSkipped aggregates the surface cells never computed
-	// because of alpha-candidate pruning, across all shards (local and
-	// remote).
-	PrunedCellsSkipped int64
+	// Counters sum every shard's, live, down and drained; DecisionsDropped
+	// also counts decisions the merged stream had no room for.
+	stream.Counters
+	// Gauges sum the live shards' readings, remote workers' included; a
+	// down or drained shard adds nothing.
+	stream.Gauges
 	// Handoffs counts channel ownership moves.
 	Handoffs int64
 	// Retries counts remote push retry attempts; DeadlineExceeded the
@@ -182,11 +173,11 @@ type entry struct {
 	// the owner's epoch moves past it (a remote reconnect restarted the
 	// engine state) the trackers are banked into the carry.
 	epoch int64
-	// Carryover accumulates the counters of previous incarnations
-	// (former owners, and former connections of the same remote owner),
-	// added at each handoff or restart so aggregate channel stats never
-	// move backwards.
-	carryIn, carryDropped, carrySnapshots, carryDetections int64
+	// carry accumulates the counters of previous incarnations (former
+	// owners, and former connections of the same remote owner), added at
+	// each handoff or restart so aggregate channel stats never move
+	// backwards.
+	carry stream.ChannelCounters
 	// carryLast preserves the most recent decision across a handoff
 	// (including a partial window flushed by the quiesce) until the new
 	// owner produces one.
@@ -206,9 +197,9 @@ type entry struct {
 // carry — the forced-failover path where the dying incarnation's
 // engine-side counters are unreachable. Caller holds e.mu.
 func (e *entry) bankTrackersLocked() {
-	e.carryIn += e.trackIn.Swap(0)
-	e.carrySnapshots += e.trackSnapshots.Swap(0)
-	e.carryDetections += e.trackDetections.Swap(0)
+	e.carry.SamplesIn += e.trackIn.Swap(0)
+	e.carry.Snapshots += e.trackSnapshots.Swap(0)
+	e.carry.Detections += e.trackDetections.Swap(0)
 }
 
 // syncEpochLocked banks the trackers if the owner's state incarnation
@@ -244,8 +235,8 @@ type Router struct {
 	nextID  int
 	closed  bool
 	// retired accumulates final counters of drained shards.
-	retiredIn, retiredDropped, retiredSurfaces, retiredDetections, retiredDecDropped int64
-	retiredRetries, retiredDeadline, retiredPruned, retiredFailed                    int64
+	retired                         stream.Counters
+	retiredRetries, retiredDeadline int64
 
 	out              chan Decision
 	fwdWG            sync.WaitGroup
@@ -704,10 +695,7 @@ func (r *Router) handoff(e *entry, to *shardState) error {
 		if err != nil {
 			return fmt.Errorf("shard: handoff %q off %s: %w", e.id, from.name, err)
 		}
-		e.carryIn += cs.SamplesIn
-		e.carryDropped += cs.SamplesDropped
-		e.carrySnapshots += cs.Snapshots
-		e.carryDetections += cs.Detections
+		e.carry.Add(cs.ChannelCounters)
 		if cs.Last != nil {
 			e.carryLast = cs.Last
 		}
@@ -817,13 +805,7 @@ func (r *Router) DrainShard(name string) error {
 	// The shard is empty now; bank its lifetime counters and retire it.
 	final := s.sink.Stats()
 	r.mu.Lock()
-	r.retiredIn += final.SamplesIn
-	r.retiredDropped += final.SamplesDropped
-	r.retiredSurfaces += final.Surfaces
-	r.retiredDetections += final.Detections
-	r.retiredDecDropped += final.DecisionsDropped
-	r.retiredFailed += final.WindowsFailed
-	r.retiredPruned += final.PrunedCellsSkipped
+	r.retired.Add(final.Counters)
 	if s.g != nil {
 		r.retiredRetries += s.g.retries.Load()
 		r.retiredDeadline += s.g.deadlineExceeded.Load()
@@ -878,16 +860,16 @@ func (e *entry) statsLocked(own *shardState, cs stream.ChannelStats) ChannelStat
 	if last == nil {
 		last = e.carryLast
 	}
+	c := e.carry
+	c.Add(cs.ChannelCounters)
+	c.SamplesDropped += e.shed.Load()
 	return ChannelStats{
-		ID:             e.id,
-		Shard:          own.name,
-		SamplesIn:      e.carryIn + cs.SamplesIn,
-		SamplesDropped: e.carryDropped + cs.SamplesDropped + e.shed.Load(),
-		Snapshots:      e.carrySnapshots + cs.Snapshots,
-		Detections:     e.carryDetections + cs.Detections,
-		Handoffs:       e.handoffs.Load(),
-		Last:           last,
-		Err:            cs.Err,
+		ID:              e.id,
+		Shard:           own.name,
+		ChannelCounters: c,
+		Handoffs:        e.handoffs.Load(),
+		Last:            last,
+		Err:             cs.Err,
 	}
 }
 
@@ -986,32 +968,20 @@ func (r *Router) Stats() Stats {
 		shards = append(shards, s)
 	}
 	st := Stats{
-		Shards:             len(r.live),
-		Channels:           len(r.entries),
-		SamplesIn:          r.retiredIn,
-		SamplesDropped:     r.retiredDropped,
-		Surfaces:           r.retiredSurfaces,
-		Detections:         r.retiredDetections,
-		DecisionsDropped:   r.retiredDecDropped + r.decisionsDropped.Load(),
-		WindowsFailed:      r.retiredFailed,
-		Retries:            r.retiredRetries,
-		DeadlineExceeded:   r.retiredDeadline,
-		PrunedCellsSkipped: r.retiredPruned,
+		Shards:           len(r.live),
+		Channels:         len(r.entries),
+		Counters:         r.retired,
+		Retries:          r.retiredRetries,
+		DeadlineExceeded: r.retiredDeadline,
 	}
 	r.mu.RUnlock()
+	st.DecisionsDropped += r.decisionsDropped.Load()
 	for _, s := range shards {
 		es := s.sink.Stats()
-		st.SamplesIn += es.SamplesIn
-		st.SamplesDropped += es.SamplesDropped
-		st.Surfaces += es.Surfaces
-		st.Detections += es.Detections
-		st.DecisionsDropped += es.DecisionsDropped
-		st.WindowsFailed += es.WindowsFailed
-		st.PrunedCellsSkipped += es.PrunedCellsSkipped
+		st.Counters.Add(es.Counters)
 		if !s.down.Load() {
-			st.QueuedSamples += es.QueuedSamples
+			st.Gauges.Add(es.Gauges)
 		}
-		st.HeldBytes += es.HeldBytes
 		if s.g != nil {
 			st.Retries += s.g.retries.Load()
 			st.DeadlineExceeded += s.g.deadlineExceeded.Load()

@@ -141,52 +141,95 @@ type Decision struct {
 	At time.Time
 }
 
-// Stats is an engine-wide accounting snapshot.
-type Stats struct {
-	// Channels is the number of registered channels.
-	Channels int
+// Counters are an engine's monotone counts, the one record every layer
+// that reports engine accounting embeds. They only grow, so the shard
+// router banks them across handoffs, drains and worker restarts.
+type Counters struct {
 	// SamplesIn counts samples accepted into rings; SamplesDropped
 	// counts samples discarded because a ring was full (drop mode).
 	SamplesIn, SamplesDropped int64
-	// Surfaces counts estimator snapshots taken; Detections the subset
-	// of decisions that declared the band occupied; DecisionsDropped the
-	// decisions discarded because the Decisions channel was full.
+	// Surfaces counts snapshots taken (= decisions made); Detections
+	// the decisions declaring the band occupied; DecisionsDropped those
+	// lost to a full or unread decision stream.
 	Surfaces, Detections, DecisionsDropped int64
 	// WindowsFailed counts due windows that produced no decision because
 	// the snapshot or the decider failed on their data. Every due window
 	// is either a decision (Surfaces) or counted here.
 	WindowsFailed int64
-	// QueuedSamples is the momentary ingestion queue depth: samples
-	// accepted into rings whose feed to an accumulator has not finished,
-	// the segments workers are feeding included, summed over all
-	// channels.
-	QueuedSamples int64
-	// HeldBytes is the memory the channels hold, summed over them (see
-	// ChannelStats.HeldBytes).
-	HeldBytes int64
 	// PrunedCellsSkipped counts surface cells never computed because of
 	// alpha-candidate pruning, summed over all snapshots: each pruned
 	// snapshot contributes (extent - heldRows) × extent cells. Zero when
 	// no channel prunes.
 	PrunedCellsSkipped int64
-	// Elapsed is the time since the engine started.
-	Elapsed time.Duration
-	// SamplesPerSec is the lifetime average SamplesIn/Elapsed.
-	SamplesPerSec float64
-	// SurfacesPerSec is the lifetime average Surfaces/Elapsed.
-	SurfacesPerSec float64
 }
 
-// ChannelStats is per-channel accounting.
-type ChannelStats struct {
-	// ID names the channel.
-	ID string
+// Add adds o's counts to c.
+func (c *Counters) Add(o Counters) {
+	c.SamplesIn += o.SamplesIn
+	c.SamplesDropped += o.SamplesDropped
+	c.Surfaces += o.Surfaces
+	c.Detections += o.Detections
+	c.DecisionsDropped += o.DecisionsDropped
+	c.WindowsFailed += o.WindowsFailed
+	c.PrunedCellsSkipped += o.PrunedCellsSkipped
+}
+
+// Gauges are an engine's momentary readings. They are summed over live
+// engines only and never banked: a retired or unreachable engine holds
+// nothing and queues nothing.
+type Gauges struct {
+	// QueuedSamples is the ingestion queue depth: samples accepted into
+	// rings whose feed to an accumulator has not finished, the segments
+	// workers are feeding included, summed over all channels.
+	QueuedSamples int64
+	// HeldBytes is the memory the channels hold, summed over them (see
+	// ChannelStats.HeldBytes).
+	HeldBytes int64
+}
+
+// Add adds o's readings to g.
+func (g *Gauges) Add(o Gauges) {
+	g.QueuedSamples += o.QueuedSamples
+	g.HeldBytes += o.HeldBytes
+}
+
+// ChannelCounters are one channel's monotone counts, banked across the
+// channel's owners as Counters are across engines.
+type ChannelCounters struct {
 	// SamplesIn counts samples accepted; SamplesDropped those discarded
 	// because the channel's ring was full.
 	SamplesIn, SamplesDropped int64
 	// Snapshots counts the channel's decisions; Detections the subset
 	// declaring the band occupied.
 	Snapshots, Detections int64
+}
+
+// Add adds o's counts to c.
+func (c *ChannelCounters) Add(o ChannelCounters) {
+	c.SamplesIn += o.SamplesIn
+	c.SamplesDropped += o.SamplesDropped
+	c.Snapshots += o.Snapshots
+	c.Detections += o.Detections
+}
+
+// Stats is an engine-wide accounting snapshot.
+type Stats struct {
+	// Channels is the number of registered channels.
+	Channels int
+	Counters
+	Gauges
+	// Elapsed is the time since the engine started.
+	Elapsed time.Duration
+	// SamplesPerSec and SurfacesPerSec are the lifetime averages
+	// SamplesIn/Elapsed and Surfaces/Elapsed.
+	SamplesPerSec, SurfacesPerSec float64
+}
+
+// ChannelStats is per-channel accounting.
+type ChannelStats struct {
+	// ID names the channel.
+	ID string
+	ChannelCounters
 	// Last is the most recent decision, nil before the first. The
 	// pointee is immutable.
 	Last *Decision
@@ -916,17 +959,18 @@ func (e *Engine) Stats() Stats {
 	e.mu.RUnlock()
 	elapsed := time.Since(e.start)
 	s := Stats{
-		Channels:           n,
-		SamplesIn:          e.samplesIn.Load(),
-		SamplesDropped:     e.samplesDropped.Load(),
-		Surfaces:           e.surfaces.Load(),
-		Detections:         e.detections.Load(),
-		DecisionsDropped:   e.decisionsDropped.Load(),
-		WindowsFailed:      e.windowsFailed.Load(),
-		QueuedSamples:      queued,
-		HeldBytes:          held,
-		PrunedCellsSkipped: e.prunedCellsSkipped.Load(),
-		Elapsed:            elapsed,
+		Channels: n,
+		Counters: Counters{
+			SamplesIn:          e.samplesIn.Load(),
+			SamplesDropped:     e.samplesDropped.Load(),
+			Surfaces:           e.surfaces.Load(),
+			Detections:         e.detections.Load(),
+			DecisionsDropped:   e.decisionsDropped.Load(),
+			WindowsFailed:      e.windowsFailed.Load(),
+			PrunedCellsSkipped: e.prunedCellsSkipped.Load(),
+		},
+		Gauges:  Gauges{QueuedSamples: queued, HeldBytes: held},
+		Elapsed: elapsed,
 	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		s.SamplesPerSec = float64(s.SamplesIn) / sec
@@ -950,13 +994,15 @@ func (e *Engine) ChannelStats(id string) (ChannelStats, bool) {
 // stats returns the channel's accounting.
 func (ch *channel) stats() ChannelStats {
 	cs := ChannelStats{
-		ID:             ch.id,
-		SamplesIn:      ch.samplesIn.Load(),
-		SamplesDropped: ch.dropped.Load(),
-		Snapshots:      ch.snapshots.Load(),
-		Detections:     ch.detections.Load(),
-		Last:           ch.last.Load(),
-		HeldBytes:      ch.heldBytes(),
+		ID: ch.id,
+		ChannelCounters: ChannelCounters{
+			SamplesIn:      ch.samplesIn.Load(),
+			SamplesDropped: ch.dropped.Load(),
+			Snapshots:      ch.snapshots.Load(),
+			Detections:     ch.detections.Load(),
+		},
+		Last:      ch.last.Load(),
+		HeldBytes: ch.heldBytes(),
 	}
 	if msg := ch.err.Load(); msg != nil {
 		cs.Err = *msg

@@ -7,8 +7,9 @@
 //
 // # Protocol
 //
-// A connection opens with a 5-byte preamble (magic "CFDW", version 1)
-// and then carries frames in both directions. Every frame is
+// A connection opens with a 5-byte preamble (magic "CFDW", version 2;
+// a peer with another version is refused) and then carries frames in
+// both directions. Every frame is
 //
 //	uint32  length   big-endian, bytes after this field (type + payload)
 //	uint8   type
@@ -36,6 +37,13 @@
 //	result   (19): req uint16, status uint8 (0 = ok), then the request's
 //	               result payload on success or the error message
 //	decision (20): one encoded engine decision (after subscribe)
+//
+// The stats and chanstats results carry internal/stream's accounting
+// records, each field a big-endian int64 in declared order. A stats
+// result is channels, Counters, Gauges and elapsed_ns, then samples/s
+// and surfaces/s as float64; version 2 added Gauges.HeldBytes. A
+// chanstats result is id_len uint16, id, ChannelCounters, has_last
+// uint8 with the optional decision, then err_len uint16, err.
 //
 // Frames 4–9 and 19–20 are the worker-mode control plane. A server
 // configured with a RemoteEngine (worker mode, e.g. `cfdserve

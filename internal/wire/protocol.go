@@ -11,8 +11,11 @@ import (
 // Magic is the 4-byte connection preamble identifying the protocol.
 var Magic = [4]byte{'C', 'F', 'D', 'W'}
 
-// Version is the protocol version carried in the preamble.
-const Version = 1
+// Version is the protocol version carried in the preamble. Both ends
+// must carry the same one: version 2 added HeldBytes to the stats
+// result, and each control payload is laid out as the record it carries
+// is declared (see the package documentation).
+const Version = 2
 
 // Frame types. Client→server types are low, server→client types start
 // at 16. Types 4–9 and 19–20 are the worker-mode control plane: a shard

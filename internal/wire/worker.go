@@ -171,14 +171,15 @@ func readDecision(r *byteReader) stream.Decision {
 	return d
 }
 
-// appendChannelStats encodes one channel's accounting, including the
-// optional last decision.
+// appendChannelStats encodes one channel's accounting: the id, the
+// ChannelCounters in declared order, the optional last decision and the
+// error message.
 func appendChannelStats(dst []byte, cs stream.ChannelStats) []byte {
 	dst = appendStr(dst, cs.ID)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(cs.SamplesIn))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(cs.SamplesDropped))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(cs.Snapshots))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(cs.Detections))
+	c := cs.ChannelCounters
+	for _, v := range [...]int64{c.SamplesIn, c.SamplesDropped, c.Snapshots, c.Detections} {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
+	}
 	if cs.Last != nil {
 		dst = append(dst, 1)
 		dst = appendDecision(dst, *cs.Last)
@@ -192,10 +193,10 @@ func appendChannelStats(dst []byte, cs stream.ChannelStats) []byte {
 func readChannelStats(r *byteReader) stream.ChannelStats {
 	var cs stream.ChannelStats
 	cs.ID = r.str()
-	cs.SamplesIn = r.i64()
-	cs.SamplesDropped = r.i64()
-	cs.Snapshots = r.i64()
-	cs.Detections = r.i64()
+	c := &cs.ChannelCounters
+	for _, p := range [...]*int64{&c.SamplesIn, &c.SamplesDropped, &c.Snapshots, &c.Detections} {
+		*p = r.i64()
+	}
 	if r.u8() == 1 {
 		d := readDecision(r)
 		cs.Last = &d
@@ -204,18 +205,16 @@ func readChannelStats(r *byteReader) stream.ChannelStats {
 	return cs
 }
 
-// appendStats encodes engine-wide accounting.
+// appendStats encodes engine-wide accounting: the channel count, the
+// Counters and then the Gauges in declared order, the elapsed time and
+// the two rates.
 func appendStats(dst []byte, st stream.Stats) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(st.Channels)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.SamplesIn))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.SamplesDropped))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.Surfaces))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.Detections))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.DecisionsDropped))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.WindowsFailed))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.QueuedSamples))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.PrunedCellsSkipped))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.Elapsed.Nanoseconds()))
+	c, g := st.Counters, st.Gauges
+	for _, v := range [...]int64{int64(st.Channels),
+		c.SamplesIn, c.SamplesDropped, c.Surfaces, c.Detections, c.DecisionsDropped, c.WindowsFailed, c.PrunedCellsSkipped,
+		g.QueuedSamples, g.HeldBytes, st.Elapsed.Nanoseconds()} {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
+	}
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(st.SamplesPerSec))
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(st.SurfacesPerSec))
 }
@@ -224,14 +223,11 @@ func appendStats(dst []byte, st stream.Stats) []byte {
 func readStats(r *byteReader) stream.Stats {
 	var st stream.Stats
 	st.Channels = int(r.i64())
-	st.SamplesIn = r.i64()
-	st.SamplesDropped = r.i64()
-	st.Surfaces = r.i64()
-	st.Detections = r.i64()
-	st.DecisionsDropped = r.i64()
-	st.WindowsFailed = r.i64()
-	st.QueuedSamples = r.i64()
-	st.PrunedCellsSkipped = r.i64()
+	c, g := &st.Counters, &st.Gauges
+	for _, p := range [...]*int64{&c.SamplesIn, &c.SamplesDropped, &c.Surfaces, &c.Detections,
+		&c.DecisionsDropped, &c.WindowsFailed, &c.PrunedCellsSkipped, &g.QueuedSamples, &g.HeldBytes} {
+		*p = r.i64()
+	}
 	st.Elapsed = time.Duration(r.i64())
 	st.SamplesPerSec = r.f64()
 	st.SurfacesPerSec = r.f64()
