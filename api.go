@@ -85,7 +85,9 @@ type Config struct {
 	//     saturating 16-bit arithmetic with block-floating-point FFT
 	//     scaling and tracked exponents, bit-exact deterministic, their
 	//     surfaces converted exactly into float units. They report
-	//     modeled Montium cycles (ModelCycles) on top of mult counts.
+	//     modeled Montium cycles (ModelCycles) on top of mult counts,
+	//     and condition each estimate on the peak of the samples it
+	//     reads, so they stream (NewMonitor) like the float ones.
 	//
 	// The software estimators skip the hardware model, so hardware
 	// figures (cycle breakdown, area, power) are zero; FFTMults and
@@ -476,9 +478,11 @@ func Watch(stream []complex128, cfg Config) ([]WindowVerdict, error) {
 // MonitorOptions configures a Monitor: how its engines ingest, schedule
 // and decide, and which shards carry them. Estimator, geometry and
 // decision layer come from Config (Config.Estimator must name a
-// streaming estimator — the bit-true platform simulation has no
-// incremental form; "" defaults to "direct"). The zero value runs one
-// local shard.
+// streaming estimator: any but the bit-true platform simulation, which
+// has no incremental form; "" defaults to "direct"). Every window's
+// decision equals Sense over that window's samples, the Q15 backends'
+// conditioned on the window's own peak. The zero value runs one local
+// shard.
 type MonitorOptions struct {
 	// Channels are ids registered at creation; more can be added later
 	// with AddChannel.

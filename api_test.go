@@ -513,6 +513,43 @@ func TestMonitorRejectsPlatform(t *testing.T) {
 	}
 }
 
+// TestStreamingEstimatorsEmitDecisions: every estimator NewMonitor's
+// errors offer as streaming builds a Monitor that decides a window.
+func TestStreamingEstimatorsEmitDecisions(t *testing.T) {
+	const k, window = 64, 1024
+	band, err := NewBPSKBand(window, 8.0/k, 8, 6, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := streamingEstimatorNames()
+	if len(names) == 0 {
+		t.Fatal("no streaming estimators")
+	}
+	for _, name := range names {
+		mon, err := NewMonitor(Config{K: k, M: 16, Estimator: name},
+			MonitorOptions{Channels: []string{"a"}, SnapshotSamples: window, Backpressure: true})
+		if err != nil {
+			t.Fatalf("NewMonitor(%s): %v", name, err)
+		}
+		if _, err := mon.Push("a", band); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for range mon.Decisions() {
+			n++
+		}
+		if n == 0 {
+			t.Errorf("%s: the Monitor emitted no decision over a %d-sample window", name, window)
+		}
+	}
+}
+
 func TestMonitorRebalancesLive(t *testing.T) {
 	// A multi-shard session must behave as one Monitor while the fleet
 	// grows and shrinks beneath the channels mid-stream.

@@ -18,7 +18,7 @@ import (
 var testOnlyKept = map[string]string{
 	"reference the tests compare against": `fft.DFT fft.RealForward scf.ComputeDirect
 		scf.Surface.HermitianError soc.Platform.RunSync mapping.TaskOfA
-		fam.q15Window.SnapshotQ15 fixed.WidenRow fixed.ToFloatSlice`,
+		fixed.WidenRow fixed.ToFloatSlice`,
 	"SWAR lane primitive the fixed fuzzers check": `fixed.LaneAdd fixed.LaneSub
 		fixed.PackCLane fixed.CLaneMul fixed.CLaneBFly fixed.CLaneBFlyNoScale fixed.CLaneRShiftRound`,
 	"named by docs/PAPER_MAPPING.md": `dg.ConsumedBins fft.FixedPlan.ForwardScaledBatchWith`,
@@ -35,8 +35,7 @@ var testOnlyKept = map[string]string{
 		fft.RealComplexMults fixed.GuardBitsNeeded fixed.MulNoRound fixed.Half
 		mapping.RegisterChain.InitialValue mapping.RegisterChain.InjectedValue
 		mapping.TotalInitialLoads mapping.CompareDedicatedFFT montium.Core.RunEnergy
-		montium.Core.ZeroAccumulators perf.Model.EnergyPerBlockUJ scf.MeasureFixedAccuracy
-		scf.AccumulateFixedPrescaled scf.QuantiseSurface scf.SpectrumAt scf.Surface.PSD
+		montium.Core.ZeroAccumulators perf.Model.EnergyPerBlockUJ scf.QuantiseSurface
 		scf.Surface.TotalEnergy sig.Frames sig.NumFrames sig.CPAutocorrelation sig.Rand.Intn
 		systolic.FoldedArray.CommComputeRatio`,
 }

@@ -461,10 +461,9 @@ var fixedPairs = []struct{ name, ref string }{{"fam-q15", "fam"}, {"ssca-q15", "
 
 // estimatorSet builds the named batch estimators over one parameter
 // set (Blocks applies to the direct DSCF only). peak is the benchmark
-// band's largest component magnitude; fixing it as the Q15 estimators'
-// InputPeak keeps their batch conditioning identical to the default
-// measured-peak path on that band while enabling their streaming
-// accumulators, which cannot measure a peak incrementally.
+// band's largest component magnitude, fixed as the Q15 estimators'
+// InputPeak so that batch estimates and accumulator snapshots over
+// any part of the band share one conditioning gain.
 func estimatorSet(p scf.Params, blocks int, peak float64) map[string]scf.Estimator {
 	direct := p
 	direct.Blocks = blocks

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tiledcfd/internal/detect"
 	"tiledcfd/internal/fam"
@@ -184,13 +185,51 @@ func TestQ15SenseBitExactAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMonitorRejectsQ15: the Q15 backends have no incremental form; the
-// streaming API must say so instead of misbehaving.
-func TestMonitorRejectsQ15(t *testing.T) {
+// TestMonitorStreamsQ15: a fam-q15 or ssca-q15 Monitor, which sets no
+// InputPeak, decides every window, and each verdict is the batch one
+// over that window alone: Sense over exactly the window's samples, its
+// quantiser conditioned on the window's own peak.
+func TestMonitorStreamsQ15(t *testing.T) {
+	const k, window, windows = 64, 1024, 4
+	band, err := NewBPSKBand(windows*window, 8.0/k, 8, 6, 52)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"fam-q15", "ssca-q15"} {
-		_, err := NewMonitor(Config{Estimator: name}, MonitorOptions{Channels: []string{"a"}})
-		if err == nil {
-			t.Errorf("NewMonitor accepted %s", name)
+		cfg := Config{K: k, M: 16, Estimator: name}
+		mon, err := NewMonitor(cfg, MonitorOptions{
+			Channels: []string{"q"}, SnapshotSamples: window, Backpressure: true,
+		})
+		if err != nil {
+			t.Fatalf("NewMonitor(%s): %v", name, err)
+		}
+		for w := 0; w < windows; w++ {
+			if _, err := mon.Push("q", band[w*window:(w+1)*window]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mon.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var decs []MonitorDecision
+		for d := range mon.Decisions() {
+			decs = append(decs, d)
+		}
+		if len(decs) != windows {
+			t.Fatalf("%s: %d decisions over %d windows, want one per window", name, len(decs), windows)
+		}
+		for i, d := range decs {
+			want, err := Sense(band[i*window:(i+1)*window], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Window != window || d.Statistic != want.Statistic || d.Threshold != want.Threshold || d.Detected != want.Detected {
+				t.Fatalf("%s decision %d: window %d statistic %v threshold %v detected %v; batch over its window: %v %v %v",
+					name, i, d.Window, d.Statistic, d.Threshold, d.Detected, want.Statistic, want.Threshold, want.Detected)
+			}
 		}
 	}
 }

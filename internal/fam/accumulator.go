@@ -3,42 +3,38 @@ package fam
 import (
 	"fmt"
 	"math/cmplx"
+	"strings"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/scf"
 )
 
-// This file implements scf.Accumulator for the FAM and the SSCA, and the
-// span folds batch FAM.Estimate and SSCA.Estimate run (FAMQ15 and
-// SSCAQ15 have their twins in q15accumulator.go). Chunking tests in
-// accumulator_test.go and window_test.go hold every push pattern to the
-// one-shot bits.
+// This file holds the span folds batch FAM.Estimate and SSCA.Estimate
+// run, which their accumulators run too (FAMQ15 and SSCAQ15 have their
+// twins in q15accumulator.go), and the smoothing rule all four share.
+// Chunking tests in accumulator_test.go and window_test.go hold every
+// push pattern to the one-shot bits.
 //
-// Each estimator has one accumulator type, and every estimate, batch or
-// streaming, is one span fold: the samples an estimate reads, folded in
-// one pass. The smoothing length is a function of the input length —
-// FAM averages over the largest power of two of channelizer hops, the
-// SSCA strip FFT spans the largest power of two of samples — so the span
-// is known once the input is.
-//
-// An accumulator buffers samples and folds nothing until Snapshot, which
-// runs Estimate's fold over the buffer into the surface it returns. A
+// Every estimate, batch or streaming, is one span fold: the samples an
+// estimate reads, folded in one pass. The smoothing length is a function
+// of the input length (see smoothing), so the span is known once the
+// input is. Each estimator streams through scf.NewSpanAccumulator with
+// its kernel as the fold: the accumulator buffers samples and folds
+// nothing until Snapshot, which runs Estimate's fold over the buffer. A
 // window-bound accumulator (NewWindowAccumulator, which the windowed
-// stream engine uses) knows its smoothing length up front, so it knows
-// the span its window's estimate reads: (P-1)·Hop + K samples for the
-// FAM's P hops, N + K - 1 for the SSCA's N-point strips. It buffers that
-// span, allocated once, and counts and drops the samples past it, so
-// until Reset it holds exactly its span and no result. NewAccumulator
-// returns the same accumulator uncapped (a fixed-N SSCA's is capped at
-// its N + K - 1 samples): it buffers every sample since Reset. Either
-// way Snapshot is Estimate over the buffer, so after n samples in any
-// chunking a window-bound snapshot equals Estimate(x[:min(n, W)]) bit
-// for bit. The fold's working set — the channel-major block and the
-// sums of the FAM; the anchor spectra, difference and conjugate arrays
-// and one fold column of the SSCA — is borrowed from a free list shared
-// by every channel, so serving memory follows the folds running at
-// once, not the channel count.
+// stream engine uses) knows its smoothing length up front, so it buffers
+// only the span its window's estimate reads: (P-1)·Hop + K samples for
+// the FAM's P hops, N + K - 1 for the SSCA's N-point strips.
+// NewAccumulator returns the same accumulator uncapped (a fixed-N SSCA's
+// is capped at its N + K - 1 samples). Either way Snapshot is Estimate
+// over the buffer, so after n samples in any chunking a window-bound
+// snapshot equals Estimate(x[:min(n, W)]) bit for bit. The fold's
+// working set — the channel-major block and the sums of the FAM; the
+// anchor spectra, difference and conjugate arrays and one fold column of
+// the SSCA — is borrowed from a free list shared by every channel, so
+// serving memory follows the folds running at once, not the channel
+// count.
 //
 // The fold adds each cell's terms in one order — FAM parity sums by
 // absolute hop, SSCA residue rows in hop order — so every path, in every
@@ -53,23 +49,72 @@ import (
 //     K-cell column, and one K-point FFT of that column writes the strip
 //     bins the grid reads.
 
-// famHopCap returns the FAM hop cap of a window: the power-of-two hop
-// count Estimate smooths over window samples, or 0 when that is fewer
-// than two hops (no snapshot).
-func famHopCap(p scf.Params, window int) int {
-	if window < p.K+p.Hop {
-		return 0
-	}
-	return pow2Floor((window-p.K)/p.Hop + 1)
+// smoothing is the rule every FAM and SSCA estimate, float or Q15,
+// smooths by. Over n samples an estimate folds the largest power of two
+// of the complete channelizer hops they hold (FAM hops; the SSCA's unit
+// hops as its strip length), or an SSCA's fixed strip length N, and
+// fails below least hops: two for the FAM, K for the SSCA. Kernels build
+// it on demand from their geometry rather than hold it, so a channel's
+// kernel stays as small as its geometry.
+type smoothing struct {
+	name   string // the estimator's name: "fam", "ssca-q15", ...
+	k, hop int
+	least  int // the fewest hops an estimate folds
+	fixed  int // the SSCA's N; 0 derives the strip length from the input
 }
 
-// sscaStripCap returns the SSCA strip length Estimate derives from window
-// samples, or 0 when that is shorter than K (no snapshot).
-func sscaStripCap(k, window int) int {
-	if window < 2*k-1 {
-		return 0
+// famSmoothing is the FAM's rule, for the geometry of a validated p.
+func famSmoothing(name string, p scf.Params) smoothing {
+	return smoothing{name: name, k: p.K, hop: p.Hop, least: 2}
+}
+
+// sscaSmoothing is the SSCA's rule for channelizer size k and strip
+// length n (0 derives it; see checkStrip).
+func sscaSmoothing(name string, k, n int) smoothing {
+	return smoothing{name: name, k: k, hop: 1, least: k, fixed: n}
+}
+
+// checkStrip rejects an SSCA strip length n that is not 0 (derived) or a
+// power of two >= k.
+func checkStrip(name string, k, n int) error {
+	if n != 0 && n < k {
+		return fmt.Errorf("fam: %s strip length N=%d must be >= K=%d", strings.ToUpper(name), n, k)
 	}
-	return pow2Floor(window - k + 1)
+	if n != 0 && !fft.IsPow2(n) {
+		return fmt.Errorf("fam: %s strip length N=%d must be a power of two", strings.ToUpper(name), n)
+	}
+	return nil
+}
+
+// hops returns the hops an estimate over n samples folds, or the
+// too-short error.
+func (s smoothing) hops(n int) (int, error) {
+	if n < s.need() {
+		return 0, needSamples(strings.ToUpper(s.name), s.need(), n)
+	}
+	if s.fixed != 0 {
+		return s.fixed, nil
+	}
+	return pow2Floor((n-s.k)/s.hop + 1), nil
+}
+
+// span returns the samples np hops read.
+func (s smoothing) span(np int) int { return (np-1)*s.hop + s.k }
+
+// need returns the fewest samples an estimate reads.
+func (s smoothing) need() int { return s.span(max(s.least, s.fixed)) }
+
+// accumulator returns the span accumulator that folds with fold, capped
+// at the span the window's estimate reads: N hops' span with N fixed,
+// whatever the window, and uncapped when the window affords no estimate.
+func (s smoothing) accumulator(fold scf.Estimator, window int) scf.Accumulator {
+	span := 0
+	if s.fixed != 0 {
+		span = s.span(s.fixed)
+	} else if np, err := s.hops(window); err == nil {
+		span = s.span(np)
+	}
+	return scf.NewSpanAccumulator(fold, span, s.need())
 }
 
 // channelizer returns the K-point plan, twiddle table and analysis window
@@ -93,44 +138,6 @@ func channelizer(p scf.Params) (*fft.Plan, []complex128, []float64, error) {
 	return plan, roots, win, nil
 }
 
-// spanBuffer is an accumulator's one buffer: the span, the first span
-// samples since Reset. It is allocated once, at the span, and samples
-// past the span are counted and dropped. An uncapped buffer (span 0)
-// grows to hold every sample since Reset.
-type spanBuffer struct {
-	span  int
-	buf   []complex128
-	total int
-}
-
-// Push implements scf.Accumulator: it buffers the chunk's share of the
-// span.
-func (b *spanBuffer) Push(samples []complex128) error {
-	b.total += len(samples)
-	if b.span != 0 {
-		if b.buf == nil {
-			b.buf = make([]complex128, 0, b.span)
-		}
-		samples = samples[:min(len(samples), b.span-len(b.buf))]
-	}
-	b.buf = append(b.buf, samples...)
-	return nil
-}
-
-// Samples implements scf.Accumulator.
-func (b *spanBuffer) Samples() int { return b.total }
-
-// HeldBytes returns the bytes the buffer holds: its capacity, 16 B a
-// sample. The stream engine counts it into a channel's held memory.
-func (b *spanBuffer) HeldBytes() int { return 16 * cap(b.buf) }
-
-// Reset implements scf.Accumulator: the buffer stays allocated for the
-// next window's span.
-func (b *spanBuffer) Reset() {
-	b.buf = b.buf[:0]
-	b.total = 0
-}
-
 // NewAccumulator implements scf.StreamingEstimator: the accumulator of
 // NewWindowAccumulator uncapped. It buffers every sample since Reset, so
 // its memory grows with them, and each Snapshot folds pow2floor(hops)
@@ -140,18 +147,14 @@ func (b *spanBuffer) Reset() {
 func (e FAM) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// span the window's famHopCap hops read, and Snapshot folds it. A window
+// span the window's smoothing hops read, and Snapshot folds it. A window
 // shorter than two hops gets the uncapped accumulator.
 func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	c, err := newFAMKernel(e.Params, 1)
 	if err != nil {
 		return nil, err
 	}
-	w := &famWindow{famKernel: c}
-	if np := famHopCap(c.p, window); np != 0 {
-		w.span = (np-1)*c.p.Hop + c.p.K
-	}
-	return w, nil
+	return c.rule().accumulator(c, window), nil
 }
 
 var (
@@ -205,19 +208,14 @@ func newFAMKernel(params scf.Params, workers int) (*famKernel, error) {
 	return &famKernel{p: p, workers: workers, plan: plan, roots: roots, win: win, rowSet: rowSet}, nil
 }
 
-// Name implements scf.Accumulator for the FAM accumulator.
+// Name implements scf.Estimator: the kernel is its accumulator's fold.
 func (c *famKernel) Name() string { return "fam" }
+
+// rule returns the kernel's smoothing rule.
+func (c *famKernel) rule() smoothing { return famSmoothing(c.Name(), c.p) }
 
 // cells returns the number of sums a fold keeps per parity.
 func (c *famKernel) cells() int { return len(c.rowSet) * (2*c.p.M - 1) }
-
-// hopsIn returns the complete hops n samples hold.
-func (c *famKernel) hopsIn(n int) int {
-	if n < c.p.K {
-		return 0
-	}
-	return (n-c.p.K)/c.p.Hop + 1
-}
 
 // foldBlockHops caps the hops one fold channelizes. Every window the
 // benchmarks serve (at most 64 hops at the paper geometry) folds in one
@@ -343,13 +341,13 @@ func (c *famKernel) foldSpan(sc *famScratch, sums, src []complex128, np int) err
 	return nil
 }
 
-// estimate returns the surface over the famHopCap hops of x (x[0] is
-// sample 0), folded in borrowed scratch: what Estimate and Snapshot
-// return.
-func (c *famKernel) estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	np := famHopCap(c.p, len(x))
-	if np == 0 {
-		return nil, nil, needSamples("FAM", c.p.K+c.p.Hop, len(x))
+// Estimate implements scf.Estimator: the surface over the smoothing hops
+// of x (x[0] is sample 0), folded in borrowed scratch. It is what
+// FAM.Estimate and a FAM accumulator's Snapshot return.
+func (c *famKernel) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
+	np, err := c.rule().hops(len(x))
+	if err != nil {
+		return nil, nil, err
 	}
 	sc := famScratches.Get()
 	defer famScratches.Put(sc)
@@ -389,21 +387,6 @@ func (c *famKernel) surface(sums []complex128, np int) (*scf.Surface, *scf.Stats
 	return s, stats
 }
 
-// famWindow is the FAM accumulator: the span its window's famHopCap hops
-// read, or, uncapped, every sample since Reset.
-type famWindow struct {
-	*famKernel
-	spanBuffer
-}
-
-// Ready implements scf.Accumulator: the estimate needs at least two hops
-// of smoothing.
-func (w *famWindow) Ready() bool { return w.hopsIn(len(w.buf)) >= 2 }
-
-// Snapshot implements scf.Accumulator: pow2floor(buffered hops), the
-// window's famHopCap once its span is complete, folded on demand.
-func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) { return w.estimate(w.buf) }
-
 // NewAccumulator implements scf.StreamingEstimator: the accumulator of
 // NewWindowAccumulator uncapped. It buffers every sample since Reset, so
 // its memory grows with them, and each Snapshot folds the strip length
@@ -412,23 +395,15 @@ func (w *famWindow) Snapshot() (*scf.Surface, *scf.Stats, error) { return w.esti
 func (e SSCA) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// span of the window's strip length (N, or sscaStripCap with N zero), and
-// Snapshot folds it. With N zero, a window shorter than 2K-1 samples gets
-// the uncapped accumulator.
+// span of the window's strip length (N, or the smoothing's with N zero),
+// and Snapshot folds it. With N zero, a window shorter than 2K-1 samples
+// gets the uncapped accumulator.
 func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	c, err := newSSCAKernel(e)
 	if err != nil {
 		return nil, err
 	}
-	n := c.nFixed
-	if n == 0 {
-		n = sscaStripCap(c.p.K, window)
-	}
-	s := &sscaWindow{sscaKernel: c}
-	if n != 0 {
-		s.span = n + c.p.K - 1
-	}
-	return s, nil
+	return c.rule().accumulator(c, window), nil
 }
 
 var (
@@ -499,13 +474,8 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if e.N != 0 {
-		if e.N < p.K {
-			return nil, fmt.Errorf("fam: SSCA strip length N=%d must be >= K=%d", e.N, p.K)
-		}
-		if !fft.IsPow2(e.N) {
-			return nil, fmt.Errorf("fam: SSCA strip length N=%d must be a power of two", e.N)
-		}
+	if err := checkStrip("ssca", p.K, e.N); err != nil {
+		return nil, err
 	}
 	terms, ok := cosineTerms[p.Window]
 	if !ok {
@@ -547,12 +517,11 @@ func newSSCAKernel(e SSCA) (*sscaKernel, error) {
 	return c, nil
 }
 
-// Name implements scf.Accumulator for the SSCA accumulator.
+// Name implements scf.Estimator: the kernel is its accumulator's fold.
 func (c *sscaKernel) Name() string { return "ssca" }
 
-// need returns the fewest samples an estimate reads: N+K-1, or, with N
-// zero, the 2K-1 of a K-point strip.
-func (c *sscaKernel) need() int { return max(c.nFixed, c.p.K) + c.p.K - 1 }
+// rule returns the kernel's smoothing rule.
+func (c *sscaKernel) rule() smoothing { return sscaSmoothing(c.Name(), c.p.K, c.nFixed) }
 
 // open sets channel v's taps at an anchor hop from the K-point FFT of
 // the hop's samples: there every modulation is 1, so z_t = spec[v-t].
@@ -686,16 +655,14 @@ type sscaScratch struct {
 
 var sscaScratches freelist.List[sscaScratch]
 
-// estimate returns the surface over the strip length x affords (N, or
-// sscaStripCap with N zero) and its stats: what Estimate and Snapshot
-// return. The surface and stats are all it allocates.
-func (c *sscaKernel) estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	if len(x) < c.need() {
-		return nil, nil, needSamples("SSCA", c.need(), len(x))
-	}
-	n := c.nFixed
-	if n == 0 {
-		n = sscaStripCap(c.p.K, len(x))
+// Estimate implements scf.Estimator: the surface over the strip length
+// x affords (N, or the smoothing's with N zero) and its stats. It is
+// what SSCA.Estimate and an SSCA accumulator's Snapshot return, and the
+// surface and stats are all it allocates.
+func (c *sscaKernel) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
+	n, err := c.rule().hops(len(x))
+	if err != nil {
+		return nil, nil, err
 	}
 	sf := scf.NewSurfaceFor(c.p)
 	if err := c.spanFold(sf, x, n); err != nil {
@@ -740,19 +707,3 @@ func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 	}
 	return nil
 }
-
-// sscaWindow is the SSCA accumulator: the span its window's strip
-// length reads, or, uncapped, every sample since Reset.
-type sscaWindow struct {
-	*sscaKernel
-	spanBuffer
-}
-
-// Ready implements scf.Accumulator: a K-point strip needs 2K-1 samples,
-// and a fixed-N one its whole span.
-func (s *sscaWindow) Ready() bool { return len(s.buf) >= s.need() }
-
-// Snapshot implements scf.Accumulator: the strip length the buffered
-// samples afford, the window's once its span is complete, folded on
-// demand into the surface it returns.
-func (s *sscaWindow) Snapshot() (*scf.Surface, *scf.Stats, error) { return s.estimate(s.buf) }

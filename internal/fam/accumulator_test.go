@@ -1,7 +1,9 @@
 package fam
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tiledcfd/internal/fft"
@@ -263,6 +265,65 @@ func TestAccumulatorNotReady(t *testing.T) {
 		}
 		if _, _, err := acc.Snapshot(); err == nil {
 			t.Fatalf("%s: Snapshot succeeded with 70 samples", acc.Name())
+		}
+	}
+}
+
+// TestTwinsShareSmoothing: each float estimator and its Q15 twin smooth
+// by one rule. For every n around each threshold — the fewest samples,
+// and every span where the hops step to the next power of two — both
+// fail together with the same too-short count, or both succeed with the
+// same Stats.Blocks, batch and through their window accumulators alike.
+func TestTwinsShareSmoothing(t *testing.T) {
+	p := scf.Params{K: 32, M: 8}
+	hop13 := p
+	hop13.Hop = 13
+	x := streamBand(t, 63*13+32+1, 26)
+	for _, c := range []struct {
+		float, q15 scf.StreamingEstimator
+		hop        int
+	}{
+		{FAM{Params: p}, FAMQ15{Params: p}, 8},
+		{FAM{Params: hop13}, FAMQ15{Params: hop13}, 13},
+		{SSCA{Params: p}, SSCAQ15{Params: p}, 1},
+		{SSCA{Params: p, N: 64}, SSCAQ15{Params: p, N: 64}, 1},
+	} {
+		var ns []int
+		for h := 1; h <= 64; h *= 2 {
+			span := (h-1)*c.hop + p.K
+			ns = append(ns, span-1, span, span+1)
+		}
+		for _, n := range ns {
+			_, fs, ferr := c.float.Estimate(x[:n])
+			_, qs, qerr := c.q15.Estimate(x[:n])
+			label := fmt.Sprintf("%s/%s hop %d n=%d", c.float.Name(), c.q15.Name(), c.hop, n)
+			switch {
+			case (ferr == nil) != (qerr == nil):
+				t.Fatalf("%s: float error %v, Q15 error %v", label, ferr, qerr)
+			case ferr != nil:
+				if !strings.Contains(ferr.Error(), "needs >=") ||
+					strings.Replace(qerr.Error(), "-Q15", "", 1) != ferr.Error() {
+					t.Fatalf("%s: too-short errors %q and %q differ", label, ferr, qerr)
+				}
+			case fs.Blocks != qs.Blocks:
+				t.Fatalf("%s: Stats.Blocks %d (float) vs %d (Q15)", label, fs.Blocks, qs.Blocks)
+			}
+			for _, e := range []scf.StreamingEstimator{c.float, c.q15} {
+				acc, err := e.(scf.WindowEstimator).NewWindowAccumulator(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := acc.Push(x[:n]); err != nil {
+					t.Fatal(err)
+				}
+				_, st, err := acc.Snapshot()
+				if acc.Ready() != (ferr == nil) || (err == nil) != (ferr == nil) {
+					t.Fatalf("%s: %s accumulator Ready %v, Snapshot error %v; batch error %v", label, e.Name(), acc.Ready(), err, ferr)
+				}
+				if err == nil && st.Blocks != fs.Blocks {
+					t.Fatalf("%s: %s accumulator Stats.Blocks %d, batch %d", label, e.Name(), st.Blocks, fs.Blocks)
+				}
+			}
 		}
 	}
 }

@@ -44,14 +44,16 @@
 // FFT with a modulo-K fold and a K-point FFT) — see the README's
 // model-vs-measured note.
 //
-// Every estimator here has one accumulator type, and every batch
-// estimate shares its body with it: FAM.Estimate, SSCA.Estimate and both
-// Q15 estimators run the accumulator's span fold straight over the input
-// (see accumulator.go and q15accumulator.go), with the fold's working set
-// borrowed from shared free lists, so batch and streaming agree bit for
-// bit and an estimate allocates little more than the surface it returns.
-// An accumulator only buffers; Snapshot runs Estimate's fold over the
-// buffer into the surface it returns, and nothing is kept between
+// Every estimator here streams through scf.NewSpanAccumulator with its
+// kernel as the fold, and every batch estimate is that fold:
+// FAM.Estimate, SSCA.Estimate and both Q15 estimators run it straight
+// over the input (see accumulator.go and q15accumulator.go), with the
+// fold's working set borrowed from shared free lists, so batch and
+// streaming agree bit for bit and an estimate allocates little more than
+// the surface it returns. One smoothing rule serves the float and Q15
+// twins. An accumulator only buffers; Snapshot runs Estimate's fold over
+// the buffer into the surface it returns (the Q15 fold quantises the
+// span it reads, as batch Estimate does), and nothing is kept between
 // pushes but the buffer. NewAccumulator buffers every sample since Reset
 // (capped at N+K-1 for a fixed-N SSCA); NewWindowAccumulator caps the
 // buffer at the span its window's estimate reads, so after n samples in

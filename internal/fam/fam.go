@@ -49,7 +49,7 @@ func (e FAM) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.estimate(x)
+	return c.Estimate(x)
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

@@ -43,11 +43,11 @@ type FAMQ15 struct {
 	// divided back out of the returned surface.
 	InputScale float64
 	// InputPeak, when positive, fixes the amplitude the conditioning
-	// treats as full scale instead of measuring the batch peak — the
-	// deterministic front end a fixed-gain ADC presents, and the setting
-	// NewAccumulator requires (a streaming path cannot know the future
-	// peak). Samples beyond InputPeak saturate at the Q15 rails. Zero
-	// keeps the measured-peak batch behaviour.
+	// treats as full scale instead of measuring the peak of the samples
+	// an estimate reads — the deterministic front end a fixed-gain ADC
+	// presents. Samples beyond InputPeak saturate at the Q15 rails. Zero
+	// measures the peak, in batch estimates and accumulator snapshots
+	// alike.
 	InputPeak float64
 	// Policy selects the per-stage FFT scaling: fft.ScaleBFP (default,
 	// block-floating-point with tracked exponents) or fft.ScaleUniform
@@ -67,7 +67,7 @@ func (e FAMQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.estimate(x)
+	return c.Estimate(x)
 }
 
 // EstimateQ15 computes the surface in its native Q15-plus-exponent form:
@@ -130,7 +130,7 @@ func (c *q15Kernel) famFinish(sc *q15Scratch, ch *q15Channelizer, gain float64, 
 		DSCFMults: np*p.K + cells*np,
 		Cycles: ch.fftCy +
 			montium.MACKernelCycles(ch.macCy+int64(cells)*int64(np)) +
-			montium.ReadDataCycles(int64(c.spanOf(np))) +
+			montium.ReadDataCycles(int64(c.rule().span(np))) +
 			montium.AlignCycles(ch.aligned+int64(cells)),
 		Kernel: c.kern.Name(),
 	}

@@ -21,9 +21,9 @@ func withKernels(t *testing.T, k fixed.Kernels, fn func()) {
 // acceptance criterion: running the full FAM-Q15 and SSCA-Q15 pipelines
 // under the scalar reference kernels and under the SWAR kernels yields
 // bit-identical QSurfaces — words, exponent and gain — across Workers
-// settings, dense and alpha-pruned grids, both scaling policies, and
-// the streaming accumulators; only Stats.Kernel may differ, and it must
-// name the implementation that actually ran.
+// settings, dense and alpha-pruned grids and both scaling policies, and
+// bit-identical streaming accumulator snapshots; only Stats.Kernel may
+// differ, and it must name the implementation that actually ran.
 func TestQ15EstimatorsKernelImplInvariant(t *testing.T) {
 	band := q15TestBand(t, 1600, 41)
 	params := []scf.Params{
@@ -37,8 +37,9 @@ func TestQ15EstimatorsKernelImplInvariant(t *testing.T) {
 				fam := FAMQ15{Params: p, Workers: w, InputPeak: 1.5, Policy: policy}
 				ssca := SSCAQ15{Params: p, Workers: w, InputPeak: 1.5, Policy: policy}
 				type result struct {
-					fam, ssca, famAcc, sscaAcc *scf.QSurface
-					famKern, sscaKern          string
+					fam, ssca         *scf.QSurface
+					famAcc, sscaAcc   *scf.Surface
+					famKern, sscaKern string
 				}
 				results := map[string]*result{}
 				for _, kern := range []fixed.Kernels{fixed.ScalarKernels{}, fixed.SWARKernels{}} {
@@ -59,13 +60,13 @@ func TestQ15EstimatorsKernelImplInvariant(t *testing.T) {
 							t.Fatal(err)
 						}
 						pushChunks(t, facc, band, []int{190})
-						r.famAcc = q15SnapshotQ15(t, facc)
+						r.famAcc = snapshot(t, facc)
 						sacc, err := ssca.NewAccumulator()
 						if err != nil {
 							t.Fatal(err)
 						}
 						pushChunks(t, sacc, band, []int{190})
-						r.sscaAcc = q15SnapshotQ15(t, sacc)
+						r.sscaAcc = snapshot(t, sacc)
 					})
 					if r.famKern != kern.Name() || r.sscaKern != kern.Name() {
 						t.Fatalf("Stats.Kernel = %q/%q under %q kernels", r.famKern, r.sscaKern, kern.Name())
@@ -79,14 +80,14 @@ func TestQ15EstimatorsKernelImplInvariant(t *testing.T) {
 				}{
 					{"FAM-Q15 batch", sc.fam, sw.fam},
 					{"SSCA-Q15 batch", sc.ssca, sw.ssca},
-					{"FAM-Q15 accumulator", sc.famAcc, sw.famAcc},
-					{"SSCA-Q15 accumulator", sc.sscaAcc, sw.sscaAcc},
 				} {
 					if ok, diff := cmp.ref.Equal(cmp.got); !ok {
 						t.Errorf("params[%d] %v Workers=%d: %s scalar vs swar: %s",
 							pi, policy, w, cmp.label, diff)
 					}
 				}
+				requireIdentical(t, sw.famAcc, sc.famAcc, "FAM-Q15 accumulator scalar vs swar")
+				requireIdentical(t, sw.sscaAcc, sc.sscaAcc, "SSCA-Q15 accumulator scalar vs swar")
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package fam
 
 import (
-	"fmt"
 	"slices"
 
 	"tiledcfd/internal/fft"
@@ -10,43 +9,27 @@ import (
 	"tiledcfd/internal/scf"
 )
 
-// This file implements scf.Accumulator for FAMQ15 and SSCAQ15, and the
-// span fold batch EstimateQ15 runs: the Q15 twins of accumulator.go's
-// float shapes.
+// This file holds the span fold batch Estimate and EstimateQ15 run for
+// FAMQ15 and SSCAQ15, which their accumulators run too: the Q15 twin of
+// accumulator.go's float folds, under the same smoothing rule.
 //
-// The fixed-point front door is the obstacle the float accumulators do
-// not have: a batch estimate with InputPeak zero conditions the input
-// against the peak of the samples it reads, which an incremental path
-// cannot know. Streaming accumulators therefore require InputPeak, the
-// fixed full-scale reference a real ADC front end presents, so
-// quantisation is a pure per-sample map. NewAccumulator rejects
-// estimators without it.
+// The fold quantises inside, so a Q15 accumulator buffers float samples
+// like the float ones and streams with InputPeak zero too: each
+// snapshot conditions the span it folds against its own measured peak,
+// exactly as Estimate(x[:W]) does, and with InputPeak set against that
+// fixed full scale.
 //
-// The second obstacle is block floating point: every hop carries its
-// own exponent, and the common scale emax is a function of ALL hops an
-// estimate reads, so per-cell running sums cannot be kept (a new hop
-// with a larger exponent would retroactively re-scale every earlier
-// product). Alignment and the second stage therefore run once the last
-// hop's exponent is known.
-//
-// An accumulator quantises and buffers samples and folds nothing until
-// Snapshot. A window-bound accumulator (NewWindowAccumulator, which the
-// windowed stream engine uses) knows its smoothing up front, so it knows
-// the span its window's estimate reads: (P-1)·Hop + K samples for the
-// FAM-Q15's P hops, N + K - 1 for the SSCA-Q15's N-point strips. It
-// buffers that span quantised, at 4 bytes a sample, and nothing past it,
-// so until Reset it holds exactly its quantised span and no result.
-// NewAccumulator returns the same accumulator uncapped (an SSCA-Q15 with
-// N set is capped at its N + K - 1 samples): it buffers every quantised
-// sample since Reset. Snapshot folds the smoothing the buffered hops
-// afford, the window's once its span is complete: it channelizes every
-// hop into a bank borrowed from a free list shared by every channel,
-// aligns the exponents, runs the second stage into borrowed scratch and
-// reduces it into the surface it returns. Batch Estimate and EstimateQ15
-// run the same span fold straight over their input, every intermediate
-// borrowed. A hop's block-floating-point FFT does not depend on when it
-// runs, and alignment, the second stage and the single-rounding reduce
-// read the hops in one order, so every chunking gives the same bits.
+// Block floating point is why the fold runs once per estimate: every hop
+// carries its own exponent, and the common scale emax is a function of
+// ALL hops an estimate reads, so per-cell running sums cannot be kept (a
+// new hop with a larger exponent would retroactively re-scale every
+// earlier product). The fold quantises the span into a buffer borrowed
+// from a free list shared by every channel, channelizes every hop into a
+// borrowed bank, aligns the exponents, runs the second stage into
+// borrowed scratch and reduces it into the surface it returns. A hop's
+// block-floating-point FFT does not depend on when it runs, and
+// alignment, the second stage and the single-rounding reduce read the
+// hops in one order, so every chunking gives the same bits.
 
 // q15Kernel is the geometry, tables and front end every Q15 fold runs
 // with: the fixed-gain quantiser, the K-point channelizer and the grid
@@ -64,7 +47,7 @@ type q15Kernel struct {
 	win     []fixed.Q15
 	policy  fft.ScalingPolicy
 	backoff float64
-	peak    float64 // InputPeak; 0 conditions each batch on its measured peak
+	peak    float64 // InputPeak; 0 conditions each estimate on its span's measured peak
 	workers int     // goroutines the second stage runs on (0 = GOMAXPROCS)
 
 	gridAlphas []int // the pruned grid's rows; nil when dense
@@ -119,15 +102,7 @@ func newQ15Kernel(p scf.Params, ssca bool, nFixed int, scale, peak float64, poli
 	return c, nil
 }
 
-// requireInputPeak rejects a streaming accumulator without InputPeak.
-func requireInputPeak(peak float64, name string) error {
-	if peak == 0 {
-		return fmt.Errorf("fam: %s streaming requires InputPeak: the batch path conditions against the measured input peak, which an incremental path cannot know", name)
-	}
-	return nil
-}
-
-// Name implements scf.Accumulator for both Q15 accumulators.
+// Name implements scf.Estimator: the kernel is its accumulator's fold.
 func (c *q15Kernel) Name() string {
 	if c.ssca {
 		return "ssca-q15"
@@ -135,48 +110,12 @@ func (c *q15Kernel) Name() string {
 	return "fam-q15"
 }
 
-// hopsIn returns the complete channelizer hops n samples hold.
-func (c *q15Kernel) hopsIn(n int) int {
-	if n < c.p.K {
-		return 0
-	}
-	return (n-c.p.K)/c.p.Hop + 1
-}
-
-// smoothing returns the hops an estimate over the first hops channelizer
-// hops folds — the FAM-Q15's largest power of two of at least two, the
-// SSCA-Q15's N or largest power of two of at least K — or 0 when they
-// afford no estimate.
-func (c *q15Kernel) smoothing(hops int) int {
-	if c.nFixed != 0 {
-		if hops >= c.nFixed {
-			return c.nFixed
-		}
-		return 0
-	}
-	least := 2
+// rule returns the kernel's smoothing rule: the float twin's.
+func (c *q15Kernel) rule() smoothing {
 	if c.ssca {
-		least = c.p.K
+		return sscaSmoothing(c.Name(), c.p.K, c.nFixed)
 	}
-	if n := pow2Floor(hops); n >= least {
-		return n
-	}
-	return 0
-}
-
-// spanOf returns the samples np hops read.
-func (c *q15Kernel) spanOf(np int) int { return (np-1)*c.p.Hop + c.p.K }
-
-// needErr is the error of a snapshot or estimate over too few samples.
-func (c *q15Kernel) needErr(have int) error {
-	if !c.ssca {
-		return needSamples("FAM-Q15", c.p.K+c.p.Hop, have)
-	}
-	need := 2*c.p.K - 1
-	if c.nFixed != 0 {
-		need = c.nFixed + c.p.K - 1
-	}
-	return needSamples("SSCA-Q15", need, have)
+	return famSmoothing(c.Name(), c.p)
 }
 
 // gainFor returns the conditioning gain that brings full scale peak to
@@ -267,17 +206,62 @@ func (c *q15Kernel) scratchSurface(sc *q15Scratch) *scf.QSurface {
 	return sc.surf
 }
 
-// fold sets out to the surface over the smoothing the quantised xq
-// affords (xq[0] is sample 0) and returns its stats, or the too-short
-// error: it channelizes the hops into a bank borrowed from sc, aligns
-// their exponents, runs the estimator's second stage into scratch
-// borrowed from sc and reduces it into out. The SSCA's conjugate factor
-// reads xq too.
-func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, gain float64, out *scf.QSurface) (*scf.Stats, error) {
-	np := c.smoothing(c.hopsIn(len(xq)))
-	if np == 0 {
-		return nil, c.needErr(len(xq))
+// q15Stats returns st with its whole cost charged to tile 0: the batch
+// backend runs the pipeline on one modeled tile (internal/tile schedules
+// fill multi-tile breakdowns).
+func q15Stats(st scf.Stats) *scf.Stats {
+	st.PerTile = []scf.TileCycles{{Tile: 0, Compute: st.Cycles}}
+	return &st
+}
+
+// estimateQ15 is batch EstimateQ15: the span fold over x in borrowed
+// scratch, into a QSurface the caller keeps.
+func (c *q15Kernel) estimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	out := c.newQSurface()
+	stats, err := c.estimateInto(sc, x, out)
+	if err != nil {
+		return nil, nil, err
 	}
+	return out, stats, nil
+}
+
+// Estimate implements scf.Estimator: estimateQ15 into a borrowed
+// QSurface, so only its float conversion is allocated. It is what batch
+// Estimate and a Q15 accumulator's Snapshot return.
+func (c *q15Kernel) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
+	sc := q15Scratches.Get()
+	defer q15Scratches.Put(sc)
+	out := c.scratchSurface(sc)
+	stats, err := c.estimateInto(sc, x, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.Float(), stats, nil
+}
+
+// estimateInto quantises the span the estimate over x reads into sc,
+// conditioned against InputPeak or, when that is zero, the span's
+// measured peak, and folds it into out: it channelizes the hops into a
+// bank borrowed from sc, aligns their exponents, runs the estimator's
+// second stage into scratch borrowed from sc and reduces it into out.
+// The SSCA's conjugate factor reads the quantised span too.
+func (c *q15Kernel) estimateInto(sc *q15Scratch, x []complex128, out *scf.QSurface) (*scf.Stats, error) {
+	rule := c.rule()
+	np, err := rule.hops(len(x))
+	if err != nil {
+		return nil, err
+	}
+	span := x[:rule.span(np)]
+	peak := c.peak
+	if peak == 0 {
+		peak = peakOf(span)
+	}
+	gain := c.gainFor(peak)
+	sc.xq = freelist.Grow(sc.xq, len(span))
+	xq := sc.xq
+	quantise(xq, span, gain)
 	k, hop := c.p.K, c.p.Hop
 	sc.bank = freelist.Grow(sc.bank, np*k)
 	sc.exps = freelist.Grow(sc.exps, np)
@@ -317,91 +301,24 @@ func (c *q15Kernel) fold(sc *q15Scratch, xq []fixed.Complex, gain float64, out *
 	return q15Stats(st), nil
 }
 
-// q15Stats returns st with its whole cost charged to tile 0: the batch
-// backend runs the pipeline on one modeled tile (internal/tile schedules
-// fill multi-tile breakdowns).
-func q15Stats(st scf.Stats) *scf.Stats {
-	st.PerTile = []scf.TileCycles{{Tile: 0, Compute: st.Cycles}}
-	return &st
-}
-
-// estimateQ15 is batch EstimateQ15: the span fold over x in borrowed
-// scratch, into a QSurface the caller keeps.
-func (c *q15Kernel) estimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
-	sc := q15Scratches.Get()
-	defer q15Scratches.Put(sc)
-	out := c.newQSurface()
-	stats, err := c.estimateInto(sc, x, out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, stats, nil
-}
-
-// estimate is batch Estimate: estimateQ15 into a borrowed QSurface, so
-// only its float conversion is allocated.
-func (c *q15Kernel) estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
-	sc := q15Scratches.Get()
-	defer q15Scratches.Put(sc)
-	out := c.scratchSurface(sc)
-	stats, err := c.estimateInto(sc, x, out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.Float(), stats, nil
-}
-
-// estimateInto quantises the span the estimate over x reads into sc,
-// conditioned against InputPeak or, when that is zero, the span's
-// measured peak, and folds it into out.
-func (c *q15Kernel) estimateInto(sc *q15Scratch, x []complex128, out *scf.QSurface) (*scf.Stats, error) {
-	np := c.smoothing(c.hopsIn(len(x)))
-	if np == 0 {
-		return nil, c.needErr(len(x))
-	}
-	span := x[:c.spanOf(np)]
-	peak := c.peak
-	if peak == 0 {
-		peak = peakOf(span)
-	}
-	gain := c.gainFor(peak)
-	sc.xq = freelist.Grow(sc.xq, len(span))
-	quantise(sc.xq, span, gain)
-	return c.fold(sc, sc.xq, gain, out)
-}
-
-// newAccumulator returns the accumulator capped at the span of window
-// samples' smoothing (an SSCA-Q15 with N set: at N hops' span), or
-// uncapped when the window affords no estimate.
-func (c *q15Kernel) newAccumulator(window int) scf.Accumulator {
-	np := c.nFixed
-	if np == 0 {
-		np = c.smoothing(c.hopsIn(window))
-	}
-	return &q15Window{q15Kernel: c, gain: c.gainFor(c.peak), np: np}
-}
-
 // NewAccumulator implements scf.StreamingEstimator: the accumulator of
-// NewWindowAccumulator uncapped. It requires InputPeak > 0 (see the file
-// comment: batch quantisation conditions against the measured peak,
-// which a stream cannot know; set the same InputPeak on the batch
-// estimator to compare the two bit for bit). Workers is ignored:
-// snapshots run serially on the caller's goroutine. Memory grows by 4
-// bytes per sample pushed since Reset.
+// NewWindowAccumulator uncapped, buffering every sample since Reset at
+// 16 bytes a sample. Each Snapshot conditions the samples it folds as
+// Estimate would (see the file comment), so a snapshot equals Estimate
+// over the samples pushed, with InputPeak zero too. Workers is ignored:
+// snapshots run serially on the caller's goroutine.
 func (e FAMQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// quantised span the window's famHopCap hops read, and Snapshot folds
-// it. A window shorter than two hops gets the uncapped accumulator.
+// span the window's smoothing hops read, and Snapshot quantises and
+// folds it. A window shorter than two hops gets the uncapped
+// accumulator.
 func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
-	if err := requireInputPeak(e.InputPeak, "FAM-Q15"); err != nil {
-		return nil, err
-	}
 	c, err := e.kernel(1)
 	if err != nil {
 		return nil, err
 	}
-	return c.newAccumulator(window), nil
+	return c.rule().accumulator(c, window), nil
 }
 
 var (
@@ -409,102 +326,25 @@ var (
 	_ scf.WindowEstimator    = FAMQ15{}
 )
 
-// NewAccumulator implements scf.StreamingEstimator, with the same
-// InputPeak requirement as FAMQ15.NewAccumulator: the accumulator of
-// NewWindowAccumulator uncapped, growing by 4 bytes per sample pushed
-// since Reset. With N set it is capped at the N+K-1 samples the fixed-N
-// estimate reads, and later samples are dropped.
+// NewAccumulator implements scf.StreamingEstimator as for FAMQ15: the
+// accumulator of NewWindowAccumulator uncapped. With N set it is capped
+// at the N+K-1 samples the fixed-N estimate reads, and later samples are
+// dropped.
 func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) { return e.NewWindowAccumulator(0) }
 
 // NewWindowAccumulator implements scf.WindowEstimator: it buffers the
-// quantised span of the window's strip length (N, or sscaStripCap with N
-// zero), and Snapshot folds it. With N zero, a window shorter than 2K-1
-// samples gets the uncapped accumulator.
+// span of the window's strip length (N, or the smoothing's with N zero),
+// and Snapshot quantises and folds it. With N zero, a window shorter
+// than 2K-1 samples gets the uncapped accumulator.
 func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
-	if err := requireInputPeak(e.InputPeak, "SSCA-Q15"); err != nil {
-		return nil, err
-	}
 	c, err := e.kernel(1)
 	if err != nil {
 		return nil, err
 	}
-	return c.newAccumulator(window), nil
+	return c.rule().accumulator(c, window), nil
 }
 
 var (
 	_ scf.StreamingEstimator = SSCAQ15{}
 	_ scf.WindowEstimator    = SSCAQ15{}
 )
-
-// q15Window is the Q15 accumulator: the quantised span its window's np
-// hops read, or, uncapped (np 0), every sample since Reset.
-type q15Window struct {
-	*q15Kernel
-	gain  float64
-	np    int             // the window's smoothing: FAM-Q15 hops, SSCA-Q15 strip length
-	span  []fixed.Complex // the quantised samples so far; cap spanOf(np) when capped
-	total int
-}
-
-// Samples implements scf.Accumulator.
-func (w *q15Window) Samples() int { return w.total }
-
-// HeldBytes returns the bytes the accumulator holds: its quantised
-// span's capacity, 4 B (two Q15 words) a sample. The stream engine
-// counts it into a channel's held memory.
-func (w *q15Window) HeldBytes() int { return 4 * cap(w.span) }
-
-// Ready implements scf.Accumulator.
-func (w *q15Window) Ready() bool { return w.smoothing(w.hopsIn(len(w.span))) != 0 }
-
-// Push implements scf.Accumulator: it quantises the chunk's share of the
-// span; samples past the span are counted and dropped. Uncapped, it
-// quantises the whole chunk.
-func (w *q15Window) Push(samples []complex128) error {
-	w.total += len(samples)
-	if w.np != 0 {
-		if w.span == nil {
-			w.span = make([]fixed.Complex, 0, w.spanOf(w.np))
-		}
-		samples = samples[:min(len(samples), cap(w.span)-len(w.span))]
-	}
-	n := len(w.span)
-	w.span = slices.Grow(w.span, len(samples))[:n+len(samples)]
-	quantise(w.span[n:], samples, w.gain)
-	return nil
-}
-
-// SnapshotQ15 returns the surface in its native Q15-plus-exponent form:
-// the smoothing the buffered hops afford, the window's np once its span
-// is complete, folded on demand.
-func (w *q15Window) SnapshotQ15() (*scf.QSurface, *scf.Stats, error) {
-	sc := q15Scratches.Get()
-	defer q15Scratches.Put(sc)
-	out := w.newQSurface()
-	stats, err := w.fold(sc, w.span, w.gain, out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, stats, nil
-}
-
-// Snapshot implements scf.Accumulator: SnapshotQ15 folded into a
-// borrowed QSurface and converted exactly into float units, allocating
-// only the float surface and its stats.
-func (w *q15Window) Snapshot() (*scf.Surface, *scf.Stats, error) {
-	sc := q15Scratches.Get()
-	defer q15Scratches.Put(sc)
-	out := w.scratchSurface(sc)
-	stats, err := w.fold(sc, w.span, w.gain, out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.Float(), stats, nil
-}
-
-// Reset implements scf.Accumulator: the span buffer stays allocated for
-// the next window.
-func (w *q15Window) Reset() {
-	w.span = w.span[:0]
-	w.total = 0
-}

@@ -1,22 +1,19 @@
 package fam
 
 import (
+	"fmt"
 	"testing"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/scf"
 )
 
-// q15SnapshotQ15 extracts the native-Q15 snapshot from an accumulator
-// produced by FAMQ15/SSCAQ15.NewAccumulator.
-func q15SnapshotQ15(t *testing.T, acc scf.Accumulator) *scf.QSurface {
+// snapshot returns acc's snapshot surface, failing the test on error.
+func snapshot(t *testing.T, acc scf.Accumulator) *scf.Surface {
 	t.Helper()
-	type snapshotterQ15 interface {
-		SnapshotQ15() (*scf.QSurface, *scf.Stats, error)
-	}
-	s, _, err := acc.(snapshotterQ15).SnapshotQ15()
+	s, _, err := acc.Snapshot()
 	if err != nil {
-		t.Fatalf("SnapshotQ15: %v", err)
+		t.Fatalf("Snapshot: %v", err)
 	}
 	return s
 }
@@ -24,9 +21,9 @@ func q15SnapshotQ15(t *testing.T, acc scf.Accumulator) *scf.QSurface {
 // TestQ15AccumulatorMatchesBatch is the streaming acceptance criterion:
 // with a shared InputPeak, pushing a stream through the Q15 accumulators
 // in ANY chunking and taking a snapshot yields bit-for-bit the batch
-// EstimateQ15 surface of the concatenated prefix — words, exponent and
-// gain — across windows, alpha pruning, scaling policies and batch
-// Workers settings.
+// Estimate surface of the concatenated prefix, across windows, alpha
+// pruning and scaling policies; and the batch EstimateQ15 words,
+// exponent and gain do not depend on Workers.
 func TestQ15AccumulatorMatchesBatch(t *testing.T) {
 	band := q15TestBand(t, 1600, 21)
 	const peak = 1.5
@@ -91,22 +88,18 @@ func TestQ15AccumulatorMatchesBatch(t *testing.T) {
 					t.Fatalf("SSCA-Q15 batch Workers=%d differs: %s", w, diff)
 				}
 			}
-			for _, chunk := range [][]int{{len(band)}, {1}, {7, 19}, {64}, {333}} {
-				facc, err := tc.fam.NewAccumulator()
+			for _, e := range []scf.StreamingEstimator{tc.fam, tc.ssca} {
+				want, _, err := e.Estimate(band)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pushChunks(t, facc, band, chunk)
-				if ok, diff := famRef.Equal(q15SnapshotQ15(t, facc)); !ok {
-					t.Errorf("FAM-Q15 chunks=%v snapshot differs from batch: %s", chunk, diff)
-				}
-				sacc, err := tc.ssca.NewAccumulator()
-				if err != nil {
-					t.Fatal(err)
-				}
-				pushChunks(t, sacc, band, chunk)
-				if ok, diff := sscaRef.Equal(q15SnapshotQ15(t, sacc)); !ok {
-					t.Errorf("SSCA-Q15 chunks=%v snapshot differs from batch: %s", chunk, diff)
+				for _, chunk := range [][]int{{len(band)}, {1}, {7, 19}, {64}, {333}} {
+					acc, err := e.NewAccumulator()
+					if err != nil {
+						t.Fatal(err)
+					}
+					pushChunks(t, acc, band, chunk)
+					requireIdentical(t, snapshot(t, acc), want, fmt.Sprintf("%s chunks=%v snapshot vs batch", e.Name(), chunk))
 				}
 			}
 		})
@@ -142,29 +135,21 @@ func TestQ15AccumulatorMidStream(t *testing.T) {
 		if facc.Samples() != mark || sacc.Samples() != mark {
 			t.Fatalf("Samples() = %d, %d after %d pushed", facc.Samples(), sacc.Samples(), mark)
 		}
-		ref, _, err := fam.EstimateQ15(band[:mark])
+		ref, _, err := fam.Estimate(band[:mark])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := q15SnapshotQ15(t, facc)
-		if ok, diff := ref.Equal(got); !ok {
-			t.Errorf("FAM-Q15 snapshot at %d differs from batch prefix: %s", mark, diff)
-		}
+		got := snapshot(t, facc)
+		requireIdentical(t, got, ref, fmt.Sprintf("FAM-Q15 snapshot at %d vs batch prefix", mark))
 		// Snapshot again: must repeat bit-for-bit (non-consuming).
-		if ok, diff := got.Equal(q15SnapshotQ15(t, facc)); !ok {
-			t.Errorf("FAM-Q15 repeated snapshot at %d differs: %s", mark, diff)
-		}
-		sref, _, err := ssca.EstimateQ15(band[:mark])
+		requireIdentical(t, snapshot(t, facc), got, fmt.Sprintf("FAM-Q15 repeated snapshot at %d", mark))
+		sref, _, err := ssca.Estimate(band[:mark])
 		if err != nil {
 			t.Fatal(err)
 		}
-		sgot := q15SnapshotQ15(t, sacc)
-		if ok, diff := sref.Equal(sgot); !ok {
-			t.Errorf("SSCA-Q15 snapshot at %d differs from batch prefix: %s", mark, diff)
-		}
-		if ok, diff := sgot.Equal(q15SnapshotQ15(t, sacc)); !ok {
-			t.Errorf("SSCA-Q15 repeated snapshot at %d differs: %s", mark, diff)
-		}
+		sgot := snapshot(t, sacc)
+		requireIdentical(t, sgot, sref, fmt.Sprintf("SSCA-Q15 snapshot at %d vs batch prefix", mark))
+		requireIdentical(t, snapshot(t, sacc), sgot, fmt.Sprintf("SSCA-Q15 repeated snapshot at %d", mark))
 	}
 }
 
@@ -182,7 +167,7 @@ func TestQ15AccumulatorResetAndReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		pushChunks(t, acc, band, []int{100})
-		first := q15SnapshotQ15(t, acc)
+		first := snapshot(t, acc)
 		acc.Reset()
 		if acc.Samples() != 0 || acc.Ready() {
 			t.Fatalf("%s: Samples=%d Ready=%v after Reset", acc.Name(), acc.Samples(), acc.Ready())
@@ -191,21 +176,33 @@ func TestQ15AccumulatorResetAndReuse(t *testing.T) {
 			t.Fatalf("%s: Snapshot after Reset should error", acc.Name())
 		}
 		pushChunks(t, acc, band, []int{17})
-		if ok, diff := first.Equal(q15SnapshotQ15(t, acc)); !ok {
-			t.Errorf("%s: post-Reset replay differs: %s", acc.Name(), diff)
-		}
+		requireIdentical(t, snapshot(t, acc), first, acc.Name()+" post-Reset replay")
 	}
 }
 
-// TestQ15AccumulatorRequiresInputPeak pins the streaming front-door
-// contract: without a fixed conditioning reference the quantiser cannot
-// be chunk-independent, so NewAccumulator must refuse.
+// TestQ15AccumulatorRequiresInputPeak pins the streaming front door:
+// streaming requires no InputPeak. The fold quantises the span it reads,
+// so without InputPeak a snapshot conditions on the span's measured
+// peak, and in any chunking equals Estimate over the samples pushed.
+// Only an invalid InputPeak or N is refused.
 func TestQ15AccumulatorRequiresInputPeak(t *testing.T) {
-	if _, err := (FAMQ15{Params: scf.Params{K: 64, M: 16}}).NewAccumulator(); err == nil {
-		t.Error("FAM-Q15 NewAccumulator without InputPeak should error")
-	}
-	if _, err := (SSCAQ15{Params: scf.Params{K: 64, M: 16}}).NewAccumulator(); err == nil {
-		t.Error("SSCA-Q15 NewAccumulator without InputPeak should error")
+	band := q15TestBand(t, 900, 25)
+	for _, e := range []scf.StreamingEstimator{
+		FAMQ15{Params: scf.Params{K: 64, M: 16}},
+		SSCAQ15{Params: scf.Params{K: 64, M: 16}},
+	} {
+		want, _, err := e.Estimate(band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range [][]int{{len(band)}, {13, 200}} {
+			acc, err := e.NewAccumulator()
+			if err != nil {
+				t.Fatalf("%s NewAccumulator without InputPeak: %v", e.Name(), err)
+			}
+			pushChunks(t, acc, band, chunk)
+			requireIdentical(t, snapshot(t, acc), want, fmt.Sprintf("%s without InputPeak, chunks=%v", e.Name(), chunk))
+		}
 	}
 	if _, err := (FAMQ15{Params: scf.Params{K: 64, M: 16}, InputPeak: -1}).NewAccumulator(); err == nil {
 		t.Error("FAM-Q15 NewAccumulator with negative InputPeak should error")
@@ -235,14 +232,12 @@ func TestSSCAQ15AccumulatorBoundedMemory(t *testing.T) {
 		t.Fatalf("Samples() = %d, want %d", acc.Samples(), len(band))
 	}
 	need := e.N + 64 - 1
-	ref, _, err := e.EstimateQ15(band[:need])
+	ref, _, err := e.Estimate(band[:need])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, diff := ref.Equal(q15SnapshotQ15(t, acc)); !ok {
-		t.Errorf("fixed-N snapshot differs from batch on first %d samples: %s", need, diff)
-	}
-	if inner := acc.(*q15Window); len(inner.span) != need || cap(inner.span) != need {
-		t.Errorf("fixed-N buffers %d samples (cap %d), want exactly N+K-1 = %d", len(inner.span), cap(inner.span), need)
+	requireIdentical(t, snapshot(t, acc), ref, fmt.Sprintf("fixed-N snapshot vs batch on the first %d samples", need))
+	if got := acc.(interface{ HeldBytes() int }).HeldBytes(); got != 16*need {
+		t.Errorf("fixed-N holds %d bytes, want exactly N+K-1 = %d samples (%d bytes)", got, need, 16*need)
 	}
 }

@@ -46,7 +46,7 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.estimate(x)
+	return c.Estimate(x)
 }
 
 // WithAlphaCandidates implements scf.CandidateEstimator.

@@ -2,7 +2,6 @@ package fam
 
 import (
 	"errors"
-	"fmt"
 
 	"tiledcfd/internal/fft"
 	"tiledcfd/internal/fixed"
@@ -37,8 +36,7 @@ type SSCAQ15 struct {
 	// before Q15 quantisation, as for FAMQ15 (0 = 0.5).
 	InputScale float64
 	// InputPeak, when positive, fixes the conditioning full-scale
-	// reference instead of measuring the batch peak, as for
-	// FAMQ15.InputPeak; required (non-zero) by NewAccumulator.
+	// reference instead of measuring the peak, as for FAMQ15.InputPeak.
 	InputPeak float64
 	// Policy selects the per-stage FFT scaling, as for FAMQ15.
 	Policy fft.ScalingPolicy
@@ -54,7 +52,7 @@ func (e SSCAQ15) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.estimate(x)
+	return c.Estimate(x)
 }
 
 // EstimateQ15 computes the surface in its native Q15-plus-exponent form:
@@ -75,13 +73,8 @@ func (e SSCAQ15) kernel(workers int) (*q15Kernel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if e.N != 0 {
-		if e.N < p.K {
-			return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be >= K=%d", e.N, p.K)
-		}
-		if !fft.IsPow2(e.N) {
-			return nil, fmt.Errorf("fam: SSCA-Q15 strip length N=%d must be a power of two", e.N)
-		}
+	if err := checkStrip("ssca-q15", p.K, e.N); err != nil {
+		return nil, err
 	}
 	return newQ15Kernel(p, true, e.N, e.InputScale, e.InputPeak, e.Policy, workers)
 }
@@ -166,7 +159,7 @@ func (c *q15Kernel) sscaFinish(sc *q15Scratch, ch *q15Channelizer, xq []fixed.Co
 		Cycles: ch.fftCy +
 			int64(nn)*montiumFFTCycles(n) +
 			montium.MACKernelCycles(ch.macCy+2*int64(nn)*int64(n)) +
-			montium.ReadDataCycles(int64(c.spanOf(n))) +
+			montium.ReadDataCycles(int64(c.rule().span(n))) +
 			montium.AlignCycles(ch.aligned+cells),
 		Kernel: c.kern.Name(),
 	}, nil

@@ -12,24 +12,29 @@ import (
 	"tiledcfd/internal/scf"
 )
 
-// FuzzWindowAccumulator: every window-bound accumulator honours the
-// scf.WindowEstimator contract. After n samples pushed since the last
-// Reset, in any chunking, Snapshot equals Estimate(x[:min(n, W)]) bit for
-// bit with the same stats, and Ready holds exactly when that Estimate
-// succeeds. A window too short for any snapshot gets the uncapped
-// accumulator, whose snapshot is Estimate(x[:n]). Every snapshot must
-// also equal the uncapped accumulator's (NewAccumulator) fed the same
-// samples, the same way. A second Snapshot before the Reset gives the
-// same bits, also when the samples past a complete span arrive between
-// the two (they are dropped), and after the Reset a partial refill
-// snapshots as Estimate on the refill.
+// FuzzWindowAccumulator: every accumulator the windowed stream engine
+// builds (scf.AccumulatorFor) honours its contract. For a
+// scf.WindowEstimator, after n samples pushed since the last Reset, in
+// any chunking, Snapshot equals Estimate(x[:min(n, W)]) bit for bit with
+// the same stats, and Ready holds exactly when that Estimate succeeds. A
+// window too short for any snapshot gets the uncapped accumulator, whose
+// snapshot is Estimate(x[:n]), and so does the direct DSCF, whose
+// reference is scf.Compute over the complete blocks of x[:n]. Every
+// snapshot must also equal the uncapped accumulator's (NewAccumulator)
+// fed the same samples, the same way. A second Snapshot before the Reset
+// gives the same bits, also when the samples past a complete span arrive
+// between the two (they are dropped), and after the Reset a partial
+// refill snapshots as Estimate on the refill.
 //
 // The inputs decode as: seed picks the band; estSel%5 picks fam, pruned
-// fam, ssca, fam-q15 or ssca-q15, and estSel/5%3 the FAM hop (K/4, 13 or
-// 40 > K); winSel the analysis window; w the window length (1 + w%2048);
-// n1 and n2 the prefix lengths pushed before and after a Reset (each
-// modulo 2W+1); each chunks byte one push size (byte+1 samples, cycled;
-// empty pushes each prefix at once).
+// fam, ssca, fam-q15 or ssca-q15 (both with InputPeak 2), estSel/5%3 the
+// FAM or direct hop (the default, 13 or 40 > K), and estSel/15%3 the
+// family: 0 as listed, 1 the direct DSCF (pruned when estSel%5 is 1), 2
+// fam-q15 (estSel even) or ssca-q15 (odd) with InputPeak 0, conditioned
+// on each span's measured peak; winSel the analysis window; w the window
+// length (1 + w%2048); n1 and n2 the prefix lengths pushed before and
+// after a Reset (each modulo 2W+1); each chunks byte one push size
+// (byte+1 samples, cycled; empty pushes each prefix at once).
 func FuzzWindowAccumulator(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint16(600), uint16(1201), uint16(400), []byte{0, 16, 89})
 	f.Add(uint64(2), uint8(1), uint8(1), uint16(2047), uint16(3000), uint16(2048), []byte{40})
@@ -39,25 +44,49 @@ func FuzzWindowAccumulator(f *testing.F) {
 	f.Add(uint64(5), uint8(4), uint8(1), uint16(1500), uint16(1600), uint16(1000), []byte{255})
 	f.Add(uint64(6), uint8(2), uint8(0), uint16(2047), uint16(2100), uint16(1800), []byte{127, 3})
 	f.Add(uint64(7), uint8(6), uint8(2), uint16(700), uint16(900), uint16(300), []byte{12})
+	// The direct DSCF: hop K, pruned, and a gap hop of 40 > K.
+	f.Add(uint64(8), uint8(15), uint8(0), uint16(500), uint16(1001), uint16(31), []byte{30, 2})
+	f.Add(uint64(9), uint8(16), uint8(1), uint16(300), uint16(600), uint16(450), []byte{})
+	f.Add(uint64(10), uint8(25), uint8(2), uint16(900), uint16(1500), uint16(70), []byte{63})
+	// FAM-Q15 and SSCA-Q15 without InputPeak.
+	f.Add(uint64(11), uint8(30), uint8(0), uint16(1023), uint16(1500), uint16(700), []byte{99, 7})
+	f.Add(uint64(12), uint8(31), uint8(1), uint16(1500), uint16(1600), uint16(2000), []byte{255})
 	f.Fuzz(func(t *testing.T, seed uint64, estSel, winSel uint8, w, n1, n2 uint16, chunks []byte) {
 		const k, m = 32, 8
 		windows := []fft.WindowKind{fft.Rectangular, fft.Hamming, fft.Hann}
 		p := scf.Params{K: k, M: m, Window: windows[int(winSel)%len(windows)]}
 		famP := p
 		famP.Hop = []int{0, 13, 40}[int(estSel/5)%3]
-		var est scf.StreamingEstimator
-		switch estSel % 5 {
-		case 0:
-			est = FAM{Params: famP}
-		case 1:
+		if estSel%5 == 1 {
 			famP.AlphaCandidates = []int{2, 5}
+		}
+		var est scf.StreamingEstimator
+		switch family := estSel / 15 % 3; {
+		case family == 1:
+			est = scf.Direct{Params: famP}
+		case family == 2 && estSel%2 == 0:
+			est = FAMQ15{Params: famP}
+		case family == 2:
+			est = SSCAQ15{Params: p}
+		case estSel%5 < 2:
 			est = FAM{Params: famP}
-		case 2:
+		case estSel%5 == 2:
 			est = SSCA{Params: p}
-		case 3:
+		case estSel%5 == 3:
 			est = FAMQ15{Params: famP, InputPeak: 2}
 		default:
 			est = SSCAQ15{Params: p, InputPeak: 2}
+		}
+		estimate := est.Estimate
+		if d, ok := est.(scf.Direct); ok {
+			estimate = func(x []complex128) (*scf.Surface, *scf.Stats, error) {
+				dp := d.Params.WithDefaults()
+				if len(x) < dp.K {
+					return nil, nil, fmt.Errorf("%d samples hold no block", len(x))
+				}
+				dp.Blocks = (len(x)-dp.K)/dp.Hop + 1
+				return scf.Compute(x, dp)
+			}
 		}
 		window := 1 + int(w)%2048
 		x := streamBand(t, 2*window, seed)
@@ -68,8 +97,10 @@ func FuzzWindowAccumulator(f *testing.F) {
 				sizes = append(sizes, int(c)+1)
 			}
 		}
-		_, _, shortErr := est.Estimate(x[:window])
-		acc, err := est.(scf.WindowEstimator).NewWindowAccumulator(window)
+		_, _, shortErr := estimate(x[:window])
+		_, bound := est.(scf.WindowEstimator)
+		capped := bound && shortErr == nil
+		acc, err := scf.AccumulatorFor(est, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +110,11 @@ func FuzzWindowAccumulator(f *testing.F) {
 			if acc.Samples() != n {
 				t.Fatalf("Samples() = %d after %d pushed", acc.Samples(), n)
 			}
-			lim := min(n, window)
-			if shortErr != nil {
-				lim = n
+			lim := n
+			if capped {
+				lim = min(n, window)
 			}
-			want, wantStats, wantErr := est.Estimate(x[:lim])
+			want, wantStats, wantErr := estimate(x[:lim])
 			if acc.Ready() != (wantErr == nil) {
 				t.Fatalf("%s W=%d n=%d: Ready %v, Estimate error %v", est.Name(), window, n, acc.Ready(), wantErr)
 			}
@@ -119,7 +150,7 @@ func FuzzWindowAccumulator(f *testing.F) {
 			// Snapshot folds the buffer and keeps nothing: a second one
 			// gives the same bits. Once the span is complete, the rest of
 			// the band, pushed in between, is past it and dropped.
-			if lim == window && shortErr == nil {
+			if capped && lim == window {
 				pushChunks(t, acc, x[n:], sizes)
 			}
 			again, againStats, err := acc.Snapshot()
@@ -133,10 +164,10 @@ func FuzzWindowAccumulator(f *testing.F) {
 }
 
 // TestWindowAccumulatorKeepsNoCheckpoint: after a whole window, a
-// window-bound FAM, pruned FAM or SSCA accumulator holds exactly its
-// span, and a FAM-Q15 or SSCA-Q15 accumulator its quantised span
-// (4-byte words). None holds anything else: no result, no parity grid,
-// no checkpoint, no K×strips fold, no hop bank. At the paper geometry
+// window-bound FAM, pruned FAM, SSCA, FAM-Q15 or SSCA-Q15 accumulator
+// holds exactly its span, 16 B a sample (the Q15 fold quantises at
+// Snapshot). None holds anything else: no result, no parity grid, no
+// checkpoint, no K×strips fold, no hop bank, no quantised span. At the paper geometry
 // (K=256, M=64) the result is larger than the span, so a result kept
 // between pushes would show. Its snapshot still equals Estimate, and
 // its HeldBytes method, which the stream engine reads, agrees with the
@@ -155,15 +186,14 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 		name         string
 		est          scf.StreamingEstimator
 		window, span int
-		word         int
 	}{
-		{"fam", FAM{Params: p}, 2048, 63*16 + 64, 16},
-		{"fam-pruned", FAM{Params: pruned}, 2048, 63*16 + 64, 16},
-		{"ssca", SSCA{Params: p}, 2048, 1024 + 63, 16},
-		{"fam-paper", FAM{Params: paper}, 8192, 63*64 + 256, 16},
-		{"ssca-paper", SSCA{Params: paper}, 2048, 1024 + 255, 16},
-		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 2048, 15*64 + 256, 4},
-		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 2048, 1024 + 255, 4},
+		{"fam", FAM{Params: p}, 2048, 63*16 + 64},
+		{"fam-pruned", FAM{Params: pruned}, 2048, 63*16 + 64},
+		{"ssca", SSCA{Params: p}, 2048, 1024 + 63},
+		{"fam-paper", FAM{Params: paper}, 8192, 63*64 + 256},
+		{"ssca-paper", SSCA{Params: paper}, 2048, 1024 + 255},
+		{"fam-q15", FAMQ15{Params: paper, InputPeak: 2}, 2048, 15*64 + 256},
+		{"ssca-q15", SSCAQ15{Params: paper, InputPeak: 2}, 2048, 1024 + 255},
 	} {
 		x := streamBand(t, c.window, 16)
 		acc, err := c.est.(scf.WindowEstimator).NewWindowAccumulator(c.window)
@@ -171,7 +201,7 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		pushChunks(t, acc, x, []int{500})
-		if got, want := heldBytes(reflect.ValueOf(acc)), c.word*c.span; got != want {
+		if got, want := heldBytes(reflect.ValueOf(acc)), 16*c.span; got != want {
 			t.Errorf("%s W=%d: holds %d bytes past its geometry, want its %d-sample span alone (%d bytes)",
 				c.name, c.window, got, c.span, want)
 		}
@@ -179,8 +209,8 @@ func TestWindowAccumulatorKeepsNoCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := heldBytes(reflect.ValueOf(acc)); got != c.word*c.span {
-			t.Errorf("%s W=%d: holds %d bytes after Snapshot, want its %d-byte span", c.name, c.window, got, c.word*c.span)
+		if got := heldBytes(reflect.ValueOf(acc)); got != 16*c.span {
+			t.Errorf("%s W=%d: holds %d bytes after Snapshot, want its %d-byte span", c.name, c.window, got, 16*c.span)
 		}
 		wantSurface, _, err := c.est.Estimate(x)
 		if err != nil {
@@ -258,8 +288,9 @@ func TestSSCAFoldScratchBytes(t *testing.T) {
 // backing array of every slice, and every *scf.Surface's or
 // *scf.QSurface's cells, reachable through its struct fields and
 // embedded structs. Each byte counts once, however many slices or
-// surface rows share it. The kernels (plans, tables and row sets that
-// describe the geometry, not the stream) are left out.
+// surface rows share it. Interface values are not followed, so the
+// fold kernel behind an accumulator (plans, tables and row sets that
+// describe the geometry, not the stream) is left out.
 func heldBytes(v reflect.Value) int {
 	var spans [][2]uintptr // [start, end) of every array reached
 	heldSpans(v, &spans)
@@ -289,8 +320,6 @@ func heldSpans(v reflect.Value, spans *[][2]uintptr) {
 			return
 		}
 		switch v.Type() {
-		case reflect.TypeOf(&famKernel{}), reflect.TypeOf(&sscaKernel{}), reflect.TypeOf(&q15Kernel{}):
-			return
 		case reflect.TypeOf(&scf.Surface{}), reflect.TypeOf(&scf.QSurface{}):
 			data := v.Elem().FieldByName("Data")
 			for i := 0; i < data.Len(); i++ {

@@ -1,10 +1,6 @@
 package scf
 
-import (
-	"fmt"
-
-	"tiledcfd/internal/fft"
-)
+import "fmt"
 
 // Accumulator is incremental estimator state: the streaming twin of
 // Estimator.Estimate. Samples arrive in arbitrarily sized chunks via
@@ -66,8 +62,8 @@ type StreamingEstimator interface {
 // when that Estimate succeeds. A window too short for any snapshot gets
 // an uncapped accumulator, as NewAccumulator's, which keeps accumulating
 // past it: its Snapshot is Estimate over every sample since Reset.
-// fam.FAM, fam.SSCA and their Q15 twins implement it, with one
-// accumulator type each, capped at the span the window's estimate reads.
+// fam.FAM, fam.SSCA and their Q15 twins implement it, with
+// NewSpanAccumulator capped at the span the window's estimate reads.
 type WindowEstimator interface {
 	NewWindowAccumulator(window int) (Accumulator, error)
 }
@@ -83,197 +79,100 @@ func AccumulatorFor(est StreamingEstimator, window int) (Accumulator, error) {
 	return est.NewAccumulator()
 }
 
-// NewAccumulator returns incremental state for the direct DSCF with the
-// given parameters. Params.Blocks is ignored: the block count is derived
-// from the pushed samples (a snapshot after n complete blocks equals
-// Compute with Blocks=n). The accumulator holds one unnormalised surface
-// plus at most one analysis block of buffered samples, so its memory
-// footprint is independent of stream length.
+// NewSpanAccumulator returns the accumulator every estimator streams
+// with. It buffers the first span samples pushed since Reset, allocated
+// once at the span (every sample since Reset when span is 0), counts
+// and drops the samples past it, and at Snapshot runs fold.Estimate over
+// the buffer into the surface it returns. It is Ready once need samples
+// are buffered, need being the fewest fold.Estimate accepts. Nothing is
+// kept between pushes but the buffer, so a snapshot equals the batch
+// fold over the same samples by construction, in any chunking.
+func NewSpanAccumulator(fold Estimator, span, need int) Accumulator {
+	return &spanAccumulator{fold: fold, span: span, need: need}
+}
+
+// spanAccumulator is the one Accumulator: see NewSpanAccumulator.
+type spanAccumulator struct {
+	fold       Estimator
+	span, need int
+	buf        []complex128
+	total      int
+}
+
+// Name implements Accumulator: the fold's estimator name.
+func (a *spanAccumulator) Name() string { return a.fold.Name() }
+
+// Push implements Accumulator: it buffers the chunk's share of the span.
+func (a *spanAccumulator) Push(samples []complex128) error {
+	a.total += len(samples)
+	if a.span != 0 {
+		if a.buf == nil {
+			a.buf = make([]complex128, 0, a.span)
+		}
+		samples = samples[:min(len(samples), a.span-len(a.buf))]
+	}
+	a.buf = append(a.buf, samples...)
+	return nil
+}
+
+// Samples implements Accumulator.
+func (a *spanAccumulator) Samples() int { return a.total }
+
+// Ready implements Accumulator.
+func (a *spanAccumulator) Ready() bool { return len(a.buf) >= a.need }
+
+// Snapshot implements Accumulator: the fold over the buffer.
+func (a *spanAccumulator) Snapshot() (*Surface, *Stats, error) { return a.fold.Estimate(a.buf) }
+
+// Reset implements Accumulator: the buffer stays allocated for the next
+// window's span.
+func (a *spanAccumulator) Reset() {
+	a.buf = a.buf[:0]
+	a.total = 0
+}
+
+// HeldBytes returns the bytes the accumulator holds: its buffer's
+// capacity, 16 B a sample. The stream engine counts it into a channel's
+// held memory.
+func (a *spanAccumulator) HeldBytes() int { return 16 * cap(a.buf) }
+
+// NewAccumulator returns the direct DSCF's accumulator for the given
+// parameters. Params.Blocks is ignored: a snapshot over n samples equals
+// Compute with Blocks set to the complete blocks they hold. It buffers
+// every sample since Reset, so its memory grows with them; the windowed
+// stream engine resets it every window, which bounds it to one.
 func NewAccumulator(p Params) (Accumulator, error) {
 	p = p.WithDefaults()
-	p.Blocks = 1 // derived from the stream; 1 keeps Validate happy
+	p.Blocks = 1 // derived from the buffer; 1 keeps Validate happy
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := fft.PlanFor(p.K)
-	if err != nil {
-		return nil, err
-	}
-	var win []float64
-	if p.Window != fft.Rectangular {
-		if win, err = fft.Window(p.Window, p.K); err != nil {
-			return nil, err
-		}
-	}
-	return &directAccumulator{
-		p:         p,
-		plan:      plan,
-		win:       win,
-		rows:      p.CandidateRows(),
-		alphas:    p.SurfaceAlphas(),
-		dscfMults: p.DSCFMults(),
-		sum:       NewSurfaceFor(p),
-		spec:      make([]complex128, p.K),
-		specc:     make([]complex128, p.K),
-	}, nil
+	return NewSpanAccumulator(directFold(p), 0, p.K), nil
 }
 
-// NewAccumulator implements StreamingEstimator. An accumulator processes
-// blocks in arrival order on the caller's goroutine (streaming
-// parallelism lives across channels, in the stream engine's worker
-// pool).
+// NewAccumulator implements StreamingEstimator. The accumulator folds on
+// the caller's goroutine (streaming parallelism lives across channels,
+// in the stream engine's worker pool).
 func (e Direct) NewAccumulator() (Accumulator, error) {
 	return NewAccumulator(e.Params)
 }
 
 var _ StreamingEstimator = Direct{}
 
-// directAccumulator is the incremental direct DSCF. It replays the exact
-// per-block pipeline of Compute — window, K-point FFT, absolute-time
-// phase reference, conjugate hoist, a>=0-row accumulation — as blocks
-// complete, in stream order, so the running sum is always the same
-// floating-point value the batch path computes over the concatenated
-// samples. Snapshot copies the sum, applies the 1/N normalisation and the
-// Hermitian mirror, exactly as Compute does at the end.
-type directAccumulator struct {
-	p    Params
-	plan *fft.Plan
-	win  []float64
-	rows []int // candidate a >= 0 rows; nil = full plane
+// directFold is the direct DSCF over every complete block its input
+// holds: the fold of Direct's accumulator.
+type directFold Params
 
-	// Snapshot runs once per serving decision, so the row layout and the
-	// per-block multiply count are computed once here instead of rebuilt
-	// (with their sorts) on every call.
-	alphas    []int // full signed row set of the snapshot surface; nil = dense
-	dscfMults int
+// Name implements Estimator.
+func (directFold) Name() string { return "direct" }
 
-	sum    *Surface // unnormalised; only a >= 0 rows carry data
-	blocks int
-
-	// buf holds stream samples not yet folded into a block; buf[0] is
-	// absolute sample index bufStart. With Hop < K it retains the K-Hop
-	// overlap tail, with Hop > K it drops the inter-block gaps.
-	buf      []complex128
-	bufStart int
-	total    int
-
-	// Private scratch (an accumulator is single-goroutine by contract,
-	// and long-lived, so it owns its buffers instead of borrowing from
-	// the pool per push).
-	spec, specc, winbuf []complex128
-}
-
-// Name implements Accumulator.
-func (d *directAccumulator) Name() string { return "direct" }
-
-// Samples implements Accumulator.
-func (d *directAccumulator) Samples() int { return d.total }
-
-// HeldBytes returns the bytes the accumulator holds: its running sum's
-// cells, its sample buffer and its block scratch. The stream engine
-// counts it into a channel's held memory.
-func (d *directAccumulator) HeldBytes() int {
-	cells := len(d.sum.Data) * (2*d.p.M - 1)
-	return 16 * (cells + cap(d.buf) + cap(d.spec) + cap(d.specc) + cap(d.winbuf))
-}
-
-// Ready implements Accumulator: one complete block suffices.
-func (d *directAccumulator) Ready() bool { return d.blocks >= 1 }
-
-// Push implements Accumulator.
-func (d *directAccumulator) Push(samples []complex128) error {
-	d.total += len(samples)
-	// Read the chunk in place when nothing is buffered, so a push that
-	// only completes blocks copies nothing but its leftover tail. The
-	// buffer never starts past the next block's start, so src holds every
-	// block the push completes.
-	src, srcStart := samples, d.bufStart+len(d.buf)
-	if len(d.buf) > 0 {
-		d.buf = append(d.buf, samples...)
-		src, srcStart = d.buf, d.bufStart
+// Estimate implements Estimator: Compute with Blocks set to the complete
+// blocks of x.
+func (d directFold) Estimate(x []complex128) (*Surface, *Stats, error) {
+	p := Params(d)
+	if len(x) < p.K {
+		return nil, nil, fmt.Errorf("scf: accumulator needs %d samples for a first block, has %d", p.K, len(x))
 	}
-	for {
-		start := d.blocks * d.p.Hop // absolute start of the next block
-		if start+d.p.K > srcStart+len(src) {
-			break
-		}
-		off := start - srcStart
-		if err := d.processBlock(src[off:off+d.p.K], start); err != nil {
-			return err
-		}
-	}
-	// Keep only what the next block reads, from its start on (a gap
-	// before it, with Hop > K, is dropped): one compaction per push keeps
-	// the cost linear in the chunk.
-	cut := min(max(0, d.blocks*d.p.Hop-srcStart), len(src))
-	d.buf, d.bufStart = append(d.buf[:0], src[cut:]...), srcStart+cut
-	return nil
-}
-
-// processBlock folds one complete analysis block (absolute sample index
-// start) into the running sum: the exact per-block pipeline of Compute.
-func (d *directAccumulator) processBlock(block []complex128, start int) error {
-	if d.win != nil {
-		if d.winbuf == nil {
-			d.winbuf = make([]complex128, d.p.K)
-		}
-		if err := fft.ApplyWindowInto(d.winbuf, block, d.win); err != nil {
-			return err
-		}
-		block = d.winbuf
-	}
-	if err := d.plan.Forward(d.spec, block); err != nil {
-		return err
-	}
-	phaseReference(d.spec, start, d.p.K)
-	if d.rows == nil {
-		conjInto(d.specc, d.spec)
-		accumulate(d.sum, d.spec, d.specc, d.p.M, d.rows)
-	} else {
-		// Pruned channels touch few rows: conjugate inline (exact)
-		// instead of paying the K-bin conjugation pass per block.
-		accumulateConj(d.sum, d.spec, d.rows, d.p.M)
-	}
-	d.blocks++
-	return nil
-}
-
-// Snapshot implements Accumulator.
-func (d *directAccumulator) Snapshot() (*Surface, *Stats, error) {
-	if d.blocks == 0 {
-		return nil, nil, fmt.Errorf("scf: accumulator needs %d samples for a first block, has %d",
-			d.p.K, d.total)
-	}
-	var out *Surface
-	if d.alphas != nil {
-		out = NewSparseSurface(d.p.M, d.alphas)
-	} else {
-		out = NewSurface(d.p.M)
-	}
-	for i := range out.Data {
-		if out.alphaOf(i) >= 0 {
-			copy(out.Data[i], d.sum.Data[i])
-		}
-	}
-	out.Scale(1 / float64(d.blocks))
-	out.MirrorHermitian()
-	stats := &Stats{
-		Blocks:    d.blocks,
-		FFTMults:  d.blocks * fft.ComplexMults(d.p.K),
-		DSCFMults: d.blocks * d.dscfMults,
-	}
-	return out, stats, nil
-}
-
-// Reset implements Accumulator.
-func (d *directAccumulator) Reset() {
-	for _, row := range d.sum.Data {
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	d.blocks = 0
-	d.buf = d.buf[:0]
-	d.bufStart = 0
-	d.total = 0
+	p.Blocks = (len(x)-p.K)/p.Hop + 1
+	return Compute(x, p)
 }

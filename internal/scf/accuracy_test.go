@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"math/cmplx"
 	"testing"
 
 	"tiledcfd/internal/fixed"
@@ -14,31 +15,58 @@ func strongTone(k, blocks int) []complex128 {
 	return x
 }
 
+// saturatedCells returns how many cells of a fixed surface sit at the
+// positive or negative rail in either component.
+func saturatedCells(s *FixedSurface) int {
+	n := 0
+	for _, row := range s.Data {
+		for _, c := range row {
+			if c.Re == fixed.MaxQ15 || c.Re == fixed.MinQ15 ||
+				c.Im == fixed.MaxQ15 || c.Im == fixed.MinQ15 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestMeasureFixedAccuracyModerate(t *testing.T) {
 	// At few blocks and half-scale input the Q15 path tracks the float
-	// reference to well under 2% of the PSD peak.
+	// reference, rescaled by 1/K² to the fixed path's units, to well
+	// under 2% of the PSD peak over the whole grid, and nothing clips.
 	const k, m, blocks = 64, 16, 4
 	rng := sig.NewRand(41)
 	x := sig.Samples(&sig.WGN{Sigma: 0.35, Real: true, Rng: rng}, k*blocks)
-	rep, err := MeasureFixedAccuracy(x, Params{K: k, M: m, Blocks: blocks})
+	p := Params{K: k, M: m, Blocks: blocks}
+	ref, _, err := Compute(x, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SaturatedCells != 0 {
-		t.Fatalf("unexpected saturation: %d cells", rep.SaturatedCells)
+	fs, err := ComputeFixed(fixed.FromFloatSlice(x), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.WorstRelToPeak > 0.02 {
-		t.Fatalf("worst error %.4f of peak, want < 2%%", rep.WorstRelToPeak)
+	if n := saturatedCells(fs); n != 0 {
+		t.Fatalf("unexpected saturation: %d cells", n)
 	}
-	if rep.Blocks != blocks {
-		t.Fatalf("report blocks %d", rep.Blocks)
+	got := fs.Float(blocks)
+	ref.Scale(1 / float64(k*k))
+	peak, worst := 0.0, 0.0
+	for f := -(m - 1); f <= m-1; f++ {
+		peak = max(peak, cmplx.Abs(ref.At(f, 0)))
+		for a := -(m - 1); a <= m-1; a++ {
+			worst = max(worst, cmplx.Abs(got.At(f, a)-ref.At(f, a)))
+		}
+	}
+	if worst > 0.02*peak {
+		t.Fatalf("worst error %.4f of peak, want < 2%%", worst/peak)
 	}
 }
 
 func TestLongIntegrationSaturatesWithoutPrescale(t *testing.T) {
 	// The section 4.1 headroom limit made visible: a strong coherent tone
 	// accumulated over many blocks pins the feature cells at full scale
-	// in plain Q15 accumulation...
+	// in plain Q15 accumulation.
 	const k, m, blocks = 64, 8, 64
 	p := Params{K: k, M: m, Blocks: blocks}
 	x := fixed.FromFloatSlice(strongTone(k, blocks))
@@ -46,71 +74,7 @@ func TestLongIntegrationSaturatesWithoutPrescale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CountSaturatedCells(plain); got == 0 {
+	if got := saturatedCells(plain); got == 0 {
 		t.Fatal("expected saturated cells in 64-block full-scale accumulation")
-	}
-	// ...while prescaling by log2(blocks) bits keeps every cell in range.
-	spectra, err := FixedSpectra(x, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := AccumulateFixedPrescaled(spectra, p, 6) // 2^6 = 64
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := CountSaturatedCells(scaled); got != 0 {
-		t.Fatalf("prescaled accumulation still saturates: %d cells", got)
-	}
-	// And the prescaled surface still peaks at a tone cell. A real tone at
-	// bin 4 has four equal-magnitude cells: the PSD pair (f=±4, a=0) and
-	// the doubled-carrier pair (f=0, a=±4).
-	f, a, _ := scaled.Float(0).MaxFeature(false)
-	ok := (a == 0 && (f == 4 || f == -4)) || (f == 0 && (a == 4 || a == -4))
-	if !ok {
-		t.Fatalf("prescaled peak at (f=%d,a=%d), want one of (±4,0)/(0,±4)", f, a)
-	}
-}
-
-func TestPrescaleZeroMatchesPlain(t *testing.T) {
-	const k, m, blocks = 32, 8, 3
-	p := Params{K: k, M: m, Blocks: blocks}
-	rng := sig.NewRand(43)
-	x := fixed.FromFloatSlice(sig.Samples(&sig.WGN{Sigma: 0.4, Rng: rng}, k*blocks))
-	spectra, err := FixedSpectra(x, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := AccumulateFixed(spectra, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := AccumulateFixedPrescaled(spectra, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, diag := plain.Equal(zero); !ok {
-		t.Fatalf("shift=0 differs from plain accumulation: %s", diag)
-	}
-}
-
-func TestPrescaleValidation(t *testing.T) {
-	p := Params{K: 32, M: 8, Blocks: 1}
-	if _, err := AccumulateFixedPrescaled(nil, Params{K: 20, M: 4, Blocks: 1, Hop: 20}, 1); err == nil {
-		t.Error("bad params should fail")
-	}
-	if _, err := AccumulateFixedPrescaled([][]fixed.Complex{make([]fixed.Complex, 8)}, p, 1); err == nil {
-		t.Error("wrong spectrum length should fail")
-	}
-	if _, err := AccumulateFixedPrescaled(nil, p, 15); err == nil {
-		t.Error("shift > 14 should fail")
-	}
-}
-
-func TestMeasureFixedAccuracyErrors(t *testing.T) {
-	if _, err := MeasureFixedAccuracy(make([]complex128, 4), Params{K: 64, M: 16}); err == nil {
-		t.Error("short input should fail")
-	}
-	if _, err := MeasureFixedAccuracy(make([]complex128, 64), Params{K: 64, M: 16, Blocks: 1}); err == nil {
-		t.Error("zero-power input should fail")
 	}
 }

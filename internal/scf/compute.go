@@ -293,27 +293,3 @@ func accumulateRowConj(row, spec []complex128, a, m, mask int) {
 		qi = (qi + n) & mask
 	}
 }
-
-// SpectrumAt computes the absolute-time-referenced spectrum X_{n,·} of the
-// block starting at sample start: the quantity expression 2 denotes. It is
-// exposed for the systolic and SoC simulators, which consume spectra
-// rather than raw samples.
-func SpectrumAt(x []complex128, start int, p Params) ([]complex128, error) {
-	p = p.WithDefaults()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if start < 0 || start+p.K > len(x) {
-		return nil, fmt.Errorf("scf: block [%d,%d) outside signal of %d samples", start, start+p.K, len(x))
-	}
-	plan, err := fft.PlanFor(p.K)
-	if err != nil {
-		return nil, err
-	}
-	spec := make([]complex128, p.K)
-	if err := plan.Forward(spec, x[start:start+p.K]); err != nil {
-		return nil, err
-	}
-	phaseReference(spec, start, p.K)
-	return spec, nil
-}

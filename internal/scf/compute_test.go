@@ -153,24 +153,6 @@ func TestComputeInputValidation(t *testing.T) {
 	}
 }
 
-func TestSpectrumAt(t *testing.T) {
-	const k = 32
-	x := sig.Samples(&sig.Tone{Amp: 1, Freq: 3.0 / k}, 2*k)
-	spec, err := SpectrumAt(x, k, Params{K: k, M: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(spec[3]) < k-1e-6 {
-		t.Fatalf("spectrum bin 3 = %v, want magnitude %d", spec[3], k)
-	}
-	if _, err := SpectrumAt(x, 2*k, Params{K: k, M: 8}); err == nil {
-		t.Error("out-of-range block should fail")
-	}
-	if _, err := SpectrumAt(x, -1, Params{K: k, M: 8}); err == nil {
-		t.Error("negative start should fail")
-	}
-}
-
 // Property: the DSCF is Hermitian in a: S_f^{-a} == conj(S_f^a).
 func TestQuickHermitianSymmetry(t *testing.T) {
 	f := func(seed uint64, realSig bool) bool {

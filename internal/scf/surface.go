@@ -202,19 +202,6 @@ func (s *Surface) MaxFeature(excludeA0 bool) (f, a int, mag float64) {
 	return f, a, mag
 }
 
-// PSD returns the a=0 row, which is the averaged cyclic periodogram at
-// cycle frequency zero: the ordinary power spectral density estimate.
-// Pruned surfaces always hold it (Params.CandidateRows includes a=0).
-func (s *Surface) PSD() []complex128 {
-	row := s.Row(0)
-	if row == nil {
-		panic("scf: PSD on a surface without the a=0 row")
-	}
-	out := make([]complex128, len(row))
-	copy(out, row)
-	return out
-}
-
 // MirrorHermitian fills the a < 0 rows from the completed a >= 0 rows:
 // S_f^{-a} = conj(S_f^a). For estimators whose cell algebra is exactly
 // Hermitian in a (the direct DSCF and FAM — each (f, -a) term is the

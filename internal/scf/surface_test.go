@@ -83,19 +83,6 @@ func TestMaxFeature(t *testing.T) {
 	}
 }
 
-func TestPSDIsACopy(t *testing.T) {
-	s := NewSurface(2)
-	s.Add(1, 0, complex(5, 0))
-	psd := s.PSD()
-	if psd[2] != complex(5, 0) { // f=1 -> index 2
-		t.Fatalf("PSD = %v", psd)
-	}
-	psd[2] = 0
-	if s.At(1, 0) != complex(5, 0) {
-		t.Fatal("PSD must return a copy")
-	}
-}
-
 func TestHermitianError(t *testing.T) {
 	s := NewSurface(2)
 	s.Add(1, 1, complex(1, 2))

@@ -13,9 +13,9 @@ import (
 // TestRouterAccountingProperty drives a router over local shards and
 // one remote worker through a seeded random sequence of pushes, channel
 // additions and removals, shard additions and drains, and a remote
-// worker kill plus restart at the same address. After every step the
-// router's counters, and each live channel's, must not have moved
-// backwards. After a final Flush the books must balance: every accepted
+// worker kill plus restart at the same address. After every step, and
+// right after the kill, before the failover, the router's counters and
+// each live channel's must not have moved backwards. After a final Flush the books must balance: every accepted
 // sample is counted once, every surface was either delivered or counted
 // as dropped, and every surface belongs to exactly one channel, live or
 // removed. The operation sequence depends only on the seed, so a
@@ -105,7 +105,7 @@ func runAccountingProperty(t *testing.T, seed uint64, steps int) {
 				}
 			}
 		default: // kill the remote worker and restart it at its address
-			w = killAndRestart(t, r, dt, w)
+			w = killAndRestart(t, r, dt, w, func() { m.checkMonotone(t, step, r, ids) })
 		}
 		m.checkMonotone(t, step, r, ids)
 	}
@@ -164,10 +164,10 @@ func settleDecisions(t *testing.T, r *Router, dt *tally) {
 }
 
 // killAndRestart crashes the remote worker once everything it accepted
-// is decided and delivered, waits for its channels to fail over, then
-// restarts it at the same address and waits until the router has
-// reinstated it and finished moving channels back.
-func killAndRestart(t *testing.T, r *Router, dt *tally, w *testWorker) *testWorker {
+// is decided and delivered, calls afterKill, waits for its channels to
+// fail over, then restarts it at the same address and waits until the
+// router has reinstated it and finished moving channels back.
+func killAndRestart(t *testing.T, r *Router, dt *tally, w *testWorker, afterKill func()) *testWorker {
 	t.Helper()
 	if err := r.Flush(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -175,6 +175,7 @@ func killAndRestart(t *testing.T, r *Router, dt *tally, w *testWorker) *testWork
 	settleDecisions(t, r, dt)
 	failovers := r.Stats().Failovers
 	w.kill()
+	afterKill()
 	waitFor(t, 10*time.Second, "failover off r0", func() bool {
 		if r.Stats().Failovers == failovers {
 			return false

@@ -906,7 +906,14 @@ func (r *Router) ChannelStats(id string) (ChannelStats, bool) {
 	}
 	own := e.owner.Load()
 	e.syncEpochLocked(own)
-	cs, _ := own.sink.ChannelStats(id)
+	cs, ok := own.sink.ChannelStats(id)
+	if !ok {
+		// The owner cannot be read (a dead remote link not yet failed
+		// over): the router-side trackers shadow its counters.
+		cs.SamplesIn = e.trackIn.Load()
+		cs.Snapshots = e.trackSnapshots.Load()
+		cs.Detections = e.trackDetections.Load()
+	}
 	return e.statsLocked(own, cs), true
 }
 

@@ -17,8 +17,10 @@
 //     copies into it. Samples a worker is feeding stay in the ring, and
 //     count against the limit, until the feed completes,
 //   - an scf.Accumulator holding that channel's incremental estimator
-//     state (direct DSCF, FAM, or SSCA — anything implementing
-//     scf.StreamingEstimator),
+//     state (anything implementing scf.StreamingEstimator: the direct
+//     DSCF, FAM, SSCA and the Q15 twins all stream through
+//     scf.NewSpanAccumulator, which buffers samples and runs the batch
+//     fold at each snapshot),
 //   - for a decider that reads raw samples (dg, urriza), one window of
 //     them, allocated at the channel's first sample, and
 //   - drop/decision accounting, and a count of the bytes the channel
@@ -67,7 +69,9 @@
 // span of samples the window's estimate reads and fold it at the
 // window's snapshot, with fold scratch shared across channels, into the
 // surface the decision reads, so between pushes a channel holds its
-// span and no result. A window too short for the estimator keeps accumulating
-// across boundaries, and the decision comes at the first boundary where
-// the accumulator is Ready, over every sample since the last decision.
+// span and no result. The direct DSCF buffers the whole window and
+// folds its blocks at the snapshot. A window too short for the
+// estimator keeps accumulating across boundaries, and the decision
+// comes at the first boundary where the accumulator is Ready, over
+// every sample since the last decision.
 package stream

@@ -238,10 +238,11 @@ type ChannelStats struct {
 	Err string
 	// HeldBytes is the memory the channel holds: 16 B per ring slot,
 	// 16 B per sample of window capacity for a decider that reads raw
-	// samples, and the accumulator's buffers as its HeldBytes() int
-	// method reports them — the window accumulators of internal/fam and
-	// scf.Direct's have one. An accumulator without the method, such as
-	// one a caller decorates, counts 0. Fold scratch shared across
+	// samples, and the accumulator's buffer as its HeldBytes() int
+	// method reports it — scf.NewSpanAccumulator's, which every
+	// estimator streams through, has one: 16 B a buffered sample. An
+	// accumulator without the method, such as one a caller decorates,
+	// counts 0. Fold scratch shared across
 	// channels and the estimator's plans and tables are not counted. The
 	// window's and accumulator's part is refreshed after each fed
 	// segment, so it reads 0 before the channel's first.
