@@ -516,8 +516,23 @@ func TestMonitorRejectsPlatform(t *testing.T) {
 // TestStreamingEstimatorsEmitDecisions: every estimator NewMonitor's
 // errors offer as streaming builds a Monitor that decides a window.
 func TestStreamingEstimatorsEmitDecisions(t *testing.T) {
-	const k, window = 64, 1024
-	band, err := NewBPSKBand(window, 8.0/k, 8, 6, 53)
+	requireStreamingDecisions(t, Config{K: 64, M: 16})
+}
+
+// TestStreamingEstimatorsDecidePruned: every streaming estimator, the
+// Q15 ones included, accepts the alpha candidates Config.AlphaCandidates
+// documents, and a pruned channel decides.
+func TestStreamingEstimatorsDecidePruned(t *testing.T) {
+	requireStreamingDecisions(t, Config{K: 64, M: 16, AlphaCandidates: []int{4}, Threshold: 0.5})
+}
+
+// requireStreamingDecisions runs one 1024-sample window through a
+// Monitor of cfg under every streaming estimator and requires a
+// decision from each.
+func requireStreamingDecisions(t *testing.T, cfg Config) {
+	t.Helper()
+	const window = 1024
+	band, err := NewBPSKBand(window, 8.0/float64(cfg.K), 8, 6, 53)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,8 +541,8 @@ func TestStreamingEstimatorsEmitDecisions(t *testing.T) {
 		t.Fatal("no streaming estimators")
 	}
 	for _, name := range names {
-		mon, err := NewMonitor(Config{K: k, M: 16, Estimator: name},
-			MonitorOptions{Channels: []string{"a"}, SnapshotSamples: window, Backpressure: true})
+		cfg.Estimator = name
+		mon, err := NewMonitor(cfg, MonitorOptions{Channels: []string{"a"}, SnapshotSamples: window, Backpressure: true})
 		if err != nil {
 			t.Fatalf("NewMonitor(%s): %v", name, err)
 		}

@@ -30,7 +30,7 @@ var testOnlyKept = map[string]string{
 	// Deleting each of these takes at least one test with it, so they go
 	// in later changes, a few tests at a time; this list only shrinks.
 	"dead, deletion deferred": `chaos.Controller.SetLatency chaos.Controller.DropWrites
-		chaos.Controller.TruncateNextWrite core.OccupancyRatio detect.EstimateSignal
+		chaos.Controller.TruncateNextWrite core.OccupancyRatio
 		detect.EnergyThresholdForPfa dg.CountDiagonals dg.Mapped.ProcessorSet fft.Plan.Inverse
 		fft.RealComplexMults fixed.GuardBitsNeeded fixed.MulNoRound fixed.Half
 		mapping.RegisterChain.InitialValue mapping.RegisterChain.InjectedValue

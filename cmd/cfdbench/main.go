@@ -920,10 +920,10 @@ func benchDecide(e scf.Estimator, cfar detect.CFAR, band []complex128) (float64,
 	return float64(r.NsPerOp()), nil
 }
 
-// featurePeak replicates the squared-magnitude feature scan of
-// stream.Engine.decide (its maxFeatureMinA with the CFAR default
-// MinAbsA), so the timed op spends exactly what the serving layer
-// spends per decision. On a pruned surface only the held rows are
+// featurePeak replicates the squared-magnitude feature scan a served
+// decision makes (scf.Profile.Feature over the rows' peaks, with the
+// CFAR default MinAbsA) as one row-major pass over the surface, which
+// finds the same cell. On a pruned surface only the held rows are
 // searched.
 func featurePeak(s *scf.Surface) (f, a int) {
 	const minAbsA = 2 // detect.CFAR default

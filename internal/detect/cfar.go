@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/scf"
 )
 
@@ -43,8 +44,34 @@ type CFAR struct {
 	Scale float64
 }
 
-// Examine evaluates a DSCF surface and returns the decision.
+// Examine evaluates a DSCF surface and returns the decision: the
+// decision of ExamineProfile on its profile.
 func (c CFAR) Examine(s *scf.Surface) (CFARDecision, error) {
+	return withProfile(s, c.ExamineProfile)
+}
+
+// cfarScratch is one running CFAR decision's floor rows, borrowed from
+// cfarScratches, so a decision allocates nothing.
+type cfarScratch struct{ rows []float64 }
+
+var (
+	cfarScratches freelist.List[cfarScratch]
+	// profiles lends the profile a surface's decision reads.
+	profiles freelist.List[scf.Profile]
+)
+
+// withProfile returns fn of s's profile, borrowed for the call: how a
+// decision that reads only the profile decides a surface.
+func withProfile[T any](s *scf.Surface, fn func(*scf.Profile) (T, error)) (T, error) {
+	prof := profiles.Get()
+	defer profiles.Put(prof)
+	prof.FromSurface(s)
+	return fn(prof)
+}
+
+// ExamineProfile evaluates the profile of a DSCF surface and returns the
+// decision.
+func (c CFAR) ExamineProfile(p *scf.Profile) (CFARDecision, error) {
 	minA := c.MinAbsA
 	if minA == 0 {
 		minA = 2
@@ -53,25 +80,26 @@ func (c CFAR) Examine(s *scf.Surface) (CFARDecision, error) {
 	if scale == 0 {
 		scale = 2
 	}
-	if minA < 1 || minA > s.M-1 {
-		return CFARDecision{}, fmt.Errorf("detect: CFAR MinAbsA=%d outside [1,%d]", minA, s.M-1)
+	if minA < 1 || minA > p.M-1 {
+		return CFARDecision{}, fmt.Errorf("detect: CFAR MinAbsA=%d outside [1,%d]", minA, p.M-1)
 	}
-	prof := s.AlphaProfile()
-	alphas := s.AlphaValues()
 	peak, peakA := 0.0, 0
-	for i, v := range prof {
-		a := alphas[i]
+	for i, v := range p.Sum {
+		a := p.Alpha(i)
 		if (a >= minA || a <= -minA) && v > peak {
 			peak, peakA = v, a
 		}
 	}
-	cells := make([]float64, 0, len(prof))
-	for i, v := range prof {
-		a := alphas[i]
+	sc := cfarScratches.Get()
+	defer cfarScratches.Put(sc)
+	cells := sc.rows[:0]
+	for i, v := range p.Sum {
+		a := p.Alpha(i)
 		if (a >= minA || a <= -minA) && a != peakA && a != -peakA {
 			cells = append(cells, v)
 		}
 	}
+	sc.rows = cells
 	if len(cells) < 3 {
 		return CFARDecision{}, fmt.Errorf("detect: CFAR needs >= 3 off-peak rows, have %d", len(cells))
 	}

@@ -10,11 +10,12 @@ import (
 // Decider is the pluggable decision layer of the serving stack: given a
 // freshly estimated surface and (optionally) the raw samples of the
 // window that produced it, it declares whether a signal is present.
-// Surface detectors (cfar, fixed) consume only the surface the engine
-// already computed; sample-based asymptotic tests (dg, urriza) consume
-// the window samples and ignore the surface. Implementations must be
-// safe for concurrent use — one Decider instance serves every channel
-// of an engine.
+// Surface detectors (cfar, fixed) read only the surface's α-profile and
+// also implement ProfileDecider, so the engine can hand them the
+// profile its fold reduced without building the surface; sample-based
+// asymptotic tests (dg, urriza) consume the window samples and ignore
+// the surface. Implementations must be safe for concurrent use — one
+// Decider instance serves every channel of an engine.
 type Decider interface {
 	// Name is the registry name the decider was built under, reported in
 	// decisions.
@@ -30,6 +31,14 @@ type Decider interface {
 	// Decide evaluates one window. Surface detectors may receive nil
 	// samples; sample-based detectors may receive a nil surface.
 	Decide(s *scf.Surface, samples []complex128) (Decision, error)
+}
+
+// ProfileDecider is a Decider that reads only the α-profile of the
+// surface (cfar, fixed): Decide(s, x) is DecideProfile of s's profile,
+// bit for bit, so a caller holding the profile alone can decide.
+type ProfileDecider interface {
+	Decider
+	DecideProfile(p *scf.Profile) (Decision, error)
 }
 
 // DeciderParams carries everything a registry entry may need to build a
@@ -109,7 +118,12 @@ func (cfarDecider) Name() string       { return "cfar" }
 func (cfarDecider) NeedsSamples() bool { return false }
 func (cfarDecider) TargetPfa() float64 { return 0 }
 func (d cfarDecider) Decide(s *scf.Surface, _ []complex128) (Decision, error) {
-	cd, err := d.cfar.Examine(s)
+	return withProfile(s, d.DecideProfile)
+}
+
+// DecideProfile implements ProfileDecider.
+func (d cfarDecider) DecideProfile(p *scf.Profile) (Decision, error) {
+	cd, err := d.cfar.ExamineProfile(p)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -140,7 +154,12 @@ func (fixedDecider) Name() string       { return "fixed" }
 func (fixedDecider) NeedsSamples() bool { return false }
 func (fixedDecider) TargetPfa() float64 { return 0 }
 func (d fixedDecider) Decide(s *scf.Surface, _ []complex128) (Decision, error) {
-	stat, err := CFDStatistic(s, d.minAbsA)
+	return withProfile(s, d.DecideProfile)
+}
+
+// DecideProfile implements ProfileDecider.
+func (d fixedDecider) DecideProfile(p *scf.Profile) (Decision, error) {
+	stat, err := CFDStatisticProfile(p, d.minAbsA)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -151,6 +170,11 @@ func (d fixedDecider) Decide(s *scf.Surface, _ []complex128) (Decision, error) {
 		Detected:  stat > d.threshold,
 	}, nil
 }
+
+var (
+	_ ProfileDecider = cfarDecider{}
+	_ ProfileDecider = fixedDecider{}
+)
 
 // asymptoticCycles derives the cycle set of the sample-based tests from
 // the estimation geometry's alpha candidates.

@@ -29,25 +29,30 @@ func EnergyStatistic(x []complex128, noisePower float64) (float64, error) {
 // minAbsA, normalised by the a=0 (PSD) profile value. Noise-only input
 // concentrates all correlation at a=0, so the statistic is small and,
 // crucially, independent of the absolute noise level. On an alpha-pruned
-// surface the search runs over the held candidate rows only.
+// surface the search runs over the held candidate rows only. It is
+// CFDStatisticProfile of the surface's profile.
 func CFDStatistic(s *scf.Surface, minAbsA int) (float64, error) {
-	if minAbsA < 1 || minAbsA > s.M-1 {
-		return 0, fmt.Errorf("detect: minAbsA=%d outside [1,%d]", minAbsA, s.M-1)
+	return withProfile(s, func(p *scf.Profile) (float64, error) { return CFDStatisticProfile(p, minAbsA) })
+}
+
+// CFDStatisticProfile returns the CFD statistic (see CFDStatistic) of a
+// surface's profile.
+func CFDStatisticProfile(p *scf.Profile, minAbsA int) (float64, error) {
+	if minAbsA < 1 || minAbsA > p.M-1 {
+		return 0, fmt.Errorf("detect: minAbsA=%d outside [1,%d]", minAbsA, p.M-1)
 	}
-	prof := s.AlphaProfile()
-	alphas := s.AlphaValues()
 	base := 0.0
-	for i, a := range alphas {
-		if a == 0 {
-			base = prof[i]
+	for i, v := range p.Sum {
+		if p.Alpha(i) == 0 {
+			base = v
 		}
 	}
 	if base <= 0 {
 		return 0, fmt.Errorf("detect: zero PSD row, cannot normalise")
 	}
 	best := 0.0
-	for i, v := range prof {
-		a := alphas[i]
+	for i, v := range p.Sum {
+		a := p.Alpha(i)
 		if a >= minAbsA || a <= -minAbsA {
 			if r := v / base; r > best {
 				best = r

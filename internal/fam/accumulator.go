@@ -38,7 +38,10 @@ import (
 //
 // The fold adds each cell's terms in one order — FAM parity sums by
 // absolute hop, SSCA residue rows in hop order — so every path, in every
-// chunking, gives the same bits.
+// chunking, gives the same bits. The float folds also reduce straight
+// into the α-profile a served decision reads (EstimateProfile, which an
+// accumulator's SnapshotProfile runs), with the profile's bits and no
+// surface.
 //
 //   - FAM channelizes each block of up to foldBlockHops hops into one
 //     channel-major block and sums each surface cell's channel-pair
@@ -160,6 +163,7 @@ func (e FAM) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 var (
 	_ scf.StreamingEstimator = FAM{}
 	_ scf.WindowEstimator    = FAM{}
+	_ scf.ProfileEstimator   = (*famKernel)(nil)
 )
 
 // famKernel is the geometry every FAM fold runs with. A fold channelizes
@@ -359,6 +363,42 @@ func (c *famKernel) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	return s, stats, nil
 }
 
+// EstimateProfile implements scf.ProfileEstimator: the profile of
+// Estimate's surface, taken from the sums with no surface built.
+func (c *famKernel) EstimateProfile(x []complex128, dst *scf.Profile) error {
+	np, err := c.rule().hops(len(x))
+	if err != nil {
+		return err
+	}
+	sc := famScratches.Get()
+	defer famScratches.Put(sc)
+	sc.sums = freelist.Grow(sc.sums, c.cells())
+	if err := c.foldSpan(sc, sc.sums, x, np); err != nil {
+		return err
+	}
+	c.profile(dst, sc.sums, np)
+	return nil
+}
+
+// profile sets dst to the profile of surface(sums, np). The surface
+// rows are the mirrors of rowSet, descending, then rowSet, so row i of
+// the sums is profile row base+i and its mirror base-i. Each cell is
+// the surface's v·(1/np), and a mirror row's conjugate cells have the
+// same magnitudes exactly.
+func (c *famKernel) profile(dst *scf.Profile, sums []complex128, np int) {
+	inv := complex(1/float64(np), 0)
+	dst.Reset(c.p.M, c.p.SurfaceAlphas())
+	m := c.p.M - 1
+	cols := 2*m + 1
+	base := len(c.rowSet) - 1
+	for i := range c.rowSet {
+		for fi, v := range sums[i*cols : (i+1)*cols] {
+			dst.Add(base+i, fi-m, v*inv)
+		}
+		dst.CopyRow(base-i, base+i)
+	}
+}
+
 // surface normalises the sums of np hops by 1/np and mirrors the a < 0
 // rows: the FAM surface is exactly Hermitian in α, since cell (f, -a)
 // sums the termwise conjugates of cell (f, a)'s terms in the same order,
@@ -409,6 +449,7 @@ func (e SSCA) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 var (
 	_ scf.StreamingEstimator = SSCA{}
 	_ scf.WindowEstimator    = SSCA{}
+	_ scf.ProfileEstimator   = (*sscaKernel)(nil)
 )
 
 // cosineTerms holds the analysis windows fft.Window builds in their
@@ -605,10 +646,23 @@ func (c *sscaKernel) run(col, spec, d, xc []complex128, v int) {
 	}
 }
 
-// strip writes channel v's cells into sf from its residue fold col (K
+// sscaCells is where a span fold writes its cells: the surface sf, or,
+// with sf nil, the rows of prof. A profile row takes its cells in
+// ascending f. The strips walk the residues f+a in ascending order from
+// the lowest row's a-m, which gives every row its cells in order but
+// one: at the 4(M-1) = K edge, residue -2(M-1) is also the top row's
+// f+a = 2(M-1), so that row's last cell (f = a = M-1) comes first. That
+// cell therefore waits in top and joins its row after every strip.
+type sscaCells struct {
+	sf   *scf.Surface
+	prof *scf.Profile
+	top  complex128
+}
+
+// strip writes channel v's cells into dst from its residue fold col (K
 // cells, transformed in place by one K-point FFT): cell (f, a) reads bin
 // j = (a-f) mod K of strip f+a, derotated by (-1)^j and scaled by 1/N.
-func (c *sscaKernel) strip(sf *scf.Surface, col []complex128, v, n int) error {
+func (c *sscaKernel) strip(dst *sscaCells, col []complex128, v, n int) error {
 	if err := c.plan.Forward(col, col); err != nil {
 		return err
 	}
@@ -628,7 +682,15 @@ func (c *sscaKernel) strip(sf *scf.Surface, col []complex128, v, n int) error {
 		if j&1 == 1 {
 			cell = -cell
 		}
-		sf.Data[ri][f+m] = cell * inv
+		cell *= inv
+		switch {
+		case dst.sf != nil:
+			dst.sf.Data[ri][f+m] = cell
+		case f == m && a == m:
+			dst.top = cell
+		default:
+			dst.prof.Add(ri, f, cell)
+		}
 	}
 	return nil
 }
@@ -665,16 +727,39 @@ func (c *sscaKernel) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) 
 		return nil, nil, err
 	}
 	sf := scf.NewSurfaceFor(c.p)
-	if err := c.spanFold(sf, x, n); err != nil {
+	if err := c.spanFold(&sscaCells{sf: sf}, x, n); err != nil {
 		return nil, nil, err
 	}
 	return sf, c.stats(n), nil
 }
 
-// spanFold writes the surface over the first n >= K hops of src (src[0]
-// is sample 0; n a power of two) into sf, one channel at a time, folding
-// in borrowed scratch.
-func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
+// EstimateProfile implements scf.ProfileEstimator: the profile of
+// Estimate's surface, each cell added to its row as a strip writes it,
+// with no surface built. It allocates nothing.
+func (c *sscaKernel) EstimateProfile(x []complex128, dst *scf.Profile) error {
+	n, err := c.rule().hops(len(x))
+	if err != nil {
+		return err
+	}
+	var held []int // the full plane's rows: nil
+	if c.p.Pruned() {
+		held = c.rowAlphas
+	}
+	dst.Reset(c.p.M, held)
+	cells := sscaCells{prof: dst}
+	if err := c.spanFold(&cells, x, n); err != nil {
+		return err
+	}
+	if top := len(c.rowAlphas) - 1; c.rowAlphas[top] == c.p.M-1 {
+		dst.Add(top, c.p.M-1, cells.top)
+	}
+	return nil
+}
+
+// spanFold writes the cells over the first n >= K hops of src (src[0]
+// is sample 0; n a power of two) into dst, one channel at a time,
+// folding in borrowed scratch.
+func (c *sscaKernel) spanFold(dst *sscaCells, src []complex128, n int) error {
 	sc := sscaScratches.Get()
 	defer sscaScratches.Put(sc)
 	k := c.p.K
@@ -701,7 +786,7 @@ func (c *sscaKernel) spanFold(sf *scf.Surface, src []complex128, n int) error {
 		for h0 := 0; h0 < n; h0 += k {
 			c.run(col, sc.anchors[h0:h0+k], sc.diff[h0:h0+k], sc.xc[h0:h0+k], v)
 		}
-		if err := c.strip(sf, col, v, n); err != nil {
+		if err := c.strip(dst, col, v, n); err != nil {
 			return err
 		}
 	}

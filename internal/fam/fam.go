@@ -54,19 +54,31 @@ func (e FAM) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 
 // WithAlphaCandidates implements scf.CandidateEstimator.
 func (e FAM) WithAlphaCandidates(alphas []int) (scf.StreamingEstimator, error) {
-	if len(alphas) == 0 {
-		return e, nil
-	}
-	p := famDefaults(e.Params, 0)
-	p.AlphaCandidates = append([]int(nil), alphas...)
-	if err := p.Validate(); err != nil {
+	p, err := withCandidates(e.Params, 0, alphas)
+	if err != nil {
 		return nil, err
 	}
 	e.Params = p
 	return e, nil
 }
 
-var _ scf.Estimator = FAM{}
+var (
+	_ scf.Estimator          = FAM{}
+	_ scf.CandidateEstimator = FAM{}
+)
+
+// withCandidates returns p restricted to the alpha candidates, with its
+// defaults filled (famDefaults with defaultHop) and validated, or p
+// unchanged when alphas is empty: the parameters every estimator of this
+// package derives in WithAlphaCandidates.
+func withCandidates(p scf.Params, defaultHop int, alphas []int) (scf.Params, error) {
+	if len(alphas) == 0 {
+		return p, nil
+	}
+	p = famDefaults(p, defaultHop)
+	p.AlphaCandidates = append([]int(nil), alphas...)
+	return p, p.Validate()
+}
 
 // famDefaults fills the zero fields of a FAM/SSCA parameter set: K=256,
 // M=K/4, and the given default hop. Blocks is forced to 1 — both

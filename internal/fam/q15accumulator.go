@@ -321,9 +321,20 @@ func (e FAMQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	return c.rule().accumulator(c, window), nil
 }
 
+// WithAlphaCandidates implements scf.CandidateEstimator as for FAM.
+func (e FAMQ15) WithAlphaCandidates(alphas []int) (scf.StreamingEstimator, error) {
+	p, err := withCandidates(e.Params, 0, alphas)
+	if err != nil {
+		return nil, err
+	}
+	e.Params = p
+	return e, nil
+}
+
 var (
 	_ scf.StreamingEstimator = FAMQ15{}
 	_ scf.WindowEstimator    = FAMQ15{}
+	_ scf.CandidateEstimator = FAMQ15{}
 )
 
 // NewAccumulator implements scf.StreamingEstimator as for FAMQ15: the
@@ -344,7 +355,18 @@ func (e SSCAQ15) NewWindowAccumulator(window int) (scf.Accumulator, error) {
 	return c.rule().accumulator(c, window), nil
 }
 
+// WithAlphaCandidates implements scf.CandidateEstimator as for SSCA.
+func (e SSCAQ15) WithAlphaCandidates(alphas []int) (scf.StreamingEstimator, error) {
+	p, err := withCandidates(e.Params, 1, alphas)
+	if err != nil {
+		return nil, err
+	}
+	e.Params = p
+	return e, nil
+}
+
 var (
 	_ scf.StreamingEstimator = SSCAQ15{}
 	_ scf.WindowEstimator    = SSCAQ15{}
+	_ scf.CandidateEstimator = SSCAQ15{}
 )

@@ -51,16 +51,15 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 
 // WithAlphaCandidates implements scf.CandidateEstimator.
 func (e SSCA) WithAlphaCandidates(alphas []int) (scf.StreamingEstimator, error) {
-	if len(alphas) == 0 {
-		return e, nil
-	}
-	p := famDefaults(e.Params, 1)
-	p.AlphaCandidates = append([]int(nil), alphas...)
-	if err := p.Validate(); err != nil {
+	p, err := withCandidates(e.Params, 1, alphas)
+	if err != nil {
 		return nil, err
 	}
 	e.Params = p
 	return e, nil
 }
 
-var _ scf.Estimator = SSCA{}
+var (
+	_ scf.Estimator          = SSCA{}
+	_ scf.CandidateEstimator = SSCA{}
+)

@@ -2,6 +2,7 @@ package fam
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -18,10 +19,12 @@ import (
 // any chunking, Snapshot equals Estimate(x[:min(n, W)]) bit for bit with
 // the same stats, and Ready holds exactly when that Estimate succeeds. A
 // window too short for any snapshot gets the uncapped accumulator, whose
-// snapshot is Estimate(x[:n]), and so does the direct DSCF, whose
-// reference is scf.Compute over the complete blocks of x[:n]. Every
+// snapshot is Estimate(x[:n]). The direct DSCF's reference is
+// scf.Compute over the complete blocks of those samples. Every
 // snapshot must also equal the uncapped accumulator's (NewAccumulator)
-// fed the same samples, the same way. A second Snapshot before the Reset
+// fed the same samples, the same way, and where the accumulator folds
+// straight into a profile (SnapshotProfile), that profile must be
+// the snapshot's bit for bit. A second Snapshot before the Reset
 // gives the same bits, also when the samples past a complete span arrive
 // between the two (they are dropped), and after the Reset a partial
 // refill snapshots as Estimate on the refill.
@@ -119,18 +122,23 @@ func FuzzWindowAccumulator(f *testing.F) {
 				t.Fatalf("%s W=%d n=%d: Ready %v, Estimate error %v", est.Name(), window, n, acc.Ready(), wantErr)
 			}
 			got, gotStats, err := acc.Snapshot()
+			var prof scf.Profile
+			folded, profErr := acc.(profileSnapshotter).SnapshotProfile(&prof)
 			if wantErr != nil {
-				if err == nil {
-					t.Fatalf("%s W=%d n=%d: Snapshot succeeded where Estimate fails", est.Name(), window, n)
+				if err == nil || (folded && profErr == nil) {
+					t.Fatalf("%s W=%d n=%d: Snapshot or SnapshotProfile succeeded where Estimate fails", est.Name(), window, n)
 				}
 				continue
 			}
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || profErr != nil {
+				t.Fatal(err, profErr)
 			}
 			label := fmt.Sprintf("%s W=%d n=%d", est.Name(), window, n)
 			requireIdentical(t, got, want, label)
 			requireSameStats(t, gotStats, wantStats)
+			if folded {
+				requireProfileOf(t, &prof, got, label)
+			}
 			// The uncapped accumulator buffers the same lim samples with no
 			// cap. It is not an independent reference: Estimate and both
 			// accumulators run one span fold, whose bits the goldens and
@@ -161,6 +169,30 @@ func FuzzWindowAccumulator(f *testing.F) {
 			requireSameStats(t, againStats, gotStats)
 		}
 	})
+}
+
+// profileSnapshotter is the optional accumulator method the stream
+// engine decides from.
+type profileSnapshotter interface {
+	SnapshotProfile(dst *scf.Profile) (ok bool, err error)
+}
+
+// requireProfileOf fails unless p is the profile of s bit for bit.
+func requireProfileOf(t *testing.T, p *scf.Profile, s *scf.Surface, label string) {
+	t.Helper()
+	var want scf.Profile
+	want.FromSurface(s)
+	want.SetPeaks(s)
+	if p.M != want.M || !reflect.DeepEqual(p.Alphas, want.Alphas) || len(p.Sum) != len(want.Sum) {
+		t.Fatalf("%s: profile rows M=%d %v, want M=%d %v", label, p.M, p.Alphas, want.M, want.Alphas)
+	}
+	for i := range want.Sum {
+		if math.Float64bits(p.Sum[i]) != math.Float64bits(want.Sum[i]) ||
+			math.Float64bits(p.Peak[i]) != math.Float64bits(want.Peak[i]) || p.PeakF[i] != want.PeakF[i] {
+			t.Fatalf("%s: profile row a=%d: sum %v peak %v at f=%d, surface's %v, %v at f=%d", label, want.Alpha(i),
+				p.Sum[i], p.Peak[i], p.PeakF[i], want.Sum[i], want.Peak[i], want.PeakF[i])
+		}
+	}
 }
 
 // TestWindowAccumulatorKeepsNoCheckpoint: after a whole window, a
@@ -562,10 +594,12 @@ func TestConcurrentFoldsShareScratch(t *testing.T) {
 
 // BenchmarkWindowPushSnapshot times one serving window's Push and
 // Snapshot at the paper geometry (K=256, M=64), through the uncapped
-// accumulator (buffer the whole window, fold at Snapshot) and the
+// accumulator (buffer the whole window, fold at Snapshot), the
 // window-bound one (buffer only the span the snapshot reads, fold it at
-// Snapshot). Samples arrive in 4096-sample chunks, the stream engine's
-// drain size. Run with
+// Snapshot), and the window-bound one folding into the α-profile a
+// served cfar or fixed decision reads (SnapshotProfile, no surface).
+// Samples arrive in 4096-sample chunks, the stream engine's drain size.
+// Run with
 //
 //	go test -run '^$' -bench WindowPushSnapshot -benchmem ./internal/fam
 func BenchmarkWindowPushSnapshot(b *testing.B) {
@@ -587,19 +621,16 @@ func BenchmarkWindowPushSnapshot(b *testing.B) {
 	}
 	for _, c := range cases {
 		x := goldenBand(c.window, 1)
-		for _, bound := range []bool{false, true} {
-			name := c.name + "/uncapped"
-			if bound {
-				name = c.name + "/window"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, mode := range []string{"uncapped", "window", "profile"} {
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
 				acc, err := c.est.NewAccumulator()
-				if bound {
+				if mode != "uncapped" {
 					acc, err = c.est.(scf.WindowEstimator).NewWindowAccumulator(c.window)
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
+				var prof scf.Profile
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -609,7 +640,11 @@ func BenchmarkWindowPushSnapshot(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					if sinkSurface, sinkStats, err = acc.Snapshot(); err != nil {
+					if mode == "profile" {
+						if ok, err := acc.(profileSnapshotter).SnapshotProfile(&prof); !ok || err != nil {
+							b.Fatal(ok, err)
+						}
+					} else if sinkSurface, sinkStats, err = acc.Snapshot(); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -62,8 +62,9 @@ type StreamingEstimator interface {
 // when that Estimate succeeds. A window too short for any snapshot gets
 // an uncapped accumulator, as NewAccumulator's, which keeps accumulating
 // past it: its Snapshot is Estimate over every sample since Reset.
-// fam.FAM, fam.SSCA and their Q15 twins implement it, with
-// NewSpanAccumulator capped at the span the window's estimate reads.
+// Direct, fam.FAM, fam.SSCA and their Q15 twins implement it, with
+// NewSpanAccumulator capped at the span the window's estimate reads
+// (Direct's estimate being Compute over the complete blocks).
 type WindowEstimator interface {
 	NewWindowAccumulator(window int) (Accumulator, error)
 }
@@ -124,6 +125,19 @@ func (a *spanAccumulator) Ready() bool { return len(a.buf) >= a.need }
 // Snapshot implements Accumulator: the fold over the buffer.
 func (a *spanAccumulator) Snapshot() (*Surface, *Stats, error) { return a.fold.Estimate(a.buf) }
 
+// SnapshotProfile sets dst to the profile of Snapshot's surface, bit
+// for bit, by the fold over the buffer straight into dst when the fold
+// is a ProfileEstimator. ok is false, and dst untouched, when it is not;
+// then only Snapshot gives the profile. The stream engine decides from
+// it when its decider reads no more.
+func (a *spanAccumulator) SnapshotProfile(dst *Profile) (ok bool, err error) {
+	pe, ok := a.fold.(ProfileEstimator)
+	if !ok {
+		return false, nil
+	}
+	return true, pe.EstimateProfile(a.buf, dst)
+}
+
 // Reset implements Accumulator: the buffer stays allocated for the next
 // window's span.
 func (a *spanAccumulator) Reset() {
@@ -140,24 +154,40 @@ func (a *spanAccumulator) HeldBytes() int { return 16 * cap(a.buf) }
 // parameters. Params.Blocks is ignored: a snapshot over n samples equals
 // Compute with Blocks set to the complete blocks they hold. It buffers
 // every sample since Reset, so its memory grows with them; the windowed
-// stream engine resets it every window, which bounds it to one.
+// stream engine binds it to its window instead (NewWindowAccumulator).
 func NewAccumulator(p Params) (Accumulator, error) {
-	p = p.WithDefaults()
-	p.Blocks = 1 // derived from the buffer; 1 keeps Validate happy
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return NewSpanAccumulator(directFold(p), 0, p.K), nil
+	return Direct{Params: p}.NewWindowAccumulator(0)
 }
 
 // NewAccumulator implements StreamingEstimator. The accumulator folds on
 // the caller's goroutine (streaming parallelism lives across channels,
 // in the stream engine's worker pool).
 func (e Direct) NewAccumulator() (Accumulator, error) {
-	return NewAccumulator(e.Params)
+	return e.NewWindowAccumulator(0)
 }
 
-var _ StreamingEstimator = Direct{}
+// NewWindowAccumulator implements WindowEstimator: it buffers the
+// window's complete blocks, and Snapshot folds them. Its reference is
+// Compute over the complete blocks of x[:min(n, window)], since Blocks
+// is derived from the samples (see NewAccumulator). A window of no
+// complete block gets the uncapped accumulator.
+func (e Direct) NewWindowAccumulator(window int) (Accumulator, error) {
+	p := e.Params.WithDefaults()
+	p.Blocks = 1 // derived from the buffer; 1 keeps Validate happy
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	span := 0
+	if window >= p.K {
+		span = (window-p.K)/p.Hop*p.Hop + p.K
+	}
+	return NewSpanAccumulator(directFold(p), span, p.K), nil
+}
+
+var (
+	_ StreamingEstimator = Direct{}
+	_ WindowEstimator    = Direct{}
+)
 
 // directFold is the direct DSCF over every complete block its input
 // holds: the fold of Direct's accumulator.

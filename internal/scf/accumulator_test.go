@@ -179,3 +179,51 @@ func TestDirectAccumulatorNotReady(t *testing.T) {
 		t.Fatal("Snapshot succeeded without a complete block")
 	}
 }
+
+// TestDirectWindowAccumulatorHoldsItsBlocks: bound to its window, the
+// direct DSCF's accumulator buffers the window's complete blocks and
+// drops the rest. At K=256 and W=8192 pushed in two 4096-sample chunks it
+// holds the 32 blocks' 8192 samples, 131,072 B, where the uncapped
+// accumulator's appended buffer holds 147,456 B. With a hop of 100 the
+// 80 complete blocks read 8156 samples; its snapshot then equals Compute
+// over those blocks.
+func TestDirectWindowAccumulatorHoldsItsBlocks(t *testing.T) {
+	const window = 8192
+	x := testBand(t, window, 4)
+	for _, c := range []struct {
+		p         Params
+		held      int
+		uncappedB int
+	}{
+		{Params{K: 256, M: 64}, 16 * window, 147456},
+		{Params{K: 256, M: 64, Hop: 100}, 16 * (79*100 + 256), 147456},
+	} {
+		bound, err := Direct{Params: c.p}.NewWindowAccumulator(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncapped, err := Direct{Params: c.p}.NewAccumulator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, acc := range []Accumulator{bound, uncapped} {
+			pushChunks(t, acc, x, []int{4096})
+		}
+		held := func(acc Accumulator) int { return acc.(interface{ HeldBytes() int }).HeldBytes() }
+		if held(bound) != c.held || held(uncapped) != c.uncappedB {
+			t.Fatalf("hop %d: window-bound holds %d B, uncapped %d B; want %d and %d",
+				c.p.Hop, held(bound), held(uncapped), c.held, c.uncappedB)
+		}
+		bp := c.p.WithDefaults()
+		bp.Blocks = (window-bp.K)/bp.Hop + 1
+		want, _, err := Compute(x, bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := bound.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, want, "window-bound")
+	}
+}

@@ -47,7 +47,8 @@ func (e Direct) Estimate(x []complex128) (*Surface, *Stats, error) {
 // restricted to the given candidate rows (Params.AlphaCandidates
 // semantics — non-negative bin offsets, mirrors implied, a=0 always
 // kept). The stream engine uses it to give each channel its own
-// candidate set. All three float estimators implement it.
+// candidate set. Every streaming estimator implements it: Direct,
+// fam.FAM, fam.SSCA and their Q15 twins.
 type CandidateEstimator interface {
 	StreamingEstimator
 	// WithAlphaCandidates returns a copy of the estimator restricted to

@@ -173,11 +173,7 @@ func (s *Surface) Scale(g float64) {
 func (s *Surface) AlphaProfile() []float64 {
 	prof := make([]float64, len(s.Data))
 	for ai, row := range s.Data {
-		var sum float64
-		for _, v := range row {
-			sum += cmplx.Abs(v)
-		}
-		prof[ai] = sum
+		prof[ai] = rowSum(row)
 	}
 	return prof
 }

@@ -29,8 +29,8 @@
 // A bounded worker pool drains the rings: a channel with pending samples
 // is enqueued at most once on the work queue, a worker claims it, feeds
 // the ring contents into the accumulator in arrival order, and — every
-// Config.SnapshotSamples samples — takes a surface snapshot and applies
-// the decision layer from internal/detect (Config.Decider, or the
+// Config.SnapshotSamples samples — folds the window and applies the
+// decision layer from internal/detect (Config.Decider, or the
 // self-calibrating CFAR by default). A worker has no buffer of its own:
 // it takes the oldest contiguous unread segment of the ring under the
 // channel's lock, feeds it to the accumulator in place with the lock
@@ -43,6 +43,17 @@
 // accumulator snapshots are bit-identical to the batch estimators
 // (scf.Accumulator's contract), a streaming decision equals the batch
 // decision over the same window.
+//
+// The decision reads the window's α-profile (scf.Profile): row sums for
+// cfar and fixed, row peaks for the reported feature. When the
+// accumulator folds straight into that profile (SnapshotProfile: the
+// float FAM and SSCA) and the decider reads no more
+// (detect.ProfileDecider) or reads only the raw samples (dg, urriza), no
+// surface is built; the profile is borrowed for the decision, so a
+// channel keeps none. Otherwise, as for the direct DSCF, the Q15
+// estimators or a decorated accumulator or decider, the engine
+// snapshots the surface and takes the profile from it, with the same
+// bits.
 //
 // # Overload behaviour
 //
@@ -65,13 +76,12 @@
 // after each snapshot, so a licensed user appearing in the band shows up
 // in the next window's decision, and memory stays bounded for all
 // estimators. Channels bind their accumulator to the window
-// (scf.AccumulatorFor): FAM, SSCA and their Q15 twins buffer only the
-// span of samples the window's estimate reads and fold it at the
-// window's snapshot, with fold scratch shared across channels, into the
-// surface the decision reads, so between pushes a channel holds its
-// span and no result. The direct DSCF buffers the whole window and
-// folds its blocks at the snapshot. A window too short for the
-// estimator keeps accumulating across boundaries, and the decision
-// comes at the first boundary where the accumulator is Ready, over
-// every sample since the last decision.
+// (scf.AccumulatorFor): every streaming estimator buffers only the span
+// of samples the window's estimate reads (the direct DSCF: the window's
+// complete blocks) and folds it at the window's end, with fold scratch
+// shared across channels, so between pushes a channel holds its span
+// and no result. A window too short for the estimator keeps
+// accumulating across boundaries, and the decision comes at the first
+// boundary where the accumulator is Ready, over every sample since the
+// last decision.
 package stream

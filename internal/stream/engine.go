@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tiledcfd/internal/detect"
+	"tiledcfd/internal/freelist"
 	"tiledcfd/internal/scf"
 )
 
@@ -31,14 +32,16 @@ type Config struct {
 	// scf.StreamingEstimator (scf.Direct, fam.FAM, fam.SSCA and their Q15
 	// twins). Required.
 	Estimator scf.StreamingEstimator
-	// SnapshotSamples is the per-channel decision cadence: a surface is
-	// snapshotted and a decision emitted every SnapshotSamples samples,
-	// and the accumulator is then reset, so every decision covers its own
-	// window. Channels of an scf.WindowEstimator (FAM, SSCA and their Q15
-	// twins) buffer only the span of samples the window's estimate reads
-	// and fold it at the window's end, into the surface the decision
-	// reads; between pushes a channel holds its span and no result.
-	// Default 8192.
+	// SnapshotSamples is the per-channel decision cadence: a decision is
+	// emitted every SnapshotSamples samples, and the accumulator is then
+	// reset, so every decision covers its own window. Channels of an
+	// scf.WindowEstimator (every streaming estimator) buffer only the span
+	// of samples the window's estimate reads and fold it at the window's
+	// end. The float FAM and SSCA fold straight into the α-profile
+	// (scf.Profile) when the decider reads no more (cfar, fixed) or reads
+	// the samples alone (dg, urriza); the others fold into the surface
+	// the decision reads. Between pushes a channel holds its span and no
+	// result. Default 8192.
 	SnapshotSamples int
 	// RingSamples is the per-channel ingestion ring capacity limit; the
 	// ring's memory follows the channel's peak backlog: the first push
@@ -133,7 +136,9 @@ type Decision struct {
 	// asymptotic-threshold detector (dg, urriza); 0 for detectors
 	// thresholded by other means.
 	TargetPfa float64
-	// FeatureF/FeatureA locate the strongest cyclic feature (a != 0).
+	// FeatureF/FeatureA locate the strongest cell of the window's surface
+	// over the rows |a| >= MinAbsA, the first in row-major order on ties,
+	// whether the surface was built or only its profile was folded.
 	FeatureF, FeatureA int
 	// Estimator names the estimator that produced the surface.
 	Estimator string
@@ -763,14 +768,28 @@ func (ch *channel) noteHeld() {
 	ch.held.Store(int64(n))
 }
 
-// decide snapshots the channel's surface, applies the decision layer and
+// profileSnapshotter is implemented by the accumulators that can fold a
+// window straight into its profile (scf.NewSpanAccumulator's).
+type profileSnapshotter interface {
+	SnapshotProfile(dst *scf.Profile) (ok bool, err error)
+}
+
+// profiles lends each decision the profile it reads, so a channel keeps
+// none between windows.
+var profiles freelist.List[scf.Profile]
+
+// decide evaluates the channel's window, applies the decision layer and
 // emits the decision; expire bounds a Block-mode wait (nil: until room
 // or Close).
 func (e *Engine) decide(ch *channel, expire <-chan time.Time) {
-	s, _, err := ch.acc.Snapshot()
+	prof := profiles.Get()
+	defer profiles.Put(prof)
+	res, err := ch.evaluate(prof)
 	if err != nil {
-		// Ready() gated this; failure here is data-dependent and rare —
-		// skip the window rather than killing the channel.
+		// Ready() gated the snapshot, so its failures, like the
+		// decider's (e.g. a partial flush window too short for an
+		// asymptotic test), are data-dependent and rare: skip the window
+		// rather than killing the channel.
 		e.windowsFailed.Add(1)
 		return
 	}
@@ -783,35 +802,61 @@ func (e *Engine) decide(ch *channel, expire <-chan time.Time) {
 		TargetPfa:     ch.dec.TargetPfa(),
 		At:            time.Now(),
 	}
-	res, err := ch.dec.Decide(s, ch.win)
-	if err != nil {
-		// Data-dependent decider failures (e.g. a partial flush window
-		// too short for an asymptotic test) skip the window rather than
-		// killing the channel, like snapshot failures above.
-		e.windowsFailed.Add(1)
-		return
-	}
 	d.Statistic, d.Threshold, d.Detected = res.Statistic, res.Threshold, res.Detected
 	// The reported feature is the strongest cell in the offsets the
 	// decision layer actually searched (|a| >= MinAbsA), so its
 	// coordinates always describe the peak behind the statistic.
-	d.FeatureF, d.FeatureA = maxFeatureMinA(s, e.cfg.MinAbsA)
+	d.FeatureF, d.FeatureA = prof.Feature(e.cfg.MinAbsA)
 	// Counters only move once the decision is definitely emitted, so
 	// Seq stays gapless and Surfaces == decisions made.
 	d.Seq = ch.seq
 	ch.seq++
 	e.surfaces.Add(1)
 	ch.snapshots.Add(1)
-	if s.Pruned() {
-		extent := int64(s.Extent())
-		e.prunedCellsSkipped.Add((extent - int64(len(s.Data))) * extent)
-	}
+	e.prunedCellsSkipped.Add(prof.PrunedCellsSkipped())
 	if d.Detected {
 		ch.detections.Add(1)
 		e.detections.Add(1)
 	}
 	ch.last.Store(&d)
 	e.emit(d, expire)
+}
+
+// evaluate decides the channel's window and leaves its profile in prof.
+// When the accumulator folds straight into a profile and the decider
+// reads no more than that profile (cfar, fixed) or reads the samples
+// alone (dg, urriza), no surface is built. Otherwise, for a decorated
+// accumulator or decider, say, the window's surface is snapshotted and
+// prof is taken from it, its sums only when the decider reads them.
+func (ch *channel) evaluate(prof *scf.Profile) (detect.Decision, error) {
+	pd, fromProfile := ch.dec.(detect.ProfileDecider)
+	if ps, ok := ch.acc.(profileSnapshotter); ok && (fromProfile || ch.dec.NeedsSamples()) {
+		folded, err := ps.SnapshotProfile(prof)
+		if err != nil {
+			return detect.Decision{}, err
+		}
+		if folded && fromProfile {
+			return pd.DecideProfile(prof)
+		}
+		if folded {
+			return ch.dec.Decide(nil, ch.win)
+		}
+	}
+	s, _, err := ch.acc.Snapshot()
+	if err != nil {
+		return detect.Decision{}, err
+	}
+	var res detect.Decision
+	if fromProfile {
+		// Decide(s) would take the same sums again.
+		prof.FromSurface(s)
+		res, err = pd.DecideProfile(prof)
+	} else {
+		prof.Reset(s.M, s.Alphas)
+		res, err = ch.dec.Decide(s, ch.win)
+	}
+	prof.SetPeaks(s)
+	return res, err
 }
 
 // emit sends a decision on the Decisions channel. A consumer that falls
@@ -846,28 +891,6 @@ func (e *Engine) emit(d Decision, expire <-chan time.Time) {
 		}
 	}
 	e.decisionsDropped.Add(1)
-}
-
-// maxFeatureMinA locates the largest-magnitude cell over the held rows
-// with |a| >= minAbsA — the same search region the CFD statistic and the
-// CFAR profile use, unlike Surface.MaxFeature which only excludes a=0.
-// On an alpha-pruned surface only the candidate rows are searched.
-func maxFeatureMinA(s *scf.Surface, minAbsA int) (f, a int) {
-	best := -1.0
-	m := s.M - 1
-	alphas := s.AlphaValues()
-	for i, row := range s.Data {
-		av := alphas[i]
-		if av > -minAbsA && av < minAbsA {
-			continue
-		}
-		for fi, v := range row {
-			if mag := real(v)*real(v) + imag(v)*imag(v); mag > best {
-				best, f, a = mag, fi-m, av
-			}
-		}
-	}
-	return f, a
 }
 
 // Decisions returns the stream of periodic verdicts. The channel is

@@ -216,6 +216,13 @@ func (g gatedEstimator) NewAccumulator() (scf.Accumulator, error) {
 	return gatedAccumulator{acc, g}, err
 }
 
+// NewWindowAccumulator gates the window-bound accumulator the engine
+// builds, which scf.Direct would otherwise promote ungated.
+func (g gatedEstimator) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	acc, err := g.Direct.NewWindowAccumulator(window)
+	return gatedAccumulator{acc, g}, err
+}
+
 type gatedAccumulator struct {
 	scf.Accumulator
 	g gatedEstimator
@@ -379,6 +386,13 @@ type recorder struct {
 
 func (r recordingEstimator) NewAccumulator() (scf.Accumulator, error) {
 	acc, err := r.gatedEstimator.NewAccumulator()
+	return recordingAccumulator{acc, r.rec}, err
+}
+
+// NewWindowAccumulator records through the window-bound accumulator the
+// engine builds, which gatedEstimator would otherwise promote.
+func (r recordingEstimator) NewWindowAccumulator(window int) (scf.Accumulator, error) {
+	acc, err := r.gatedEstimator.NewWindowAccumulator(window)
 	return recordingAccumulator{acc, r.rec}, err
 }
 
